@@ -17,17 +17,7 @@ import sys
 from pathlib import Path
 
 from . import graphio, qaeval, qagen, resources
-from .features import (
-    PAIR,
-    SLOT,
-    FeatureConfig,
-    build_vectors,
-    count,
-    dump_counts_tsv,
-    dump_vectors_tsv,
-    save_counts,
-    save_vectors,
-)
+from .features import FeatureConfig, dump_vectors_tsv
 from .globalgraph import GlobalConfig, apply_to_all, write_provenance
 from .ingest import ingest
 from .lexicon import LexicalResource
@@ -117,15 +107,7 @@ def cmd_build_local(args) -> int:
         FeatureConfig(min_count=args.min_count), edge_threshold=args.edge_threshold
     )
     graphs = build_local_graphs(corpus, config)
-
-    pair_store = count(corpus, PAIR)
-    slot_store = count(corpus, SLOT)
-    pair_vectors = build_vectors(pair_store, config.features)
-    slot_vectors = build_vectors(slot_store, config.features)
-    save_counts(out / "counts.bin", pair_store, slot_store)
-    dump_counts_tsv(out / "counts.tsv", pair_store, slot_store)
-    save_vectors(out / "vectors.bin", pair_vectors, slot_vectors)
-    dump_vectors_tsv(out / "vectors.tsv", pair_vectors, slot_vectors)
+    dump_vectors_tsv(out / "vectors.tsv", graphs.pair_vectors, graphs.slot_vectors)
 
     local_dir = out / "graphs" / "local"
     paths = graphio.write_graph_dir(graphs.all_subgraphs(), local_dir)
@@ -150,8 +132,6 @@ def cmd_globalize(args) -> int:
         lambda_para=args.lambda_para,
         lambda_cross=args.lambda_cross,
         paraphrase_tau=args.tau,
-        iterations=args.iterations,
-        convergence_eps=args.eps,
     )
     bi_graph, uni_graph = apply_to_all(bivalent, univalent, config)
     global_dir = out / "graphs" / "global"
@@ -163,14 +143,9 @@ def cmd_globalize(args) -> int:
     write_provenance(uni_graph, global_dir / "univalent.prov.tsv")
     _write_manifest(
         out, "globalize",
-        {
-            "lambda_para": args.lambda_para, "lambda_cross": args.lambda_cross,
-            "tau": args.tau, "iterations": args.iterations, "eps": args.eps,
-        },
+        {"lambda_para": args.lambda_para, "lambda_cross": args.lambda_cross, "tau": args.tau},
         sorted(local_dir.glob("*.graph")),
     )
-    if not (bi_graph.converged and uni_graph.converged):
-        print("warning: globalization did not converge within the iteration budget")
     print(f"globalized {len(merged)} subgraphs into {global_dir}")
     return EXIT_OK
 
@@ -320,7 +295,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from .localgraph import valid_maps
+    from .localgraph import _bound_args, valid_maps
     from .model import EntityId, Proposition
 
     out = Path(args.out)
@@ -334,22 +309,20 @@ def cmd_query(args) -> int:
         EntityId(f"x{i}", None, True) for i in range(1, premise.valency + 1)
     )
     prop = Proposition(premise, ents)
+    bindings = [
+        _bound_args(amap, prop.arg_keys)
+        for amap in valid_maps(premise.valency, hypothesis.valency)
+    ]
     best = None
-    for amap in valid_maps(premise.valency, hypothesis.valency):
-        hyp_args = [""] * hypothesis.valency
-        for p_slot, h_slot in amap.pairs:
-            hyp_args[h_slot - 1] = ents[p_slot - 1].key
-        result = store.entailment_score(prop, hypothesis, tuple(hyp_args))
+    for hyp_args in bindings:
+        result = store.entailment_score(prop, hypothesis, hyp_args)
         if result.score > 0 and (best is None or result.score > best.score):
             best = result
     if best is None:
-        for amap in valid_maps(premise.valency, hypothesis.valency):
-            hyp_args = [""] * hypothesis.valency
-            for p_slot, h_slot in amap.pairs:
-                hyp_args[h_slot - 1] = ents[p_slot - 1].key
+        for hyp_args in bindings:
             result = store.backoff_score(
-                premise.name, premise.valency, tuple(e.key for e in ents),
-                hypothesis.name, hypothesis.valency, tuple(hyp_args),
+                premise.name, premise.valency, prop.arg_keys,
+                hypothesis.name, hypothesis.valency, hyp_args,
             )
             if result.score > 0 and (best is None or result.score > best.score):
                 best = result
@@ -408,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-para", type=float, default=1.0)
     p.add_argument("--lambda-cross", type=float, default=0.5)
     p.add_argument("--tau", type=float, default=0.9)
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--eps", type=float, default=1e-4)
 
     p = sub.add_parser("gen-questions", help="generate the true/false question set")
     common(p)

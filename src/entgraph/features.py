@@ -9,7 +9,6 @@ negative weights are dropped so feature support means genuine association.
 from __future__ import annotations
 
 import math
-import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,8 +17,6 @@ from .model import Corpus, TypedPredicate
 
 PAIR = "pair"
 SLOT = "slot"
-
-VECTOR_CACHE_MAGIC = b"entgraph-vectors 1\n"
 
 
 @dataclass
@@ -147,47 +144,6 @@ def _pred_sort_key(pred_key):
     return (pred_key.token(), 0)
 
 
-def save_vectors(path: str | Path, pair_vectors: dict, slot_vectors: dict) -> None:
-    """Binary cache with a versioned header; payload keys are text tokens."""
-    payload = {
-        "pair": {
-            pv.predicate.token(): sorted(pv.features.items())
-            for pv in sorted(pair_vectors.values(), key=lambda v: v.predicate.token())
-        },
-        "slot": {
-            f"{sv.predicate.token()}@{sv.slot}": sorted(sv.features.items())
-            for sv in sorted(
-                slot_vectors.values(), key=lambda v: (v.predicate.token(), v.slot)
-            )
-        },
-    }
-    with open(path, "wb") as fh:
-        fh.write(VECTOR_CACHE_MAGIC)
-        fh.write(pickle.dumps(payload, protocol=4))
-
-
-def load_vectors(path: str | Path) -> tuple[dict, dict]:
-    """Inverse of save_vectors; raises ValueError on a version mismatch."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(VECTOR_CACHE_MAGIC))
-        if magic != VECTOR_CACHE_MAGIC:
-            raise ValueError(f"unsupported vector cache header: {magic!r}")
-        payload = pickle.loads(fh.read())
-    pair_vectors = {}
-    for token, feats in payload["pair"].items():
-        pred = TypedPredicate.parse_token(token)
-        pair_vectors[pred] = PairVector(pred, {tuple(k): v for k, v in feats})
-    slot_vectors = {}
-    for token, feats in payload["slot"].items():
-        pred_token, slot_s = token.rsplit("@", 1)
-        pred = TypedPredicate.parse_token(pred_token)
-        slot = int(slot_s)
-        slot_vectors[(pred, slot)] = SlotVector(
-            pred, slot, pred.slot_types[slot - 1], dict(feats)
-        )
-    return pair_vectors, slot_vectors
-
-
 def dump_vectors_tsv(path: str | Path, pair_vectors: dict, slot_vectors: dict) -> None:
     """Debug text dump: predicate, feature, weight."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -199,54 +155,3 @@ def dump_vectors_tsv(path: str | Path, pair_vectors: dict, slot_vectors: dict) -
             sv = slot_vectors[(pred, slot)]
             for feat, w in sorted(sv.features.items()):
                 fh.write(f"slot{slot}\t{pred.token()}\t{feat}\t{w!r}\n")
-
-
-COUNT_CACHE_MAGIC = b"entgraph-counts 1\n"
-
-
-def _joint_rows(store: CountStore) -> list:
-    rows = []
-    for (pred_key, feat_key), n in store.joint.items():
-        if store.mode == PAIR:
-            rows.append([pred_key.token(), 0, list(feat_key), n])
-        else:
-            pred, slot = pred_key
-            rows.append([pred.token(), slot, feat_key, n])
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
-
-
-def save_counts(path: str | Path, *stores: CountStore) -> None:
-    """Binary cache of one or more count stores, versioned like vectors."""
-    payload = {s.mode: _joint_rows(s) for s in stores}
-    with open(path, "wb") as fh:
-        fh.write(COUNT_CACHE_MAGIC)
-        fh.write(pickle.dumps(payload, protocol=4))
-
-
-def load_counts(path: str | Path) -> dict[str, CountStore]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(COUNT_CACHE_MAGIC))
-        if magic != COUNT_CACHE_MAGIC:
-            raise ValueError(f"unsupported count cache header: {magic!r}")
-        payload = pickle.loads(fh.read())
-    out = {}
-    for mode, rows in payload.items():
-        store = CountStore(mode)
-        for token, slot, feat, n in rows:
-            pred = TypedPredicate.parse_token(token)
-            if mode == PAIR:
-                store.add(pred, tuple(feat), n)
-            else:
-                store.add((pred, slot), feat, n)
-        out[mode] = store
-    return out
-
-
-def dump_counts_tsv(path: str | Path, *stores: CountStore) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mode\tpredicate\tslot\tfeature\tcount\n")
-        for store in stores:
-            for token, slot, feat, n in _joint_rows(store):
-                feat_s = ",".join(feat) if isinstance(feat, list) else feat
-                fh.write(f"{store.mode}\t{token}\t{slot}\t{feat_s}\t{n}\n")

@@ -11,9 +11,8 @@ where L are the local scores, paraphrase pairs are predicates of one
 subgraph that entail each other above a mutual-score threshold, and the
 cross term ties together edges with the same untyped predicates, map and
 kind under different type signatures. The objective is a strictly convex
-quadratic; each sweep solves every coupling component exactly (the closed
-form the coordinate averaging updates converge to), so the objective is
-non-increasing across sweeps and a fixed point is reached immediately.
+quadratic whose coupling components are independent, so one exact solve
+per component gives the global minimizer; there is nothing to iterate.
 Structure is never touched: directions, kinds and argument maps survive,
 only scores move, and they stay within [0, 1].
 """
@@ -21,7 +20,7 @@ only scores move, and they stay within [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -33,16 +32,12 @@ class GlobalConfig:
     lambda_para: float = 1.0
     lambda_cross: float = 0.5
     paraphrase_tau: float = 0.9
-    iterations: int = 20
-    convergence_eps: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.lambda_para < 0 or self.lambda_cross < 0:
             raise ValueError("constraint weights must be >= 0")
         if not 0 < self.paraphrase_tau <= 1:
             raise ValueError("paraphrase_tau must be in (0, 1]")
-        if self.iterations < 1 or self.convergence_eps <= 0:
-            raise ValueError("need iterations >= 1 and convergence_eps > 0")
 
 
 @dataclass
@@ -57,8 +52,8 @@ class GlobalGraph:
 
     subgraphs: dict
     provenance: dict[tuple, EdgeProvenance]
-    iterations_run: int = 0
-    converged: bool = True
+    # one exact solve minimizes the whole objective
+    iterations_run: ClassVar[int] = 1
 
 
 def find_paraphrases(subgraph: TypedSubgraph, tau: float):
@@ -180,19 +175,8 @@ def objective(scores: np.ndarray, local: np.ndarray, groups) -> float:
 
 def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> GlobalGraph:
     """Refine one family of subgraphs; valency-agnostic over edge lists."""
-    var_of, local, edge_at, groups = _coupling_groups(subgraphs, config)
-    scores = local.copy()
-    iterations_run = 0
-    converged = len(local) == 0
-    for _ in range(config.iterations):
-        iterations_run += 1
-        new_scores = _solve_components(local, groups)
-        delta = float(np.max(np.abs(new_scores - scores))) if len(scores) else 0.0
-        scores = new_scores
-        if delta < config.convergence_eps:
-            converged = True
-            break
-    scores = np.clip(scores, 0.0, 1.0)
+    _, local, edge_at, groups = _coupling_groups(subgraphs, config)
+    scores = np.clip(_solve_components(local, groups), 0.0, 1.0)
 
     by_sig: dict = {}
     provenance: dict[tuple, EdgeProvenance] = {}
@@ -203,7 +187,7 @@ def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> Glob
         sig: subgraphs[sig].with_scores(by_sig.get(sig, {}))
         for sig in sorted(subgraphs)
     }
-    return GlobalGraph(out, provenance, iterations_run, converged)
+    return GlobalGraph(out, provenance)
 
 
 def apply_to_all(
@@ -216,10 +200,7 @@ def apply_to_all(
 def write_provenance(graph: GlobalGraph, path) -> None:
     from pathlib import Path
 
-    lines = [
-        f"# iterations={graph.iterations_run} converged={graph.converged}",
-        "signature\tpremise\thypothesis\tkind\targ_map\tlocal_score\tfinal_score",
-    ]
+    lines = ["signature\tpremise\thypothesis\tkind\targ_map\tlocal_score\tfinal_score"]
     for (sig, ekey) in sorted(graph.provenance, key=repr):
         prem, hyp, kind, amap = ekey
         prov = graph.provenance[(sig, ekey)]

@@ -94,6 +94,24 @@ def valid_maps(premise_valency: int, hypothesis_valency: int) -> tuple[ArgMap, .
     return ()
 
 
+def _bound_args(amap: ArgMap, premise_args: Sequence) -> tuple:
+    """The hypothesis binding that carries premise_args over under amap."""
+    out = [None] * len(amap.pairs)
+    for p_slot, h_slot in amap.pairs:
+        out[h_slot - 1] = premise_args[p_slot - 1]
+    return tuple(out)
+
+
+def _consistent_maps(premise_args: Sequence, hypothesis_args: Sequence) -> list[ArgMap]:
+    """Maps under which the hypothesis binding matches the premise's."""
+    hypothesis_args = tuple(hypothesis_args)
+    return [
+        amap
+        for amap in valid_maps(len(premise_args), len(hypothesis_args))
+        if _bound_args(amap, premise_args) == hypothesis_args
+    ]
+
+
 def inclusion_oracle(
     premise_tuples: Iterable[Sequence],
     hypothesis_tuples: Iterable[Sequence],
@@ -225,9 +243,6 @@ class TypedSubgraph:
             if e.kind in kinds and (arg_map is None or e.arg_map == arg_map)
         ]
 
-    def out_edges(self, premise: TypedPredicate) -> list[EntailmentEdge]:
-        return [e for e in self.edges if e.premise == premise]
-
     def with_scores(self, scores: Mapping) -> "TypedSubgraph":
         """Copy with per-edge scores replaced (keyed by edge identity)."""
         new_edges = [
@@ -351,6 +366,9 @@ def build_univalent(
 class LocalGraphs:
     bivalent: dict[tuple[str, str], TypedSubgraph]
     univalent: dict[tuple[str], TypedSubgraph]
+    # the PMI vectors the subgraphs were scored from
+    pair_vectors: dict[TypedPredicate, PairVector]
+    slot_vectors: dict[tuple[TypedPredicate, int], SlotVector]
 
     def all_subgraphs(self) -> dict[tuple[str, ...], TypedSubgraph]:
         out: dict[tuple[str, ...], TypedSubgraph] = {}
@@ -383,4 +401,4 @@ def build_local_graphs(corpus: Corpus, config: LocalBuildConfig = LocalBuildConf
         (t,): build_univalent(t, preds, slot_vectors, config.edge_threshold)
         for t, preds in sorted(unaries_by_type.items())
     }
-    return LocalGraphs(bivalent, univalent)
+    return LocalGraphs(bivalent, univalent, pair_vectors, slot_vectors)

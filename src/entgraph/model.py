@@ -211,15 +211,9 @@ class Corpus:
         self.stats = stats or IngestStats(
             records_read=len(self.propositions), propositions=len(self.propositions)
         )
-        self.entity_index: Counter[EntityId] = Counter()
         self.predicate_index: Counter[TypedPredicate] = Counter()
-        self.pair_index: Counter[tuple[EntityId, EntityId]] = Counter()
         for prop in self.propositions:
             self.predicate_index[prop.predicate] += 1
-            for arg in prop.args:
-                self.entity_index[arg] += 1
-            if prop.predicate.valency == 2:
-                self.pair_index[(prop.args[0], prop.args[1])] += 1
         # untyped predicate occurrence counts back question screening
         self.untyped_index: Counter[tuple[str, int]] = Counter()
         for pred, n in self.predicate_index.items():
@@ -244,13 +238,8 @@ class Corpus:
             yield self.prop_id(i), prop
 
     def verify_indexes(self) -> bool:
-        """Recompute all indexes from the proposition list and compare."""
-        other = Corpus(self.propositions)
-        return (
-            self.entity_index == other.entity_index
-            and self.predicate_index == other.predicate_index
-            and self.pair_index == other.pair_index
-        )
+        """Recompute the predicate index from the proposition list and compare."""
+        return self.predicate_index == Corpus(self.propositions).predicate_index
 
     def save(self, path: str | Path) -> None:
         from .ingest import save_corpus

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .localgraph import ALL_KINDS, BB, BU, UU
+from .localgraph import ALL_KINDS, BB, BU, UU, _consistent_maps
 from .model import Proposition
 from .qagen import Partition, Question, balance
 from .store import GraphStore
@@ -128,19 +128,12 @@ def combine_components(records: Sequence[AnswerRecord]) -> AnswerRecord:
 
 def compatible_evidence(question: Question, evidence: Partition) -> list[str]:
     """Evidence ids sharing the question's bound arguments under some map."""
-    from .localgraph import valid_maps
-
     hyp_args = tuple(a.key for a in question.args)
-    out = []
-    for pid, prop in evidence.propositions:
-        if prop.predicate.valency < question.predicate.valency:
-            continue
-        keys = prop.arg_keys
-        for amap in valid_maps(prop.predicate.valency, question.predicate.valency):
-            if all(keys[p - 1] == hyp_args[h - 1] for p, h in amap.pairs):
-                out.append(pid)
-                break
-    return out
+    return [
+        pid
+        for pid, prop in evidence.propositions
+        if _consistent_maps(prop.arg_keys, hyp_args)
+    ]
 
 
 def export_evidence(

@@ -24,8 +24,8 @@ from .localgraph import (
     ArgMap,
     EntailmentEdge,
     TypedSubgraph,
+    _consistent_maps,
     canonical_signature,
-    valid_maps,
 )
 from .model import Proposition, TypedPredicate
 
@@ -109,21 +109,6 @@ class GraphStore:
         sub = self.subgraph_for(predicate)
         return sub is not None and predicate in sub
 
-    def _consistent_maps(
-        self,
-        premise_args: Sequence[str],
-        hypothesis_args: Sequence[str],
-    ) -> list[ArgMap]:
-        """Maps under which the hypothesis binding matches the premise's."""
-        maps = []
-        for amap in valid_maps(len(premise_args), len(hypothesis_args)):
-            if all(
-                premise_args[p - 1] == hypothesis_args[h - 1]
-                for p, h in amap.pairs
-            ):
-                maps.append(amap)
-        return maps
-
     def entailment_score(
         self,
         premise: Proposition,
@@ -140,7 +125,7 @@ class GraphStore:
         if premise.predicate.valency < hypothesis.valency:
             return _MISS
         premise_keys = premise.arg_keys
-        cand_maps = self._consistent_maps(premise_keys, hypothesis_args)
+        cand_maps = _consistent_maps(premise_keys, hypothesis_args)
         if not cand_maps:
             return _MISS
         if (
@@ -216,7 +201,7 @@ class GraphStore:
         taken; the result is the arithmetic mean over subgraphs where an
         edge was found, or 0 when there is none.
         """
-        cand_maps = self._consistent_maps(premise_args, hypothesis_args)
+        cand_maps = _consistent_maps(premise_args, hypothesis_args)
         if not cand_maps:
             return QueryResult(0.0, backed_off=True)
         prem_vertices = self.untyped_index.get((premise_name, premise_valency), [])

@@ -242,7 +242,7 @@ def test_globalization_identity_and_convergence():
     family, (win, champ, happy) = _toy_paraphrase_family()
     big = globalize(
         family,
-        GlobalConfig(lambda_para=1e5, lambda_cross=0.0, iterations=20),
+        GlobalConfig(lambda_para=1e5, lambda_cross=0.0),
     )
     sub = big.subgraphs[("person",)]
     low = sub.find_edges(win, happy)[0].score
@@ -250,8 +250,7 @@ def test_globalization_identity_and_convergence():
     converged_ok = (
         abs(low - 0.6) <= 1e-3
         and abs(high - 0.6) <= 1e-3
-        and big.iterations_run <= 20
-        and big.converged
+        and big.iterations_run == 1
     )
     report("globalization-identity-and-mean", identity_ok and converged_ok)
 

@@ -21,7 +21,7 @@ def pipeline_dir(tmp_path_factory) -> Path:
 class TestStageWiring:
     def test_artifacts_exist(self, pipeline_dir):
         for name in (
-            "corpus.jsonl", "vectors.bin", "vectors.tsv",
+            "corpus.jsonl", "vectors.tsv",
             "questions.jsonl", "evidence.jsonl",
         ):
             assert (pipeline_dir / name).is_file()
@@ -95,6 +95,10 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["answer", "--model", "psychic"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("option", [["--iterations", "5"], ["--eps", "1e-3"]])
+    def test_removed_globalize_options_rejected(self, option, tmp_path):
+        assert main(["globalize", "--out", str(tmp_path), *option]) == EXIT_USAGE
+
     def test_unknown_component_usage_error(self, pipeline_dir, capsys):
         code = main([
             "answer", "--out", str(pipeline_dir), "--model", "graph",
@@ -121,7 +125,7 @@ class TestReproducibility:
             assert main(["build-local", "--out", str(out)]) == EXIT_OK
             assert main(["globalize", "--out", str(out)]) == EXIT_OK
             assert main(["gen-questions", "--out", str(out), "--seed", "11"]) == EXIT_OK
-        for rel in ["corpus.jsonl", "vectors.bin", "questions.jsonl", "evidence.jsonl"]:
+        for rel in ["corpus.jsonl", "vectors.tsv", "questions.jsonl", "evidence.jsonl"]:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
         for graph_a in sorted((a / "graphs" / "global").glob("*")):
             graph_b = b / "graphs" / "global" / graph_a.name

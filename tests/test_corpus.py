@@ -192,7 +192,7 @@ class TestIngest(object):
         path.write_text("")
         corpus = ingest(path)
         assert len(corpus) == 0
-        assert not corpus.entity_index and not corpus.predicate_index
+        assert not corpus.predicate_index
 
     def test_skip_counts(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -247,8 +247,6 @@ class TestCorpusInvariants:
         again = ingest(out)
         assert again == corpus
         assert again.predicate_index == corpus.predicate_index
-        assert again.entity_index == corpus.entity_index
-        assert again.pair_index == corpus.pair_index
 
     def test_valency_equals_arg_count_everywhere(self, conformance_file):
         corpus = ingest(conformance_file)
