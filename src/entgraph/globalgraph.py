@@ -14,7 +14,8 @@ kind under different type signatures. The objective is a strictly convex
 quadratic whose coupling components are independent, so one exact solve
 per component gives the global minimizer; there is nothing to iterate.
 Structure is never touched: directions, kinds and argument maps survive,
-only scores move, and they stay within [0, 1].
+only scores move, and they stay within [0, 1]: a solved score further
+than SCORE_TOLERANCE outside it is an error, not something to clip.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
+from .graphio import _write_text_atomic
 from .localgraph import TypedSubgraph, edge_key
+
+# how far rounding may carry a solved score outside [0, 1]
+SCORE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,19 @@ def objective(scores: np.ndarray, local: np.ndarray, groups) -> float:
 def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> GlobalGraph:
     """Refine one family of subgraphs; valency-agnostic over edge lists."""
     _, local, edge_at, groups = _coupling_groups(subgraphs, config)
-    scores = np.clip(_solve_components(local, groups), 0.0, 1.0)
+    solved = _solve_components(local, groups)
+    # (I + lambda L)^-1 is row-stochastic and nonnegative, so every score
+    # is a convex combination of local ones: only rounding may leave [0, 1]
+    in_range = (solved >= -SCORE_TOLERANCE) & (solved <= 1 + SCORE_TOLERANCE)
+    if not in_range.all():
+        i = int(np.flatnonzero(~in_range)[0])
+        sig, e = edge_at[i]
+        raise ValueError(
+            f"global score {float(solved[i])!r} of edge {e.premise.token()} -> "
+            f"{e.hypothesis.token()} ({e.kind} {e.arg_map.format()}) in "
+            f"{','.join(sig)} lies outside [0, 1]"
+        )
+    scores = np.clip(solved, 0.0, 1.0)
 
     by_sig: dict = {}
     provenance: dict[tuple, EdgeProvenance] = {}
@@ -198,8 +215,6 @@ def apply_to_all(
 
 
 def write_provenance(graph: GlobalGraph, path) -> None:
-    from pathlib import Path
-
     lines = ["signature\tpremise\thypothesis\tkind\targ_map\tlocal_score\tfinal_score"]
     for (sig, ekey) in sorted(graph.provenance, key=repr):
         prem, hyp, kind, amap = ekey
@@ -212,4 +227,4 @@ def write_provenance(graph: GlobalGraph, path) -> None:
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text_atomic(path, "\n".join(lines) + "\n")

@@ -7,6 +7,7 @@ written with repr() so they reload bit-exactly.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .localgraph import ArgMap, EntailmentEdge, TypedSubgraph
@@ -42,7 +43,24 @@ def write_subgraph(subgraph: TypedSubgraph, path: str | Path) -> None:
                 e.arg_map.format(), repr(e.score),
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_text_atomic(path: str | Path, text: str) -> None:
+    """Write via a temp file in the target directory, then rename it over.
+
+    An interrupted write leaves the previous file (or none) in place, never
+    a truncated one, and removes its temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_subgraph(path: str | Path) -> TypedSubgraph:
@@ -69,26 +87,18 @@ def _parse(text: str, path, with_edges: bool = True):
             f"{path}: format {version or '?'} unsupported (expected v{FORMAT_VERSION})"
         )
     header: dict = {"version": version}
-    vertices: list[TypedPredicate] = []
-    edges: list[EntailmentEdge] = []
+    # each vertex token is parsed once; edges share the parsed objects
+    by_token: dict[str, TypedPredicate] = {}
+    edge_fields: list[list[str]] = []
     for line in lines[1:]:
         if not line.strip():
             continue
         if line.startswith("V\t"):
-            vertices.append(TypedPredicate.parse_token(line[2:].strip()))
+            token = line[2:].strip()
+            by_token[token] = TypedPredicate.parse_token(token)
         elif line.startswith("E\t"):
-            if not with_edges:
-                continue
-            _, prem, hyp, kind, amap, score = line.split("\t")
-            edges.append(
-                EntailmentEdge(
-                    TypedPredicate.parse_token(prem),
-                    TypedPredicate.parse_token(hyp),
-                    kind,
-                    ArgMap.parse(amap),
-                    float(score),
-                )
-            )
+            if with_edges:
+                edge_fields.append(line.split("\t"))
         else:
             key, _, value = line.partition("=")
             header[key.strip()] = value.strip()
@@ -98,6 +108,17 @@ def _parse(text: str, path, with_edges: bool = True):
     for key in ("vertices", "edges"):
         if key in header:
             header[key] = int(header[key])
+    vertices = list(by_token.values())
+    edges: list[EntailmentEdge] = []
+    for fields in edge_fields:
+        _, prem, hyp, kind, amap, score = fields
+        premise, hypothesis = by_token.get(prem), by_token.get(hyp)
+        if premise is None or hypothesis is None:
+            missing = prem if premise is None else hyp
+            raise ValueError(f"{path}: edge endpoint {missing!r} has no V line")
+        edges.append(
+            EntailmentEdge(premise, hypothesis, kind, ArgMap.parse(amap), float(score))
+        )
     if with_edges:
         if header.get("vertices") not in (None, len(vertices)):
             raise ValueError(f"{path}: vertex count mismatch")

@@ -56,16 +56,18 @@ class ArgMap:
 
     @classmethod
     def identity(cls, valency: int) -> "ArgMap":
-        return cls(tuple((i, i) for i in range(1, valency + 1)))
+        canon = _IDENTITY.get(valency)
+        return canon if canon is not None else cls(tuple((i, i) for i in range(1, valency + 1)))
 
     @classmethod
     def swap(cls) -> "ArgMap":
-        return cls(((1, 2), (2, 1)))
+        return _SWAP
 
     @classmethod
     def from_slot(cls, slot: int) -> "ArgMap":
         """Binary premise slot -> the single unary hypothesis slot."""
-        return cls(((slot, 1),))
+        canon = _FROM_SLOT.get(slot)
+        return canon if canon is not None else cls(((slot, 1),))
 
     @property
     def premise_slots(self) -> tuple[int, ...]:
@@ -76,6 +78,9 @@ class ArgMap:
 
     @classmethod
     def parse(cls, text: str) -> "ArgMap":
+        canon = _BY_TEXT.get(text)
+        if canon is not None:
+            return canon
         pairs = []
         for part in text.split(","):
             p, h = part.split(":")
@@ -83,15 +88,22 @@ class ArgMap:
         return cls(tuple(pairs))
 
 
+# The four maps any edge can carry, built and validated once: the
+# constructors above hand out these instances rather than new copies.
+_IDENTITY = {1: ArgMap(((1, 1),)), 2: ArgMap(((1, 1), (2, 2)))}
+_SWAP = ArgMap(((1, 2), (2, 1)))
+_FROM_SLOT = {1: _IDENTITY[1], 2: ArgMap(((2, 1),))}
+_BY_TEXT = {m.format(): m for m in (*_IDENTITY.values(), _SWAP, _FROM_SLOT[2])}
+_VALID_MAPS = {
+    (2, 2): (_IDENTITY[2], _SWAP),
+    (2, 1): (_FROM_SLOT[1], _FROM_SLOT[2]),
+    (1, 1): (_IDENTITY[1],),
+}
+
+
 def valid_maps(premise_valency: int, hypothesis_valency: int) -> tuple[ArgMap, ...]:
     """All argument maps for a (premise, hypothesis) valency combination."""
-    if premise_valency == 2 and hypothesis_valency == 2:
-        return (ArgMap.identity(2), ArgMap.swap())
-    if premise_valency == 2 and hypothesis_valency == 1:
-        return (ArgMap.from_slot(1), ArgMap.from_slot(2))
-    if premise_valency == 1 and hypothesis_valency == 1:
-        return (ArgMap.identity(1),)
-    return ()
+    return _VALID_MAPS.get((premise_valency, hypothesis_valency), ())
 
 
 def _bound_args(amap: ArgMap, premise_args: Sequence) -> tuple:
@@ -172,6 +184,9 @@ def binc(u: Mapping, v: Mapping) -> float:
     return math.sqrt(wp * lin_similarity(u, v))
 
 
+_KIND_OF = {(2, 2): BB, (2, 1): BU, (1, 1): UU}
+
+
 @dataclass(frozen=True, order=True)
 class EntailmentEdge:
     """Directed, scored entailment between two typed predicates."""
@@ -183,11 +198,13 @@ class EntailmentEdge:
     score: float
 
     def __post_init__(self) -> None:
-        expected = {(2, 2): BB, (2, 1): BU, (1, 1): UU}.get(
-            (self.premise.valency, self.hypothesis.valency)
-        )
-        if expected != self.kind:
+        valencies = (self.premise.valency, self.hypothesis.valency)
+        if _KIND_OF.get(valencies) != self.kind:
             raise ValueError(f"kind {self.kind} inconsistent with valencies")
+        if self.arg_map not in _VALID_MAPS[valencies]:
+            raise ValueError(
+                f"argument map {self.arg_map.format()} invalid for a {self.kind} edge"
+            )
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
 
@@ -198,6 +215,12 @@ class TypedSubgraph:
     Bivalent subgraphs (two types) hold BB and BU edges; the unary
     hypotheses of BU edges are registered as vertices so queries resolve,
     while their own outgoing edges live in their univalent graph.
+
+    Two adjacency indexes serve path composition, both in ``edges``
+    order: ``bu_out`` lists the BU edges of each (premise, argument map),
+    and ``uu_in`` maps each hypothesis to its UU in-edges keyed by
+    premise. An edge is identified by its premise, hypothesis and map,
+    so duplicates are rejected.
     """
 
     def __init__(
@@ -215,12 +238,24 @@ class TypedSubgraph:
         )
         allowed = {UU} if len(self.signature) == 1 else {BB, BU}
         self._by_pair: dict[tuple[TypedPredicate, TypedPredicate], list[EntailmentEdge]] = {}
+        self.bu_out: dict[tuple[TypedPredicate, ArgMap], list[EntailmentEdge]] = {}
+        self.uu_in: dict[TypedPredicate, dict[TypedPredicate, EntailmentEdge]] = {}
         for e in self.edges:
             if e.kind not in allowed:
                 raise ValueError(f"{e.kind} edge not allowed in this subgraph")
             if e.premise not in self.vertices or e.hypothesis not in self.vertices:
                 raise ValueError("edge endpoint missing from vertex set")
-            self._by_pair.setdefault((e.premise, e.hypothesis), []).append(e)
+            same_pair = self._by_pair.setdefault((e.premise, e.hypothesis), [])
+            if any(f.arg_map == e.arg_map for f in same_pair):
+                raise ValueError(
+                    f"duplicate edge {e.premise.token()} -> {e.hypothesis.token()} "
+                    f"under {e.arg_map.format()}"
+                )
+            same_pair.append(e)
+            if e.kind == BU:
+                self.bu_out.setdefault((e.premise, e.arg_map), []).append(e)
+            elif e.kind == UU:
+                self.uu_in.setdefault(e.hypothesis, {})[e.premise] = e
 
     @property
     def kind(self) -> str:

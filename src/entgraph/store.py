@@ -8,6 +8,13 @@ reached through one binary->unary edge followed by one hop inside the
 matching univalent graph, scored as the minimum of the two edges. When the
 premise predicate has no vertex in its typed subgraph, callers fall back
 to an untyped query over all subgraphs, averaging the scores found.
+
+Composition follows adjacency rather than scanning: each subgraph indexes
+its BU edges by premise and argument map (``bu_out``) and its UU edges by
+hypothesis, then premise (``uu_in``). A composed query walks the
+premise's BU edges under the slot's map and joins each, with one dict
+lookup, to a UU edge from that edge's unary into the hypothesis, so its
+cost grows with the premise's out-degree, not with the subgraph.
 """
 
 from __future__ import annotations
@@ -160,24 +167,26 @@ class GraphStore:
         hypothesis: TypedPredicate,
         hypothesis_args: Sequence[str],
     ) -> QueryResult:
-        """One BU edge, then one hop inside the univalent graph."""
+        """One BU edge, then one hop inside the univalent graph.
+
+        The first strictly best path wins, slot 1 before slot 2 and BU
+        edges in subgraph order.
+        """
         best = _MISS
         premise_keys = premise.arg_keys
         for slot in (1, 2):
             if premise_keys[slot - 1] != hypothesis_args[0]:
                 continue
-            bu_map = ArgMap.from_slot(slot)
             slot_type = premise.predicate.slot_types[slot - 1]
             uni_slot = self.univalent.get((slot_type,))
             if uni_slot is None:
                 continue
-            uni = uni_slot.get()
-            for e in sub.edges:
-                if e.kind != BU or e.premise != premise.predicate:
-                    continue
-                if e.arg_map != bu_map or e.hypothesis == hypothesis:
-                    continue
-                for e2 in uni.find_edges(e.hypothesis, hypothesis, ArgMap.identity(1)):
+            into_hypothesis = uni_slot.get().uu_in.get(hypothesis)
+            if not into_hypothesis:
+                continue
+            for e in sub.bu_out.get((premise.predicate, ArgMap.from_slot(slot)), ()):
+                e2 = into_hypothesis.get(e.hypothesis)
+                if e2 is not None and e.hypothesis != hypothesis:
                     score = min(e.score, e2.score)
                     if score > best.score:
                         best = QueryResult(score, (e, e2))

@@ -227,6 +227,39 @@ class TestGlobalizeInvariants:
         assert locals_ == [0.4, 0.8, 0.95, 0.95]
 
 
+class TestScoreRangeCheck:
+    """Solved scores are convex combinations; only rounding may leave [0, 1]."""
+
+    def _solve_to(self, monkeypatch, value):
+        import numpy as np
+
+        from entgraph import globalgraph
+
+        monkeypatch.setattr(
+            globalgraph, "_solve_components",
+            lambda local, groups: np.full(len(local), value),
+        )
+
+    def test_out_of_range_score_names_edge(self, monkeypatch):
+        self._solve_to(monkeypatch, 1.5)
+        with pytest.raises(
+            ValueError,
+            match=r"1\.5 of edge be\.champion\.1#person -> be\.happy\.1#person",
+        ):
+            globalize(toy_paraphrase_graph())
+
+    def test_nan_score_rejected(self, monkeypatch):
+        self._solve_to(monkeypatch, float("nan"))
+        with pytest.raises(ValueError, match="outside"):
+            globalize(toy_paraphrase_graph())
+
+    def test_rounding_excess_clamped(self, monkeypatch):
+        self._solve_to(monkeypatch, 1 + 1e-15)
+        result = globalize(toy_paraphrase_graph())
+        for e in result.subgraphs[("person",)].edges:
+            assert e.score == 1.0
+
+
 class TestApplyToAll:
     def test_empty_univalent_family(self):
         bi = {

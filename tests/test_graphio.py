@@ -1,7 +1,13 @@
 """Subgraph file format tests, pinned by a golden file."""
 
+import builtins
+import errno
+import functools
+
 import pytest
 
+from entgraph import graphio
+from entgraph.globalgraph import globalize, write_provenance
 from entgraph.graphio import (
     VersionMismatch,
     read_header,
@@ -10,7 +16,15 @@ from entgraph.graphio import (
     write_graph_dir,
     write_subgraph,
 )
-from entgraph.localgraph import BB, BU, UU, ArgMap, EntailmentEdge, TypedSubgraph
+from entgraph.localgraph import (
+    BB,
+    BU,
+    UU,
+    ArgMap,
+    EntailmentEdge,
+    TypedSubgraph,
+    valid_maps,
+)
 
 from conftest import DATA, pred
 
@@ -103,3 +117,66 @@ def test_write_graph_dir(tmp_path):
     subs = {("person", "person"): golden_subgraph()}
     paths = write_graph_dir(subs, tmp_path / "graphs")
     assert [p.name for p in paths] == ["bi__person__person.graph"]
+
+
+def test_edge_endpoint_without_vertex_line_names_file_and_token(tmp_path):
+    path = tmp_path / "orphan.graph"
+    text = (DATA / "golden_bivalent.graph").read_text()
+    text = text.replace("V\tdie.1#person\n", "").replace("vertices=3", "vertices=2")
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"orphan\.graph.*'die\.1#person'"):
+        read_subgraph(path)
+
+
+def test_parsed_edges_share_vertex_objects():
+    sub = read_subgraph(DATA / "golden_bivalent.graph")
+    vertex_ids = {id(v) for v in sub.vertices}
+    for e in sub.edges:
+        assert id(e.premise) in vertex_ids and id(e.hypothesis) in vertex_ids
+
+
+def test_parsed_edges_carry_canonical_maps():
+    assert ArgMap.parse("1:2,2:1") is ArgMap.swap()
+    sub = read_subgraph(DATA / "golden_bivalent.graph")
+    for e in sub.edges:
+        maps = valid_maps(e.premise.valency, e.hypothesis.valency)
+        assert any(e.arg_map is m for m in maps)
+
+
+class _FailMidway:
+    """A file handle whose write stores half the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("artifact", ["subgraph", "provenance"])
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
+    sub = golden_subgraph()
+    if artifact == "subgraph":
+        path = tmp_path / "bi__person__person.graph"
+        write = functools.partial(write_subgraph, sub, path)
+    else:
+        path = tmp_path / "bivalent.prov.tsv"
+        write = functools.partial(write_provenance, globalize({sub.signature: sub}), path)
+    write()
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        graphio, "open",
+        lambda *a, **kw: _FailMidway(builtins.open(*a, **kw)), raising=False,
+    )
+    with pytest.raises(OSError):
+        write()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

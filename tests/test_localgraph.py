@@ -45,6 +45,15 @@ class TestArgMap:
         with pytest.raises(ValueError):
             ArgMap(((1, 2), (2, 2)))  # hypothesis slot reused
 
+    def test_constructors_return_canonical_instances(self):
+        maps = (*valid_maps(2, 2), *valid_maps(2, 1), *valid_maps(1, 1))
+        assert len({id(m) for m in maps}) == 4  # from_slot(1) is identity(1)
+        assert ArgMap.identity(2) is maps[0] and ArgMap.swap() is maps[1]
+        assert ArgMap.from_slot(1) is ArgMap.identity(1) is maps[4]
+        assert ArgMap.from_slot(2) is maps[3]
+        for amap in maps:
+            assert ArgMap.parse(amap.format()) is amap
+
     def test_format_parse_round_trip(self):
         for amap in (*valid_maps(2, 2), *valid_maps(2, 1), *valid_maps(1, 1)):
             assert ArgMap.parse(amap.format()) == amap
@@ -383,6 +392,19 @@ class TestSubgraphInvariants:
         die = pred("die.1", "person")
         with pytest.raises(ValueError):
             EntailmentEdge(kill, die, BB, ArgMap.from_slot(2), 0.5)
+
+    def test_map_must_suit_edge_kind(self):
+        die = pred("die.1", "person")
+        perish = pred("perish.1", "person")
+        with pytest.raises(ValueError):
+            EntailmentEdge(die, perish, UU, ArgMap.from_slot(2), 0.5)
+
+    def test_duplicate_edges_rejected(self):
+        kill = pred("kill", "person", "person")
+        die = pred("die.1", "person")
+        edges = [EntailmentEdge(kill, die, BU, ArgMap.from_slot(2), s) for s in (0.5, 0.6)]
+        with pytest.raises(ValueError, match="duplicate"):
+            TypedSubgraph(("person", "person"), {kill, die}, edges)
 
     def test_score_bounds(self):
         die = pred("die.1", "person")

@@ -1,5 +1,7 @@
 """Graph store query tests: routing, composition, back-off."""
 
+import random
+
 import pytest
 
 from entgraph.graphio import write_graph_dir
@@ -11,7 +13,9 @@ from entgraph.localgraph import (
     EntailmentEdge,
     TypedSubgraph,
 )
-from entgraph.store import GraphStore
+from entgraph.store import GraphStore, QueryResult
+
+from entgraph.model import Proposition
 
 from conftest import ent, pred, prop
 
@@ -235,3 +239,108 @@ class TestDiskRoundTrip:
         first = store.entailment_score(evidence, DIE, ("boddy",))
         second = store.entailment_score(evidence, DIE, ("boddy",))
         assert first == second
+
+
+def reference_composed(store, sub, premise, hypothesis, hypothesis_args):
+    """Every BU-then-UU path in scan order, and the one composition picks.
+
+    The full scan the indexed store replaced: for slot 1, then slot 2,
+    every edge of the premise's subgraph in order, joined with the UU
+    edges from its unary to the hypothesis. The first strictly best path
+    wins.
+    """
+    paths = []
+    premise_keys = premise.arg_keys
+    for slot in (1, 2):
+        if premise_keys[slot - 1] != hypothesis_args[0]:
+            continue
+        bu_map = ArgMap.from_slot(slot)
+        slot_type = premise.predicate.slot_types[slot - 1]
+        uni_slot = store.univalent.get((slot_type,))
+        if uni_slot is None:
+            continue
+        uni = uni_slot.get()
+        for e in sub.edges:
+            if e.kind != BU or e.premise != premise.predicate:
+                continue
+            if e.arg_map != bu_map or e.hypothesis == hypothesis:
+                continue
+            for e2 in uni.find_edges(e.hypothesis, hypothesis, ArgMap.identity(1)):
+                paths.append((min(e.score, e2.score), (e, e2)))
+    best = QueryResult(0.0)
+    for score, path in paths:
+        if score > best.score:
+            best = QueryResult(score, path)
+    return paths, best
+
+
+class TestComposedIndexOracle:
+    """The indexed composition against the full-scan reference."""
+
+    TYPES = ("person", "organization")
+    BINARIES = ("defeat", "beat", "face", "meet")
+    UNARIES = ("win.1", "lose.1", "be.winner.1", "compete.1", "be.beaten.2")
+    # few distinct scores, so several paths often tie for the best
+    SCORES = (0.25, 0.5, 0.75, 1.0)
+
+    def _random_graphs(self, rng):
+        univalent = {}
+        for t in self.TYPES:
+            if rng.random() < 0.15:
+                continue  # a slot type without a univalent graph
+            unaries = [pred(n, t) for n in self.UNARIES]
+            edges = [
+                EntailmentEdge(p, q, UU, ID1, rng.choice(self.SCORES))
+                for p in unaries
+                for q in unaries
+                if p != q and rng.random() < 0.5
+            ]
+            univalent[(t,)] = TypedSubgraph((t,), set(unaries), edges)
+        bivalent = {}
+        for sig in (("person", "person"), ("organization", "person")):
+            binaries = [pred(n, *types) for n in self.BINARIES for types in {sig, sig[::-1]}]
+            vertices, edges = set(binaries), []
+            for p in binaries:
+                for slot in (1, 2):
+                    for name in self.UNARIES:
+                        if rng.random() < 0.6:
+                            unary = pred(name, p.slot_types[slot - 1])
+                            vertices.add(unary)
+                            edges.append(EntailmentEdge(
+                                p, unary, BU, ArgMap.from_slot(slot), rng.choice(self.SCORES)))
+            bivalent[sig] = TypedSubgraph(sig, vertices, edges)
+        return bivalent, univalent
+
+    def _queries(self, store):
+        unaries = [pred(n, t) for n in self.UNARIES for t in self.TYPES]
+        for slot in store.bivalent.values():
+            sub = slot.get()
+            for premise_pred in sorted(v for v in sub.vertices if v.valency == 2):
+                # equal arguments let both slots bind the hypothesis
+                for args in (("a", "b"), ("a", "a")):
+                    premise = Proposition(premise_pred, tuple(ent(a) for a in args))
+                    for hypothesis in unaries:
+                        for hyp_args in (("a",), ("b",), ("c",)):
+                            yield sub, premise, hypothesis, hyp_args
+
+    def test_indexed_matches_full_scan(self, tmp_path):
+        rng = random.Random(2021)
+        seen = {"found": 0, "tied": 0, "slot2": 0}
+        for trial in range(12):
+            bivalent, univalent = self._random_graphs(rng)
+            write_graph_dir({**bivalent, **univalent}, tmp_path / str(trial))
+            memory = GraphStore.from_subgraphs(bivalent, univalent)
+            disk = GraphStore.open(tmp_path / str(trial))
+            for store in (memory, disk):
+                for sub, premise, hypothesis, hyp_args in self._queries(store):
+                    paths, expected = reference_composed(
+                        store, sub, premise, hypothesis, hyp_args)
+                    got = store._composed(sub, premise, hypothesis, hyp_args)
+                    assert got.score == expected.score
+                    assert len(got.path) == len(expected.path)
+                    assert all(a is b for a, b in zip(got.path, expected.path))
+                    if expected.path:
+                        seen["found"] += 1
+                        seen["tied"] += sum(s == expected.score for s, _ in paths) > 1
+                        seen["slot2"] += expected.path[0].arg_map == ArgMap.from_slot(2)
+        assert all(n > 100 for n in seen.values()), seen
