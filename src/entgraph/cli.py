@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import graphio, qaeval, qagen, resources
 from .features import FeatureConfig, dump_vectors_tsv
-from .globalgraph import GlobalConfig, apply_to_all, write_provenance
+from .globalgraph import GlobalConfig, apply_to_all
 from .ingest import ingest
 from .lexicon import LexicalResource
 from .localgraph import BB, BU, UU, LocalBuildConfig, build_local_graphs
@@ -61,8 +61,10 @@ def _write_manifest(out_dir: Path, stage: str, config: dict, inputs: list[Path],
         ).hexdigest(),
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
     }
-    path = out_dir / f"{stage}.manifest.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    graphio._write_text_atomic(
+        out_dir / f"{stage}.manifest.json",
+        json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    )
 
 
 def _require(path: Path, produced_by: str) -> Path:
@@ -139,8 +141,6 @@ def cmd_globalize(args) -> int:
     merged.update(bi_graph.subgraphs)
     merged.update(uni_graph.subgraphs)
     graphio.write_graph_dir(merged, global_dir)
-    write_provenance(bi_graph, global_dir / "bivalent.prov.tsv")
-    write_provenance(uni_graph, global_dir / "univalent.prov.tsv")
     _write_manifest(
         out, "globalize",
         {"lambda_para": args.lambda_para, "lambda_cross": args.lambda_cross, "tau": args.tau},

@@ -16,6 +16,10 @@ per component gives the global minimizer; there is nothing to iterate.
 Structure is never touched: directions, kinds and argument maps survive,
 only scores move, and they stay within [0, 1]: a solved score further
 than SCORE_TOLERANCE outside it is an error, not something to clip.
+Because the edges stay put, each is numbered once, by sorted signature and
+then in its subgraph's ``edges`` order; local scores, cliques and the
+solution are indexed by that position, and each refined subgraph keeps
+its edges in the order of the local one.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .graphio import _write_text_atomic
-from .localgraph import TypedSubgraph, edge_key
+from .localgraph import TypedSubgraph
 
 # how far rounding may carry a solved score outside [0, 1]
 SCORE_TOLERANCE = 1e-12
@@ -46,17 +49,10 @@ class GlobalConfig:
 
 
 @dataclass
-class EdgeProvenance:
-    local_score: float
-    final_score: float
-
-
-@dataclass
 class GlobalGraph:
-    """Globalized family: updated subgraphs plus per-edge provenance."""
+    """Globalized family: the subgraphs with their refined scores."""
 
     subgraphs: dict
-    provenance: dict[tuple, EdgeProvenance]
     # one exact solve minimizes the whole objective
     iterations_run: ClassVar[int] = 1
 
@@ -79,44 +75,42 @@ def find_paraphrases(subgraph: TypedSubgraph, tau: float):
 
 
 def _coupling_groups(subgraphs: Mapping, config: GlobalConfig):
-    """Yield (weight, [variable ids]) cliques to tie together."""
-    var_of: dict[tuple, int] = {}
-    locals_: list[float] = []
-    edge_at: list[tuple] = []  # (signature, edge)
-    for sig in sorted(subgraphs):
-        for e in subgraphs[sig].edges:
-            var_of[(sig, edge_key(e))] = len(locals_)
-            locals_.append(e.score)
-            edge_at.append((sig, e))
+    """Number the family's edges and list the (weight, [positions]) cliques.
 
+    Edges are numbered by sorted signature, then in each subgraph's
+    ``edges`` order; ``edge_at[i]`` is the (signature, index in ``edges``)
+    of position i and ``local[i]`` its local score.
+    """
+    edge_at: list[tuple[tuple, int]] = []
+    local: list[float] = []
     groups: list[tuple[float, list[int]]] = []
-    if config.lambda_para > 0:
-        for sig in sorted(subgraphs):
-            sub = subgraphs[sig]
-            out_by_pred: dict = {}
-            for e in sub.edges:
-                out_by_pred.setdefault(e.premise, {})[
-                    (e.hypothesis, e.kind, e.arg_map)
-                ] = var_of[(sig, edge_key(e))]
+    across: dict[tuple, list[int]] = {}
+    for sig in sorted(subgraphs):
+        sub = subgraphs[sig]
+        start = len(local)
+        out_by_pred: dict = {}
+        for i, e in enumerate(sub.edges):
+            edge_at.append((sig, i))
+            local.append(e.score)
+            out_by_pred.setdefault(e.premise, {})[
+                (e.hypothesis, e.kind, e.arg_map)
+            ] = start + i
+            across.setdefault(
+                (e.premise.untyped, e.hypothesis.untyped, e.kind, e.arg_map), []
+            ).append(start + i)
+        if config.lambda_para > 0:
             for p, q in sorted(find_paraphrases(sub, config.paraphrase_tau)):
-                p_out = out_by_pred.get(p, {})
                 q_out = out_by_pred.get(q, {})
-                for target, pv in sorted(p_out.items()):
+                for target, pv in out_by_pred.get(p, {}).items():
                     qv = q_out.get(target)
                     if qv is not None:
                         groups.append((config.lambda_para, [pv, qv]))
     if config.lambda_cross > 0:
-        across: dict[tuple, list[int]] = {}
-        for (sig, ekey), vid in var_of.items():
-            prem, hyp, kind, amap = ekey
-            across.setdefault(
-                (prem.untyped, hyp.untyped, kind, amap), []
-            ).append(vid)
-        for key in sorted(across, key=repr):
-            vids = across[key]
-            if len(vids) > 1:
-                groups.append((config.lambda_cross, sorted(vids)))
-    return var_of, np.array(locals_), edge_at, groups
+        # first-member order; members are ascending positions
+        groups.extend(
+            (config.lambda_cross, vids) for vids in across.values() if len(vids) > 1
+        )
+    return np.array(local), edge_at, groups
 
 
 def _solve_components(local: np.ndarray, groups) -> np.ndarray:
@@ -143,7 +137,7 @@ def _solve_components(local: np.ndarray, groups) -> np.ndarray:
     for v in range(n):
         members.setdefault(find(v), []).append(v)
 
-    solution = local.astype(float).copy()
+    solution = local.astype(float)
     coupled_groups: dict[int, list] = {}
     for g in groups:
         coupled_groups.setdefault(find(g[1][0]), []).append(g)
@@ -153,19 +147,13 @@ def _solve_components(local: np.ndarray, groups) -> np.ndarray:
         if not gs or len(vids) == 1:
             continue
         index = {v: i for i, v in enumerate(vids)}
-        m = len(vids)
-        a = np.eye(m)
-        b = local[vids].astype(float).copy()
+        a = np.eye(len(vids))
         for weight, gvids in gs:
-            # pairwise penalties within the clique
-            for i in range(len(gvids)):
-                for j in range(i + 1, len(gvids)):
-                    x, y = index[gvids[i]], index[gvids[j]]
-                    a[x, x] += weight
-                    a[y, y] += weight
-                    a[x, y] -= weight
-                    a[y, x] -= weight
-        solution[vids] = np.linalg.solve(a, b)
+            # the clique's Laplacian: pairwise penalties among its members
+            k = len(gvids)
+            at = [index[v] for v in gvids]
+            a[np.ix_(at, at)] += weight * (k * np.eye(k) - np.ones((k, k)))
+        solution[vids] = np.linalg.solve(a, local[vids])
     return solution
 
 
@@ -180,31 +168,27 @@ def objective(scores: np.ndarray, local: np.ndarray, groups) -> float:
 
 def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> GlobalGraph:
     """Refine one family of subgraphs; valency-agnostic over edge lists."""
-    _, local, edge_at, groups = _coupling_groups(subgraphs, config)
+    local, edge_at, groups = _coupling_groups(subgraphs, config)
     solved = _solve_components(local, groups)
     # (I + lambda L)^-1 is row-stochastic and nonnegative, so every score
     # is a convex combination of local ones: only rounding may leave [0, 1]
     in_range = (solved >= -SCORE_TOLERANCE) & (solved <= 1 + SCORE_TOLERANCE)
     if not in_range.all():
         i = int(np.flatnonzero(~in_range)[0])
-        sig, e = edge_at[i]
+        sig, j = edge_at[i]
+        e = subgraphs[sig].edges[j]
         raise ValueError(
             f"global score {float(solved[i])!r} of edge {e.premise.token()} -> "
             f"{e.hypothesis.token()} ({e.kind} {e.arg_map.format()}) in "
             f"{','.join(sig)} lies outside [0, 1]"
         )
-    scores = np.clip(solved, 0.0, 1.0)
-
-    by_sig: dict = {}
-    provenance: dict[tuple, EdgeProvenance] = {}
-    for vid, (sig, e) in enumerate(edge_at):
-        by_sig.setdefault(sig, {})[edge_key(e)] = float(scores[vid])
-        provenance[(sig, edge_key(e))] = EdgeProvenance(e.score, float(scores[vid]))
-    out = {
-        sig: subgraphs[sig].with_scores(by_sig.get(sig, {}))
-        for sig in sorted(subgraphs)
-    }
-    return GlobalGraph(out, provenance)
+    scores = np.clip(solved, 0.0, 1.0).tolist()
+    out, start = {}, 0
+    for sig in sorted(subgraphs):
+        end = start + len(subgraphs[sig].edges)
+        out[sig] = subgraphs[sig].with_scores(scores[start:end])
+        start = end
+    return GlobalGraph(out)
 
 
 def apply_to_all(
@@ -212,19 +196,3 @@ def apply_to_all(
 ) -> tuple[GlobalGraph, GlobalGraph]:
     """Globalize the bivalent family and the univalent family separately."""
     return globalize(bivalent, config), globalize(univalent, config)
-
-
-def write_provenance(graph: GlobalGraph, path) -> None:
-    lines = ["signature\tpremise\thypothesis\tkind\targ_map\tlocal_score\tfinal_score"]
-    for (sig, ekey) in sorted(graph.provenance, key=repr):
-        prem, hyp, kind, amap = ekey
-        prov = graph.provenance[(sig, ekey)]
-        lines.append(
-            "\t".join(
-                (
-                    ",".join(sig), prem.token(), hyp.token(), kind,
-                    amap.format(), repr(prov.local_score), repr(prov.final_score),
-                )
-            )
-        )
-    _write_text_atomic(path, "\n".join(lines) + "\n")

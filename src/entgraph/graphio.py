@@ -128,7 +128,11 @@ def _parse(text: str, path, with_edges: bool = True):
 
 
 def write_graph_dir(subgraphs: dict, directory: str | Path) -> list[Path]:
-    """Write every subgraph of a family into a directory."""
+    """Write every subgraph into a directory, then delete stale ones.
+
+    A ``*.graph`` file this call did not write is left from an earlier run
+    and is removed, so the directory holds exactly these subgraphs.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -136,4 +140,6 @@ def write_graph_dir(subgraphs: dict, directory: str | Path) -> list[Path]:
         p = directory / subgraph_filename(signature)
         write_subgraph(subgraphs[signature], p)
         paths.append(p)
+    for stale in set(directory.glob("*.graph")) - set(paths):
+        stale.unlink()
     return paths

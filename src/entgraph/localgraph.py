@@ -233,9 +233,13 @@ class TypedSubgraph:
         if len(self.signature) not in (1, 2):
             raise ValueError("signature must have one or two types")
         self.vertices: set[TypedPredicate] = set(vertices)
-        self.edges: list[EntailmentEdge] = sorted(
-            edges, key=lambda e: (e.premise.token(), e.hypothesis.token(), e.arg_map)
-        )
+        token = {v: v.token() for v in self.vertices}
+        try:
+            self.edges: list[EntailmentEdge] = sorted(
+                edges, key=lambda e: (token[e.premise], token[e.hypothesis], e.arg_map)
+            )
+        except KeyError:
+            raise ValueError("edge endpoint missing from vertex set") from None
         allowed = {UU} if len(self.signature) == 1 else {BB, BU}
         self._by_pair: dict[tuple[TypedPredicate, TypedPredicate], list[EntailmentEdge]] = {}
         self.bu_out: dict[tuple[TypedPredicate, ArgMap], list[EntailmentEdge]] = {}
@@ -243,8 +247,6 @@ class TypedSubgraph:
         for e in self.edges:
             if e.kind not in allowed:
                 raise ValueError(f"{e.kind} edge not allowed in this subgraph")
-            if e.premise not in self.vertices or e.hypothesis not in self.vertices:
-                raise ValueError("edge endpoint missing from vertex set")
             same_pair = self._by_pair.setdefault((e.premise, e.hypothesis), [])
             if any(f.arg_map == e.arg_map for f in same_pair):
                 raise ValueError(
@@ -278,14 +280,11 @@ class TypedSubgraph:
             if e.kind in kinds and (arg_map is None or e.arg_map == arg_map)
         ]
 
-    def with_scores(self, scores: Mapping) -> "TypedSubgraph":
-        """Copy with per-edge scores replaced (keyed by edge identity)."""
+    def with_scores(self, scores: Iterable[float]) -> "TypedSubgraph":
+        """Copy with one new score per edge, given in ``edges`` order."""
         new_edges = [
-            EntailmentEdge(
-                e.premise, e.hypothesis, e.kind, e.arg_map,
-                scores.get(edge_key(e), e.score),
-            )
-            for e in self.edges
+            EntailmentEdge(e.premise, e.hypothesis, e.kind, e.arg_map, s)
+            for e, s in zip(self.edges, scores, strict=True)
         ]
         return TypedSubgraph(self.signature, self.vertices, new_edges)
 

@@ -15,7 +15,7 @@ import sys
 import time
 
 from entgraph.features import SLOT, FeatureConfig, build_vectors, count
-from entgraph.globalgraph import GlobalConfig, globalize
+from entgraph.globalgraph import GlobalConfig, _coupling_groups, globalize
 from entgraph.lexicon import LexicalResource
 from entgraph.localgraph import (
     BB,
@@ -27,6 +27,7 @@ from entgraph.localgraph import (
     TypedSubgraph,
     binc,
     build_local_graphs,
+    edge_key,
     lin_similarity,
     inclusion_oracle,
     valid_maps,
@@ -233,10 +234,15 @@ def _toy_paraphrase_family():
 
 def test_globalization_identity_and_convergence():
     family, (win, champ, happy) = _toy_paraphrase_family()
-    identity = globalize(family, GlobalConfig(lambda_para=0.0, lambda_cross=0.0))
-    identity_ok = all(
-        abs(prov.final_score - prov.local_score) <= 1e-9
-        for prov in identity.provenance.values()
+    config = GlobalConfig(lambda_para=0.0, lambda_cross=0.0)
+    identity = globalize(family, config)
+    _, edge_at, _ = _coupling_groups(family, config)
+    pairs = [
+        (family[sig].edges[i], identity.subgraphs[sig].edges[i]) for sig, i in edge_at
+    ]
+    identity_ok = len(pairs) == 4 and all(
+        edge_key(final) == edge_key(local) and abs(final.score - local.score) <= 1e-9
+        for local, final in pairs
     )
 
     family, (win, champ, happy) = _toy_paraphrase_family()

@@ -27,7 +27,21 @@ class TestStageWiring:
             assert (pipeline_dir / name).is_file()
         assert list((pipeline_dir / "graphs" / "local").glob("*.graph"))
         assert list((pipeline_dir / "graphs" / "global").glob("*.graph"))
-        assert (pipeline_dir / "graphs" / "global" / "bivalent.prov.tsv").is_file()
+
+    def test_global_files_align_with_local_files(self, pipeline_dir):
+        local_dir = pipeline_dir / "graphs" / "local"
+        global_dir = pipeline_dir / "graphs" / "global"
+        names = sorted(p.name for p in local_dir.glob("*.graph"))
+        assert names == sorted(p.name for p in global_dir.glob("*.graph"))
+        for name in names:
+            local = (local_dir / name).read_text().splitlines()
+            final = (global_dir / name).read_text().splitlines()
+            assert len(local) == len(final), name
+            # globalization moves scores only: every line but the score column agrees
+            for a, b in zip(local, final):
+                cut = a.rfind("\t") if a.startswith("E\t") else len(a)
+                assert a[:cut] == b[:cut], (name, a, b)
+                assert a.startswith("E\t") or a == b
 
     def test_manifests_record_stage_and_seed(self, pipeline_dir):
         manifest = json.loads(
@@ -115,6 +129,23 @@ class TestExitCodes:
             victim.read_text().replace("entgraph-subgraph v1", "entgraph-subgraph v9")
         )
         assert main(["globalize", "--out", str(out)]) == EXIT_VERSION
+
+
+class TestStaleArtifacts:
+    def test_rebuild_removes_subgraphs_of_earlier_run(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["ingest", "--out", out]) == EXIT_OK
+        assert main(["build-local", "--out", out]) == EXIT_OK
+        assert main(["globalize", "--out", out]) == EXIT_OK
+        before = len(list((tmp_path / "graphs" / "local").glob("*.graph")))
+        capsys.readouterr()
+        assert main(["build-local", "--out", out, "--min-count", "12"]) == EXIT_OK
+        built = int(capsys.readouterr().out.split()[1])
+        assert built < before
+        assert len(list((tmp_path / "graphs" / "local").glob("*.graph"))) == built
+        assert main(["globalize", "--out", out]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"globalized {built} subgraphs")
+        assert len(list((tmp_path / "graphs" / "global").glob("*.graph"))) == built
 
 
 class TestReproducibility:

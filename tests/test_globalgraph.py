@@ -207,24 +207,14 @@ class TestGlobalizeInvariants:
         config = GlobalConfig(lambda_para=3.0, lambda_cross=0.0)
         from entgraph.globalgraph import _coupling_groups
 
-        _, local, edge_at, groups = _coupling_groups(subs, config)
+        local, edge_at, groups = _coupling_groups(subs, config)
         result = globalize(subs, config)
-        final = [
-            result.provenance[(sig, edge_key(e))].final_score for sig, e in edge_at
-        ]
+        final = [result.subgraphs[sig].edges[i].score for sig, i in edge_at]
         import numpy as np
 
         assert objective(np.array(final), local, groups) <= objective(
             local, local, groups
         ) + 1e-12
-
-    def test_provenance_tracks_both_scores(self):
-        result = globalize(toy_paraphrase_graph(), GlobalConfig(lambda_para=2.0))
-        for prov in result.provenance.values():
-            assert 0.0 <= prov.local_score <= 1.0
-            assert 0.0 <= prov.final_score <= 1.0
-        locals_ = sorted(p.local_score for p in result.provenance.values())
-        assert locals_ == [0.4, 0.8, 0.95, 0.95]
 
 
 class TestScoreRangeCheck:
@@ -370,7 +360,7 @@ class TestExactSolveOracle:
                 lambda_para=rng.uniform(0.1, 5.0),
                 lambda_cross=rng.uniform(5.5, 10.0),
             )
-            _, local, edge_at, groups = _coupling_groups(family, config)
+            local, edge_at, groups = _coupling_groups(family, config)
             a = np.eye(len(local))
             for weight, vids in groups:
                 k = len(vids)
@@ -379,9 +369,7 @@ class TestExactSolveOracle:
             expected = np.linalg.solve(a, local)
 
             result = globalize(family, config)
-            got = np.array(
-                [result.provenance[(sig, edge_key(e))].final_score for sig, e in edge_at]
-            )
+            got = np.array([result.subgraphs[sig].edges[i].score for sig, i in edge_at])
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
             assert result.iterations_run == 1
         assert tied["para"] > 0 and tied["cross"] > 0

@@ -7,7 +7,7 @@ import functools
 import pytest
 
 from entgraph import graphio
-from entgraph.globalgraph import globalize, write_provenance
+from entgraph.cli import _write_manifest
 from entgraph.graphio import (
     VersionMismatch,
     read_header,
@@ -161,15 +161,14 @@ class _FailMidway:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-@pytest.mark.parametrize("artifact", ["subgraph", "provenance"])
+@pytest.mark.parametrize("artifact", ["subgraph", "manifest"])
 def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
-    sub = golden_subgraph()
     if artifact == "subgraph":
         path = tmp_path / "bi__person__person.graph"
-        write = functools.partial(write_subgraph, sub, path)
+        write = functools.partial(write_subgraph, golden_subgraph(), path)
     else:
-        path = tmp_path / "bivalent.prov.tsv"
-        write = functools.partial(write_provenance, globalize({sub.signature: sub}), path)
+        path = tmp_path / "globalize.manifest.json"
+        write = functools.partial(_write_manifest, tmp_path, "globalize", {"tau": 0.9}, [])
     write()
     before = path.read_bytes()
     monkeypatch.setattr(

@@ -384,8 +384,33 @@ class TestSubgraphInvariants:
         kill = pred("kill", "person", "person")
         die = pred("die.1", "person")
         bu = EntailmentEdge(kill, die, BU, ArgMap.from_slot(2), 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge endpoint missing from vertex set"):
             TypedSubgraph(("person", "person"), {kill}, [bu])
+
+    def test_edges_sorted_by_premise_hypothesis_tokens_then_map(self):
+        import random
+
+        preds = [pred(n, "person", "person") for n in ("kill", "beat", "top")]
+        preds += [pred(n, "person") for n in ("die.1", "win.1")]
+        edges = [
+            EntailmentEdge(p, q, BB if q.valency == 2 else BU, m, 0.5)
+            for p in preds[:3] for q in preds if p != q
+            for m in valid_maps(2, q.valency)
+        ]
+        random.Random(7).shuffle(edges)
+        sub = TypedSubgraph(("person", "person"), set(preds), edges)
+        assert sub.edges == sorted(
+            edges, key=lambda e: (e.premise.token(), e.hypothesis.token(), e.arg_map)
+        )
+
+    def test_with_scores_takes_one_score_per_edge_in_order(self):
+        kill = pred("kill", "person", "person")
+        die = pred("die.1", "person")
+        edges = [EntailmentEdge(kill, die, BU, ArgMap.from_slot(s), 0.5) for s in (1, 2)]
+        sub = TypedSubgraph(("person", "person"), {kill, die}, edges)
+        assert [e.score for e in sub.with_scores([0.25, 0.75]).edges] == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            sub.with_scores([0.25])
 
     def test_edge_kind_valency_consistency(self):
         kill = pred("kill", "person", "person")
