@@ -61,10 +61,8 @@ def _write_manifest(out_dir: Path, stage: str, config: dict, inputs: list[Path],
         ).hexdigest(),
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
     }
-    graphio._write_text_atomic(
-        out_dir / f"{stage}.manifest.json",
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-    )
+    with graphio._atomic_writer(out_dir / f"{stage}.manifest.json") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _require(path: Path, produced_by: str) -> Path:
@@ -126,10 +124,9 @@ def cmd_build_local(args) -> int:
 def cmd_globalize(args) -> int:
     out = Path(args.out)
     local_dir = _require(out / "graphs" / "local", "build-local")
-    bivalent, univalent = {}, {}
-    for path in sorted(local_dir.glob("*.graph")):
-        sub = graphio.read_subgraph(path)
-        (bivalent if sub.kind == "bivalent" else univalent)[sub.signature] = sub
+    local = graphio.read_graph_dir(local_dir)
+    bivalent = {sig: sub for sig, sub in local.items() if len(sig) == 2}
+    univalent = {sig: sub for sig, sub in local.items() if len(sig) == 1}
     config = GlobalConfig(
         lambda_para=args.lambda_para,
         lambda_cross=args.lambda_cross,
@@ -219,7 +216,7 @@ def cmd_answer(args) -> int:
             records.append(qaeval.answer_exact_match(q, evidence[q.partition_id]))
     elif args.model == "graph":
         kinds = _parse_components(args.components)
-        tag = "graph-" + "+".join(sorted(k.lower() for k in kinds))
+        tag = qaeval._model_id(kinds)
         store = GraphStore.open(_graph_dir(out, args.graphs),
                                 enable_composition=not args.no_composition)
         for q in questions:
@@ -284,7 +281,8 @@ def cmd_evaluate(args) -> int:
             f"/{len(records)} max_recall={curve.max_recall:.4f} " + " ".join(accs)
         )
     summary = "\n".join(summary_lines) + "\n"
-    (report_dir / f"summary{suffix}.txt").write_text(summary, encoding="utf-8")
+    with graphio._atomic_writer(report_dir / f"summary{suffix}.txt") as fh:
+        fh.write(summary)
     _write_manifest(
         out, f"evaluate{suffix}",
         {"k": args.k, "filtered": args.filtered},

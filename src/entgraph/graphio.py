@@ -2,12 +2,14 @@
 
 One file per subgraph. Header lines pin the format version, signature and
 counts; vertex lines then edge lines follow, both sorted. Scores are
-written with repr() so they reload bit-exactly.
+written with repr() so they reload bit-exactly. A graph directory is read
+as a whole: its files share one object per predicate.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .localgraph import ArgMap, EntailmentEdge, TypedSubgraph
@@ -43,11 +45,14 @@ def write_subgraph(subgraph: TypedSubgraph, path: str | Path) -> None:
                 e.arg_map.format(), repr(e.score),
             )
         )
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    with _atomic_writer(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def _write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename it over.
+@contextmanager
+def _atomic_writer(path: str | Path, newline: str | None = None):
+    """Text handle on a temp file in the target directory, renamed over
+    the target on success.
 
     An interrupted write leaves the previous file (or none) in place, never
     a truncated one, and removes its temp file.
@@ -55,30 +60,25 @@ def _write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def read_subgraph(path: str | Path) -> TypedSubgraph:
-    header, vertices, edges = _parse(Path(path).read_text(encoding="utf-8"), path)
-    return TypedSubgraph(header["types"], vertices, edges)
+def read_subgraph(
+    path: str | Path, predicates: dict[str, TypedPredicate] | None = None
+) -> TypedSubgraph:
+    """Parse one subgraph file.
 
-
-def read_header(path: str | Path) -> dict:
-    """Header and vertex list only; edge records are not parsed."""
-    header, vertices, _ = _parse(
-        Path(path).read_text(encoding="utf-8"), path, with_edges=False
-    )
-    header["vertex_list"] = vertices
-    return header
-
-
-def _parse(text: str, path, with_edges: bool = True):
-    lines = text.splitlines()
+    ``predicates`` maps tokens to parsed predicates; a token found there is
+    reused and a new one is added, so files read with one table share
+    vertex objects. ``E`` endpoints resolve only against this file's ``V``
+    lines.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith(MAGIC):
         raise ValueError(f"{path}: not a subgraph file")
     version = lines[0][len(MAGIC):].strip()
@@ -86,8 +86,8 @@ def _parse(text: str, path, with_edges: bool = True):
         raise VersionMismatch(
             f"{path}: format {version or '?'} unsupported (expected v{FORMAT_VERSION})"
         )
-    header: dict = {"version": version}
-    # each vertex token is parsed once; edges share the parsed objects
+    predicates = {} if predicates is None else predicates
+    header: dict[str, str] = {}
     by_token: dict[str, TypedPredicate] = {}
     edge_fields: list[list[str]] = []
     for line in lines[1:]:
@@ -95,36 +95,49 @@ def _parse(text: str, path, with_edges: bool = True):
             continue
         if line.startswith("V\t"):
             token = line[2:].strip()
-            by_token[token] = TypedPredicate.parse_token(token)
+            vertex = predicates.get(token)
+            if vertex is None:
+                vertex = predicates[token] = TypedPredicate.parse_token(token)
+            by_token[token] = vertex
         elif line.startswith("E\t"):
-            if with_edges:
-                edge_fields.append(line.split("\t"))
+            edge_fields.append(line.split("\t"))
         else:
             key, _, value = line.partition("=")
             header[key.strip()] = value.strip()
     if "types" not in header:
         raise ValueError(f"{path}: missing types header")
-    header["types"] = tuple(t for t in header["types"].split(",") if t)
-    for key in ("vertices", "edges"):
-        if key in header:
-            header[key] = int(header[key])
-    vertices = list(by_token.values())
+    types = tuple(t for t in header["types"].split(",") if t)
+    kind = {1: "univalent", 2: "bivalent"}.get(len(types))
+    if header.get("kind", kind) != kind:
+        raise ValueError(
+            f"{path}: kind={header['kind']} does not match types={header['types']}"
+        )
     edges: list[EntailmentEdge] = []
-    for fields in edge_fields:
-        _, prem, hyp, kind, amap, score = fields
+    for _, prem, hyp, edge_kind, amap, score in edge_fields:
         premise, hypothesis = by_token.get(prem), by_token.get(hyp)
         if premise is None or hypothesis is None:
             missing = prem if premise is None else hyp
             raise ValueError(f"{path}: edge endpoint {missing!r} has no V line")
         edges.append(
-            EntailmentEdge(premise, hypothesis, kind, ArgMap.parse(amap), float(score))
+            EntailmentEdge(premise, hypothesis, edge_kind, ArgMap.parse(amap), float(score))
         )
-    if with_edges:
-        if header.get("vertices") not in (None, len(vertices)):
-            raise ValueError(f"{path}: vertex count mismatch")
-        if header.get("edges") not in (None, len(edges)):
-            raise ValueError(f"{path}: edge count mismatch")
-    return header, vertices, edges
+    for key, found in (("vertices", by_token), ("edges", edges)):
+        if key in header and int(header[key]) != len(found):
+            raise ValueError(f"{path}: {key}={header[key]} but {len(found)} found")
+    return TypedSubgraph(types, by_token.values(), edges)
+
+
+def read_graph_dir(directory: str | Path) -> dict[tuple[str, ...], TypedSubgraph]:
+    """Every ``*.graph`` file of a directory by signature, the inverse of
+    ``write_graph_dir``; a predicate held by several files is one object."""
+    predicates: dict[str, TypedPredicate] = {}
+    subgraphs = {}
+    for path in sorted(Path(directory).glob("*.graph")):
+        sub = read_subgraph(path, predicates)
+        if sub.signature in subgraphs:
+            raise ValueError(f"{path}: second subgraph for types {','.join(sub.signature)}")
+        subgraphs[sub.signature] = sub
+    return subgraphs
 
 
 def write_graph_dir(subgraphs: dict, directory: str | Path) -> list[Path]:

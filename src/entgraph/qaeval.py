@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .graphio import _atomic_writer
 from .localgraph import ALL_KINDS, BB, BU, UU, _consistent_maps
 from .model import Proposition
 from .qagen import Partition, Question, balance
@@ -140,7 +141,7 @@ def export_evidence(
     questions: Sequence[Question], evidence: Mapping[int, Partition], path: str | Path
 ) -> None:
     """Write the (question, evidence candidate) listing external scorers read."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_writer(path) as fh:
         fh.write("question_id\tprop_id\n")
         for q in questions:
             part = evidence.get(q.partition_id)
@@ -282,7 +283,7 @@ def filter_questions(
 
 
 def write_answers(records: Sequence[AnswerRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["question_id", "model_id", "confidence", "best_evidence", "backed_off"])
         for r in records:
@@ -309,7 +310,7 @@ def read_answers(path: str | Path) -> list[AnswerRecord]:
 
 
 def write_pr_csv(curve: PRCurve, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "precision", "recall"])
         for p in curve.points:

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .graphio import _atomic_writer
 from .ingest import proposition_record, parse_record
 from .lexicon import LexicalResource
 from .model import Corpus, EntityId, IngestStats, Proposition, TypeInventory, TypedPredicate
@@ -351,7 +352,7 @@ def question_from_record(obj: dict) -> Question:
 
 
 def write_questions(qs: QuestionSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_writer(path) as fh:
         fh.write(json.dumps(qs.manifest, sort_keys=True) + "\n")
         for q in qs.questions:
             fh.write(json.dumps(question_record(q), sort_keys=True) + "\n")
@@ -371,7 +372,7 @@ def read_questions(path: str | Path) -> tuple[list[Question], dict]:
 
 
 def write_evidence(partitions: list[Partition], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_writer(path) as fh:
         header = {
             "format": "entgraph-evidence",
             "version": EVIDENCE_FORMAT_VERSION,

@@ -1,8 +1,8 @@
 """Query-time graph access: typed routing, path composition, back-off.
 
-A store maps type signatures to subgraphs (loaded lazily from a graph
-directory, or wrapped from memory). Queries route a premise proposition to
-its typed subgraph and check direct edges under every argument map that is
+A store maps type signatures to subgraphs (read from a graph directory,
+or wrapped from memory). Queries route a premise proposition to its typed
+subgraph and check direct edges under every argument map that is
 consistent with the bound arguments; unary hypotheses may additionally be
 reached through one binary->unary edge followed by one hop inside the
 matching univalent graph, scored as the minimum of the two edges. When the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import graphio
 from .localgraph import (
@@ -47,50 +47,28 @@ class QueryResult:
 _MISS = QueryResult(0.0)
 
 
-class _Slot:
-    """Holds a subgraph, or the path to parse it from on first use."""
-
-    def __init__(self, signature, path=None, subgraph=None, vertex_list=None):
-        self.signature = signature
-        self.path = path
-        self._subgraph = subgraph
-        self.vertex_list = (
-            vertex_list if vertex_list is not None
-            else sorted(subgraph.vertices, key=lambda p: p.token())
-        )
-
-    def get(self) -> TypedSubgraph:
-        if self._subgraph is None:
-            self._subgraph = graphio.read_subgraph(self.path)
-        return self._subgraph
-
-
 class GraphStore:
     """Read-only collection of typed subgraphs with an untyped index."""
 
-    def __init__(self, slots: Iterable[_Slot], enable_composition: bool = True):
-        self.bivalent: dict[tuple[str, str], _Slot] = {}
-        self.univalent: dict[tuple[str], _Slot] = {}
+    def __init__(
+        self,
+        subgraphs: Mapping[tuple[str, ...], TypedSubgraph],
+        enable_composition: bool = True,
+    ):
+        self.bivalent: dict[tuple[str, str], TypedSubgraph] = {}
+        self.univalent: dict[tuple[str], TypedSubgraph] = {}
         self.untyped_index: dict[tuple[str, int], list] = {}
         self.enable_composition = enable_composition
-        for slot in slots:
-            sig = tuple(slot.signature)
-            if len(sig) == 2:
-                self.bivalent[sig] = slot
-            else:
-                self.univalent[sig] = slot
-            for vertex in slot.vertex_list:
+        self._by_signature = {tuple(sig): sub for sig, sub in subgraphs.items()}
+        for sig, sub in self._by_signature.items():
+            (self.bivalent if len(sig) == 2 else self.univalent)[sig] = sub
+            for vertex in sorted(sub.vertices, key=lambda p: p.token()):
                 self.untyped_index.setdefault(vertex.untyped, []).append((sig, vertex))
 
     @classmethod
     def open(cls, directory: str | Path, enable_composition: bool = True) -> "GraphStore":
-        """Scan a graph directory; headers eagerly, edges on first query."""
-        slots = []
-        for path in sorted(Path(directory).glob("*.graph")):
-            header = graphio.read_header(path)
-            slots.append(_Slot(header["types"], path=path,
-                               vertex_list=header["vertex_list"]))
-        return cls(slots, enable_composition)
+        """Read every subgraph file of a graph directory."""
+        return cls(graphio.read_graph_dir(directory), enable_composition)
 
     @classmethod
     def from_subgraphs(
@@ -99,18 +77,12 @@ class GraphStore:
         univalent: Mapping,
         enable_composition: bool = True,
     ) -> "GraphStore":
-        slots = [
-            _Slot(sig, subgraph=sub)
-            for sig, sub in list(bivalent.items()) + list(univalent.items())
-        ]
-        return cls(slots, enable_composition)
+        return cls({**bivalent, **univalent}, enable_composition)
 
     # -- typed lookups ----------------------------------------------------
 
     def subgraph_for(self, predicate: TypedPredicate) -> TypedSubgraph | None:
-        sig = canonical_signature(predicate.slot_types)
-        slot = self.bivalent.get(sig) if len(sig) == 2 else self.univalent.get(sig)
-        return slot.get() if slot else None
+        return self._by_signature.get(canonical_signature(predicate.slot_types))
 
     def has_typed_vertex(self, predicate: TypedPredicate) -> bool:
         sub = self.subgraph_for(predicate)
@@ -178,10 +150,10 @@ class GraphStore:
             if premise_keys[slot - 1] != hypothesis_args[0]:
                 continue
             slot_type = premise.predicate.slot_types[slot - 1]
-            uni_slot = self.univalent.get((slot_type,))
-            if uni_slot is None:
+            uni = self.univalent.get((slot_type,))
+            if uni is None:
                 continue
-            into_hypothesis = uni_slot.get().uu_in.get(hypothesis)
+            into_hypothesis = uni.uu_in.get(hypothesis)
             if not into_hypothesis:
                 continue
             for e in sub.bu_out.get((premise.predicate, ArgMap.from_slot(slot)), ()):
@@ -227,8 +199,7 @@ class GraphStore:
             if sig in hyp_sigs:
                 by_sig.setdefault(sig, []).append(vertex)
         for sig in sorted(by_sig):
-            slot = self.bivalent.get(sig) if len(sig) == 2 else self.univalent.get(sig)
-            sub = slot.get()
+            sub = self._by_signature[sig]
             sub_best: EntailmentEdge | None = None
             for prem_vertex in by_sig[sig]:
                 for hyp_vertex in hyp_sigs[sig]:

@@ -1,6 +1,9 @@
 """CLI orchestration tests: stage wiring, exit codes, reproducibility."""
 
+import csv
+import itertools
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,20 @@ class TestStageWiring:
         ]) == EXIT_OK
         summary = (pipeline_dir / "report" / "summary-filtered.txt").read_text()
         assert "filtered question set:" in summary
+
+    def test_answer_file_name_matches_model_id(self, pipeline_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out, ignore=shutil.ignore_patterns("answers-*"))
+        for n in (1, 2, 3):
+            for subset in itertools.combinations(("bb", "bu", "uu"), n):
+                components = ",".join(reversed(subset))
+                assert main(["answer", "--out", str(out), "--components", components]) == EXIT_OK
+        paths = sorted(out.glob("answers-*.csv"))
+        assert len(paths) == 7
+        for path in paths:
+            with open(path, newline="") as fh:
+                model_ids = {row["model_id"] for row in csv.DictReader(fh)}
+            assert model_ids == {path.stem.removeprefix("answers-")}
 
     def test_query_finds_planted_edge(self, pipeline_dir, capsys):
         code = main([

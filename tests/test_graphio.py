@@ -6,11 +6,11 @@ import functools
 
 import pytest
 
-from entgraph import graphio
-from entgraph.cli import _write_manifest
+from entgraph import graphio, qaeval, qagen
+from entgraph.cli import EXIT_DATA, _write_manifest, main
 from entgraph.graphio import (
     VersionMismatch,
-    read_header,
+    read_graph_dir,
     read_subgraph,
     subgraph_filename,
     write_graph_dir,
@@ -26,7 +26,7 @@ from entgraph.localgraph import (
     valid_maps,
 )
 
-from conftest import DATA, pred
+from conftest import DATA, ent, pred
 
 
 def golden_subgraph() -> TypedSubgraph:
@@ -64,14 +64,6 @@ def test_scores_reload_bit_exactly(tmp_path):
         assert a.score == b.score  # exact, not approximate
 
 
-def test_header_read_skips_edges():
-    header = read_header(DATA / "golden_bivalent.graph")
-    assert header["kind"] == "bivalent"
-    assert header["types"] == ("person", "person")
-    assert header["vertices"] == 3 and header["edges"] == 3
-    assert len(header["vertex_list"]) == 3
-
-
 def test_version_mismatch_refused(tmp_path):
     path = tmp_path / "future.graph"
     text = (DATA / "golden_bivalent.graph").read_text().replace(
@@ -97,14 +89,18 @@ def test_count_mismatch_detected(tmp_path):
         read_subgraph(path)
 
 
-def test_univalent_file(tmp_path):
+def univalent_subgraph() -> TypedSubgraph:
     die = pred("die.1", "person")
     perish = pred("perish.1", "person")
-    sub = TypedSubgraph(
+    return TypedSubgraph(
         ("person",),
         {die, perish},
         [EntailmentEdge(die, perish, UU, ArgMap.identity(1), 0.5)],
     )
+
+
+def test_univalent_file(tmp_path):
+    sub = univalent_subgraph()
     path = tmp_path / subgraph_filename(sub.signature)
     assert path.name == "uni__person.graph"
     write_subgraph(sub, path)
@@ -113,10 +109,56 @@ def test_univalent_file(tmp_path):
     assert again.edges == sub.edges
 
 
+def test_kind_must_match_types(tmp_path, capsys):
+    path = tmp_path / "graphs" / "bi__person__person.graph"
+    path.parent.mkdir()
+    text = (DATA / "golden_bivalent.graph").read_text()
+    path.write_text(text.replace("kind=bivalent", "kind=univalent"))
+    with pytest.raises(ValueError, match=r"bi__person__person\.graph.*kind=univalent"):
+        read_subgraph(path)
+    code = main(["query", "--out", str(tmp_path), "--graphs", str(path.parent),
+                 "kill#person#person", "die.1#person"])
+    assert code == EXIT_DATA
+    assert "kind=univalent" in capsys.readouterr().err
+
+
 def test_write_graph_dir(tmp_path):
     subs = {("person", "person"): golden_subgraph()}
     paths = write_graph_dir(subs, tmp_path / "graphs")
     assert [p.name for p in paths] == ["bi__person__person.graph"]
+
+
+def test_read_graph_dir_inverts_write_and_shares_vertices(tmp_path):
+    subs = {("person", "person"): golden_subgraph(), ("person",): univalent_subgraph()}
+    write_graph_dir(subs, tmp_path)
+    again = read_graph_dir(tmp_path)
+    assert list(again) == [("person", "person"), ("person",)]
+    for sig, sub in subs.items():
+        assert again[sig].vertices == sub.vertices and again[sig].edges == sub.edges
+    # a BU edge's unary hypothesis is the univalent graph's own vertex object
+    uni = {v: v for v in again[("person",)].vertices}
+    bu = [e for e in again[("person", "person")].edges if e.kind == BU]
+    assert bu
+    for e in bu:
+        assert e.hypothesis is uni[e.hypothesis]
+
+
+def test_read_graph_dir_refuses_two_files_of_one_signature(tmp_path):
+    write_graph_dir({("person", "person"): golden_subgraph()}, tmp_path)
+    (tmp_path / "copy.graph").write_bytes((DATA / "golden_bivalent.graph").read_bytes())
+    with pytest.raises(ValueError, match=r"copy\.graph.*person,person"):
+        read_graph_dir(tmp_path)
+
+
+def test_edge_endpoint_resolves_only_in_its_own_file(tmp_path):
+    # die.1#person has a V line in uni__person.graph, which is read first,
+    # but not in the bivalent file whose E line names it
+    write_graph_dir({("person",): univalent_subgraph()}, tmp_path)
+    text = (DATA / "golden_bivalent.graph").read_text()
+    text = text.replace("V\tdie.1#person\n", "").replace("vertices=3", "vertices=2")
+    (tmp_path / "z__orphan.graph").write_text(text)
+    with pytest.raises(ValueError, match=r"z__orphan\.graph.*'die\.1#person' has no V line"):
+        read_graph_dir(tmp_path)
 
 
 def test_edge_endpoint_without_vertex_line_names_file_and_token(tmp_path):
@@ -161,14 +203,24 @@ class _FailMidway:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-@pytest.mark.parametrize("artifact", ["subgraph", "manifest"])
+@pytest.mark.parametrize("artifact", ["subgraph", "manifest", "questions", "answers"])
 def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
     if artifact == "subgraph":
         path = tmp_path / "bi__person__person.graph"
         write = functools.partial(write_subgraph, golden_subgraph(), path)
-    else:
+    elif artifact == "manifest":
         path = tmp_path / "globalize.manifest.json"
         write = functools.partial(_write_manifest, tmp_path, "globalize", {"tau": 0.9}, [])
+    elif artifact == "questions":
+        path = tmp_path / "questions.jsonl"
+        question = qagen.Question(
+            "q1", 0, pred("die.1", "person"), (ent("boddy"),), "positive", {})
+        qs = qagen.QuestionSet([question], [], {"format": "entgraph-questions"})
+        write = functools.partial(qagen.write_questions, qs, path)
+    else:
+        path = tmp_path / "answers-graph-bb.csv"
+        records = [qaeval.AnswerRecord("q1", "graph-bb", 0.5, "p1")]
+        write = functools.partial(qaeval.write_answers, records, path)
     write()
     before = path.read_bytes()
     monkeypatch.setattr(

@@ -196,17 +196,16 @@ class TestBackoff:
             for sig, v in entries
         }
         expected = set()
-        for sig, slot in {**store.bivalent, **store.univalent}.items():
-            for v in slot.get().vertices:
+        for sig, sub in {**store.bivalent, **store.univalent}.items():
+            for v in sub.vertices:
                 expected.add((sig, v.token()))
         assert indexed == expected
 
 
 class TestDiskRoundTrip:
-    def test_open_from_directory_lazy(self, tmp_path):
+    def test_open_from_directory(self, tmp_path):
         store = demo_store()
-        merged = {sig: slot.get() for sig, slot in {**store.bivalent, **store.univalent}.items()}
-        write_graph_dir(merged, tmp_path)
+        write_graph_dir({**store.bivalent, **store.univalent}, tmp_path)
         loaded = GraphStore.open(tmp_path)
         assert set(loaded.bivalent) == set(store.bivalent)
         assert set(loaded.univalent) == set(store.univalent)
@@ -216,8 +215,7 @@ class TestDiskRoundTrip:
 
     def test_paths_returned_exist_in_files(self, tmp_path):
         store = demo_store()
-        merged = {sig: slot.get() for sig, slot in {**store.bivalent, **store.univalent}.items()}
-        write_graph_dir(merged, tmp_path)
+        write_graph_dir({**store.bivalent, **store.univalent}, tmp_path)
         loaded = GraphStore.open(tmp_path)
         evidence = prop("kill", ("mustard", "boddy"))
         result = loaded.entailment_score(evidence, DIE, ("boddy",))
@@ -256,10 +254,9 @@ def reference_composed(store, sub, premise, hypothesis, hypothesis_args):
             continue
         bu_map = ArgMap.from_slot(slot)
         slot_type = premise.predicate.slot_types[slot - 1]
-        uni_slot = store.univalent.get((slot_type,))
-        if uni_slot is None:
+        uni = store.univalent.get((slot_type,))
+        if uni is None:
             continue
-        uni = uni_slot.get()
         for e in sub.edges:
             if e.kind != BU or e.premise != premise.predicate:
                 continue
@@ -313,8 +310,7 @@ class TestComposedIndexOracle:
 
     def _queries(self, store):
         unaries = [pred(n, t) for n in self.UNARIES for t in self.TYPES]
-        for slot in store.bivalent.values():
-            sub = slot.get()
+        for sub in store.bivalent.values():
             for premise_pred in sorted(v for v in sub.vertices if v.valency == 2):
                 # equal arguments let both slots bind the hypothesis
                 for args in (("a", "b"), ("a", "a")):
