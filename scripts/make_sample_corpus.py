@@ -145,11 +145,15 @@ rec(
 )
 
 
+def render() -> str:
+    """The corpus file's text: one sorted-key JSON record per line."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
 def main() -> None:
     OUT.parent.mkdir(parents=True, exist_ok=True)
     with open(OUT, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+        fh.write(render())
     print(f"wrote {len(records)} records to {OUT}")
 
 

@@ -19,10 +19,10 @@ from pathlib import Path
 from . import graphio, qaeval, qagen, resources
 from .features import FeatureConfig, dump_vectors_tsv
 from .globalgraph import GlobalConfig, apply_to_all
-from .ingest import ingest
+from .ingest import ingest, read_corpus
 from .lexicon import LexicalResource
 from .localgraph import BB, BU, UU, LocalBuildConfig, build_local_graphs
-from .model import TypeInventory, TypedPredicate
+from .model import TypeInventory, TypedPredicate, _atomic_writer
 from .qagen import QaGenConfig, generate_questions, read_evidence, read_questions
 from .store import GraphStore
 
@@ -61,7 +61,7 @@ def _write_manifest(out_dir: Path, stage: str, config: dict, inputs: list[Path],
         ).hexdigest(),
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
     }
-    with graphio._atomic_writer(out_dir / f"{stage}.manifest.json") as fh:
+    with _atomic_writer(out_dir / f"{stage}.manifest.json") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -73,12 +73,6 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _inventory(args) -> TypeInventory:
-    if getattr(args, "types", None):
-        return TypeInventory.from_file(args.types)
-    return TypeInventory.default()
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -87,7 +81,8 @@ def cmd_ingest(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     corpus_path = Path(args.corpus)
     _require(corpus_path, "ingest (input corpus file is missing)")
-    corpus = ingest(corpus_path, _inventory(args))
+    inventory = TypeInventory.from_file(args.types) if args.types else None
+    corpus = ingest(corpus_path, inventory)
     corpus.save(out / "corpus.jsonl")
     config = {"corpus": str(corpus_path), "types": args.types, "stats": corpus.stats.as_dict()}
     _write_manifest(out, "ingest", config, [corpus_path])
@@ -102,7 +97,7 @@ def cmd_ingest(args) -> int:
 def cmd_build_local(args) -> int:
     out = Path(args.out)
     corpus_path = _require(out / "corpus.jsonl", "ingest")
-    corpus = ingest(corpus_path, _inventory(args))
+    corpus = read_corpus(corpus_path)
     config = LocalBuildConfig(
         FeatureConfig(min_count=args.min_count), edge_threshold=args.edge_threshold
     )
@@ -150,7 +145,7 @@ def cmd_globalize(args) -> int:
 def cmd_gen_questions(args) -> int:
     out = Path(args.out)
     corpus_path = _require(out / "corpus.jsonl", "ingest")
-    corpus = ingest(corpus_path, _inventory(args))
+    corpus = read_corpus(corpus_path)
     lex = (
         LexicalResource.from_wordnet_dir(args.wordnet)
         if args.wordnet
@@ -205,9 +200,7 @@ def cmd_answer(args) -> int:
     out = Path(args.out)
     questions, _ = read_questions(_require(out / "questions.jsonl", "gen-questions"))
     evidence = {
-        p.id: p
-        for p in read_evidence(_require(out / "evidence.jsonl", "gen-questions"),
-                               _inventory(args))
+        p.id: p for p in read_evidence(_require(out / "evidence.jsonl", "gen-questions"))
     }
     records = []
     if args.model == "exact":
@@ -281,7 +274,7 @@ def cmd_evaluate(args) -> int:
             f"/{len(records)} max_recall={curve.max_recall:.4f} " + " ".join(accs)
         )
     summary = "\n".join(summary_lines) + "\n"
-    with graphio._atomic_writer(report_dir / f"summary{suffix}.txt") as fh:
+    with _atomic_writer(report_dir / f"summary{suffix}.txt") as fh:
         fh.write(summary)
     _write_manifest(
         out, f"evaluate{suffix}",
@@ -362,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default="out", help="pipeline artifact directory")
-        p.add_argument("--types", default=None, help="type inventory file")
 
     p = sub.add_parser("ingest", help="read a proposition file into a corpus artifact")
     common(p)
+    p.add_argument("--types", default=None, help="type inventory file")
     p.add_argument("--corpus", default=str(resources.sample_corpus_path()),
                    help="proposition file (default: shipped sample)")
 

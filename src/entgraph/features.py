@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import Corpus, TypedPredicate
+from .model import Corpus, TypedPredicate, _atomic_writer
 
 PAIR = "pair"
 SLOT = "slot"
@@ -146,7 +146,7 @@ def _pred_sort_key(pred_key):
 
 def dump_vectors_tsv(path: str | Path, pair_vectors: dict, slot_vectors: dict) -> None:
     """Debug text dump: predicate, feature, weight."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_writer(path) as fh:
         fh.write("vector\tpredicate\tfeature\tweight\n")
         for pred in sorted(pair_vectors, key=lambda p: p.token()):
             for feat, w in sorted(pair_vectors[pred].features.items()):

@@ -8,12 +8,10 @@ as a whole: its files share one object per predicate.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from pathlib import Path
 
 from .localgraph import ArgMap, EntailmentEdge, TypedSubgraph
-from .model import TypedPredicate
+from .model import TypedPredicate, _atomic_writer
 
 FORMAT_VERSION = 1
 MAGIC = "entgraph-subgraph"
@@ -47,25 +45,6 @@ def write_subgraph(subgraph: TypedSubgraph, path: str | Path) -> None:
         )
     with _atomic_writer(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-@contextmanager
-def _atomic_writer(path: str | Path, newline: str | None = None):
-    """Text handle on a temp file in the target directory, renamed over
-    the target on success.
-
-    An interrupted write leaves the previous file (or none) in place, never
-    a truncated one, and removes its temp file.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def read_subgraph(

@@ -1,11 +1,15 @@
 """Proposition file ingestion and predicate normalization.
 
-The reader consumes newline-delimited JSON records produced by an upstream
+``ingest`` consumes newline-delimited JSON records produced by an upstream
 extraction stack (parser, NER, entity linker). Each record carries a raw
 predicate string plus voice/modifier annotations and role-indexed typed
-arguments; see docs/formats.md for the exact field contract. Records that
-are already lemmatized (dotted predicate tokens) pass through unchanged,
-so saving and re-ingesting a corpus is the identity.
+arguments; see docs/formats.md for the exact field contract. It is the
+only place where a predicate is lemmatized and an argument typed.
+
+``save_corpus`` writes the result in normalized form, and ``read_corpus``
+reads that form back without normalizing it again: re-normalizing a lemma
+is not the identity (``caused`` is saved as ``caus``, which would become
+``cau``). The reader refuses any record ``save_corpus`` would not write.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .model import (
     Proposition,
     TypeInventory,
     TypedPredicate,
+    _atomic_writer,
+    _type_label,
     normalize_surface,
 )
 
@@ -213,7 +219,7 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
     voice = obj.get("voice", "active")
     modifiers = obj.get("modifiers", []) or []
     lemma = normalize_predicate(str(raw_pred), voice, modifiers)
-    negated = lemma == "not" or lemma.startswith("not.")
+    negated = _negated(lemma)
 
     # voice resolution happens on role labels before any decomposition
     mapped = []
@@ -266,6 +272,10 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
     return props
 
 
+def _negated(lemma: str) -> bool:
+    return lemma == "not" or lemma.startswith("not.")
+
+
 def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
     """Read a proposition file into a Corpus.
 
@@ -315,7 +325,7 @@ def _canonicalize(prop: Proposition, canon: dict[str, str]) -> Proposition:
 
 
 def proposition_record(prop: Proposition) -> dict:
-    """Normalized record for one proposition (save/re-ingest is identity)."""
+    """Normalized record for one proposition, the form ``read_corpus`` reads."""
     if prop.predicate.valency == 1:
         roles = [int(prop.predicate.case_marker[1:])]
     else:
@@ -341,6 +351,93 @@ def proposition_record(prop: Proposition) -> dict:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_writer(path) as fh:
         for prop in corpus.propositions:
             fh.write(json.dumps(proposition_record(prop), sort_keys=True) + "\n")
+
+
+class _CanonicalReader:
+    """Parses lines in the form ``proposition_record`` writes, one file at a
+    time, sharing one object per predicate, entity and date.
+
+    A record is canonical iff ``proposition_record`` of the proposition it
+    parses to reproduces it, its surfaces and type labels are already
+    normalized, at least one argument is named, and each kb id keeps the
+    one surface it first had in the file. Anything else raises ValueError
+    naming the file and line.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.predicates: dict[tuple, TypedPredicate] = {}
+        self.entities: dict[tuple, EntityId] = {}
+        self.dates: dict[str, dt.date] = {}
+        self.surface_of: dict[str, str] = {}
+
+    def parse(
+        self, lineno: int, line: str, keys: tuple[str, ...] = ()
+    ) -> tuple[Proposition, list]:
+        """One line's proposition, and the values of ``keys``, which the
+        line carries besides the proposition record."""
+        try:
+            obj = json.loads(line)
+            values = [obj.pop(key) for key in keys]
+            return self._proposition(obj), values
+        except KeyError as exc:
+            reason = f"missing field {exc.args[0]!r}"
+        except (AttributeError, TypeError, ValueError) as exc:
+            reason = str(exc)
+        raise ValueError(f"{self.path}:{lineno}: not a canonical record: {reason}")
+
+    def _proposition(self, obj: dict) -> Proposition:
+        args = obj["args"]
+        lemma = obj["predicate"]
+        types = tuple(a["type"] for a in args)
+        case = f".{args[0]['role_index']}" if len(args) == 1 else None
+        pred = self.predicates.get((lemma, types, case))
+        if pred is None:
+            if not isinstance(lemma, str) or not lemma:
+                raise ValueError(f"predicate {lemma!r} is not a lemma")
+            for label in types:
+                if not label or _type_label(label) != label:
+                    raise ValueError(f"type {label!r} is not an inventory label")
+            pred = TypedPredicate(lemma, len(args), types, case)
+            self.predicates[(lemma, types, case)] = pred
+        entities = tuple(self._entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in args)
+        if not any(e.is_named for e in entities):
+            raise ValueError("no argument is named")
+        date = obj["date"]
+        if date is not None:
+            if date not in self.dates:
+                self.dates[date] = dt.date.fromisoformat(date)
+            date = self.dates[date]
+        prop = Proposition(
+            pred, entities, str(obj["article_id"]), date, int(obj["sentence_idx"]),
+            _negated(lemma),
+        )
+        record = proposition_record(prop)
+        if record != obj:
+            differ = sorted(k for k in record.keys() | obj.keys() if record.get(k) != obj.get(k))
+            raise ValueError(f"fields {differ} differ from the saved form")
+        return prop
+
+    def _entity(self, surface: str, kb_id: str | None, is_named: bool) -> EntityId:
+        key = (surface, kb_id, is_named)
+        if key not in self.entities:
+            if normalize_surface(surface) != surface:
+                raise ValueError(f"surface {surface!r} is not normalized")
+            if kb_id is not None:
+                first = self.surface_of.setdefault(kb_id, surface)
+                if first != surface:
+                    raise ValueError(f"kb_id {kb_id!r} has surfaces {first!r} and {surface!r}")
+                kb_id = str(kb_id)
+            self.entities[key] = EntityId(surface, kb_id, is_named is True)
+        return self.entities[key]
+
+
+def read_corpus(path: str | Path) -> Corpus:
+    """The corpus ``save_corpus`` wrote, read strictly and not normalized
+    again; a line in any other form raises ValueError naming it."""
+    reader = _CanonicalReader(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return Corpus(reader.parse(lineno, line)[0] for lineno, line in enumerate(fh, 1))

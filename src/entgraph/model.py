@@ -9,12 +9,33 @@ mutates it.
 from __future__ import annotations
 
 import datetime as dt
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 FALLBACK_TYPE = "thing"
+
+
+@contextmanager
+def _atomic_writer(path: str | Path, newline: str | None = None):
+    """Text handle on a temp file in the target directory, renamed over
+    the target on success.
+
+    An interrupted write leaves the previous file (or none) in place, never
+    a truncated one, and removes its temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def normalize_surface(text: str) -> str:
@@ -60,19 +81,33 @@ class EntityId:
         return f"EntityId({self.surface!r}{kb})"
 
 
+def _type_label(raw: str) -> str:
+    """A type label as the inventory holds it: stripped and lowercased.
+
+    A label with ``#``, ``,`` or a tab cannot appear in a predicate token
+    or a graph file's ``types=`` header and raises ValueError.
+    """
+    label = raw.strip().lower()
+    for char in "#,\t":
+        if char in label:
+            raise ValueError(f"type label {raw!r} contains {char!r}")
+    return label
+
+
 class TypeInventory:
     """Closed inventory of entity type labels with a fallback label.
 
-    Loaded once at startup from a one-label-per-line UTF-8 file. Unknown
-    labels resolve to the fallback ("thing"), which is always a member.
+    Loaded once at startup from a one-label-per-line UTF-8 file. Labels
+    are lowercased on load. Unknown labels resolve to the fallback
+    ("thing"), which is always a member.
     """
 
     def __init__(self, labels: Iterable[str]):
         seen: dict[str, None] = {}
-        for label in labels:
-            label = label.strip()
-            if label and not label.startswith("#"):
-                seen.setdefault(label, None)
+        for line in labels:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                seen.setdefault(_type_label(line), None)
         seen.setdefault(FALLBACK_TYPE, None)
         self._labels: tuple[str, ...] = tuple(seen)
         self._set = frozenset(self._labels)

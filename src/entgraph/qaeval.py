@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .graphio import _atomic_writer
 from .localgraph import ALL_KINDS, BB, BU, UU, _consistent_maps
-from .model import Proposition
+from .model import Proposition, _atomic_writer
 from .qagen import Partition, Question, balance
 from .store import GraphStore
 

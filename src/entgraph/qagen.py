@@ -20,10 +20,9 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graphio import _atomic_writer
-from .ingest import proposition_record, parse_record
+from .ingest import _CanonicalReader, proposition_record
 from .lexicon import LexicalResource
-from .model import Corpus, EntityId, IngestStats, Proposition, TypeInventory, TypedPredicate
+from .model import Corpus, EntityId, Proposition, TypedPredicate, _atomic_writer
 
 QUESTION_FORMAT_VERSION = 1
 EVIDENCE_FORMAT_VERSION = 1
@@ -396,27 +395,32 @@ def write_evidence(partitions: list[Partition], path: str | Path) -> None:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_evidence(
-    path: str | Path, inventory: TypeInventory | None = None
-) -> list[Partition]:
-    inventory = inventory or TypeInventory.default()
-    stats = IngestStats()
+def read_evidence(path: str | Path) -> list[Partition]:
+    """The partitions ``write_evidence`` wrote. Records are read as strictly
+    as ``read_corpus`` reads them, and each partition must hold as many as
+    the header declares."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    header = json.loads(lines[0])
+        lines = fh.read().splitlines()
+    header = json.loads(lines[0]) if lines else {}
     if header.get("format") != "entgraph-evidence":
         raise ValueError(f"{path}: not an evidence file")
     if header.get("version") != EVIDENCE_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported evidence file version")
     meta = {p["id"]: p for p in header["partitions"]}
     by_id: dict[int, list[tuple[str, Proposition]]] = {p["id"]: [] for p in header["partitions"]}
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        props = parse_record(obj, inventory, stats)
-        for prop in props:
-            by_id[obj["partition_id"]].append((obj["prop_id"], prop))
+    reader = _CanonicalReader(path)
+    for lineno, line in enumerate(lines[1:], 2):
+        prop, (part_id, prop_id) = reader.parse(lineno, line, ("partition_id", "prop_id"))
+        if part_id not in by_id:
+            raise ValueError(f"{path}:{lineno}: partition {part_id!r} is not in the header")
+        by_id[part_id].append((prop_id, prop))
     out = []
     for pid in sorted(by_id):
+        if len(by_id[pid]) != meta[pid]["size"]:
+            raise ValueError(
+                f"{path}: partition {pid} has {len(by_id[pid])} records, "
+                f"the header declares {meta[pid]['size']}"
+            )
         lo, hi = meta[pid]["date_range"]
         out.append(
             Partition(

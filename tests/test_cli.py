@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from entgraph import resources
 from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, main
 
 
@@ -189,3 +190,105 @@ class TestReproducibility:
             assert {k: v for k, v in ma.items() if k != "config_hash"} == {
                 k: v for k, v in mb.items() if k != "config_hash"
             }
+
+
+def _raw_corpus(path: Path, records: list[dict]) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+class TestIngestDecidesOnce:
+    """Lemmas and types are decided by `ingest`; later stages read its output."""
+
+    def test_custom_type_survives_every_stage(self, pipeline_dir, tmp_path):
+        records = []
+        for line in resources.sample_corpus_path().read_text().splitlines():
+            rec = json.loads(line)
+            for a in rec["args"]:
+                if a["type"] == "person":
+                    a["type"] = "swimmer"
+            records.append(rec)
+        corpus = _raw_corpus(tmp_path / "swimmers.jsonl", records)
+        types = tmp_path / "types.txt"
+        types.write_text(resources.default_type_inventory_path().read_text() + "swimmer\n")
+        out = str(tmp_path / "out")
+        code = main(["ingest", "--out", out, "--corpus", str(corpus), "--types", str(types)])
+        assert code == EXIT_OK
+        for stage in (["build-local"], ["globalize"], ["gen-questions", "--seed", "3"],
+                      ["answer", "--model", "graph"]):
+            assert main([*stage, "--out", out]) == EXIT_OK
+        assert main(["answer", "--out", str(pipeline_dir), "--model", "graph"]) == EXIT_OK
+
+        def names(root, graphs):
+            return sorted(p.name for p in (root / "graphs" / graphs).glob("*.graph"))
+
+        for graphs in ("local", "global"):
+            assert names(Path(out), graphs) == sorted(
+                n.replace("person", "swimmer") for n in names(pipeline_dir, graphs))
+        questions = (Path(out) / "questions.jsonl").read_text()
+        assert "#swimmer" in questions
+        assert questions == (pipeline_dir / "questions.jsonl").read_text().replace(
+            "#person", "#swimmer")
+        answers = "answers-graph-bb+bu+uu.csv"
+        assert (Path(out) / answers).read_bytes() == (pipeline_dir / answers).read_bytes()
+
+    def test_saved_lemma_is_not_normalized_again(self, tmp_path):
+        records = [
+            {
+                "article_id": f"a{i}", "date": "2021-03-01", "predicate": "caused",
+                "args": [
+                    {"surface": "Phelps", "type": "person", "is_named": True, "role_index": 1},
+                    {"surface": f"Team {i}", "type": "organization", "is_named": True,
+                     "role_index": 2},
+                ],
+            }
+            for i in range(3)
+        ]
+        corpus = _raw_corpus(tmp_path / "caused.jsonl", records)
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", str(corpus)]) == EXIT_OK
+        assert main(["build-local", "--out", str(out)]) == EXIT_OK
+        (graph,) = (out / "graphs" / "local").glob("*.graph")
+        assert "V\tcaus#person#organization" in graph.read_text().splitlines()
+
+    def test_bad_type_label_refused(self, tmp_path, capsys):
+        types = tmp_path / "types.txt"
+        types.write_text("person\nkill#a\n")
+        assert main(["ingest", "--out", str(tmp_path), "--types", str(types)]) == EXIT_DATA
+        assert "'kill#a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", [
+        ["build-local"], ["globalize"], ["gen-questions"], ["answer"], ["evaluate"],
+        ["query", "kill", "die.1"],
+    ])
+    def test_types_option_belongs_to_ingest(self, stage, tmp_path):
+        assert main([*stage, "--out", str(tmp_path), "--types", "x"]) == EXIT_USAGE
+
+    def test_hand_edited_corpus_line_refused(self, tmp_path, capsys):
+        out = tmp_path
+        assert main(["ingest", "--out", str(out)]) == EXIT_OK
+        path = out / "corpus.jsonl"
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].replace('"voice": "active"', '"voice": "passive"')
+        assert '"passive"' in lines[4]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["build-local", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "corpus.jsonl:5:" in err and "voice" in err
+        assert not (out / "graphs").exists()
+
+    def test_hand_edited_evidence_refused(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        path = out / "evidence.jsonl"
+        lines = path.read_text().splitlines()
+        edited = lines[3].replace('"is_named": true', '"is_named": "yes"')
+        assert edited != lines[3]
+        path.write_text("\n".join([*lines[:3], edited, *lines[4:]]) + "\n")
+        capsys.readouterr()
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
+        assert "evidence.jsonl:4:" in capsys.readouterr().err
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
+        assert "the header declares" in capsys.readouterr().err

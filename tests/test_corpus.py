@@ -1,16 +1,23 @@
 """Corpus model, normalization and ingestion contract tests."""
 
 import datetime as dt
+import importlib.util
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from entgraph import resources
 from entgraph.ingest import (
     RecordError,
     decompose_higher_valency,
     ingest,
     normalize_predicate,
+    read_corpus,
+    save_corpus,
 )
 from entgraph.model import (
     Corpus,
@@ -58,6 +65,16 @@ class TestTypeInventory:
         inv = TypeInventory(["person"])
         assert inv.resolve("volcanic_archipelago") == ("thing", False)
         assert inv.resolve("person") == ("person", True)
+
+    def test_labels_lowercased_on_load(self):
+        inv = TypeInventory(["Athlete", "# a comment", "athlete"])
+        assert inv.labels == ("athlete", "thing")
+        assert inv.resolve("Athlete") == ("athlete", True)
+
+    @pytest.mark.parametrize("label", ["a#b", "a,b", "a\tb"])
+    def test_label_with_token_separator_refused(self, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            TypeInventory(["person", label])
 
 
 class TestTypedPredicate:
@@ -244,7 +261,7 @@ class TestCorpusInvariants:
         corpus = ingest(conformance_file)
         out = tmp_path / "saved.jsonl"
         corpus.save(out)
-        again = ingest(out)
+        again = read_corpus(out)
         assert again == corpus
         assert again.predicate_index == corpus.predicate_index
 
@@ -271,3 +288,153 @@ class TestCorpusInvariants:
     def test_date_parsing(self):
         p = prop("sing.1", ("knowles",), date="2021-03-04")
         assert p.date == dt.date(2021, 3, 4)
+
+
+# -- reading the saved corpus ---------------------------------------------------
+
+INVENTORY = TypeInventory(["person", "Organization", "swimmer"])
+
+# -sed/-ses verbs lose more letters each time they are lemmatized again
+ACTIVE = ["caused", "closed", "focused", "raises", "passes", "kills", "sang",
+          "receive from", "has caused", "sell.to", "uses", "were buying"]
+PASSIVE = ["was caused", "was closed", "is raised", "were focused", "was killed by",
+           "has been sold to"]
+COPULAR = ["is an author", "was the winner", "be.champion", "are causes"]
+
+
+@st.composite
+def raw_records(draw):
+    voice = draw(st.sampled_from(["active", "passive", "copular"]))
+    predicate = draw(st.sampled_from({"active": ACTIVE, "passive": PASSIVE,
+                                      "copular": COPULAR}[voice]))
+    n = draw(st.integers(1, 4))
+    roles = [draw(st.sampled_from([1, 2]))] if n == 1 else draw(st.permutations(range(1, n + 1)))
+    args = []
+    for role in roles:
+        arg = {
+            "surface": draw(st.sampled_from(["Mustard", " mr.  Boddy", "KNOWLES", "phelps"])),
+            "type": draw(st.sampled_from(["person", "swimmer", "ORGANIZATION", "volcano"])),
+            "is_named": draw(st.booleans()),
+            "role_index": role,
+        }
+        kb_id = draw(st.sampled_from([None, "fb:1", "fb:2"]))
+        if kb_id is not None:
+            arg["kb_id"] = kb_id
+        args.append(arg)
+    return {
+        "article_id": draw(st.sampled_from(["a1", "a2"])),
+        "date": draw(st.sampled_from([None, "2021-03-01", "2021-03-04"])),
+        "sentence_idx": draw(st.integers(0, 9)),
+        "predicate": predicate,
+        "voice": voice,
+        "modifiers": draw(st.lists(st.sampled_from(["not", "planned to", "failed to"]),
+                                   max_size=2)),
+        "args": args,
+    }
+
+
+def _fields(prop: Proposition) -> tuple:
+    # EntityId.__eq__ ignores the surfaces of linked entities, so compare them here
+    return (
+        prop.predicate,
+        tuple((a.surface, a.kb_id, a.is_named) for a in prop.args),
+        prop.date, prop.article_id, prop.sentence_idx, prop.negated,
+    )
+
+
+def _saved_lines(conformance_file, tmp_path) -> tuple[Path, list[dict]]:
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(ingest(conformance_file), path)
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_records(path: Path, records: list[dict]) -> None:
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+# hand edits of a saved unary record (`kill.2` of `boddy`, linked as fb:m.02)
+NOT_SAVED = {
+    "voice": lambda r: r.update(voice="passive"),
+    "modifiers": lambda r: r.update(modifiers=["not"]),
+    "date-format": lambda r: r.update(date="20210304"),
+    "sentence-idx-string": lambda r: r.update(sentence_idx="0"),
+    "extra-field": lambda r: r.update(note="extra"),
+    "missing-field": lambda r: r.pop("article_id"),
+    "linked-surface": lambda r: r["args"][0].update(surface="Mustard"),
+    "surface-case": lambda r: (r["args"][0].pop("kb_id"), r["args"][0].update(surface="Boddy")),
+    "type-case": lambda r: r["args"][0].update(type="Person"),
+    "type-separator": lambda r: r["args"][0].update(type="per#son"),
+    "is-named-string": lambda r: r["args"][0].update(is_named="yes"),
+    "kb-id-null": lambda r: r["args"][0].update(kb_id=None),
+    "kb-id-number": lambda r: r["args"][0].update(kb_id=2),
+    "role": lambda r: r["args"][0].update(role_index=3),
+    "unnamed": lambda r: r["args"][0].update(is_named=False),
+    "valency-2-roles": lambda r: r["args"].append(dict(r["args"][0], role_index=3)),
+}
+
+
+class TestReadCorpus:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(raw_records(), min_size=1, max_size=10))
+    def test_inverts_save_of_ingest(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            raw, saved = Path(tmp) / "raw.jsonl", Path(tmp) / "corpus.jsonl"
+            raw.write_text("".join(json.dumps(r) + "\n" for r in records))
+            expected = ingest(raw, INVENTORY)
+            save_corpus(expected, saved)
+            got = read_corpus(saved)
+        assert [_fields(p) for p in got] == [_fields(p) for p in expected]
+
+    def test_keeps_lemma_that_normalizing_again_would_change(self, tmp_path):
+        record = {
+            "predicate": "caused", "date": "2021-03-01",
+            "args": [{"surface": "Phelps", "type": "person", "is_named": True, "role_index": 1}],
+        }
+        raw, saved = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl"
+        _write_records(raw, [record])
+        save_corpus(ingest(raw), saved)
+        assert read_corpus(saved).propositions[0].predicate.lemma == "caus"
+        assert ingest(saved).propositions[0].predicate.lemma == "cau"
+
+    def test_shares_predicates_and_entities(self, conformance_file, tmp_path):
+        path, records = _saved_lines(conformance_file, tmp_path)
+        _write_records(path, records + records)
+        props = read_corpus(path).propositions
+        half = len(props) // 2
+        for a, b in zip(props[:half], props[half:]):
+            assert a.predicate is b.predicate
+            assert all(x is y for x, y in zip(a.args, b.args))
+
+    @pytest.mark.parametrize("edit", NOT_SAVED.values(), ids=NOT_SAVED.keys())
+    def test_refuses_what_save_corpus_would_not_write(self, conformance_file, tmp_path, edit):
+        path, records = _saved_lines(conformance_file, tmp_path)
+        edit(records[1])
+        _write_records(path, records)
+        with pytest.raises(ValueError, match="corpus.jsonl:2: "):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines[:2] + [lines[2][:-9]] + lines[3:],
+        lambda lines: lines[:2] + [""] + lines[2:],
+    ])
+    def test_refuses_truncated_or_blank_line(self, conformance_file, tmp_path, damage):
+        path, _ = _saved_lines(conformance_file, tmp_path)
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match="corpus.jsonl:3: "):
+            read_corpus(path)
+
+    def test_refuses_second_surface_for_kb_id(self, conformance_file, tmp_path):
+        path, records = _saved_lines(conformance_file, tmp_path)
+        linked = [i for i, r in enumerate(records) if r["args"][0].get("kb_id") == "fb:m.02"]
+        records[linked[-1]]["args"][0]["surface"] = "mr. boddy"
+        _write_records(path, records)
+        with pytest.raises(ValueError, match=f"corpus.jsonl:{linked[-1] + 1}: .*fb:m.02"):
+            read_corpus(path)
+
+
+def test_sample_corpus_matches_its_generator():
+    script = Path(__file__).parent.parent / "scripts" / "make_sample_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_sample_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.render().encode() == resources.sample_corpus_path().read_bytes()

@@ -6,8 +6,9 @@ import functools
 
 import pytest
 
-from entgraph import graphio, qaeval, qagen
+from entgraph import model, qaeval, qagen
 from entgraph.cli import EXIT_DATA, _write_manifest, main
+from entgraph.features import PairVector, dump_vectors_tsv
 from entgraph.graphio import (
     VersionMismatch,
     read_graph_dir,
@@ -26,7 +27,9 @@ from entgraph.localgraph import (
     valid_maps,
 )
 
-from conftest import DATA, ent, pred
+from entgraph.ingest import save_corpus
+
+from conftest import DATA, corpus, ent, pred, prop
 
 
 def golden_subgraph() -> TypedSubgraph:
@@ -203,7 +206,9 @@ class _FailMidway:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-@pytest.mark.parametrize("artifact", ["subgraph", "manifest", "questions", "answers"])
+@pytest.mark.parametrize(
+    "artifact", ["subgraph", "manifest", "questions", "answers", "corpus", "vectors"]
+)
 def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
     if artifact == "subgraph":
         path = tmp_path / "bi__person__person.graph"
@@ -217,14 +222,22 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
             "q1", 0, pred("die.1", "person"), (ent("boddy"),), "positive", {})
         qs = qagen.QuestionSet([question], [], {"format": "entgraph-questions"})
         write = functools.partial(qagen.write_questions, qs, path)
-    else:
+    elif artifact == "answers":
         path = tmp_path / "answers-graph-bb.csv"
         records = [qaeval.AnswerRecord("q1", "graph-bb", 0.5, "p1")]
         write = functools.partial(qaeval.write_answers, records, path)
+    elif artifact == "corpus":
+        path = tmp_path / "corpus.jsonl"
+        write = functools.partial(save_corpus, corpus(prop("sing.1", ("knowles",))), path)
+    else:
+        path = tmp_path / "vectors.tsv"
+        kill = pred("kill", "person", "person")
+        vectors = {kill: PairVector(kill, {("mustard", "boddy"): 0.5})}
+        write = functools.partial(dump_vectors_tsv, path, vectors, {})
     write()
     before = path.read_bytes()
     monkeypatch.setattr(
-        graphio, "open",
+        model, "open",
         lambda *a, **kw: _FailMidway(builtins.open(*a, **kw)), raising=False,
     )
     with pytest.raises(OSError):
