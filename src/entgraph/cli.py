@@ -4,6 +4,12 @@ Each stage reads the previous stage's artifacts from the output directory
 and writes its own, with a JSON manifest (stage version, config hash,
 seed, input digests) so identical inputs reproduce identical bytes.
 
+A stage normally runs as a process of its own, so each subcommand
+imports the layers it calls when it runs, not when this module loads:
+numpy, through ``globalgraph``, is loaded by ``globalize`` alone, and
+``qagen``, ``lexicon``, ``qaeval`` and ``store`` only by the stages that
+use them.
+
 Exit codes: 0 success, 1 usage error, 2 data/dependency error, 3 file
 format version mismatch.
 """
@@ -16,15 +22,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import graphio, qaeval, qagen, resources
-from .features import FeatureConfig, dump_vectors_tsv
-from .globalgraph import GlobalConfig, apply_to_all
-from .ingest import ingest, read_corpus
-from .lexicon import LexicalResource
-from .localgraph import BB, BU, UU, LocalBuildConfig, build_local_graphs
-from .model import TypeInventory, TypedPredicate, _atomic_writer
-from .qagen import QaGenConfig, generate_questions, read_evidence, read_questions
-from .store import GraphStore
+from . import resources
+from .model import (
+    EntityId,
+    Proposition,
+    TypeInventory,
+    TypedPredicate,
+    VersionMismatch,
+    _atomic_writer,
+)
 
 STAGE_VERSION = 1
 
@@ -77,11 +83,16 @@ def _require(path: Path, produced_by: str) -> Path:
 
 
 def cmd_ingest(args) -> int:
+    from .ingest import ingest
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_path = Path(args.corpus)
     _require(corpus_path, "ingest (input corpus file is missing)")
-    inventory = TypeInventory.from_file(args.types) if args.types else None
+    inventory = None
+    if args.types:
+        inventory = TypeInventory.from_file(
+            _require(Path(args.types), "ingest (type inventory file is missing)"))
     corpus = ingest(corpus_path, inventory)
     corpus.save(out / "corpus.jsonl")
     config = {"corpus": str(corpus_path), "types": args.types, "stats": corpus.stats.as_dict()}
@@ -95,6 +106,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_build_local(args) -> int:
+    from . import graphio
+    from .features import FeatureConfig, dump_vectors_tsv
+    from .ingest import read_corpus
+    from .localgraph import LocalBuildConfig, build_local_graphs
+
     out = Path(args.out)
     corpus_path = _require(out / "corpus.jsonl", "ingest")
     corpus = read_corpus(corpus_path)
@@ -117,6 +133,9 @@ def cmd_build_local(args) -> int:
 
 
 def cmd_globalize(args) -> int:
+    from . import graphio
+    from .globalgraph import GlobalConfig, apply_to_all
+
     out = Path(args.out)
     local_dir = _require(out / "graphs" / "local", "build-local")
     local = graphio.read_graph_dir(local_dir)
@@ -143,6 +162,10 @@ def cmd_globalize(args) -> int:
 
 
 def cmd_gen_questions(args) -> int:
+    from .ingest import read_corpus
+    from .lexicon import LexicalResource
+    from .qagen import QaGenConfig, generate_questions, write_evidence, write_questions
+
     out = Path(args.out)
     corpus_path = _require(out / "corpus.jsonl", "ingest")
     corpus = read_corpus(corpus_path)
@@ -159,8 +182,8 @@ def cmd_gen_questions(args) -> int:
         seed=args.seed,
     )
     qs = generate_questions(corpus, lex, config)
-    qagen.write_questions(qs, out / "questions.jsonl")
-    qagen.write_evidence(qs.evidence, out / "evidence.jsonl")
+    write_questions(qs, out / "questions.jsonl")
+    write_evidence(qs.evidence, out / "evidence.jsonl")
     _write_manifest(
         out, "gen-questions",
         {k: v for k, v in qs.manifest.items() if k != "format"},
@@ -186,6 +209,8 @@ def _graph_dir(out: Path, choice: str) -> Path:
 
 
 def _parse_components(text: str) -> frozenset[str]:
+    from .localgraph import BB, BU, UU
+
     names = {"bb": BB, "uu": UU, "bu": BU}
     out = set()
     for part in text.split(","):
@@ -197,6 +222,10 @@ def _parse_components(text: str) -> frozenset[str]:
 
 
 def cmd_answer(args) -> int:
+    from . import qaeval
+    from .qagen import read_evidence, read_questions
+    from .store import GraphStore
+
     out = Path(args.out)
     questions, _ = read_questions(_require(out / "questions.jsonl", "gen-questions"))
     evidence = {
@@ -239,6 +268,10 @@ def cmd_answer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import qaeval
+    from .qagen import read_questions
+    from .store import GraphStore
+
     out = Path(args.out)
     questions, _ = read_questions(_require(out / "questions.jsonl", "gen-questions"))
     suffix = ""
@@ -287,7 +320,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_query(args) -> int:
     from .localgraph import _bound_args, valid_maps
-    from .model import EntityId, Proposition
+    from .store import GraphStore
 
     out = Path(args.out)
     store = GraphStore.open(_graph_dir(out, args.graphs))
@@ -429,7 +462,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except graphio.VersionMismatch as exc:
+    except VersionMismatch as exc:
         print(f"version mismatch: {exc}", file=sys.stderr)
         return EXIT_VERSION
     except DataError as exc:

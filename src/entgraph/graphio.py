@@ -11,14 +11,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from .localgraph import ArgMap, EntailmentEdge, TypedSubgraph
-from .model import TypedPredicate, _atomic_writer
+from .model import TypedPredicate, VersionMismatch, _atomic_writer
 
 FORMAT_VERSION = 1
 MAGIC = "entgraph-subgraph"
-
-
-class VersionMismatch(ValueError):
-    """File declares a format version this code does not read."""
 
 
 def subgraph_filename(signature: tuple[str, ...]) -> str:

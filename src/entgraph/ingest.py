@@ -129,6 +129,17 @@ def _segments(raw: str, voice: str) -> list[str]:
     return out
 
 
+def _lemma(lemma: str) -> str:
+    """A lemma as a predicate vertex can carry it.
+
+    A ``#`` would split its predicate token (``kill#x#person#person``) into
+    the wrong number of types and raises RecordError.
+    """
+    if "#" in lemma:
+        raise RecordError(f"predicate {lemma!r} contains '#'")
+    return lemma
+
+
 def normalize_predicate(raw: str, voice: str = "active", modifiers: Iterable[str] = ()) -> str:
     """Normalize a raw predicate string to a dotted lemma.
 
@@ -151,7 +162,7 @@ def normalize_predicate(raw: str, voice: str = "active", modifiers: Iterable[str
         if not mod_segs:
             raise RecordError(f"empty modifier in {raw!r}")
         prefix.extend(mod_segs)
-    return ".".join(prefix + segs)
+    return _lemma(".".join(prefix + segs))
 
 
 def _mapped_role(role: int, voice: str) -> int:
@@ -398,6 +409,7 @@ class _CanonicalReader:
         if pred is None:
             if not isinstance(lemma, str) or not lemma:
                 raise ValueError(f"predicate {lemma!r} is not a lemma")
+            _lemma(lemma)
             for label in types:
                 if not label or _type_label(label) != label:
                     raise ValueError(f"type {label!r} is not an inventory label")

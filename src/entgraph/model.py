@@ -19,6 +19,14 @@ from typing import Iterable, Iterator
 FALLBACK_TYPE = "thing"
 
 
+class VersionMismatch(ValueError):
+    """An artifact declares a format version this code does not read.
+
+    Defined here, not in ``graphio`` which raises it, so that the CLI can
+    catch it without importing a layer.
+    """
+
+
 @contextmanager
 def _atomic_writer(path: str | Path, newline: str | None = None):
     """Text handle on a temp file in the target directory, renamed over

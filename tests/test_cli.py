@@ -257,6 +257,28 @@ class TestIngestDecidesOnce:
         assert main(["ingest", "--out", str(tmp_path), "--types", str(types)]) == EXIT_DATA
         assert "'kill#a'" in capsys.readouterr().err
 
+    def test_missing_types_file_refused(self, tmp_path, capsys):
+        types = tmp_path / "no-such-types.txt"
+        assert main(["ingest", "--out", str(tmp_path), "--types", str(types)]) == EXIT_DATA
+        assert str(types) in capsys.readouterr().err
+
+    def test_predicate_with_token_separator_is_malformed(self, tmp_path, capsys):
+        sample = resources.sample_corpus_path().read_text().splitlines()
+        hashed = {
+            "article_id": "x1", "date": "2021-03-01", "predicate": "kill#x",
+            "args": [
+                {"surface": "Mustard", "type": "person", "is_named": True, "role_index": 1},
+                {"surface": "Boddy", "type": "person", "is_named": True, "role_index": 2},
+            ],
+        }
+        corpus = _raw_corpus(tmp_path / "hashed.jsonl",
+                             [json.loads(line) for line in sample] + [hashed] * 3)
+        out = str(tmp_path / "out")
+        assert main(["ingest", "--out", out, "--corpus", str(corpus)]) == EXIT_OK
+        assert "(3 malformed," in capsys.readouterr().out
+        assert main(["build-local", "--out", out]) == EXIT_OK
+        assert main(["globalize", "--out", out]) == EXIT_OK
+
     @pytest.mark.parametrize("stage", [
         ["build-local"], ["globalize"], ["gen-questions"], ["answer"], ["evaluate"],
         ["query", "kill", "die.1"],

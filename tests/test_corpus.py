@@ -124,6 +124,13 @@ class TestNormalizePredicate:
         with pytest.raises(RecordError):
             normalize_predicate("  ")
 
+    @pytest.mark.parametrize("raw,modifiers", [
+        ("kill#x", []), ("sell.to#x", []), ("attend", ["planned#to"]),
+    ])
+    def test_token_separator_raises(self, raw, modifiers):
+        with pytest.raises(RecordError, match="'#'"):
+            normalize_predicate(raw, "active", modifiers)
+
     def test_idempotent_on_lemmas(self):
         for lemma in ("kill", "sell.to", "be.author", "not.attend", "plan.to.attend"):
             assert normalize_predicate(lemma) == lemma
@@ -364,6 +371,7 @@ NOT_SAVED = {
     "surface-case": lambda r: (r["args"][0].pop("kb_id"), r["args"][0].update(surface="Boddy")),
     "type-case": lambda r: r["args"][0].update(type="Person"),
     "type-separator": lambda r: r["args"][0].update(type="per#son"),
+    "predicate-separator": lambda r: r.update(predicate="kill#x"),
     "is-named-string": lambda r: r["args"][0].update(is_named="yes"),
     "kb-id-null": lambda r: r["args"][0].update(kb_id=None),
     "kb-id-number": lambda r: r["args"][0].update(kb_id=2),
