@@ -72,10 +72,20 @@ def _write_manifest(out_dir: Path, stage: str, config: dict, inputs: list[Path],
 
 
 def _require(path: Path, produced_by: str) -> Path:
+    """An artifact an earlier stage writes."""
     if not path.exists():
         raise DataError(
             f"missing artifact {path}; run the `{produced_by}` subcommand first"
         )
+    return path
+
+
+def _input_file(path: Path, what: str) -> Path:
+    """A file the user names on the command line."""
+    if not path.exists():
+        raise DataError(f"{what} {path} does not exist")
+    if not path.is_file():
+        raise DataError(f"{what} {path} is not a file")
     return path
 
 
@@ -87,12 +97,10 @@ def cmd_ingest(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    corpus_path = Path(args.corpus)
-    _require(corpus_path, "ingest (input corpus file is missing)")
+    corpus_path = _input_file(Path(args.corpus), "input corpus file")
     inventory = None
     if args.types:
-        inventory = TypeInventory.from_file(
-            _require(Path(args.types), "ingest (type inventory file is missing)"))
+        inventory = TypeInventory.from_file(_input_file(Path(args.types), "type inventory file"))
     corpus = ingest(corpus_path, inventory)
     corpus.save(out / "corpus.jsonl")
     config = {"corpus": str(corpus_path), "types": args.types, "stats": corpus.stats.as_dict()}
@@ -197,15 +205,24 @@ def cmd_gen_questions(args) -> int:
 
 
 def _graph_dir(out: Path, choice: str) -> Path:
+    """The graph directory ``--graphs`` names; it must hold ``*.graph`` files."""
     if choice == "global":
-        return _require(out / "graphs" / "global", "globalize")
-    if choice == "local":
-        return _require(out / "graphs" / "local", "build-local")
-    if choice == "auto":
-        if (out / "graphs" / "global").exists():
-            return out / "graphs" / "global"
-        return _require(out / "graphs" / "local", "build-local")
-    return _require(Path(choice), "build-local")
+        path = _require(out / "graphs" / "global", "globalize")
+    elif choice == "local":
+        path = _require(out / "graphs" / "local", "build-local")
+    elif choice == "auto" and (out / "graphs" / "global").exists():
+        path = out / "graphs" / "global"
+    elif choice == "auto":
+        path = _require(out / "graphs" / "local", "build-local")
+    else:
+        path = Path(choice)
+        if not path.exists():
+            raise DataError(f"graph directory {path} does not exist")
+    if not path.is_dir():
+        raise DataError(f"graph directory {path} is not a directory")
+    if not any(path.glob("*.graph")):
+        raise DataError(f"graph directory {path} holds no *.graph file")
+    return path
 
 
 def _parse_components(text: str) -> frozenset[str]:
@@ -252,7 +269,7 @@ def cmd_answer(args) -> int:
         if not args.scores:
             raise UsageError("--model external needs --scores (or --export-evidence)")
         tag = "external"
-        scores = qaeval.read_external_scores(_require(Path(args.scores), "external scorer"))
+        scores = qaeval.read_external_scores(_input_file(Path(args.scores), "score file"))
         records = qaeval.external_scores(questions, scores)
     path = out / f"answers-{tag}.csv"
     qaeval.write_answers(records, path)
@@ -284,7 +301,7 @@ def cmd_evaluate(args) -> int:
     gold = {q.id: q.polarity == "positive" for q in questions}
     answer_paths = sorted(out.glob("answers-*.csv"))
     if args.answers:
-        answer_paths = [Path(p) for p in args.answers]
+        answer_paths = [_input_file(Path(p), "answer file") for p in args.answers]
     if not answer_paths:
         raise DataError("no answer files found; run the `answer` subcommand first")
     report_dir = out / "report"
@@ -293,7 +310,7 @@ def cmd_evaluate(args) -> int:
     if args.filtered:
         summary_lines.append(f"filtered question set: {len(questions)} questions")
     for path in answer_paths:
-        records = qaeval.read_answers(_require(path, "answer"))
+        records = qaeval.read_answers(path)
         records = [r for r in records if r.question_id in gold]
         model = records[0].model_id if records else path.stem
         curve = qaeval.pr_curve(records, gold)

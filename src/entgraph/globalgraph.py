@@ -19,17 +19,28 @@ than SCORE_TOLERANCE outside it is an error, not something to clip.
 Because the edges stay put, each is numbered once, by sorted signature and
 then in its subgraph's ``edges`` order; local scores, cliques and the
 solution are indexed by that position, and each refined subgraph keeps
-its edges in the order of the local one.
+its edges in the order of the local one, sharing every column but the
+scores with it.
+
+Cliques are found from the subgraphs' integer columns: paraphrase pairs
+by vertex id, and cross-graph twins by one integer key made of the
+untyped-name ids of both endpoints and the edge code. Components of one
+size are solved together, with one stacked ``np.linalg.solve``; each
+matrix is built entry by entry in clique order, as it would be alone, so
+the scores are the same bits as one solve per component.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .localgraph import TypedSubgraph
+from .localgraph import EDGE_CODES, TypedSubgraph
 
 # how far rounding may carry a solved score outside [0, 1]
 SCORE_TOLERANCE = 1e-12
@@ -59,19 +70,47 @@ class GlobalGraph:
 
 def find_paraphrases(subgraph: TypedSubgraph, tau: float):
     """Unordered same-valency predicate pairs entailing each other >= tau."""
-    best: dict[tuple, float] = {}
-    for e in subgraph.edges:
-        k = (e.premise, e.hypothesis)
-        if e.score > best.get(k, 0.0):
-            best[k] = e.score
-    pairs = set()
-    for (p, q), s in best.items():
-        if s < tau or p.valency != q.valency:
-            continue
-        back = best.get((q, p), 0.0)
-        if back >= tau:
-            pairs.add(tuple(sorted((p, q), key=lambda x: x.token())))
+    return {
+        (subgraph.vertices[p], subgraph.vertices[q])
+        for p, q in _paraphrase_ids(subgraph, tau)
+    }
+
+
+def _paraphrase_ids(sub: TypedSubgraph, tau: float) -> list[tuple[int, int]]:
+    """``find_paraphrases`` as vertex-id pairs, each in token order, listed
+    in the order of the sorted predicate pairs."""
+    premise, hypothesis, scores = sub.premise_ids, sub.hypothesis_ids, sub.scores
+    strong = set()
+    i, n = 0, len(scores)
+    while i < n:
+        # the edges of one (premise, hypothesis) pair are adjacent
+        p, q, best = premise[i], hypothesis[i], scores[i]
+        i += 1
+        while i < n and premise[i] == p and hypothesis[i] == q:
+            best = max(best, scores[i])
+            i += 1
+        if best >= tau and sub.vertices[p].valency == sub.vertices[q].valency:
+            strong.add((p, q))
+    pairs = [(p, q) for p, q in strong if p < q and (q, p) in strong]
+    pairs.sort(key=lambda pq: (sub.vertices[pq[0]], sub.vertices[pq[1]]))
     return pairs
+
+
+class EdgePositions(Sequence):
+    """The (signature, index in its ``edges``) of each family position,
+    computed on access from where each subgraph's edges start."""
+
+    def __init__(self, signatures: list, starts: list[int]):
+        self._signatures = signatures
+        self._starts = starts  # and the edge count after the last
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> tuple[tuple, int]:
+        i = range(len(self))[i]
+        k = bisect_right(self._starts, i) - 1
+        return self._signatures[k], i - self._starts[k]
 
 
 def _coupling_groups(subgraphs: Mapping, config: GlobalConfig):
@@ -79,44 +118,66 @@ def _coupling_groups(subgraphs: Mapping, config: GlobalConfig):
 
     Edges are numbered by sorted signature, then in each subgraph's
     ``edges`` order; ``edge_at[i]`` is the (signature, index in ``edges``)
-    of position i and ``local[i]`` its local score.
+    of position i and ``local[i]`` its local score. Paraphrase cliques
+    come first, by signature, then cross cliques in the order of their
+    first member; members are ascending positions. Cross-graph twins are
+    found from integer keys: untyped-name ids of both endpoints and the
+    edge code.
     """
-    edge_at: list[tuple[tuple, int]] = []
-    local: list[float] = []
+    signatures = sorted(subgraphs)
+    starts = [0]
+    for sig in signatures:
+        starts.append(starts[-1] + len(subgraphs[sig].scores))
     groups: list[tuple[float, list[int]]] = []
-    across: dict[tuple, list[int]] = {}
-    for sig in sorted(subgraphs):
-        sub = subgraphs[sig]
-        start = len(local)
-        out_by_pred: dict = {}
-        for i, e in enumerate(sub.edges):
-            edge_at.append((sig, i))
-            local.append(e.score)
-            out_by_pred.setdefault(e.premise, {})[
-                (e.hypothesis, e.kind, e.arg_map)
-            ] = start + i
-            across.setdefault(
-                (e.premise.untyped, e.hypothesis.untyped, e.kind, e.arg_map), []
-            ).append(start + i)
-        if config.lambda_para > 0:
-            for p, q in sorted(find_paraphrases(sub, config.paraphrase_tau)):
-                q_out = out_by_pred.get(q, {})
-                for target, pv in out_by_pred.get(p, {}).items():
-                    qv = q_out.get(target)
-                    if qv is not None:
-                        groups.append((config.lambda_para, [pv, qv]))
-    if config.lambda_cross > 0:
-        # first-member order; members are ascending positions
-        groups.extend(
-            (config.lambda_cross, vids) for vids in across.values() if len(vids) > 1
-        )
-    return np.array(local), edge_at, groups
+    if config.lambda_para > 0:
+        for sig, start in zip(signatures, starts):
+            sub = subgraphs[sig]
+            for p, q in _paraphrase_ids(sub, config.paraphrase_tau):
+                q_out = {
+                    (sub.hypothesis_ids[j], sub.codes[j]): j for j in sub.out_positions(q)
+                }
+                for i in sub.out_positions(p):
+                    j = q_out.get((sub.hypothesis_ids[i], sub.codes[i]))
+                    if j is not None:
+                        groups.append((config.lambda_para, [start + i, start + j]))
+    if config.lambda_cross > 0 and signatures:
+        names: dict[tuple[str, int], int] = {}
+        name_ids = [
+            np.array([names.setdefault(v.untyped, len(names)) for v in subgraphs[sig].vertices],
+                     dtype=np.int64)
+            for sig in signatures
+        ]
+        keys = np.concatenate([
+            (name_id[np.frombuffer(sub.premise_ids, dtype=np.int32)] * len(names)
+             + name_id[np.frombuffer(sub.hypothesis_ids, dtype=np.int32)]) * len(EDGE_CODES)
+            + np.frombuffer(sub.codes, dtype=np.int8)
+            for name_id, sub in zip(name_ids, (subgraphs[sig] for sig in signatures))
+        ])
+        # a stable sort keeps each clique's members ascending
+        order = np.argsort(keys, kind="stable")
+        run_starts = np.flatnonzero(np.diff(keys[order], prepend=-1, append=-1))
+        cliques = [
+            order[a:b].tolist()
+            for a, b in zip(run_starts[:-1].tolist(), run_starts[1:].tolist())
+            if b - a > 1
+        ]
+        cliques.sort(key=lambda members: members[0])
+        groups.extend((config.lambda_cross, members) for members in cliques)
+    local = np.concatenate(
+        [np.frombuffer(subgraphs[sig].scores, dtype=np.float64) for sig in signatures]
+        or [np.zeros(0)]
+    )
+    return local, EdgePositions(signatures, starts), groups
 
 
 def _solve_components(local: np.ndarray, groups) -> np.ndarray:
-    """Exact minimizer of the quadratic, component by component."""
-    n = len(local)
-    parent = list(range(n))
+    """Exact minimizer of the quadratic, component by component.
+
+    Components of one size are solved together, with one stacked
+    ``np.linalg.solve``; each matrix is built exactly as it would be
+    alone, so the solution does not depend on the batching.
+    """
+    parent = array("i", range(len(local)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -124,36 +185,43 @@ def _solve_components(local: np.ndarray, groups) -> np.ndarray:
             a = parent[a]
         return a
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
     for _, vids in groups:
         for v in vids[1:]:
-            union(vids[0], v)
+            ra, rb = find(vids[0]), find(v)
+            if ra != rb:
+                parent[rb] = ra
 
     members: dict[int, list[int]] = {}
-    for v in range(n):
+    for v in sorted({v for _, vids in groups for v in vids}):
         members.setdefault(find(v), []).append(v)
-
-    solution = local.astype(float)
     coupled_groups: dict[int, list] = {}
     for g in groups:
         coupled_groups.setdefault(find(g[1][0]), []).append(g)
 
+    by_size: dict[int, list[int]] = {}
     for root, vids in members.items():
-        gs = coupled_groups.get(root)
-        if not gs or len(vids) == 1:
-            continue
-        index = {v: i for i, v in enumerate(vids)}
-        a = np.eye(len(vids))
-        for weight, gvids in gs:
-            # the clique's Laplacian: pairwise penalties among its members
-            k = len(gvids)
-            at = [index[v] for v in gvids]
-            a[np.ix_(at, at)] += weight * (k * np.eye(k) - np.ones((k, k)))
-        solution[vids] = np.linalg.solve(a, local[vids])
+        by_size.setdefault(len(vids), []).append(root)
+    solution = local.astype(float)
+    for k, roots in by_size.items():
+        a = np.empty((len(roots), k * k))
+        positions: list[int] = []
+        for c, root in enumerate(roots):
+            vids = members[root]
+            index = {v: i for i, v in enumerate(vids)}
+            # I plus each clique's Laplacian, entry by entry in group order
+            row = [0.0] * (k * k)
+            row[:: k + 1] = [1.0] * k
+            for weight, gvids in coupled_groups[root]:
+                diagonal = weight * (len(gvids) - 1.0)
+                at = [index[v] for v in gvids]
+                for i in at:
+                    for j in at:
+                        row[i * k + j] += diagonal if i == j else -weight
+            a[c] = row
+            positions.extend(vids)
+        at = np.array(positions)
+        rhs = local[at].reshape(len(roots), k, 1)
+        solution[at] = np.linalg.solve(a.reshape(len(roots), k, k), rhs).ravel()
     return solution
 
 

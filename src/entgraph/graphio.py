@@ -2,15 +2,17 @@
 
 One file per subgraph. Header lines pin the format version, signature and
 counts; vertex lines then edge lines follow, both sorted. Scores are
-written with repr() so they reload bit-exactly. A graph directory is read
-as a whole: its files share one object per predicate.
+written with repr() so they reload bit-exactly. Edge lines are written
+from a subgraph's columns and parsed straight into them: no per-edge
+object is built either way. A graph directory is read as a whole: its
+files share one object per predicate.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .localgraph import ArgMap, EntailmentEdge, TypedSubgraph
+from .localgraph import EDGE_CODE, EDGE_CODES, ArgMap, EntailmentEdge, TypedSubgraph, _columns
 from .model import TypedPredicate, VersionMismatch, _atomic_writer
 
 FORMAT_VERSION = 1
@@ -22,63 +24,82 @@ def subgraph_filename(signature: tuple[str, ...]) -> str:
     return f"{prefix}__" + "__".join(signature) + ".graph"
 
 
+# the kind and map fields of an E line, by edge code, and back
+_EDGE_TEXT = tuple(f"{kind}\t{amap.format()}" for kind, amap in EDGE_CODES)
+_CODE_OF_TEXT = {(kind, amap.format()): code for code, (kind, amap) in enumerate(EDGE_CODES)}
+
+
 def write_subgraph(subgraph: TypedSubgraph, path: str | Path) -> None:
-    lines = [
+    tokens = list(subgraph.token_ids)
+    header = [
         f"{MAGIC} v{FORMAT_VERSION}",
         f"kind={subgraph.kind}",
         "types=" + ",".join(subgraph.signature),
-        f"vertices={len(subgraph.vertices)}",
-        f"edges={len(subgraph.edges)}",
+        f"vertices={len(tokens)}",
+        f"edges={len(subgraph.scores)}",
+        *(f"V\t{token}" for token in tokens),
     ]
-    for v in sorted(subgraph.vertices, key=lambda p: p.token()):
-        lines.append(f"V\t{v.token()}")
-    for e in subgraph.edges:
-        lines.append(
-            "E\t{}\t{}\t{}\t{}\t{}".format(
-                e.premise.token(), e.hypothesis.token(), e.kind,
-                e.arg_map.format(), repr(e.score),
-            )
-        )
     with _atomic_writer(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for p, h, c, s in zip(
+            subgraph.premise_ids, subgraph.hypothesis_ids, subgraph.codes, subgraph.scores
+        ):
+            fh.write(f"E\t{tokens[p]}\t{tokens[h]}\t{_EDGE_TEXT[c]}\t{s!r}\n")
 
 
 def read_subgraph(
     path: str | Path, predicates: dict[str, TypedPredicate] | None = None
 ) -> TypedSubgraph:
-    """Parse one subgraph file.
+    """Parse one subgraph file straight into edge columns.
 
     ``predicates`` maps tokens to parsed predicates; a token found there is
     reused and a new one is added, so files read with one table share
     vertex objects. ``E`` endpoints resolve only against this file's ``V``
-    lines.
+    lines, which come first.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith(MAGIC):
-        raise ValueError(f"{path}: not a subgraph file")
-    version = lines[0][len(MAGIC):].strip()
-    if version != f"v{FORMAT_VERSION}":
-        raise VersionMismatch(
-            f"{path}: format {version or '?'} unsupported (expected v{FORMAT_VERSION})"
-        )
     predicates = {} if predicates is None else predicates
     header: dict[str, str] = {}
-    by_token: dict[str, TypedPredicate] = {}
-    edge_fields: list[list[str]] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("V\t"):
-            token = line[2:].strip()
-            vertex = predicates.get(token)
-            if vertex is None:
-                vertex = predicates[token] = TypedPredicate.parse_token(token)
-            by_token[token] = vertex
-        elif line.startswith("E\t"):
-            edge_fields.append(line.split("\t"))
-        else:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
+    vertices: list[TypedPredicate] = []
+    ids: dict[str, int] = {}
+    premise_ids, hypothesis_ids, codes, scores = _columns()
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.startswith(MAGIC):
+            raise ValueError(f"{path}: not a subgraph file")
+        version = first[len(MAGIC):].strip()
+        if version != f"v{FORMAT_VERSION}":
+            raise VersionMismatch(
+                f"{path}: format {version or '?'} unsupported (expected v{FORMAT_VERSION})"
+            )
+        for line in fh:
+            if line.startswith("E\t"):
+                _, prem, hyp, kind, amap, score = line.split("\t")
+                p, h = ids.get(prem), ids.get(hyp)
+                if p is None or h is None:
+                    missing = prem if p is None else hyp
+                    raise ValueError(f"{path}: edge endpoint {missing!r} has no V line")
+                code = _CODE_OF_TEXT.get((kind, amap))
+                if code is None:
+                    # not a map as written: EntailmentEdge names the fault
+                    e = EntailmentEdge(vertices[p], vertices[h], kind, ArgMap.parse(amap), 0.0)
+                    code = EDGE_CODE[e.kind, e.arg_map]
+                premise_ids.append(p)
+                hypothesis_ids.append(h)
+                codes.append(code)
+                scores.append(float(score))
+            elif line.startswith("V\t"):
+                if codes:
+                    raise ValueError(f"{path}: V line after the E lines")
+                token = line[2:].strip()
+                if token not in ids:
+                    vertex = predicates.get(token)
+                    if vertex is None:
+                        vertex = predicates[token] = TypedPredicate.parse_token(token)
+                    ids[token] = len(vertices)
+                    vertices.append(vertex)
+            elif line.strip():
+                key, _, value = line.partition("=")
+                header[key.strip()] = value.strip()
     if "types" not in header:
         raise ValueError(f"{path}: missing types header")
     types = tuple(t for t in header["types"].split(",") if t)
@@ -87,19 +108,12 @@ def read_subgraph(
         raise ValueError(
             f"{path}: kind={header['kind']} does not match types={header['types']}"
         )
-    edges: list[EntailmentEdge] = []
-    for _, prem, hyp, edge_kind, amap, score in edge_fields:
-        premise, hypothesis = by_token.get(prem), by_token.get(hyp)
-        if premise is None or hypothesis is None:
-            missing = prem if premise is None else hyp
-            raise ValueError(f"{path}: edge endpoint {missing!r} has no V line")
-        edges.append(
-            EntailmentEdge(premise, hypothesis, edge_kind, ArgMap.parse(amap), float(score))
-        )
-    for key, found in (("vertices", by_token), ("edges", edges)):
+    for key, found in (("vertices", vertices), ("edges", codes)):
         if key in header and int(header[key]) != len(found):
             raise ValueError(f"{path}: {key}={header[key]} but {len(found)} found")
-    return TypedSubgraph(types, by_token.values(), edges)
+    return TypedSubgraph.from_columns(
+        types, vertices, premise_ids, hypothesis_ids, codes, scores
+    )
 
 
 def read_graph_dir(directory: str | Path) -> dict[tuple[str, ...], TypedSubgraph]:

@@ -12,13 +12,25 @@ similarity (symmetric, damping rare predicates).
 Edges are assembled into disjoint typed subgraphs: bivalent graphs keyed
 by a type pair hold binary->binary (BB) and binary->unary (BU) edges;
 univalent graphs keyed by one type hold unary->unary (UU) edges.
+
+A subgraph is stored by integer ids: its vertices are numbered in token
+order, and its edges are parallel stdlib arrays of premise id, hypothesis
+id, a kind/map code and the score. The build fills these columns
+directly, and the graph file reader and writer, the globalization solve
+and the query store work on them, so no stage builds or hashes an object
+per edge. ``EntailmentEdge`` objects are views, built when an edge is
+read through ``edges``, ``edge`` or ``find_edges``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from .features import (
     PAIR,
@@ -209,6 +221,24 @@ class EntailmentEdge:
             raise ValueError(f"score {self.score} outside [0, 1]")
 
 
+# One small code per (kind, argument map) an edge can carry. Within a kind
+# the codes follow ArgMap order, and the valencies fix the kind of a
+# (premise, hypothesis) pair, so ordering edges by (premise id,
+# hypothesis id, code) orders them by (premise, hypothesis, map).
+EDGE_CODES: tuple[tuple[str, ArgMap], ...] = (
+    (BB, _IDENTITY[2]), (BB, _SWAP), (BU, _FROM_SLOT[1]), (BU, _FROM_SLOT[2]), (UU, _IDENTITY[1]),
+)
+EDGE_CODE = {kind_map: code for code, kind_map in enumerate(EDGE_CODES)}
+_VALENCIES_OF = {kind: valencies for valencies, kind in _KIND_OF.items()}
+_ALLOWED_CODES = {
+    1: frozenset(c for c, (kind, _) in enumerate(EDGE_CODES) if kind == UU),
+    2: frozenset(c for c, (kind, _) in enumerate(EDGE_CODES) if kind != UU),
+}
+_BU_SLOT = {EDGE_CODE[BU, _FROM_SLOT[slot]]: slot for slot in (1, 2)}
+_UU_CODE = EDGE_CODE[UU, _IDENTITY[1]]
+_NO_EDGES = range(0)
+
+
 class TypedSubgraph:
     """All vertices and scored edges for one type signature.
 
@@ -216,11 +246,24 @@ class TypedSubgraph:
     hypotheses of BU edges are registered as vertices so queries resolve,
     while their own outgoing edges live in their univalent graph.
 
-    Two adjacency indexes serve path composition, both in ``edges``
-    order: ``bu_out`` lists the BU edges of each (premise, argument map),
-    and ``uu_in`` maps each hypothesis to its UU in-edges keyed by
-    premise. An edge is identified by its premise, hypothesis and map,
-    so duplicates are rejected.
+    Storage is columnar. ``vertices`` is a tuple sorted by token, which is
+    the file order, and a vertex's position in it is its id; ``token_ids``
+    maps each token to its id. Edges are four parallel columns, sorted by
+    (premise id, hypothesis id, code): ``premise_ids`` and
+    ``hypothesis_ids`` (``array('i')``), ``codes`` (``array('b')``, an
+    index into ``EDGE_CODES``) and ``scores`` (``array('d')``). An edge is
+    identified by its premise, hypothesis and map, so duplicates are
+    rejected. ``edges`` is a read-only sequence of ``EntailmentEdge``
+    views, each built when first read; ``edge(i)`` is the view of
+    position i.
+
+    Three indexes are built on first use (or by ``build_indexes``) and
+    hold edge positions, so a copy made by ``with_scores`` can share them.
+    ``_by_pair`` gives the positions of each (premise id, hypothesis id)
+    pair's edges; two adjacency indexes serve path composition, both in
+    ``edges`` order: ``bu_out`` lists the positions of the BU edges of
+    each (premise id, premise slot), and ``uu_in`` maps each hypothesis id
+    to the position of its UU in-edge from each premise id.
     """
 
     def __init__(
@@ -229,42 +272,163 @@ class TypedSubgraph:
         vertices: Iterable[TypedPredicate],
         edges: Iterable[EntailmentEdge],
     ):
+        vertices = list(set(vertices))
+        ids = {v: i for i, v in enumerate(vertices)}
+        premise_ids, hypothesis_ids, codes, scores = _columns()
+        for e in edges:
+            try:
+                premise_ids.append(ids[e.premise])
+                hypothesis_ids.append(ids[e.hypothesis])
+            except KeyError:
+                raise ValueError("edge endpoint missing from vertex set") from None
+            codes.append(EDGE_CODE[e.kind, e.arg_map])
+            scores.append(e.score)
+        self._setup(signature, vertices, premise_ids, hypothesis_ids, codes, scores)
+
+    @classmethod
+    def from_columns(
+        cls,
+        signature: tuple[str, ...],
+        vertices: Sequence[TypedPredicate],
+        premise_ids: array,
+        hypothesis_ids: array,
+        codes: array,
+        scores: array,
+    ) -> "TypedSubgraph":
+        """A subgraph from edge columns whose ids are positions in ``vertices``.
+
+        Vertices and edges may come in any order; both are sorted, and the
+        edges are checked as ``__init__`` checks them.
+        """
+        sub = cls.__new__(cls)
+        sub._setup(signature, list(vertices), premise_ids, hypothesis_ids, codes, scores)
+        return sub
+
+    def _setup(self, signature, vertices, premise_ids, hypothesis_ids, codes, scores) -> None:
         self.signature = tuple(signature)
         if len(self.signature) not in (1, 2):
             raise ValueError("signature must have one or two types")
-        self.vertices: set[TypedPredicate] = set(vertices)
-        token = {v: v.token() for v in self.vertices}
-        try:
-            self.edges: list[EntailmentEdge] = sorted(
-                edges, key=lambda e: (token[e.premise], token[e.hypothesis], e.arg_map)
+        tokens = [v.token() for v in vertices]
+        order = sorted(range(len(tokens)), key=tokens.__getitem__)
+        if order != list(range(len(order))):
+            new_id = array("i", [0]) * len(order)
+            for new, old in enumerate(order):
+                new_id[old] = new
+            premise_ids = array("i", [new_id[p] for p in premise_ids])
+            hypothesis_ids = array("i", [new_id[h] for h in hypothesis_ids])
+            vertices = [vertices[i] for i in order]
+            tokens = [tokens[i] for i in order]
+        self.vertices: tuple[TypedPredicate, ...] = tuple(vertices)
+        self.token_ids: dict[str, int] = {t: i for i, t in enumerate(tokens)}
+        if len(self.token_ids) != len(tokens):
+            twice = next(a for a, b in zip(tokens, tokens[1:]) if a == b)
+            raise ValueError(f"two vertices share the token {twice!r}")
+
+        allowed = _ALLOWED_CODES[len(self.signature)]
+        valency = [v.valency for v in self.vertices]
+        n_codes, n_vertices = len(EDGE_CODES), len(valency)
+        last, in_order = -1, True
+        for p, h, c, s in zip(premise_ids, hypothesis_ids, codes, scores):
+            kind = EDGE_CODES[c][0]
+            if c not in allowed:
+                raise ValueError(f"{kind} edge not allowed in this subgraph")
+            if _VALENCIES_OF[kind] != (valency[p], valency[h]):
+                raise ValueError(f"kind {kind} inconsistent with valencies")
+            if not 0.0 <= s <= 1.0:
+                raise ValueError(f"score {s} outside [0, 1]")
+            key = (p * n_vertices + h) * n_codes + c
+            in_order = in_order and key > last
+            last = key
+        if not in_order:
+            order = sorted(
+                range(len(codes)), key=lambda i: (premise_ids[i], hypothesis_ids[i], codes[i])
             )
-        except KeyError:
-            raise ValueError("edge endpoint missing from vertex set") from None
-        allowed = {UU} if len(self.signature) == 1 else {BB, BU}
-        self._by_pair: dict[tuple[TypedPredicate, TypedPredicate], list[EntailmentEdge]] = {}
-        self.bu_out: dict[tuple[TypedPredicate, ArgMap], list[EntailmentEdge]] = {}
-        self.uu_in: dict[TypedPredicate, dict[TypedPredicate, EntailmentEdge]] = {}
-        for e in self.edges:
-            if e.kind not in allowed:
-                raise ValueError(f"{e.kind} edge not allowed in this subgraph")
-            same_pair = self._by_pair.setdefault((e.premise, e.hypothesis), [])
-            if any(f.arg_map == e.arg_map for f in same_pair):
-                raise ValueError(
-                    f"duplicate edge {e.premise.token()} -> {e.hypothesis.token()} "
-                    f"under {e.arg_map.format()}"
-                )
-            same_pair.append(e)
-            if e.kind == BU:
-                self.bu_out.setdefault((e.premise, e.arg_map), []).append(e)
-            elif e.kind == UU:
-                self.uu_in.setdefault(e.hypothesis, {})[e.premise] = e
+            premise_ids, hypothesis_ids, codes, scores = (
+                array(col.typecode, [col[i] for i in order])
+                for col in (premise_ids, hypothesis_ids, codes, scores)
+            )
+            for i in range(1, len(codes)):
+                if (premise_ids[i], hypothesis_ids[i], codes[i]) == (
+                    premise_ids[i - 1], hypothesis_ids[i - 1], codes[i - 1]
+                ):
+                    raise ValueError(
+                        f"duplicate edge {tokens[premise_ids[i]]} -> "
+                        f"{tokens[hypothesis_ids[i]]} under {EDGE_CODES[codes[i]][1].format()}"
+                    )
+        self.premise_ids: array = premise_ids
+        self.hypothesis_ids: array = hypothesis_ids
+        self.codes: array = codes
+        self.scores: array = scores
+        self._views: dict[int, EntailmentEdge] = {}
 
     @property
     def kind(self) -> str:
         return "bivalent" if len(self.signature) == 2 else "univalent"
 
+    def vertex_id(self, predicate: TypedPredicate) -> int | None:
+        return self.token_ids.get(predicate.token())
+
     def __contains__(self, predicate: TypedPredicate) -> bool:
-        return predicate in self.vertices
+        return predicate.token() in self.token_ids
+
+    @property
+    def edges(self) -> "EdgeView":
+        return EdgeView(self)
+
+    def edge(self, i: int) -> EntailmentEdge:
+        """The edge at position i, one object per position."""
+        e = self._views.get(i)
+        if e is None:
+            kind, amap = EDGE_CODES[self.codes[i]]
+            e = self._views[i] = EntailmentEdge(
+                self.vertices[self.premise_ids[i]],
+                self.vertices[self.hypothesis_ids[i]],
+                kind, amap, self.scores[i],
+            )
+        return e
+
+    def pair_positions(self, premise_id: int, hypothesis_id: int) -> range:
+        """Positions of the edges from one vertex id to another."""
+        return self._by_pair.get(premise_id * len(self.vertices) + hypothesis_id, _NO_EDGES)
+
+    def out_positions(self, premise_id: int) -> range:
+        """Positions of the edges of one premise id."""
+        lo = bisect_left(self.premise_ids, premise_id)
+        return range(lo, bisect_right(self.premise_ids, premise_id, lo))
+
+    def build_indexes(self) -> None:
+        """Build the pair and adjacency indexes now, not on first use."""
+        for index in ("_by_pair", "bu_out", "uu_in"):
+            getattr(self, index)
+
+    @cached_property
+    def _by_pair(self) -> dict[int, range]:
+        """The positions of each (premise id, hypothesis id) pair's edges,
+        keyed by premise id * vertex count + hypothesis id."""
+        out: dict[int, range] = {}
+        n = len(self.vertices)
+        for i, (p, h) in enumerate(zip(self.premise_ids, self.hypothesis_ids)):
+            # a pair's edges are adjacent: extend its range by this one
+            key = p * n + h
+            out[key] = range(out.get(key, range(i, i)).start, i + 1)
+        return out
+
+    @cached_property
+    def bu_out(self) -> dict[tuple[int, int], list[int]]:
+        out: dict[tuple[int, int], list[int]] = {}
+        for i, (p, c) in enumerate(zip(self.premise_ids, self.codes)):
+            slot = _BU_SLOT.get(c)
+            if slot is not None:
+                out.setdefault((p, slot), []).append(i)
+        return out
+
+    @cached_property
+    def uu_in(self) -> dict[int, dict[int, int]]:
+        out: dict[int, dict[int, int]] = {}
+        for i, (p, h, c) in enumerate(zip(self.premise_ids, self.hypothesis_ids, self.codes)):
+            if c == _UU_CODE:
+                out.setdefault(h, {})[p] = i
+        return out
 
     def find_edges(
         self,
@@ -273,20 +437,67 @@ class TypedSubgraph:
         arg_map: ArgMap | None = None,
         kinds: frozenset[str] = ALL_KINDS,
     ) -> list[EntailmentEdge]:
-        found = self._by_pair.get((premise, hypothesis), [])
-        return [
-            e
-            for e in found
-            if e.kind in kinds and (arg_map is None or e.arg_map == arg_map)
-        ]
+        p, h = self.vertex_id(premise), self.vertex_id(hypothesis)
+        if p is None or h is None:
+            return []
+        found = []
+        for i in self.pair_positions(p, h):
+            kind, amap = EDGE_CODES[self.codes[i]]
+            if kind in kinds and (arg_map is None or amap == arg_map):
+                found.append(self.edge(i))
+        return found
 
     def with_scores(self, scores: Iterable[float]) -> "TypedSubgraph":
-        """Copy with one new score per edge, given in ``edges`` order."""
-        new_edges = [
-            EntailmentEdge(e.premise, e.hypothesis, e.kind, e.arg_map, s)
-            for e, s in zip(self.edges, scores, strict=True)
-        ]
-        return TypedSubgraph(self.signature, self.vertices, new_edges)
+        """Copy with one new score per edge, given in ``edges`` order.
+
+        Only the score column is new: vertices, the other columns and any
+        index already built are shared with this subgraph.
+        """
+        column = array("d", scores)
+        if len(column) != len(self.scores):
+            raise ValueError(f"{len(column)} scores for {len(self.scores)} edges")
+        for s in column:
+            if not 0.0 <= s <= 1.0:
+                raise ValueError(f"score {s} outside [0, 1]")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.scores, new._views = column, {}
+        return new
+
+
+def _columns() -> tuple[array, array, array, array]:
+    """Empty premise id, hypothesis id, code and score columns."""
+    return array("i"), array("i"), array("b"), array("d")
+
+
+class EdgeView(Sequence):
+    """A subgraph's edges as ``EntailmentEdge`` objects, in ``edges`` order."""
+
+    __slots__ = ("_sub",)
+
+    def __init__(self, sub: TypedSubgraph):
+        self._sub = sub
+
+    def __len__(self) -> int:
+        return len(self._sub.scores)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._sub.edge(j) for j in range(len(self))[i]]
+        return self._sub.edge(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._sub.edge, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EdgeView({list(self)!r})"
 
 
 def edge_key(e: EntailmentEdge) -> tuple:
@@ -331,42 +542,58 @@ def build_bivalent(
         (p for p in pair_vectors if canonical_signature(p.slot_types) == tuple(signature)),
         key=lambda p: p.token(),
     )
-    vertices: set[TypedPredicate] = set(binaries)
-    edges: list[EntailmentEdge] = []
+    features = [pair_vectors[p].features for p in binaries]
+    vertices = list(binaries)
+    premise_ids, hypothesis_ids, codes, scores = _columns()
 
-    for p in binaries:
-        u = pair_vectors[p].features
-        for q in binaries:
-            if p == q:
+    def add(p: int, h: int, code: int, score: float) -> None:
+        premise_ids.append(p)
+        hypothesis_ids.append(h)
+        codes.append(code)
+        scores.append(min(score, 1.0))
+
+    identity, swap = EDGE_CODE[BB, ArgMap.identity(2)], EDGE_CODE[BB, ArgMap.swap()]
+    for i, p in enumerate(binaries):
+        u = features[i]
+        for j, q in enumerate(binaries):
+            if i == j:
                 continue
-            best: tuple[float, ArgMap] | None = None
+            best: tuple[float, int] | None = None
             if p.slot_types == q.slot_types:
-                s = binc(u, pair_vectors[q].features)
-                best = (s, ArgMap.identity(2))
+                best = (binc(u, features[j]), identity)
             if p.slot_types == (q.slot_types[1], q.slot_types[0]):
-                s = binc(u, swapped_pair_features(pair_vectors[q].features))
+                s = binc(u, swapped_pair_features(features[j]))
                 if best is None or s > best[0]:
-                    best = (s, ArgMap.swap())
+                    best = (s, swap)
             if best is not None and best[0] >= threshold and best[0] > 0.0:
-                edges.append(EntailmentEdge(p, q, BB, best[1], min(best[0], 1.0)))
+                add(i, j, best[1], best[0])
 
-    for p in binaries:
+    # the unaries of each slot type that have a vector, and the vertex id
+    # each gets once it is the hypothesis of a kept edge
+    unaries = {
+        t: [(u, slot_vectors[(u, 1)].features)
+            for u in unaries_by_type.get(t, ()) if (u, 1) in slot_vectors]
+        for t in set(signature)
+    }
+    unary_ids = {t: [-1] * len(us) for t, us in unaries.items()}
+    for i, p in enumerate(binaries):
         for slot in (1, 2):
             sv = slot_vectors.get((p, slot))
             if sv is None:
                 continue
-            for unary in unaries_by_type.get(sv.slot_type, ()):
-                uv = slot_vectors.get((unary, 1))
-                if uv is None:
-                    continue
-                s = binc(sv.features, uv.features)
+            code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
+            ids = unary_ids[sv.slot_type]
+            for k, (unary, uv) in enumerate(unaries[sv.slot_type]):
+                s = binc(sv.features, uv)
                 if s >= threshold and s > 0.0:
-                    vertices.add(unary)
-                    edges.append(
-                        EntailmentEdge(p, unary, BU, ArgMap.from_slot(slot), min(s, 1.0))
-                    )
+                    if ids[k] < 0:
+                        ids[k] = len(vertices)
+                        vertices.append(unary)
+                    add(i, ids[k], code, s)
 
-    return TypedSubgraph(tuple(signature), vertices, edges)
+    return TypedSubgraph.from_columns(
+        signature, vertices, premise_ids, hypothesis_ids, codes, scores
+    )
 
 
 def build_univalent(
@@ -377,23 +604,24 @@ def build_univalent(
 ) -> TypedSubgraph:
     """Score all UU candidates among the unaries of one type."""
     unaries = sorted(set(unaries), key=lambda p: p.token())
-    edges = []
-    for p in unaries:
-        pv = slot_vectors.get((p, 1))
+    vectors = [slot_vectors.get((p, 1)) for p in unaries]
+    premise_ids, hypothesis_ids, codes, scores = _columns()
+    code = EDGE_CODE[UU, ArgMap.identity(1)]
+    for i, pv in enumerate(vectors):
         if pv is None:
             continue
-        for q in unaries:
-            if p == q:
-                continue
-            qv = slot_vectors.get((q, 1))
-            if qv is None:
+        for j, qv in enumerate(vectors):
+            if i == j or qv is None:
                 continue
             s = binc(pv.features, qv.features)
             if s >= threshold and s > 0.0:
-                edges.append(
-                    EntailmentEdge(p, q, UU, ArgMap.identity(1), min(s, 1.0))
-                )
-    return TypedSubgraph((slot_type,), set(unaries), edges)
+                premise_ids.append(i)
+                hypothesis_ids.append(j)
+                codes.append(code)
+                scores.append(min(s, 1.0))
+    return TypedSubgraph.from_columns(
+        (slot_type,), unaries, premise_ids, hypothesis_ids, codes, scores
+    )
 
 
 @dataclass

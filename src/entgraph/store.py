@@ -9,16 +9,23 @@ matching univalent graph, scored as the minimum of the two edges. When the
 premise predicate has no vertex in its typed subgraph, callers fall back
 to an untyped query over all subgraphs, averaging the scores found.
 
-Composition follows adjacency rather than scanning: each subgraph indexes
-its BU edges by premise and argument map (``bu_out``) and its UU edges by
-hypothesis, then premise (``uu_in``). A composed query walks the
+Queries work on vertex ids. A query maps the caller's premise and
+hypothesis predicates to ids once, by token, and every lookup after that
+is keyed by integers; an ``EntailmentEdge`` is built only for the edges
+of the path it returns. Composition follows adjacency rather than
+scanning: each subgraph indexes its BU edges by premise id and slot
+(``bu_out``) and its UU edges by hypothesis id, then premise id
+(``uu_in``), and the store maps each unary vertex of a bivalent graph to
+its id in the univalent graph of its type. A composed query walks the
 premise's BU edges under the slot's map and joins each, with one dict
 lookup, to a UU edge from that edge's unary into the hypothesis, so its
-cost grows with the premise's out-degree, not with the subgraph.
+cost grows with the premise's out-degree, not with the subgraph. The
+store builds these indexes when it opens, so no query pays for them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -27,6 +34,7 @@ from . import graphio
 from .localgraph import (
     ALL_KINDS,
     BU,
+    EDGE_CODES,
     UU,
     ArgMap,
     EntailmentEdge,
@@ -62,8 +70,19 @@ class GraphStore:
         self._by_signature = {tuple(sig): sub for sig, sub in subgraphs.items()}
         for sig, sub in self._by_signature.items():
             (self.bivalent if len(sig) == 2 else self.univalent)[sig] = sub
-            for vertex in sorted(sub.vertices, key=lambda p: p.token()):
+            sub.build_indexes()
+            for vertex in sub.vertices:
                 self.untyped_index.setdefault(vertex.untyped, []).append((sig, vertex))
+        # per bivalent subgraph, each vertex id's id in the univalent graph
+        # of its type (-1 for binaries and unaries that graph lacks)
+        self._univalent_ids: dict[tuple[str, str], array] = {}
+        for sig, sub in self.bivalent.items():
+            ids = array("i", [-1]) * len(sub.vertices)
+            for i, (vertex, token) in enumerate(zip(sub.vertices, sub.token_ids)):
+                uni = self.univalent.get(vertex.slot_types) if vertex.valency == 1 else None
+                if uni is not None:
+                    ids[i] = uni.token_ids.get(token, -1)
+            self._univalent_ids[sig] = ids
 
     @classmethod
     def open(cls, directory: str | Path, enable_composition: bool = True) -> "GraphStore":
@@ -113,23 +132,26 @@ class GraphStore:
         ):
             return QueryResult(1.0)
 
-        best = _MISS
         sub = self.subgraph_for(premise.predicate)
-        if sub is not None and premise.predicate in sub:
-            for amap in cand_maps:
-                for e in sub.find_edges(premise.predicate, hypothesis, amap, kinds):
-                    if e.score > best.score:
-                        best = QueryResult(e.score, (e,))
-            if (
-                self.enable_composition
-                and hypothesis.valency == 1
-                and premise.predicate.valency == 2
-                and BU in kinds
-                and UU in kinds
-            ):
-                composed = self._composed(sub, premise, hypothesis, hypothesis_args)
-                if composed.score > best.score:
-                    best = composed
+        p = None if sub is None else sub.vertex_id(premise.predicate)
+        if p is None:
+            return _MISS
+        best = _MISS
+        h = sub.vertex_id(hypothesis)
+        if h is not None:
+            i = _best_edge(sub, p, h, cand_maps, kinds)
+            if i is not None and sub.scores[i] > 0.0:
+                best = QueryResult(sub.scores[i], (sub.edge(i),))
+        if (
+            self.enable_composition
+            and hypothesis.valency == 1
+            and premise.predicate.valency == 2
+            and BU in kinds
+            and UU in kinds
+        ):
+            composed = self._composed(sub, premise, hypothesis, hypothesis_args)
+            if composed.score > best.score:
+                best = composed
         return best
 
     def _composed(
@@ -144,25 +166,31 @@ class GraphStore:
         The first strictly best path wins, slot 1 before slot 2 and BU
         edges in subgraph order.
         """
-        best = _MISS
+        best, best_at = 0.0, None
         premise_keys = premise.arg_keys
+        p = sub.vertex_id(premise.predicate)
+        to_univalent = self._univalent_ids[sub.signature]
         for slot in (1, 2):
             if premise_keys[slot - 1] != hypothesis_args[0]:
                 continue
-            slot_type = premise.predicate.slot_types[slot - 1]
-            uni = self.univalent.get((slot_type,))
+            uni = self.univalent.get((premise.predicate.slot_types[slot - 1],))
             if uni is None:
                 continue
-            into_hypothesis = uni.uu_in.get(hypothesis)
+            h = uni.vertex_id(hypothesis)
+            into_hypothesis = uni.uu_in.get(h)
             if not into_hypothesis:
                 continue
-            for e in sub.bu_out.get((premise.predicate, ArgMap.from_slot(slot)), ()):
-                e2 = into_hypothesis.get(e.hypothesis)
-                if e2 is not None and e.hypothesis != hypothesis:
-                    score = min(e.score, e2.score)
-                    if score > best.score:
-                        best = QueryResult(score, (e, e2))
-        return best
+            for i in sub.bu_out.get((p, slot), ()):
+                u = to_univalent[sub.hypothesis_ids[i]]
+                j = into_hypothesis.get(u)
+                if j is not None and u != h:
+                    score = min(sub.scores[i], uni.scores[j])
+                    if score > best:
+                        best, best_at = score, (uni, i, j)
+        if best_at is None:
+            return _MISS
+        uni, i, j = best_at
+        return QueryResult(best, (sub.edge(i), uni.edge(j)))
 
     # -- untyped back-off --------------------------------------------------
 
@@ -200,17 +228,35 @@ class GraphStore:
                 by_sig.setdefault(sig, []).append(vertex)
         for sig in sorted(by_sig):
             sub = self._by_signature[sig]
-            sub_best: EntailmentEdge | None = None
+            sub_best = None
             for prem_vertex in by_sig[sig]:
+                p = sub.vertex_id(prem_vertex)
                 for hyp_vertex in hyp_sigs[sig]:
-                    for amap in cand_maps:
-                        for e in sub.find_edges(prem_vertex, hyp_vertex, amap, kinds):
-                            if sub_best is None or e.score > sub_best.score:
-                                sub_best = e
+                    i = _best_edge(sub, p, sub.vertex_id(hyp_vertex), cand_maps, kinds)
+                    if i is not None and (
+                        sub_best is None or sub.scores[i] > sub.scores[sub_best]
+                    ):
+                        sub_best = i
             if sub_best is not None:
-                found.append(sub_best.score)
-                if not best_path or sub_best.score > best_path[0].score:
-                    best_path = (sub_best,)
+                edge = sub.edge(sub_best)
+                found.append(edge.score)
+                if not best_path or edge.score > best_path[0].score:
+                    best_path = (edge,)
         if not found:
             return QueryResult(0.0, backed_off=True)
         return QueryResult(sum(found) / len(found), best_path, backed_off=True)
+
+
+def _best_edge(
+    sub: TypedSubgraph, p: int, h: int, cand_maps: list[ArgMap], kinds: frozenset[str]
+) -> int | None:
+    """Position of the first best-scoring edge from p to h under one of
+    the maps and kinds; edges of a pair come in map order."""
+    best = None
+    for i in sub.pair_positions(p, h):
+        kind, amap = EDGE_CODES[sub.codes[i]]
+        if kind in kinds and amap in cand_maps and (
+            best is None or sub.scores[i] > sub.scores[best]
+        ):
+            best = i
+    return best

@@ -1,6 +1,7 @@
 """CLI orchestration tests: stage wiring, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import itertools
 import json
 import shutil
@@ -10,6 +11,8 @@ import pytest
 
 from entgraph import resources
 from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, main
+
+from conftest import DATA
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +150,77 @@ class TestExitCodes:
             victim.read_text().replace("entgraph-subgraph v1", "entgraph-subgraph v9")
         )
         assert main(["globalize", "--out", str(out)]) == EXIT_VERSION
+
+
+class TestUserInputs:
+    """Files named on the command line are checked before they are read."""
+
+    @pytest.mark.parametrize("option", ["--corpus", "--types"])
+    def test_directory_refused(self, option, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        code = main(["ingest", "--out", str(tmp_path / "out"), option, str(folder)])
+        assert code == EXIT_DATA
+        assert f"{folder} is not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, what", [
+        ("--corpus", "input corpus file"), ("--types", "type inventory file"),
+    ])
+    def test_missing_file_named_as_input(self, option, what, tmp_path, capsys):
+        missing = tmp_path / "no-such-file"
+        code = main(["ingest", "--out", str(tmp_path / "out"), option, str(missing)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{what} {missing} does not exist" in err
+        assert "artifact" not in err and "subcommand" not in err
+
+
+class TestGraphDirRefused:
+    """``--graphs`` must name a directory holding ``*.graph`` files."""
+
+    COMMANDS = {
+        "answer": ["answer", "--model", "graph"],
+        "evaluate": ["evaluate", "--filtered"],
+        "query": ["query", "kill.2", "die.1", "--type", "person"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_directory_refused(self, command, pipeline_dir, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = [*self.COMMANDS[command], "--out", str(pipeline_dir), "--graphs", str(empty)]
+        assert main(argv) == EXIT_DATA
+        assert f"{empty} holds no *.graph file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_file_refused(self, command, pipeline_dir, capsys):
+        graph = next((pipeline_dir / "graphs" / "global").glob("*.graph"))
+        argv = [*self.COMMANDS[command], "--out", str(pipeline_dir), "--graphs", str(graph)]
+        assert main(argv) == EXIT_DATA
+        assert f"{graph} is not a directory" in capsys.readouterr().err
+
+    def test_graph_directory_path_accepted(self, pipeline_dir):
+        graphs = str(pipeline_dir / "graphs" / "local")
+        assert main(["query", "kill.2", "die.1", "--type", "person",
+                     "--out", str(pipeline_dir), "--graphs", graphs]) == EXIT_OK
+
+
+class TestGoldenGraphs:
+    """The shipped sample pipeline writes the graphs recorded in
+    ``tests/data/sample_graph_digests.sha256``. An intended change to the
+    graphs must regenerate that file."""
+
+    def test_sample_graphs_match_recorded_digests(self, pipeline_dir):
+        recorded = {}
+        for line in (DATA / "sample_graph_digests.sha256").read_text().splitlines():
+            digest, name = line.split()
+            recorded[name] = digest
+        graphs = pipeline_dir / "graphs"
+        written = {
+            path.relative_to(graphs).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(graphs.glob("*/*.graph"))
+        }
+        assert written == recorded
 
 
 class TestStaleArtifacts:

@@ -373,3 +373,129 @@ class TestExactSolveOracle:
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
             assert result.iterations_run == 1
         assert tied["para"] > 0 and tied["cross"] > 0
+
+
+def predicate_coupling_groups(subgraphs, config):
+    """The cliques as found from edge objects, keyed by predicates: the
+    reference for the integer-keyed ``_coupling_groups``."""
+    import numpy as np
+
+    edge_at, local, groups, across = [], [], [], {}
+    for sig in sorted(subgraphs):
+        sub = subgraphs[sig]
+        start = len(local)
+        out_by_pred = {}
+        for i, e in enumerate(sub.edges):
+            edge_at.append((sig, i))
+            local.append(e.score)
+            out_by_pred.setdefault(e.premise, {})[(e.hypothesis, e.kind, e.arg_map)] = start + i
+            across.setdefault(
+                (e.premise.untyped, e.hypothesis.untyped, e.kind, e.arg_map), []
+            ).append(start + i)
+        if config.lambda_para > 0:
+            for p, q in sorted(find_paraphrases(sub, config.paraphrase_tau)):
+                q_out = out_by_pred.get(q, {})
+                for target, pv in out_by_pred.get(p, {}).items():
+                    if target in q_out:
+                        groups.append((config.lambda_para, [pv, q_out[target]]))
+    if config.lambda_cross > 0:
+        groups.extend((config.lambda_cross, v) for v in across.values() if len(v) > 1)
+    return np.array(local), edge_at, groups
+
+
+def per_component_solve(local, groups):
+    """One ``np.linalg.solve`` per coupled component, its matrix built by
+    ``np.ix_`` updates: the reference for the batched solve."""
+    import numpy as np
+
+    parent = list(range(len(local)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for _, vids in groups:
+        for v in vids[1:]:
+            ra, rb = find(vids[0]), find(v)
+            if ra != rb:
+                parent[rb] = ra
+    members, by_root = {}, {}
+    for v in range(len(local)):
+        members.setdefault(find(v), []).append(v)
+    for g in groups:
+        by_root.setdefault(find(g[1][0]), []).append(g)
+    solution = local.astype(float)
+    for root, vids in members.items():
+        if root not in by_root:
+            continue
+        index = {v: i for i, v in enumerate(vids)}
+        a = np.eye(len(vids))
+        for weight, gvids in by_root[root]:
+            k = len(gvids)
+            at = [index[v] for v in gvids]
+            a[np.ix_(at, at)] += weight * (k * np.eye(k) - np.ones((k, k)))
+        solution[vids] = np.linalg.solve(a, local[vids])
+    return solution
+
+
+class TestColumnarCouplingOracle:
+    """Integer-keyed cliques and the batched solve against the edge-object
+    references, exactly: same cliques in the same order, same bits."""
+
+    NAMES = ("beat", "top", "win.against", "edge.out", "crush")
+    UNARIES = ("win.1", "lose.1", "be.winner.1")
+    TYPES = ("person", "organization", "location")
+
+    def _random_family(self, rng, bivalent):
+        family = {}
+        for t in rng.sample(self.TYPES, rng.randint(2, len(self.TYPES))):
+            sig = (t, t) if bivalent else (t,)
+            names = self.NAMES if bivalent else self.UNARIES + self.NAMES
+            preds = [pred(n, *sig) for n in names]
+            unaries = [pred(n, t) for n in self.UNARIES] if bivalent else []
+            edges = []
+            for p in preds:
+                for q in preds:
+                    if p == q or rng.random() < 0.4:
+                        continue
+                    # near-1 scores both ways make paraphrase pairs
+                    score = rng.uniform(0.9, 1.0) if rng.random() < 0.4 else rng.uniform(0.01, 1.0)
+                    if bivalent:
+                        for m in rng.sample((ID2, ArgMap.swap()), rng.randint(1, 2)):
+                            edges.append(EntailmentEdge(p, q, BB, m, score))
+                    else:
+                        edges.append(uu(p, q, score))
+                for u in unaries:
+                    for slot in (1, 2):
+                        if rng.random() < 0.5:
+                            edges.append(EntailmentEdge(
+                                p, u, BU, ArgMap.from_slot(slot), rng.uniform(0.01, 1.0)))
+            family[sig] = TypedSubgraph(sig, preds + unaries, edges)
+        return family
+
+    def test_cliques_and_solution_match_references(self):
+        import random
+
+        import numpy as np
+
+        from entgraph.globalgraph import _coupling_groups, _solve_components
+
+        rng = random.Random(2011)
+        sizes = set()
+        for trial in range(40):
+            family = self._random_family(rng, bivalent=trial % 2 == 0)
+            config = GlobalConfig(
+                lambda_para=rng.choice((0.0, rng.uniform(0.1, 5.0))),
+                lambda_cross=rng.choice((0.0, rng.uniform(0.1, 5.0))),
+                paraphrase_tau=rng.uniform(0.85, 0.99),
+            )
+            local, edge_at, groups = _coupling_groups(family, config)
+            ref_local, ref_edge_at, ref_groups = predicate_coupling_groups(family, config)
+            assert local.tobytes() == ref_local.tobytes()
+            assert list(edge_at) == ref_edge_at
+            assert groups == ref_groups
+            solved = _solve_components(local, groups)
+            assert solved.tobytes() == per_component_solve(local, groups).tobytes()
+            sizes.update(len(vids) for _, vids in groups)
+        assert {2, 3} <= sizes

@@ -173,6 +173,14 @@ def test_edge_endpoint_without_vertex_line_names_file_and_token(tmp_path):
         read_subgraph(path)
 
 
+def test_vertex_line_after_edge_lines_refused(tmp_path):
+    path = tmp_path / "late.graph"
+    text = (DATA / "golden_bivalent.graph").read_text()
+    path.write_text(text.replace("vertices=3", "vertices=4") + "V\twin.1#person\n")
+    with pytest.raises(ValueError, match=r"late\.graph.*V line after the E lines"):
+        read_subgraph(path)
+
+
 def test_parsed_edges_share_vertex_objects():
     sub = read_subgraph(DATA / "golden_bivalent.graph")
     vertex_ids = {id(v) for v in sub.vertices}
