@@ -245,9 +245,14 @@ def cmd_answer(args) -> int:
 
     out = Path(args.out)
     questions, _ = read_questions(_require(out / "questions.jsonl", "gen-questions"))
-    evidence = {
-        p.id: p for p in read_evidence(_require(out / "evidence.jsonl", "gen-questions"))
-    }
+    evidence_path = _require(out / "evidence.jsonl", "gen-questions")
+    evidence = {p.id: p for p in read_evidence(evidence_path)}
+    for q in questions:
+        if q.partition_id not in evidence:
+            raise DataError(
+                f"question {q.id} names partition {q.partition_id!r}, "
+                f"which {evidence_path} does not hold"
+            )
     records = []
     if args.model == "exact":
         tag = "exact"
@@ -345,7 +350,8 @@ def cmd_query(args) -> int:
     hypothesis = _parse_query_predicate(args.hypothesis, args.type)
 
     # bind fresh placeholder entities per candidate argument map and take
-    # the best typed route, then fall back to the untyped average
+    # the best typed route; a premise without a typed vertex falls back to
+    # the untyped average, as in qaeval.answer_graph
     ents = tuple(
         EntityId(f"x{i}", None, True) for i in range(1, premise.valency + 1)
     )
@@ -359,7 +365,7 @@ def cmd_query(args) -> int:
         result = store.entailment_score(prop, hypothesis, hyp_args)
         if result.score > 0 and (best is None or result.score > best.score):
             best = result
-    if best is None:
+    if best is None and not store.has_typed_vertex(premise):
         for hyp_args in bindings:
             result = store.backoff_score(
                 premise.name, premise.valency, prop.arg_keys,

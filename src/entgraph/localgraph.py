@@ -15,11 +15,14 @@ univalent graphs keyed by one type hold unary->unary (UU) edges.
 
 A subgraph is stored by integer ids: its vertices are numbered in token
 order, and its edges are parallel stdlib arrays of premise id, hypothesis
-id, a kind/map code and the score. The build fills these columns
-directly, and the graph file reader and writer, the globalization solve
-and the query store work on them, so no stage builds or hashes an object
-per edge. ``EntailmentEdge`` objects are views, built when an edge is
-read through ``edges``, ``edge`` or ``find_edges``.
+id, a kind/map code and the score, sorted by (premise id, hypothesis
+id, code). The build fills these columns directly, and the graph file
+reader and writer, the globalization solve and the query store work on
+them, so no stage builds or hashes an object per edge. A subgraph keeps
+no index: the edges of a premise, or of a (premise, hypothesis) pair,
+are found by bisecting the sorted columns. ``EntailmentEdge`` objects
+are views, built when an edge is read through ``edges``, ``edge`` or
+``find_edges``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .features import (
@@ -234,9 +236,6 @@ _ALLOWED_CODES = {
     1: frozenset(c for c, (kind, _) in enumerate(EDGE_CODES) if kind == UU),
     2: frozenset(c for c, (kind, _) in enumerate(EDGE_CODES) if kind != UU),
 }
-_BU_SLOT = {EDGE_CODE[BU, _FROM_SLOT[slot]]: slot for slot in (1, 2)}
-_UU_CODE = EDGE_CODE[UU, _IDENTITY[1]]
-_NO_EDGES = range(0)
 
 
 class TypedSubgraph:
@@ -257,13 +256,10 @@ class TypedSubgraph:
     views, each built when first read; ``edge(i)`` is the view of
     position i.
 
-    Three indexes are built on first use (or by ``build_indexes``) and
-    hold edge positions, so a copy made by ``with_scores`` can share them.
-    ``_by_pair`` gives the positions of each (premise id, hypothesis id)
-    pair's edges; two adjacency indexes serve path composition, both in
-    ``edges`` order: ``bu_out`` lists the positions of the BU edges of
-    each (premise id, premise slot), and ``uu_in`` maps each hypothesis id
-    to the position of its UU in-edge from each premise id.
+    No index is kept beside the columns: because of their sort order,
+    ``out_positions`` finds a premise's edges by bisecting
+    ``premise_ids``, and ``pair_positions`` finds a pair's edges by
+    bisecting ``hypothesis_ids`` within them.
     """
 
     def __init__(
@@ -389,46 +385,14 @@ class TypedSubgraph:
 
     def pair_positions(self, premise_id: int, hypothesis_id: int) -> range:
         """Positions of the edges from one vertex id to another."""
-        return self._by_pair.get(premise_id * len(self.vertices) + hypothesis_id, _NO_EDGES)
+        out = self.out_positions(premise_id)
+        lo = bisect_left(self.hypothesis_ids, hypothesis_id, out.start, out.stop)
+        return range(lo, bisect_right(self.hypothesis_ids, hypothesis_id, lo, out.stop))
 
     def out_positions(self, premise_id: int) -> range:
         """Positions of the edges of one premise id."""
         lo = bisect_left(self.premise_ids, premise_id)
         return range(lo, bisect_right(self.premise_ids, premise_id, lo))
-
-    def build_indexes(self) -> None:
-        """Build the pair and adjacency indexes now, not on first use."""
-        for index in ("_by_pair", "bu_out", "uu_in"):
-            getattr(self, index)
-
-    @cached_property
-    def _by_pair(self) -> dict[int, range]:
-        """The positions of each (premise id, hypothesis id) pair's edges,
-        keyed by premise id * vertex count + hypothesis id."""
-        out: dict[int, range] = {}
-        n = len(self.vertices)
-        for i, (p, h) in enumerate(zip(self.premise_ids, self.hypothesis_ids)):
-            # a pair's edges are adjacent: extend its range by this one
-            key = p * n + h
-            out[key] = range(out.get(key, range(i, i)).start, i + 1)
-        return out
-
-    @cached_property
-    def bu_out(self) -> dict[tuple[int, int], list[int]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for i, (p, c) in enumerate(zip(self.premise_ids, self.codes)):
-            slot = _BU_SLOT.get(c)
-            if slot is not None:
-                out.setdefault((p, slot), []).append(i)
-        return out
-
-    @cached_property
-    def uu_in(self) -> dict[int, dict[int, int]]:
-        out: dict[int, dict[int, int]] = {}
-        for i, (p, h, c) in enumerate(zip(self.premise_ids, self.hypothesis_ids, self.codes)):
-            if c == _UU_CODE:
-                out.setdefault(h, {})[p] = i
-        return out
 
     def find_edges(
         self,
@@ -450,8 +414,8 @@ class TypedSubgraph:
     def with_scores(self, scores: Iterable[float]) -> "TypedSubgraph":
         """Copy with one new score per edge, given in ``edges`` order.
 
-        Only the score column is new: vertices, the other columns and any
-        index already built are shared with this subgraph.
+        Only the score column is new: the vertices and the other columns
+        are shared with this subgraph.
         """
         column = array("d", scores)
         if len(column) != len(self.scores):

@@ -143,10 +143,7 @@ def export_evidence(
     with _atomic_writer(path) as fh:
         fh.write("question_id\tprop_id\n")
         for q in questions:
-            part = evidence.get(q.partition_id)
-            if part is None:
-                continue
-            for pid in compatible_evidence(q, part):
+            for pid in compatible_evidence(q, evidence[q.partition_id]):
                 fh.write(f"{q.id}\t{pid}\n")
 
 
@@ -281,10 +278,13 @@ def filter_questions(
 # -- report files ------------------------------------------------------------
 
 
+ANSWER_FIELDS = ["question_id", "model_id", "confidence", "best_evidence", "backed_off"]
+
+
 def write_answers(records: Sequence[AnswerRecord], path: str | Path) -> None:
     with _atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["question_id", "model_id", "confidence", "best_evidence", "backed_off"])
+        writer.writerow(ANSWER_FIELDS)
         for r in records:
             writer.writerow(
                 [r.question_id, r.model_id, repr(r.confidence),
@@ -293,18 +293,29 @@ def write_answers(records: Sequence[AnswerRecord], path: str | Path) -> None:
 
 
 def read_answers(path: str | Path) -> list[AnswerRecord]:
+    """The records ``write_answers`` wrote. A file with another header, or
+    a row that does not parse, raises ValueError naming the file."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                AnswerRecord(
-                    row["question_id"],
-                    row["model_id"],
-                    float(row["confidence"]),
-                    row["best_evidence"] or None,
-                    bool(int(row["backed_off"])),
-                )
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != ANSWER_FIELDS:
+            raise ValueError(
+                f"{path}: not an answer file: its header is {reader.fieldnames}, "
+                f"not {ANSWER_FIELDS}"
             )
+        for row in reader:
+            try:
+                out.append(
+                    AnswerRecord(
+                        row["question_id"],
+                        row["model_id"],
+                        float(row["confidence"]),
+                        row["best_evidence"] or None,
+                        bool(int(row["backed_off"])),
+                    )
+                )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad answer row: {exc}") from None
     return out
 
 

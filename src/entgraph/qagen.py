@@ -358,8 +358,12 @@ def write_questions(qs: QuestionSet, path: str | Path) -> None:
 
 
 def read_questions(path: str | Path) -> tuple[list[Question], dict]:
+    """The questions and manifest ``write_questions`` wrote. A question
+    line is accepted only if ``question_record`` of the question it parses
+    to reproduces it and its polarity is positive or negative; any other
+    line, a blank one included, raises ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty question file")
     manifest = json.loads(lines[0])
@@ -367,7 +371,25 @@ def read_questions(path: str | Path) -> tuple[list[Question], dict]:
         raise ValueError(f"{path}: not a question file")
     if manifest.get("version") != QUESTION_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported question file version")
-    return [question_from_record(json.loads(ln)) for ln in lines[1:]], manifest
+    return [_read_question(path, lineno, ln) for lineno, ln in enumerate(lines[1:], 2)], manifest
+
+
+def _read_question(path: str | Path, lineno: int, line: str) -> Question:
+    try:
+        obj = json.loads(line)
+        q = question_from_record(obj)
+        record = question_record(q)
+        if record != obj:
+            differ = sorted(k for k in record.keys() | obj.keys() if record.get(k) != obj.get(k))
+            raise ValueError(f"fields {differ} differ from the saved form")
+        if q.polarity not in ("positive", "negative"):
+            raise ValueError(f"polarity {q.polarity!r} is neither positive nor negative")
+        return q
+    except KeyError as exc:
+        reason = f"missing field {exc.args[0]!r}"
+    except (AttributeError, TypeError, ValueError) as exc:
+        reason = str(exc)
+    raise ValueError(f"{path}:{lineno}: not a canonical question record: {reason}")
 
 
 def write_evidence(partitions: list[Partition], path: str | Path) -> None:

@@ -12,15 +12,16 @@ to an untyped query over all subgraphs, averaging the scores found.
 Queries work on vertex ids. A query maps the caller's premise and
 hypothesis predicates to ids once, by token, and every lookup after that
 is keyed by integers; an ``EntailmentEdge`` is built only for the edges
-of the path it returns. Composition follows adjacency rather than
-scanning: each subgraph indexes its BU edges by premise id and slot
-(``bu_out``) and its UU edges by hypothesis id, then premise id
-(``uu_in``), and the store maps each unary vertex of a bivalent graph to
-its id in the univalent graph of its type. A composed query walks the
-premise's BU edges under the slot's map and joins each, with one dict
-lookup, to a UU edge from that edge's unary into the hypothesis, so its
-cost grows with the premise's out-degree, not with the subgraph. The
-store builds these indexes when it opens, so no query pays for them.
+of the path it returns. Direct lookups bisect the subgraph's sorted
+edge columns. Composition follows adjacency rather than scanning: when
+the store opens it builds its one index, which maps each univalent
+graph's hypothesis ids to the position of the UU edge from each premise
+id (the transpose a bisect cannot give), and maps each unary vertex of a
+bivalent graph to its id in the univalent graph of its type. A composed
+query walks the premise's out-edges, keeps the BU edges under the slot's
+map and joins each, with one dict lookup, to a UU edge from that edge's
+unary into the hypothesis, so its cost grows with the premise's
+out-degree, not with the subgraph.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from . import graphio
 from .localgraph import (
     ALL_KINDS,
     BU,
+    EDGE_CODE,
     EDGE_CODES,
     UU,
     ArgMap,
@@ -53,6 +55,8 @@ class QueryResult:
 
 
 _MISS = QueryResult(0.0)
+# the code of the BU edges that carry each premise slot to the hypothesis
+_BU_CODE = {slot: EDGE_CODE[BU, ArgMap.from_slot(slot)] for slot in (1, 2)}
 
 
 class GraphStore:
@@ -70,7 +74,6 @@ class GraphStore:
         self._by_signature = {tuple(sig): sub for sig, sub in subgraphs.items()}
         for sig, sub in self._by_signature.items():
             (self.bivalent if len(sig) == 2 else self.univalent)[sig] = sub
-            sub.build_indexes()
             for vertex in sub.vertices:
                 self.untyped_index.setdefault(vertex.untyped, []).append((sig, vertex))
         # per bivalent subgraph, each vertex id's id in the univalent graph
@@ -83,6 +86,13 @@ class GraphStore:
                 if uni is not None:
                     ids[i] = uni.token_ids.get(token, -1)
             self._univalent_ids[sig] = ids
+        # per univalent subgraph, each hypothesis id's UU in-edges: the
+        # position of the edge from each premise id
+        self._uu_in: dict[tuple[str], dict[int, dict[int, int]]] = {}
+        for sig, sub in self.univalent.items():
+            into = self._uu_in[sig] = {}
+            for i, (p, h) in enumerate(zip(sub.premise_ids, sub.hypothesis_ids)):
+                into.setdefault(h, {})[p] = i
 
     @classmethod
     def open(cls, directory: str | Path, enable_composition: bool = True) -> "GraphStore":
@@ -168,19 +178,23 @@ class GraphStore:
         """
         best, best_at = 0.0, None
         premise_keys = premise.arg_keys
-        p = sub.vertex_id(premise.predicate)
+        out = sub.out_positions(sub.vertex_id(premise.predicate))
         to_univalent = self._univalent_ids[sub.signature]
         for slot in (1, 2):
             if premise_keys[slot - 1] != hypothesis_args[0]:
                 continue
-            uni = self.univalent.get((premise.predicate.slot_types[slot - 1],))
+            uni_sig = (premise.predicate.slot_types[slot - 1],)
+            uni = self.univalent.get(uni_sig)
             if uni is None:
                 continue
             h = uni.vertex_id(hypothesis)
-            into_hypothesis = uni.uu_in.get(h)
+            into_hypothesis = self._uu_in[uni_sig].get(h)
             if not into_hypothesis:
                 continue
-            for i in sub.bu_out.get((p, slot), ()):
+            code = _BU_CODE[slot]
+            for i in out:
+                if sub.codes[i] != code:
+                    continue
                 u = to_univalent[sub.hypothesis_ids[i]]
                 j = into_hypothesis.get(u)
                 if j is not None and u != h:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import itertools
 import json
 import shutil
@@ -97,6 +98,17 @@ class TestStageWiring:
         assert "score=" in out and "UU" in out
         score = float(out.splitlines()[0].split("=")[1].split()[0])
         assert score > 0
+
+    def test_query_backs_off_only_without_typed_vertex(self, pipeline_dir, capsys):
+        def query(premise):
+            assert main(["query", premise, "be.winner.1#organization",
+                         "--out", str(pipeline_dir)]) == EXIT_OK
+            return capsys.readouterr().out.splitlines()[0]
+
+        # a typed vertex with no typed route: no untyped average
+        assert query("be.champion.1#person") == (
+            "no entailment found: be.champion.1#person -> be.winner.1#organization")
+        assert query("be.champion.1#nonexistent") == "score=0.669934 backed_off=True"
 
     def test_external_scorer_round_trip(self, pipeline_dir, tmp_path):
         export = tmp_path / "export.tsv"
@@ -208,7 +220,8 @@ class TestGraphDirRefused:
 class TestGoldenGraphs:
     """The shipped sample pipeline writes the graphs recorded in
     ``tests/data/sample_graph_digests.sha256``. An intended change to the
-    graphs must regenerate that file."""
+    graphs must regenerate that file with
+    ``scripts/make_sample_graph_digests.py``."""
 
     def test_sample_graphs_match_recorded_digests(self, pipeline_dir):
         recorded = {}
@@ -220,7 +233,19 @@ class TestGoldenGraphs:
             path.relative_to(graphs).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(graphs.glob("*/*.graph"))
         }
-        assert written == recorded
+        assert written == recorded, (
+            "the sample graphs changed; if that is intended, regenerate the digests "
+            "with python3 scripts/make_sample_graph_digests.py"
+        )
+
+    def test_digest_script_writes_the_recorded_file(self, pipeline_dir):
+        script = DATA.parent.parent / "scripts" / "make_sample_graph_digests.py"
+        spec = importlib.util.spec_from_file_location("make_sample_graph_digests", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        lines = module.digest_lines(pipeline_dir / "graphs")
+        assert "".join(line + "\n" for line in lines) == (
+            DATA / "sample_graph_digests.sha256").read_text()
 
 
 class TestStaleArtifacts:
@@ -388,3 +413,63 @@ class TestIngestDecidesOnce:
         path.write_text("\n".join(lines[:-1]) + "\n")
         assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
         assert "the header declares" in capsys.readouterr().err
+
+
+class TestQaArtifactsReadStrictly:
+    """Hand-edited question and answer files, and questions whose partition
+    has no evidence, exit 2 with the file named instead of ending in a
+    traceback; `answer` refuses them before any model runs."""
+
+    @staticmethod
+    def _copy(pipeline_dir, tmp_path) -> tuple[Path, list[str]]:
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out, ignore=shutil.ignore_patterns("answers-*"))
+        return out, (out / "questions.jsonl").read_text().splitlines()
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda q: {k: v for k, v in q.items() if k != "args"}, "missing field 'args'"),
+        (lambda q: None, "Expecting value"),
+        (lambda q: {**q, "polarity": "maybe"}, "polarity 'maybe'"),
+        (lambda q: {**q, "extra": 1}, "['extra'] differ"),
+    ], ids=["no-args", "blank-line", "polarity-maybe", "extra-field"])
+    def test_hand_edited_question_refused(self, edit, reason, pipeline_dir, tmp_path, capsys):
+        out, lines = self._copy(pipeline_dir, tmp_path)
+        edited = edit(json.loads(lines[2]))
+        lines[2] = "" if edited is None else json.dumps(edited, sort_keys=True)
+        (out / "questions.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for stage in (["answer", "--model", "graph"], ["answer", "--model", "exact"],
+                      ["evaluate"]):
+            assert main([*stage, "--out", str(out)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert "questions.jsonl:3: not a canonical question record" in err and reason in err
+        assert not list(out.glob("answers-*.csv"))
+
+    def test_question_without_evidence_refused(self, pipeline_dir, tmp_path, capsys):
+        out, lines = self._copy(pipeline_dir, tmp_path)
+        record = json.loads(lines[2])
+        lines[2] = json.dumps({**record, "partition_id": 9999}, sort_keys=True)
+        (out / "questions.jsonl").write_text("\n".join(lines) + "\n")
+        export = tmp_path / "export.tsv"
+        capsys.readouterr()
+        for model in (["--model", "graph"], ["--model", "exact"],
+                      ["--model", "external", "--export-evidence", str(export)]):
+            assert main(["answer", "--out", str(out), *model]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"question {record['id']} names partition 9999" in err
+            assert "evidence.jsonl does not hold" in err
+        assert not export.exists() and not list(out.glob("answers-*.csv"))
+
+    def test_answer_file_with_other_header_refused(self, pipeline_dir, tmp_path, capsys):
+        out, _ = self._copy(pipeline_dir, tmp_path)
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_OK
+        rows = (out / "answers-exact.csv").read_text().splitlines()
+        other = tmp_path / "f.csv"
+        other.write_text("\n".join(["id,model,confidence", *rows[1:]]) + "\n")
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join([rows[0], "q000-pos0000,exact"]) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(out), "--answers", str(other)]) == EXIT_DATA
+        assert f"{other}: not an answer file" in capsys.readouterr().err
+        assert main(["evaluate", "--out", str(out), "--answers", str(short)]) == EXIT_DATA
+        assert f"{short}:2: bad answer row" in capsys.readouterr().err

@@ -417,10 +417,8 @@ class TestSubgraphInvariants:
         die = pred("die.1", "person")
         edges = [EntailmentEdge(kill, die, BU, ArgMap.from_slot(s), 0.5) for s in (1, 2)]
         sub = TypedSubgraph(("person", "person"), {kill, die}, edges)
-        sub.build_indexes()
         new = sub.with_scores([0.25, 0.75])
-        for name in ("vertices", "token_ids", "premise_ids", "hypothesis_ids", "codes",
-                     "bu_out", "uu_in"):
+        for name in ("vertices", "token_ids", "premise_ids", "hypothesis_ids", "codes"):
             assert getattr(new, name) is getattr(sub, name), name
         assert list(new.scores) == [0.25, 0.75] and list(sub.scores) == [0.5, 0.5]
         assert new.edges[0] is new.edge(0) and new.edges[0].score == 0.25

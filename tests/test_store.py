@@ -305,6 +305,12 @@ class TestComposedIndexOracle:
                             vertices.add(unary)
                             edges.append(EntailmentEdge(
                                 p, unary, BU, ArgMap.from_slot(slot), rng.choice(self.SCORES)))
+                # BB edges sort among the BU edges of the premise, so the
+                # walk over its out-edges must skip them
+                for q in binaries:
+                    for amap, types in ((ID2, q.slot_types), (ArgMap.swap(), q.slot_types[::-1])):
+                        if p != q and p.slot_types == types and rng.random() < 0.5:
+                            edges.append(EntailmentEdge(p, q, BB, amap, rng.choice(self.SCORES)))
             bivalent[sig] = TypedSubgraph(sig, vertices, edges)
         return bivalent, univalent
 
