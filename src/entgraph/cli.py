@@ -295,7 +295,9 @@ def cmd_evaluate(args) -> int:
     from .store import GraphStore
 
     out = Path(args.out)
-    questions, _ = read_questions(_require(out / "questions.jsonl", "gen-questions"))
+    questions_path = _require(out / "questions.jsonl", "gen-questions")
+    questions, _ = read_questions(questions_path)
+    known = {q.id for q in questions}
     suffix = ""
     if args.filtered:
         store = GraphStore.open(_graph_dir(out, args.graphs))
@@ -309,14 +311,24 @@ def cmd_evaluate(args) -> int:
         answer_paths = [_input_file(Path(p), "answer file") for p in args.answers]
     if not answer_paths:
         raise DataError("no answer files found; run the `answer` subcommand first")
+    # every file is read and checked before any report is written
+    answers = []
+    for path in answer_paths:
+        records = qaeval.read_answers(path)
+        seen = set()
+        for r in records:
+            if r.question_id not in known:
+                raise DataError(f"{path}: question {r.question_id!r} is not in {questions_path}")
+            if r.question_id in seen:
+                raise DataError(f"{path}: question {r.question_id!r} is answered twice")
+            seen.add(r.question_id)
+        answers.append((path, [r for r in records if r.question_id in gold]))
     report_dir = out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     summary_lines = []
     if args.filtered:
         summary_lines.append(f"filtered question set: {len(questions)} questions")
-    for path in answer_paths:
-        records = qaeval.read_answers(path)
-        records = [r for r in records if r.question_id in gold]
+    for path, records in answers:
         model = records[0].model_id if records else path.stem
         curve = qaeval.pr_curve(records, gold)
         qaeval.write_pr_csv(curve, report_dir / f"pr-{model}{suffix}.csv")
@@ -349,30 +361,16 @@ def cmd_query(args) -> int:
     premise = _parse_query_predicate(args.premise, args.type)
     hypothesis = _parse_query_predicate(args.hypothesis, args.type)
 
-    # bind fresh placeholder entities per candidate argument map and take
-    # the best typed route; a premise without a typed vertex falls back to
-    # the untyped average, as in qaeval.answer_graph
+    # bind fresh placeholder entities per candidate argument map
     ents = tuple(
         EntityId(f"x{i}", None, True) for i in range(1, premise.valency + 1)
     )
     prop = Proposition(premise, ents)
-    bindings = [
-        _bound_args(amap, prop.arg_keys)
-        for amap in valid_maps(premise.valency, hypothesis.valency)
-    ]
     best = None
-    for hyp_args in bindings:
-        result = store.entailment_score(prop, hypothesis, hyp_args)
+    for amap in valid_maps(premise.valency, hypothesis.valency):
+        result = store.score(prop, hypothesis, _bound_args(amap, prop.arg_keys))
         if result.score > 0 and (best is None or result.score > best.score):
             best = result
-    if best is None and not store.has_typed_vertex(premise):
-        for hyp_args in bindings:
-            result = store.backoff_score(
-                premise.name, premise.valency, prop.arg_keys,
-                hypothesis.name, hypothesis.valency, hyp_args,
-            )
-            if result.score > 0 and (best is None or result.score > best.score):
-                best = result
     if best is None:
         print(f"no entailment found: {premise.token()} -> {hypothesis.token()}")
         return EXIT_OK

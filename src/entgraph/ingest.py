@@ -375,7 +375,9 @@ class _CanonicalReader:
     parses to reproduces it, its surfaces and type labels are already
     normalized, at least one argument is named, and each kb id keeps the
     one surface it first had in the file. Anything else raises ValueError
-    naming the file and line.
+    naming the file and line. ``read_questions`` builds question
+    predicates and arguments through ``predicate`` and ``entity``, so
+    question lines pass the same checks.
     """
 
     def __init__(self, path: str | Path):
@@ -405,17 +407,8 @@ class _CanonicalReader:
         lemma = obj["predicate"]
         types = tuple(a["type"] for a in args)
         case = f".{args[0]['role_index']}" if len(args) == 1 else None
-        pred = self.predicates.get((lemma, types, case))
-        if pred is None:
-            if not isinstance(lemma, str) or not lemma:
-                raise ValueError(f"predicate {lemma!r} is not a lemma")
-            _lemma(lemma)
-            for label in types:
-                if not label or _type_label(label) != label:
-                    raise ValueError(f"type {label!r} is not an inventory label")
-            pred = TypedPredicate(lemma, len(args), types, case)
-            self.predicates[(lemma, types, case)] = pred
-        entities = tuple(self._entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in args)
+        pred = self.predicate(lemma, types, case)
+        entities = tuple(self.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in args)
         if not any(e.is_named for e in entities):
             raise ValueError("no argument is named")
         date = obj["date"]
@@ -433,7 +426,23 @@ class _CanonicalReader:
             raise ValueError(f"fields {differ} differ from the saved form")
         return prop
 
-    def _entity(self, surface: str, kb_id: str | None, is_named: bool) -> EntityId:
+    def predicate(self, lemma: str, types: tuple[str, ...], case: str | None) -> TypedPredicate:
+        """The predicate with this lemma, types and case marker; the lemma
+        must carry no ``#`` and each type must be an inventory label."""
+        key = (lemma, types, case)
+        if key not in self.predicates:
+            if not isinstance(lemma, str) or not lemma:
+                raise ValueError(f"predicate {lemma!r} is not a lemma")
+            _lemma(lemma)
+            for label in types:
+                if not label or _type_label(label) != label:
+                    raise ValueError(f"type {label!r} is not an inventory label")
+            self.predicates[key] = TypedPredicate(lemma, len(types), types, case)
+        return self.predicates[key]
+
+    def entity(self, surface: str, kb_id: str | None, is_named: bool) -> EntityId:
+        """The entity with this surface and kb id; the surface must be
+        normalized and a kb id keeps the surface it first had in the file."""
         key = (surface, kb_id, is_named)
         if key not in self.entities:
             if normalize_surface(surface) != surface:

@@ -83,16 +83,12 @@ class LexicalResource:
         self,
         noun_hyponyms: dict[str, list[str]],
         verb_troponyms: dict[str, list[str]],
-        first_sense_only: bool = True,
     ):
         self.noun_hyponyms = noun_hyponyms
         self.verb_troponyms = verb_troponyms
-        self.first_sense_only = first_sense_only
 
     @classmethod
-    def from_wordnet_dir(
-        cls, directory: str | Path, first_sense_only: bool = True
-    ) -> "LexicalResource":
+    def from_wordnet_dir(cls, directory: str | Path) -> "LexicalResource":
         directory = Path(directory)
         maps = {}
         for pos in ("noun", "verb"):
@@ -100,10 +96,8 @@ class LexicalResource:
             data = _parse_data_file(directory / f"data.{pos}")
             table: dict[str, list[str]] = {}
             for lemma, offsets in index.items():
-                if first_sense_only:
-                    offsets = offsets[:1]
                 subs: list[str] = []
-                for offset in offsets:
+                for offset in offsets[:1]:  # the first sense only
                     synset = data.get(offset)
                     if synset is None:
                         continue
@@ -115,7 +109,7 @@ class LexicalResource:
                 if subs:
                     table[_clean(lemma)] = subs
             maps[pos] = table
-        return cls(maps["noun"], maps["verb"], first_sense_only)
+        return cls(maps["noun"], maps["verb"])
 
     @classmethod
     def fixture(cls) -> "LexicalResource":

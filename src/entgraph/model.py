@@ -55,10 +55,11 @@ def normalize_surface(text: str) -> str:
 class EntityId:
     """One argument entity: a normalized surface form, optionally linked.
 
-    Equality compares knowledge-base ids when both sides carry one, and
-    surface forms otherwise. Hashing uses the surface only, so mentions of
-    one linked entity must share a canonical surface within a corpus;
-    ingestion enforces that (first surface seen per kb_id wins).
+    Two entities are equal iff their ``key``s are: the kb id when linked,
+    the surface otherwise. So mentions of one linked entity are equal
+    whatever their surfaces, and a linked entity never equals an unlinked
+    one. Ingestion still pins one canonical surface per kb id (the first
+    seen wins), so that surfaces written out are consistent.
     """
 
     surface: str
@@ -72,12 +73,10 @@ class EntityId:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntityId):
             return NotImplemented
-        if self.kb_id is not None and other.kb_id is not None:
-            return self.kb_id == other.kb_id
-        return self.surface == other.surface
+        return self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.surface)
+        return hash(self.key)
 
     @property
     def key(self) -> str:

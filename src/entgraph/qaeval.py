@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .localgraph import ALL_KINDS, BB, BU, UU, _consistent_maps
+from .localgraph import ALL_KINDS, _consistent_maps
 from .model import Proposition, _atomic_writer
 from .qagen import Partition, Question, balance
 from .store import GraphStore
@@ -64,50 +64,16 @@ def answer_graph(
     store: GraphStore,
     kinds: frozenset[str] = ALL_KINDS,
 ) -> AnswerRecord:
-    """Max entailment score from any evidence proposition to the question.
-
-    Components answer one question valency each: BB binary questions from
-    binary evidence, UU unary questions from unary evidence, BU unary
-    questions from binary evidence. Identical untyped proposition and
-    binding scores 1.0 outright; evidence whose predicate has no vertex in
-    its typed subgraph falls back to the untyped average.
-    """
+    """Max of ``GraphStore.score`` over the partition's evidence; the
+    first evidence proposition reaching it is the best evidence."""
     hyp_args = tuple(a.key for a in question.args)
     best = 0.0
     best_pid = None
     backed_off = False
     for pid, prop in evidence.propositions:
-        if question.predicate.valency == 2:
-            if prop.predicate.valency != 2 or BB not in kinds:
-                continue
-        else:
-            allowed = (prop.predicate.valency == 1 and UU in kinds) or (
-                prop.predicate.valency == 2 and BU in kinds
-            )
-            if not allowed:
-                continue
-        if prop.predicate.valency == question.predicate.valency and _untyped_match(
-            question, prop
-        ):
-            score, pid_backoff = 1.0, False
-        elif store.has_typed_vertex(prop.predicate):
-            result = store.entailment_score(
-                prop, question.predicate, hyp_args, kinds
-            )
-            score, pid_backoff = result.score, result.backed_off
-        else:
-            result = store.backoff_score(
-                prop.predicate.name,
-                prop.predicate.valency,
-                prop.arg_keys,
-                question.predicate.name,
-                question.predicate.valency,
-                hyp_args,
-                kinds,
-            )
-            score, pid_backoff = result.score, result.backed_off
-        if score > best:
-            best, best_pid, backed_off = score, pid, pid_backoff
+        result = store.score(prop, question.predicate, hyp_args, kinds)
+        if result.score > best:
+            best, best_pid, backed_off = result.score, pid, result.backed_off
     return AnswerRecord(question.id, _model_id(kinds), best, best_pid, backed_off)
 
 

@@ -338,12 +338,13 @@ def question_record(q: Question) -> dict:
     }
 
 
-def question_from_record(obj: dict) -> Question:
-    pred = TypedPredicate.parse_token(obj["predicate"])
-    args = tuple(
-        EntityId(a["surface"], a.get("kb_id"), a.get("is_named", False))
-        for a in obj["args"]
-    )
+def question_from_record(obj: dict, reader: _CanonicalReader) -> Question:
+    """The question a record holds, its predicate and arguments built
+    through the reader, which checks them as it checks corpus records and
+    shares them across one file."""
+    token = TypedPredicate.parse_token(obj["predicate"])
+    pred = reader.predicate(token.lemma, token.slot_types, token.case_marker)
+    args = tuple(reader.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in obj["args"])
     return Question(
         obj["id"], obj["partition_id"], pred, args, obj["polarity"],
         obj.get("provenance", {}), obj.get("surface", ""),
@@ -360,8 +361,11 @@ def write_questions(qs: QuestionSet, path: str | Path) -> None:
 def read_questions(path: str | Path) -> tuple[list[Question], dict]:
     """The questions and manifest ``write_questions`` wrote. A question
     line is accepted only if ``question_record`` of the question it parses
-    to reproduces it and its polarity is positive or negative; any other
-    line, a blank one included, raises ValueError naming the file and line."""
+    to reproduces it, its polarity is positive or negative, and its
+    predicate and arguments pass the checks ``read_corpus`` makes (type
+    labels as the inventory holds them, normalized surfaces, one surface per
+    kb id across the file); any other line, a blank one included, raises
+    ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -371,13 +375,16 @@ def read_questions(path: str | Path) -> tuple[list[Question], dict]:
         raise ValueError(f"{path}: not a question file")
     if manifest.get("version") != QUESTION_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported question file version")
-    return [_read_question(path, lineno, ln) for lineno, ln in enumerate(lines[1:], 2)], manifest
+    reader = _CanonicalReader(path)
+    return [
+        _read_question(reader, lineno, ln) for lineno, ln in enumerate(lines[1:], 2)
+    ], manifest
 
 
-def _read_question(path: str | Path, lineno: int, line: str) -> Question:
+def _read_question(reader: _CanonicalReader, lineno: int, line: str) -> Question:
     try:
         obj = json.loads(line)
-        q = question_from_record(obj)
+        q = question_from_record(obj, reader)
         record = question_record(q)
         if record != obj:
             differ = sorted(k for k in record.keys() | obj.keys() if record.get(k) != obj.get(k))
@@ -389,7 +396,7 @@ def _read_question(path: str | Path, lineno: int, line: str) -> Question:
         reason = f"missing field {exc.args[0]!r}"
     except (AttributeError, TypeError, ValueError) as exc:
         reason = str(exc)
-    raise ValueError(f"{path}:{lineno}: not a canonical question record: {reason}")
+    raise ValueError(f"{reader.path}:{lineno}: not a canonical question record: {reason}")
 
 
 def write_evidence(partitions: list[Partition], path: str | Path) -> None:

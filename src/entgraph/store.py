@@ -5,9 +5,12 @@ or wrapped from memory). Queries route a premise proposition to its typed
 subgraph and check direct edges under every argument map that is
 consistent with the bound arguments; unary hypotheses may additionally be
 reached through one binary->unary edge followed by one hop inside the
-matching univalent graph, scored as the minimum of the two edges. When the
-premise predicate has no vertex in its typed subgraph, callers fall back
-to an untyped query over all subgraphs, averaging the scores found.
+matching univalent graph, scored as the minimum of the two edges.
+``score`` is the one route from an evidence proposition to a question: it
+answers only the components asked for, and when the typed route finds
+nothing and the premise predicate has no vertex in its typed subgraph it
+falls back to an untyped query over all subgraphs, averaging the scores
+found.
 
 Queries work on vertex ids. A query maps the caller's premise and
 hypothesis predicates to ids once, by token, and every lookup after that
@@ -38,6 +41,7 @@ from .localgraph import (
     EDGE_CODE,
     EDGE_CODES,
     UU,
+    _KIND_OF,
     ArgMap,
     EntailmentEdge,
     TypedSubgraph,
@@ -116,6 +120,31 @@ class GraphStore:
     def has_typed_vertex(self, predicate: TypedPredicate) -> bool:
         sub = self.subgraph_for(predicate)
         return sub is not None and predicate in sub
+
+    def score(
+        self,
+        premise: Proposition,
+        hypothesis: TypedPredicate,
+        hypothesis_args: Sequence[str],
+        kinds: frozenset[str] = ALL_KINDS,
+    ) -> QueryResult:
+        """The answer one evidence proposition gives a query.
+
+        Only the component that links the two valencies may answer (BB a
+        binary from a binary, BU a unary from a binary, UU a unary from a
+        unary), and it must be in ``kinds``. The typed route answers when it
+        finds an entailment or the premise has a typed vertex; otherwise the
+        untyped back-off does.
+        """
+        if _KIND_OF.get((premise.predicate.valency, hypothesis.valency)) not in kinds:
+            return _MISS
+        typed = self.entailment_score(premise, hypothesis, hypothesis_args, kinds)
+        if typed.score > 0 or self.has_typed_vertex(premise.predicate):
+            return typed
+        return self.backoff_score(
+            premise.predicate.name, premise.predicate.valency, premise.arg_keys,
+            hypothesis.name, hypothesis.valency, hypothesis_args, kinds,
+        )
 
     def entailment_score(
         self,

@@ -1,10 +1,12 @@
 """CLI orchestration tests: stage wiring, exit codes, reproducibility."""
 
 import csv
+import datetime as dt
 import hashlib
 import importlib.util
 import itertools
 import json
+import random
 import shutil
 from pathlib import Path
 
@@ -12,6 +14,11 @@ import pytest
 
 from entgraph import resources
 from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, main
+from entgraph.localgraph import BU, UU, _bound_args, valid_maps
+from entgraph.model import EntityId, Proposition, TypedPredicate
+from entgraph.qaeval import answer_graph
+from entgraph.qagen import Partition, Question
+from entgraph.store import GraphStore
 
 from conftest import DATA
 
@@ -109,6 +116,52 @@ class TestStageWiring:
         assert query("be.champion.1#person") == (
             "no entailment found: be.champion.1#person -> be.winner.1#organization")
         assert query("be.champion.1#nonexistent") == "score=0.669934 backed_off=True"
+
+    def test_query_agrees_with_answer_graph(self, pipeline_dir, capsys):
+        """`query` answers a pair as `answer_graph` answers the question of
+        the hypothesis over a partition holding only the premise, bound to
+        the same placeholders, under its best argument map."""
+        store = GraphStore.open(pipeline_dir / "graphs" / "global")
+        subgraphs = [*store.bivalent.values(), *store.univalent.values()]
+        edges = [e for sub in subgraphs for e in sub.edges]
+        direct = {(e.premise.untyped, e.hypothesis.untyped) for e in edges}
+        bu_from = {e.premise.untyped for e in edges if e.kind == BU}
+        uu_into = {e.hypothesis.untyped for e in edges if e.kind == UU}
+        tokens = sorted({v.token() for sub in subgraphs for v in sub.vertices})
+        # a premise with no typed vertex anywhere: only the back-off can answer
+        backoff = sorted({t.split("#")[0] + "#nonexistent" * t.count("#") for t in tokens})
+
+        def reachable(p, h):  # every pair an identity, an edge or a BU+UU path could answer
+            p, h = TypedPredicate.parse_token(p).untyped, TypedPredicate.parse_token(h).untyped
+            return p == h or (p, h) in direct or (p in bu_from and h in uu_into)
+
+        rng = random.Random(10)
+        pairs = {(p, h) for p in tokens + backoff for h in tokens if reachable(p, h)}
+        pairs |= {(p, rng.choice(tokens)) for p in backoff}
+
+        def answered(premise, hypothesis):
+            prop = Proposition(premise, tuple(
+                EntityId(f"x{i}", None, True) for i in range(1, premise.valency + 1)))
+            best = None
+            for amap in valid_maps(premise.valency, hypothesis.valency):
+                question = Question("q", 0, hypothesis, _bound_args(amap, prop.args), "positive", {})
+                record = answer_graph(question, Partition(0, (dt.date.min,) * 2, [("p", prop)]),
+                                      store)
+                if record.confidence > 0 and (best is None or record.confidence > best.confidence):
+                    best = record
+            if best is None:
+                return f"no entailment found: {premise.token()} -> {hypothesis.token()}"
+            return f"score={best.confidence:.6f} backed_off={best.backed_off}"
+
+        capsys.readouterr()
+        outcomes = set()
+        for p, h in sorted(pairs):
+            assert main(["query", p, h, "--out", str(pipeline_dir)]) == EXIT_OK
+            line = capsys.readouterr().out.splitlines()[0]
+            assert line == answered(TypedPredicate.parse_token(p),
+                                    TypedPredicate.parse_token(h)), (p, h)
+            outcomes.add(line.split()[-1] if line.startswith("score=") else "none")
+        assert outcomes == {"backed_off=False", "backed_off=True", "none"}
 
     def test_external_scorer_round_trip(self, pipeline_dir, tmp_path):
         export = tmp_path / "export.tsv"
@@ -431,7 +484,15 @@ class TestQaArtifactsReadStrictly:
         (lambda q: None, "Expecting value"),
         (lambda q: {**q, "polarity": "maybe"}, "polarity 'maybe'"),
         (lambda q: {**q, "extra": 1}, "['extra'] differ"),
-    ], ids=["no-args", "blank-line", "polarity-maybe", "extra-field"])
+        (lambda q: {**q, "predicate": "#".join(
+            [t if i == 0 else t.upper() for i, t in enumerate(q["predicate"].split("#"))])},
+         "is not an inventory label"),
+        (lambda q: {**q, "args": [{**q["args"][0], "surface": "PHELPS  x"}, *q["args"][1:]]},
+         "surface 'PHELPS  x' is not normalized"),
+        (lambda q: {**q, "args": [{**q["args"][0], "surface": "phelps x"}, *q["args"][1:]]},
+         "has surfaces 'phelps' and 'phelps x'"),
+    ], ids=["no-args", "blank-line", "polarity-maybe", "extra-field", "upper-case-type",
+            "unnormalized-surface", "second-kb-surface"])
     def test_hand_edited_question_refused(self, edit, reason, pipeline_dir, tmp_path, capsys):
         out, lines = self._copy(pipeline_dir, tmp_path)
         edited = edit(json.loads(lines[2]))
@@ -473,3 +534,26 @@ class TestQaArtifactsReadStrictly:
         assert f"{other}: not an answer file" in capsys.readouterr().err
         assert main(["evaluate", "--out", str(out), "--answers", str(short)]) == EXIT_DATA
         assert f"{short}:2: bad answer row" in capsys.readouterr().err
+
+    def test_answer_file_with_unknown_or_repeated_question_refused(
+        self, pipeline_dir, tmp_path, capsys
+    ):
+        out, _ = self._copy(pipeline_dir, tmp_path)
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_OK
+        assert main(["evaluate", "--out", str(out)]) == EXIT_OK
+        report = {p.name: p.read_bytes() for p in (out / "report").iterdir()}
+        rows = (out / "answers-exact.csv").read_text().splitlines()
+        unknown = tmp_path / "fake.csv"
+        unknown.write_text("\n".join([rows[0], "zzz,fake,0.0,,0"]) + "\n")
+        twice = tmp_path / "twice.csv"
+        twice.write_text("\n".join([*rows, rows[1]]) + "\n")
+        question = rows[1].split(",")[0]
+        capsys.readouterr()
+        for path, reason in ((unknown, "question 'zzz' is not in"),
+                             (twice, f"question {question!r} is answered twice")):
+            for extra in ([], ["--filtered"]):
+                code = main(["evaluate", "--out", str(out), "--answers",
+                             str(out / "answers-exact.csv"), str(path), *extra])
+                assert code == EXIT_DATA
+                assert f"{path}: {reason}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (out / "report").iterdir()} == report

@@ -44,7 +44,21 @@ class TestEntityId:
         assert EntityId("obama") != EntityId("biden")
 
     def test_mixed_linkage_compares_surface(self):
-        assert EntityId("obama", "fb:1") == EntityId("obama")
+        assert EntityId("obama", "fb:1") != EntityId("obama")
+
+    @given(st.lists(
+        st.builds(EntityId, st.sampled_from(["obama", "biden", "fb:1"]),
+                  st.sampled_from([None, "fb:1", "fb:2", "obama"]), st.booleans()),
+        min_size=3, max_size=3,
+    ))
+    def test_equality_is_key_equality(self, entities):
+        a, b, c = entities
+        assert a == a
+        assert (a == b) == (b == a) == (a.key == b.key)
+        if a == b and b == c:
+            assert a == c
+        if a == b:
+            assert hash(a) == hash(b)
 
     def test_empty_surface_rejected(self):
         with pytest.raises(ValueError):

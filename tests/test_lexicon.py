@@ -26,22 +26,12 @@ class TestParsing:
         assert lex.verb_troponyms["defeat"] == ["obliterate", "overwhelm"]
 
     def test_first_sense_restriction(self, lex):
-        # sense 2 of "play" (gamble) is ignored under the first-sense flag
+        # sense 2 of "play" (gamble) is ignored: only first senses count
         assert lex.verb_troponyms["play"] == ["fumble"]
-
-    def test_all_senses_without_flag(self):
-        lex = LexicalResource.from_wordnet_dir(_fixture_dir(), first_sense_only=False)
-        assert lex.verb_troponyms["play"] == ["fumble", "gamble"]
 
     def test_lemma_without_hyponyms_absent(self, lex):
         assert "drown" not in lex.verb_troponyms
         assert "champion" not in lex.noun_hyponyms
-
-
-def _fixture_dir():
-    from entgraph import resources
-
-    return resources.fixture_wordnet_dir()
 
 
 class TestSubstitution:
