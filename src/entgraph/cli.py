@@ -93,7 +93,7 @@ def _input_file(path: Path, what: str) -> Path:
 
 
 def cmd_ingest(args) -> int:
-    from .ingest import ingest
+    from .ingest import ingest, save_corpus
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,7 +102,7 @@ def cmd_ingest(args) -> int:
     if args.types:
         inventory = TypeInventory.from_file(_input_file(Path(args.types), "type inventory file"))
     corpus = ingest(corpus_path, inventory)
-    corpus.save(out / "corpus.jsonl")
+    save_corpus(corpus, out / "corpus.jsonl")
     config = {"corpus": str(corpus_path), "types": args.types, "stats": corpus.stats.as_dict()}
     _write_manifest(out, "ingest", config, [corpus_path])
     print(
@@ -115,7 +115,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_build_local(args) -> int:
     from . import graphio
-    from .features import FeatureConfig, dump_vectors_tsv
+    from .features import FeatureConfig
     from .ingest import read_corpus
     from .localgraph import LocalBuildConfig, build_local_graphs
 
@@ -126,8 +126,6 @@ def cmd_build_local(args) -> int:
         FeatureConfig(min_count=args.min_count), edge_threshold=args.edge_threshold
     )
     graphs = build_local_graphs(corpus, config)
-    dump_vectors_tsv(out / "vectors.tsv", graphs.pair_vectors, graphs.slot_vectors)
-
     local_dir = out / "graphs" / "local"
     paths = graphio.write_graph_dir(graphs.all_subgraphs(), local_dir)
     n_edges = sum(len(g.edges) for g in graphs.all_subgraphs().values())
@@ -297,7 +295,8 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     questions_path = _require(out / "questions.jsonl", "gen-questions")
     questions, _ = read_questions(questions_path)
-    known = {q.id for q in questions}
+    question_ids = [q.id for q in questions]
+    known = set(question_ids)
     suffix = ""
     if args.filtered:
         store = GraphStore.open(_graph_dir(out, args.graphs))
@@ -322,6 +321,11 @@ def cmd_evaluate(args) -> int:
             if r.question_id in seen:
                 raise DataError(f"{path}: question {r.question_id!r} is answered twice")
             seen.add(r.question_id)
+        unanswered = next((qid for qid in question_ids if qid not in seen), None)
+        if unanswered is not None:
+            raise DataError(
+                f"{path}: question {unanswered!r} of {questions_path} is not answered"
+            )
         answers.append((path, [r for r in records if r.question_id in gold]))
     report_dir = out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

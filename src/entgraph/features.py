@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .model import Corpus, TypedPredicate, _atomic_writer
+from .model import Corpus, TypedPredicate
 
 PAIR = "pair"
 SLOT = "slot"
@@ -38,19 +37,6 @@ class CountStore:
         self.pred_marginal[pred_key] += n
         self.feat_marginal[feat_key] += n
         self.total += n
-
-    def consistent(self) -> bool:
-        """Marginals and total must equal recomputation from the joint."""
-        pred = Counter()
-        feat = Counter()
-        for (p, f), n in self.joint.items():
-            pred[p] += n
-            feat[f] += n
-        return (
-            pred == self.pred_marginal
-            and feat == self.feat_marginal
-            and self.total == sum(self.joint.values())
-        )
 
 
 def count(corpus: Corpus, mode: str) -> CountStore:
@@ -142,16 +128,3 @@ def _pred_sort_key(pred_key):
         pred, slot = pred_key
         return (pred.token(), slot)
     return (pred_key.token(), 0)
-
-
-def dump_vectors_tsv(path: str | Path, pair_vectors: dict, slot_vectors: dict) -> None:
-    """Debug text dump: predicate, feature, weight."""
-    with _atomic_writer(path) as fh:
-        fh.write("vector\tpredicate\tfeature\tweight\n")
-        for pred in sorted(pair_vectors, key=lambda p: p.token()):
-            for feat, w in sorted(pair_vectors[pred].features.items()):
-                fh.write(f"pair\t{pred.token()}\t{feat[0]},{feat[1]}\t{w!r}\n")
-        for pred, slot in sorted(slot_vectors, key=lambda k: (k[0].token(), k[1])):
-            sv = slot_vectors[(pred, slot)]
-            for feat, w in sorted(sv.features.items()):
-                fh.write(f"slot{slot}\t{pred.token()}\t{feat}\t{w!r}\n")

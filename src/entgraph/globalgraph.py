@@ -68,17 +68,9 @@ class GlobalGraph:
     iterations_run: ClassVar[int] = 1
 
 
-def find_paraphrases(subgraph: TypedSubgraph, tau: float):
-    """Unordered same-valency predicate pairs entailing each other >= tau."""
-    return {
-        (subgraph.vertices[p], subgraph.vertices[q])
-        for p, q in _paraphrase_ids(subgraph, tau)
-    }
-
-
 def _paraphrase_ids(sub: TypedSubgraph, tau: float) -> list[tuple[int, int]]:
-    """``find_paraphrases`` as vertex-id pairs, each in token order, listed
-    in the order of the sorted predicate pairs."""
+    """Same-valency vertex pairs entailing each other at >= tau, as id
+    pairs in token order, listed in the order of their predicate pairs."""
     premise, hypothesis, scores = sub.premise_ids, sub.hypothesis_ids, sub.scores
     strong = set()
     i, n = 0, len(scores)
@@ -223,15 +215,6 @@ def _solve_components(local: np.ndarray, groups) -> np.ndarray:
         rhs = local[at].reshape(len(roots), k, 1)
         solution[at] = np.linalg.solve(a.reshape(len(roots), k, k), rhs).ravel()
     return solution
-
-
-def objective(scores: np.ndarray, local: np.ndarray, groups) -> float:
-    value = float(np.sum((scores - local) ** 2))
-    for weight, vids in groups:
-        for i in range(len(vids)):
-            for j in range(i + 1, len(vids)):
-                value += weight * float(scores[vids[i]] - scores[vids[j]]) ** 2
-    return value
 
 
 def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> GlobalGraph:

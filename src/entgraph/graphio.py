@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .localgraph import EDGE_CODE, EDGE_CODES, ArgMap, EntailmentEdge, TypedSubgraph, _columns
+from .localgraph import EDGE_CODES, TypedSubgraph, _columns
 from .model import TypedPredicate, VersionMismatch, _atomic_writer
 
 FORMAT_VERSION = 1
@@ -27,6 +27,7 @@ def subgraph_filename(signature: tuple[str, ...]) -> str:
 # the kind and map fields of an E line, by edge code, and back
 _EDGE_TEXT = tuple(f"{kind}\t{amap.format()}" for kind, amap in EDGE_CODES)
 _CODE_OF_TEXT = {(kind, amap.format()): code for code, (kind, amap) in enumerate(EDGE_CODES)}
+_EDGE_NAMES = ", ".join(f"{kind} {amap.format()}" for kind, amap in EDGE_CODES)
 
 
 def write_subgraph(subgraph: TypedSubgraph, path: str | Path) -> None:
@@ -71,30 +72,41 @@ def read_subgraph(
             raise VersionMismatch(
                 f"{path}: format {version or '?'} unsupported (expected v{FORMAT_VERSION})"
             )
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if line.startswith("E\t"):
-                _, prem, hyp, kind, amap, score = line.split("\t")
+                fields = line.split("\t")
+                if len(fields) != 6:
+                    raise ValueError(f"{path}:{lineno}: edge line has {len(fields)} fields, not 6")
+                _, prem, hyp, kind, amap, score = fields
                 p, h = ids.get(prem), ids.get(hyp)
                 if p is None or h is None:
                     missing = prem if p is None else hyp
-                    raise ValueError(f"{path}: edge endpoint {missing!r} has no V line")
+                    raise ValueError(f"{path}:{lineno}: edge endpoint {missing!r} has no V line")
                 code = _CODE_OF_TEXT.get((kind, amap))
                 if code is None:
-                    # not a map as written: EntailmentEdge names the fault
-                    e = EntailmentEdge(vertices[p], vertices[h], kind, ArgMap.parse(amap), 0.0)
-                    code = EDGE_CODE[e.kind, e.arg_map]
+                    raise ValueError(
+                        f"{path}:{lineno}: {kind} {amap} is not an edge kind and argument "
+                        f"map; expected one of {_EDGE_NAMES}"
+                    )
+                try:
+                    scores.append(float(score))
+                except ValueError:
+                    bad = score.strip()
+                    raise ValueError(f"{path}:{lineno}: bad edge score {bad!r}") from None
                 premise_ids.append(p)
                 hypothesis_ids.append(h)
                 codes.append(code)
-                scores.append(float(score))
             elif line.startswith("V\t"):
                 if codes:
-                    raise ValueError(f"{path}: V line after the E lines")
+                    raise ValueError(f"{path}:{lineno}: V line after the E lines")
                 token = line[2:].strip()
                 if token not in ids:
                     vertex = predicates.get(token)
                     if vertex is None:
-                        vertex = predicates[token] = TypedPredicate.parse_token(token)
+                        try:
+                            vertex = predicates[token] = TypedPredicate.parse_token(token)
+                        except ValueError as exc:
+                            raise ValueError(f"{path}:{lineno}: {exc}") from None
                     ids[token] = len(vertices)
                     vertices.append(vertex)
             elif line.strip():
@@ -109,11 +121,14 @@ def read_subgraph(
             f"{path}: kind={header['kind']} does not match types={header['types']}"
         )
     for key, found in (("vertices", vertices), ("edges", codes)):
-        if key in header and int(header[key]) != len(found):
+        if key in header and header[key] != str(len(found)):
             raise ValueError(f"{path}: {key}={header[key]} but {len(found)} found")
-    return TypedSubgraph.from_columns(
-        types, vertices, premise_ids, hypothesis_ids, codes, scores
-    )
+    try:
+        return TypedSubgraph.from_columns(
+            types, vertices, premise_ids, hypothesis_ids, codes, scores
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_graph_dir(directory: str | Path) -> dict[tuple[str, ...], TypedSubgraph]:

@@ -1,13 +1,12 @@
 """Local entailment learning within and across predicate valencies.
 
-Two routes to the same relation live here. The exact route checks subtuple
-inclusion between the argument-tuple sets of a premise and a hypothesis
-predicate under an argument mapping: if every selected subtuple of the
-premise's instances also occurs among the hypothesis's instances, the
-premise entails the hypothesis. The distributional route relaxes that set
-inclusion to Balanced Inclusion (BInc) over PMI feature vectors, the
-geometric mean of Weeds Precision (directional coverage) and Lin
-similarity (symmetric, damping rare predicates).
+A premise entails a hypothesis under an argument mapping when every
+selected subtuple of the premise's instances also occurs among the
+hypothesis's instances. Scoring relaxes that set inclusion to Balanced
+Inclusion (BInc) over PMI feature vectors, the geometric mean of Weeds
+Precision (directional coverage) and Lin similarity (symmetric, damping
+rare predicates). Their sums add left to right, so a score is the same
+bits on every supported Python.
 
 Edges are assembled into disjoint typed subgraphs: bivalent graphs keyed
 by a type pair hold binary->binary (BB) and binary->unary (BU) edges;
@@ -83,23 +82,8 @@ class ArgMap:
         canon = _FROM_SLOT.get(slot)
         return canon if canon is not None else cls(((slot, 1),))
 
-    @property
-    def premise_slots(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
     def format(self) -> str:
         return ",".join(f"{p}:{h}" for p, h in self.pairs)
-
-    @classmethod
-    def parse(cls, text: str) -> "ArgMap":
-        canon = _BY_TEXT.get(text)
-        if canon is not None:
-            return canon
-        pairs = []
-        for part in text.split(","):
-            p, h = part.split(":")
-            pairs.append((int(p), int(h)))
-        return cls(tuple(pairs))
 
 
 # The four maps any edge can carry, built and validated once: the
@@ -107,7 +91,6 @@ class ArgMap:
 _IDENTITY = {1: ArgMap(((1, 1),)), 2: ArgMap(((1, 1), (2, 2)))}
 _SWAP = ArgMap(((1, 2), (2, 1)))
 _FROM_SLOT = {1: _IDENTITY[1], 2: ArgMap(((2, 1),))}
-_BY_TEXT = {m.format(): m for m in (*_IDENTITY.values(), _SWAP, _FROM_SLOT[2])}
 _VALID_MAPS = {
     (2, 2): (_IDENTITY[2], _SWAP),
     (2, 1): (_FROM_SLOT[1], _FROM_SLOT[2]),
@@ -138,34 +121,17 @@ def _consistent_maps(premise_args: Sequence, hypothesis_args: Sequence) -> list[
     ]
 
 
-def inclusion_oracle(
-    premise_tuples: Iterable[Sequence],
-    hypothesis_tuples: Iterable[Sequence],
-    arg_map: ArgMap,
-) -> bool:
-    """Exact subtuple-inclusion test between two argument-tuple sets.
+def _left_sum(values: Iterable[float]) -> float:
+    """The sum of floats added strictly left to right.
 
-    True iff for every premise tuple, the hypothesis set contains a tuple
-    that agrees with it on every mapped slot. Tuple arities must match the
-    map's premise and hypothesis sides.
+    Python 3.12 made ``sum`` of floats compensated, which can change the
+    last bits; this loop is what ``sum`` computed before, so scores, and
+    the graph files holding them, are the same bits on every interpreter.
     """
-    premise_tuples = [tuple(t) for t in premise_tuples]
-    hypothesis_set = set(map(tuple, hypothesis_tuples))
-    j = len(arg_map.pairs)
-    for t in hypothesis_set:
-        if len(t) != j:
-            raise ValueError(f"hypothesis tuple arity {len(t)} != map arity {j}")
-    max_slot = max(p for p, _ in arg_map.pairs)
-    arities = {len(t) for t in premise_tuples}
-    if len(arities) > 1 or (arities and min(arities) < max_slot):
-        raise ValueError(f"premise tuple arities {arities} invalid for map {arg_map.pairs}")
-    selected = set()
-    for t in premise_tuples:
-        image = [None] * j
-        for p_slot, h_slot in arg_map.pairs:
-            image[h_slot - 1] = t[p_slot - 1]
-        selected.add(tuple(image))
-    return selected <= hypothesis_set
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def weeds_precision(u: Mapping, v: Mapping) -> float:
@@ -174,19 +140,19 @@ def weeds_precision(u: Mapping, v: Mapping) -> float:
     sum_{f in supp(u) & supp(v)} u[f] / sum_{f in supp(u)} u[f]; 0 when u
     is empty. Equals 1 exactly when supp(u) is contained in supp(v).
     """
-    denom = sum(u[f] for f in sorted(u))
+    denom = _left_sum(u[f] for f in sorted(u))
     if denom == 0:
         return 0.0
-    num = sum(u[f] for f in sorted(u) if f in v)
+    num = _left_sum(u[f] for f in sorted(u) if f in v)
     return num / denom
 
 
 def lin_similarity(u: Mapping, v: Mapping) -> float:
     """Symmetric similarity: shared mass over total mass of both vectors."""
-    denom = sum(u[f] for f in sorted(u)) + sum(v[f] for f in sorted(v))
+    denom = _left_sum(u[f] for f in sorted(u)) + _left_sum(v[f] for f in sorted(v))
     if denom == 0:
         return 0.0
-    num = sum(u[f] + v[f] for f in sorted(u) if f in v)
+    num = _left_sum(u[f] + v[f] for f in sorted(u) if f in v)
     return num / denom
 
 
@@ -464,11 +430,6 @@ class EdgeView(Sequence):
         return f"EdgeView({list(self)!r})"
 
 
-def edge_key(e: EntailmentEdge) -> tuple:
-    """Identity of an edge irrespective of its score."""
-    return (e.premise, e.hypothesis, e.kind, e.arg_map)
-
-
 def canonical_signature(slot_types: Sequence[str]) -> tuple[str, ...]:
     """Bivalent subgraphs are keyed by the sorted type pair."""
     if len(slot_types) == 1:
@@ -592,9 +553,6 @@ def build_univalent(
 class LocalGraphs:
     bivalent: dict[tuple[str, str], TypedSubgraph]
     univalent: dict[tuple[str], TypedSubgraph]
-    # the PMI vectors the subgraphs were scored from
-    pair_vectors: dict[TypedPredicate, PairVector]
-    slot_vectors: dict[tuple[TypedPredicate, int], SlotVector]
 
     def all_subgraphs(self) -> dict[tuple[str, ...], TypedSubgraph]:
         out: dict[tuple[str, ...], TypedSubgraph] = {}
@@ -627,4 +585,4 @@ def build_local_graphs(corpus: Corpus, config: LocalBuildConfig = LocalBuildConf
         (t,): build_univalent(t, preds, slot_vectors, config.edge_threshold)
         for t, preds in sorted(unaries_by_type.items())
     }
-    return LocalGraphs(bivalent, univalent, pair_vectors, slot_vectors)
+    return LocalGraphs(bivalent, univalent)

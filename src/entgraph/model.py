@@ -1,9 +1,8 @@
 """Core corpus data model: entities, typed predicates, propositions, corpora.
 
-A corpus is an immutable list of propositions plus occurrence indexes over
-entities, predicates and argument pairs. Everything downstream (feature
-vectors, graphs, question generation) reads from this model and never
-mutates it.
+A corpus is an immutable list of propositions plus the occurrence count of
+each untyped predicate. Everything downstream (feature vectors, graphs,
+question generation) reads from this model and never mutates it.
 """
 
 from __future__ import annotations
@@ -246,20 +245,17 @@ class IngestStats:
 
 
 class Corpus:
-    """Immutable proposition collection with derived occurrence indexes."""
+    """Immutable proposition collection with untyped predicate counts."""
 
     def __init__(self, propositions: Iterable[Proposition], stats: IngestStats | None = None):
         self.propositions: tuple[Proposition, ...] = tuple(propositions)
         self.stats = stats or IngestStats(
             records_read=len(self.propositions), propositions=len(self.propositions)
         )
-        self.predicate_index: Counter[TypedPredicate] = Counter()
-        for prop in self.propositions:
-            self.predicate_index[prop.predicate] += 1
         # untyped predicate occurrence counts back question screening
-        self.untyped_index: Counter[tuple[str, int]] = Counter()
-        for pred, n in self.predicate_index.items():
-            self.untyped_index[pred.untyped] += n
+        self.untyped_index: Counter[tuple[str, int]] = Counter(
+            prop.predicate.untyped for prop in self.propositions
+        )
 
     def __len__(self) -> int:
         return len(self.propositions)
@@ -278,12 +274,3 @@ class Corpus:
     def items(self) -> Iterator[tuple[str, Proposition]]:
         for i, prop in enumerate(self.propositions):
             yield self.prop_id(i), prop
-
-    def verify_indexes(self) -> bool:
-        """Recompute the predicate index from the proposition list and compare."""
-        return self.predicate_index == Corpus(self.propositions).predicate_index
-
-    def save(self, path: str | Path) -> None:
-        from .ingest import save_corpus
-
-        save_corpus(self, path)

@@ -77,18 +77,6 @@ def answer_graph(
     return AnswerRecord(question.id, _model_id(kinds), best, best_pid, backed_off)
 
 
-def combine_components(records: Sequence[AnswerRecord]) -> AnswerRecord:
-    """Overall prediction: the max over component confidences, so the
-    combined model predicts true whenever any component does."""
-    if not records:
-        raise ValueError("no component records")
-    best = max(records, key=lambda r: r.confidence)
-    return AnswerRecord(
-        best.question_id, "combined", best.confidence,
-        best.best_evidence, best.backed_off,
-    )
-
-
 # -- external scorer protocol ------------------------------------------------
 
 

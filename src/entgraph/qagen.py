@@ -366,19 +366,31 @@ def read_questions(path: str | Path) -> tuple[list[Question], dict]:
     labels as the inventory holds them, normalized surfaces, one surface per
     kb id across the file); any other line, a blank one included, raises
     ValueError naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty question file")
-    manifest = json.loads(lines[0])
-    if manifest.get("format") != "entgraph-questions":
-        raise ValueError(f"{path}: not a question file")
-    if manifest.get("version") != QUESTION_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported question file version")
+    manifest, lines = _read_qa_file(
+        path, "entgraph-questions", QUESTION_FORMAT_VERSION, "a question file"
+    )
     reader = _CanonicalReader(path)
     return [
         _read_question(reader, lineno, ln) for lineno, ln in enumerate(lines[1:], 2)
     ], manifest
+
+
+def _read_qa_file(path: str | Path, fmt: str, version: int, what: str) -> tuple[dict, list[str]]:
+    """The header and the lines of a QA file. The first line must be a JSON
+    object declaring ``fmt`` and ``version``, or ValueError names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    try:
+        header = json.loads(lines[0]) if lines else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise ValueError(f"{path}: not {what}")
+    if header.get("version") != version:
+        raise ValueError(
+            f"{path}: unsupported version {header.get('version')!r} (this code reads {version})"
+        )
+    return header, lines
 
 
 def _read_question(reader: _CanonicalReader, lineno: int, line: str) -> Question:
@@ -428,15 +440,19 @@ def read_evidence(path: str | Path) -> list[Partition]:
     """The partitions ``write_evidence`` wrote. Records are read as strictly
     as ``read_corpus`` reads them, and each partition must hold as many as
     the header declares."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = json.loads(lines[0]) if lines else {}
-    if header.get("format") != "entgraph-evidence":
-        raise ValueError(f"{path}: not an evidence file")
-    if header.get("version") != EVIDENCE_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported evidence file version")
-    meta = {p["id"]: p for p in header["partitions"]}
-    by_id: dict[int, list[tuple[str, Proposition]]] = {p["id"]: [] for p in header["partitions"]}
+    header, lines = _read_qa_file(
+        path, "entgraph-evidence", EVIDENCE_FORMAT_VERSION, "an evidence file"
+    )
+    meta = {}
+    try:
+        for p in header["partitions"]:
+            lo, hi = p["date_range"]
+            meta[p["id"]] = (p["size"], (dt.date.fromisoformat(lo), dt.date.fromisoformat(hi)))
+    except KeyError as exc:
+        raise ValueError(f"{path}:1: evidence header lacks {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:1: bad evidence header: {exc}") from None
+    by_id: dict[int, list[tuple[str, Proposition]]] = {pid: [] for pid in meta}
     reader = _CanonicalReader(path)
     for lineno, line in enumerate(lines[1:], 2):
         prop, (part_id, prop_id) = reader.parse(lineno, line, ("partition_id", "prop_id"))
@@ -445,17 +461,11 @@ def read_evidence(path: str | Path) -> list[Partition]:
         by_id[part_id].append((prop_id, prop))
     out = []
     for pid in sorted(by_id):
-        if len(by_id[pid]) != meta[pid]["size"]:
+        size, date_range = meta[pid]
+        if len(by_id[pid]) != size:
             raise ValueError(
                 f"{path}: partition {pid} has {len(by_id[pid])} records, "
-                f"the header declares {meta[pid]['size']}"
+                f"the header declares {size}"
             )
-        lo, hi = meta[pid]["date_range"]
-        out.append(
-            Partition(
-                pid,
-                (dt.date.fromisoformat(lo), dt.date.fromisoformat(hi)),
-                by_id[pid],
-            )
-        )
+        out.append(Partition(pid, date_range, by_id[pid]))
     return out

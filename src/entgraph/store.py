@@ -46,6 +46,7 @@ from .localgraph import (
     EntailmentEdge,
     TypedSubgraph,
     _consistent_maps,
+    _left_sum,
     canonical_signature,
 )
 from .model import Proposition, TypedPredicate
@@ -251,7 +252,8 @@ class GraphStore:
 
         Within each such subgraph the best binding-consistent edge is
         taken; the result is the arithmetic mean over subgraphs where an
-        edge was found, or 0 when there is none.
+        edge was found, summed left to right in signature order, or 0 when
+        there is none.
         """
         cand_maps = _consistent_maps(premise_args, hypothesis_args)
         if not cand_maps:
@@ -287,7 +289,7 @@ class GraphStore:
                     best_path = (edge,)
         if not found:
             return QueryResult(0.0, backed_off=True)
-        return QueryResult(sum(found) / len(found), best_path, backed_off=True)
+        return QueryResult(_left_sum(found) / len(found), best_path, backed_off=True)
 
 
 def _best_edge(

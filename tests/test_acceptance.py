@@ -27,9 +27,7 @@ from entgraph.localgraph import (
     TypedSubgraph,
     binc,
     build_local_graphs,
-    edge_key,
     lin_similarity,
-    inclusion_oracle,
     valid_maps,
     weeds_precision,
 )
@@ -45,12 +43,12 @@ from entgraph.qaeval import (
     AnswerRecord,
     accuracy_at_k,
     answer_graph,
-    combine_components,
     pr_curve,
 )
 from entgraph.store import GraphStore
 
 from conftest import corpus, ent, pred, prop
+from oracles import combine_components, inclusion_oracle
 from test_localgraph import buy_sell_corpus, kill_die_corpus
 
 
@@ -241,7 +239,9 @@ def test_globalization_identity_and_convergence():
         (family[sig].edges[i], identity.subgraphs[sig].edges[i]) for sig, i in edge_at
     ]
     identity_ok = len(pairs) == 4 and all(
-        edge_key(final) == edge_key(local) and abs(final.score - local.score) <= 1e-9
+        (final.premise, final.hypothesis, final.kind, final.arg_map)
+        == (local.premise, local.hypothesis, local.kind, local.arg_map)
+        and abs(final.score - local.score) <= 1e-9
         for local, final in pairs
     )
 

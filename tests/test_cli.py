@@ -35,11 +35,9 @@ def pipeline_dir(tmp_path_factory) -> Path:
 
 class TestStageWiring:
     def test_artifacts_exist(self, pipeline_dir):
-        for name in (
-            "corpus.jsonl", "vectors.tsv",
-            "questions.jsonl", "evidence.jsonl",
-        ):
+        for name in ("corpus.jsonl", "questions.jsonl", "evidence.jsonl"):
             assert (pipeline_dir / name).is_file()
+        assert not (pipeline_dir / "vectors.tsv").exists()
         assert list((pipeline_dir / "graphs" / "local").glob("*.graph"))
         assert list((pipeline_dir / "graphs" / "global").glob("*.graph"))
 
@@ -326,7 +324,7 @@ class TestReproducibility:
             assert main(["build-local", "--out", str(out)]) == EXIT_OK
             assert main(["globalize", "--out", str(out)]) == EXIT_OK
             assert main(["gen-questions", "--out", str(out), "--seed", "11"]) == EXIT_OK
-        for rel in ["corpus.jsonl", "vectors.tsv", "questions.jsonl", "evidence.jsonl"]:
+        for rel in ["corpus.jsonl", "questions.jsonl", "evidence.jsonl"]:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
         for graph_a in sorted((a / "graphs" / "global").glob("*")):
             graph_b = b / "graphs" / "global" / graph_a.name
@@ -534,6 +532,43 @@ class TestQaArtifactsReadStrictly:
         assert f"{other}: not an answer file" in capsys.readouterr().err
         assert main(["evaluate", "--out", str(out), "--answers", str(short)]) == EXIT_DATA
         assert f"{short}:2: bad answer row" in capsys.readouterr().err
+
+    def test_incomplete_answer_file_refused(self, pipeline_dir, tmp_path, capsys):
+        out, _ = self._copy(pipeline_dir, tmp_path)
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_OK
+        assert main(["evaluate", "--out", str(out)]) == EXIT_OK
+        report = {p.name: p.read_bytes() for p in (out / "report").iterdir()}
+        rows = (out / "answers-exact.csv").read_text().splitlines()
+        header_only = tmp_path / "hdr.csv"
+        header_only.write_text(rows[0] + "\n")
+        no_second = tmp_path / "partial.csv"
+        no_second.write_text("\n".join([rows[0], rows[1], *rows[3:]]) + "\n")
+        first, second = (row.split(",")[0] for row in rows[1:3])
+        capsys.readouterr()
+        for path, missing in ((header_only, first), (no_second, second)):
+            for extra in ([], ["--filtered"]):
+                code = main(["evaluate", "--out", str(out), "--answers", str(path), *extra])
+                assert code == EXIT_DATA
+                err = capsys.readouterr().err
+                assert f"{path}: question {missing!r} of " in err and "is not answered" in err
+        assert {p.name: p.read_bytes() for p in (out / "report").iterdir()} == report
+
+    @pytest.mark.parametrize("name, edit, reason", [
+        ("evidence.jsonl", lambda h: json.dumps({k: v for k, v in h.items() if k != "partitions"}),
+         "evidence.jsonl:1: evidence header lacks 'partitions'"),
+        ("questions.jsonl", lambda h: "[1]", "questions.jsonl: not a question file"),
+    ], ids=["evidence-without-partitions", "questions-list"])
+    def test_malformed_qa_header_refused(
+        self, name, edit, reason, pipeline_dir, tmp_path, capsys
+    ):
+        out, _ = self._copy(pipeline_dir, tmp_path)
+        lines = (out / name).read_text().splitlines()
+        lines[0] = edit(json.loads(lines[0]))
+        (out / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
+        assert reason in capsys.readouterr().err
+        assert not list(out.glob("answers-*.csv"))
 
     def test_answer_file_with_unknown_or_repeated_question_refused(
         self, pipeline_dir, tmp_path, capsys

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -223,14 +224,15 @@ class TestIngest(object):
         path.write_text(json.dumps(record) + "\n")
         corpus = ingest(path)
         key = TypedPredicate("kill", 2, ("person", "person"))
-        assert corpus.predicate_index[key] == 1
+        assert [p.predicate for p in corpus] == [key]
+        assert corpus.untyped_index == {key.untyped: 1}
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         corpus = ingest(path)
         assert len(corpus) == 0
-        assert not corpus.predicate_index
+        assert not corpus.untyped_index
 
     def test_skip_counts(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -281,10 +283,10 @@ class TestCorpusInvariants:
     def test_round_trip_identity(self, conformance_file, tmp_path):
         corpus = ingest(conformance_file)
         out = tmp_path / "saved.jsonl"
-        corpus.save(out)
+        save_corpus(corpus, out)
         again = read_corpus(out)
         assert again == corpus
-        assert again.predicate_index == corpus.predicate_index
+        assert again.untyped_index == corpus.untyped_index
 
     def test_valency_equals_arg_count_everywhere(self, conformance_file):
         corpus = ingest(conformance_file)
@@ -293,11 +295,11 @@ class TestCorpusInvariants:
 
     def test_indexes_match_recomputation(self, conformance_file):
         corpus = ingest(conformance_file)
-        assert corpus.verify_indexes()
+        assert corpus.untyped_index == Counter(p.predicate.untyped for p in corpus)
 
     def test_predicate_counts_sum_to_size(self, conformance_file):
         corpus = ingest(conformance_file)
-        assert sum(corpus.predicate_index.values()) == len(corpus)
+        assert sum(corpus.untyped_index.values()) == len(corpus)
 
     def test_construction_rejects_mismatched_args(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ pmi = max(0, ln((joint/total) / ((pred/total) * (feat/total)))).
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,6 @@ from entgraph.features import (
     FeatureConfig,
     build_vectors,
     count,
-    dump_vectors_tsv,
     pmi,
 )
 from conftest import corpus, pred, prop
@@ -61,7 +61,13 @@ class TestCount:
             ),
             SLOT,
         )
-        assert store.consistent()
+        by_pred, by_feat = Counter(), Counter()
+        for (p, f), n in store.joint.items():
+            by_pred[p] += n
+            by_feat[f] += n
+        assert by_pred == store.pred_marginal
+        assert by_feat == store.feat_marginal
+        assert store.total == sum(store.joint.values())
 
 
 class TestPmi:
@@ -175,28 +181,6 @@ class TestBuildVectors:
         assert {k: v.features for k, v in first.items()} == {
             k: v.features for k, v in second.items()
         }
-
-
-class TestSerialization:
-    def _vectors(self):
-        props = [
-            prop("kill", ("a", "b")), prop("kill", ("c", "d")), prop("kill", ("a", "d")),
-            prop("die.1", ("b",)), prop("die.1", ("d",)), prop("die.1", ("e",)),
-            *[prop("chatter.1", (f"x{i}",)) for i in range(10)],
-        ]
-        c = corpus(*props)
-        return (
-            build_vectors(count(c, PAIR), FeatureConfig(min_count=1)),
-            build_vectors(count(c, SLOT), FeatureConfig(min_count=1)),
-        )
-
-    def test_tsv_dump(self, tmp_path):
-        pairs, slots = self._vectors()
-        path = tmp_path / "vectors.tsv"
-        dump_vectors_tsv(path, pairs, slots)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "vector\tpredicate\tfeature\tweight"
-        assert len(lines) > 1
 
 
 def test_no_module_imports_pickle():

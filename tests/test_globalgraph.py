@@ -9,10 +9,9 @@ import pytest
 
 from entgraph.globalgraph import (
     GlobalConfig,
+    _paraphrase_ids,
     apply_to_all,
-    find_paraphrases,
     globalize,
-    objective,
 )
 from entgraph.localgraph import (
     BB,
@@ -21,10 +20,10 @@ from entgraph.localgraph import (
     ArgMap,
     EntailmentEdge,
     TypedSubgraph,
-    edge_key,
 )
 
 from conftest import pred
+from oracles import objective
 
 ID1 = ArgMap.identity(1)
 ID2 = ArgMap.identity(2)
@@ -36,6 +35,16 @@ HAPPY = pred("be.happy.1", "person")
 
 def uu(p, q, score):
     return EntailmentEdge(p, q, UU, ID1, score)
+
+
+def edge_key(e):
+    """Identity of an edge irrespective of its score."""
+    return (e.premise, e.hypothesis, e.kind, e.arg_map)
+
+
+def find_paraphrases(sub, tau):
+    """The mutual pairs ``_paraphrase_ids`` finds, as predicate pairs."""
+    return {(sub.vertices[p], sub.vertices[q]) for p, q in _paraphrase_ids(sub, tau)}
 
 
 def toy_paraphrase_graph():

@@ -8,7 +8,6 @@ import pytest
 
 from entgraph import model, qaeval, qagen
 from entgraph.cli import EXIT_DATA, _write_manifest, main
-from entgraph.features import PairVector, dump_vectors_tsv
 from entgraph.graphio import (
     VersionMismatch,
     read_graph_dir,
@@ -89,6 +88,14 @@ def test_count_mismatch_detected(tmp_path):
     text = (DATA / "golden_bivalent.graph").read_text().replace("edges=3", "edges=7")
     path.write_text(text)
     with pytest.raises(ValueError):
+        read_subgraph(path)
+
+
+def test_non_integer_count_names_file(tmp_path):
+    path = tmp_path / "bad.graph"
+    text = (DATA / "golden_bivalent.graph").read_text().replace("vertices=3", "vertices=x")
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"bad\.graph: vertices=x but 3 found"):
         read_subgraph(path)
 
 
@@ -189,7 +196,6 @@ def test_parsed_edges_share_vertex_objects():
 
 
 def test_parsed_edges_carry_canonical_maps():
-    assert ArgMap.parse("1:2,2:1") is ArgMap.swap()
     sub = read_subgraph(DATA / "golden_bivalent.graph")
     for e in sub.edges:
         maps = valid_maps(e.premise.valency, e.hypothesis.valency)
@@ -215,7 +221,7 @@ class _FailMidway:
 
 
 @pytest.mark.parametrize(
-    "artifact", ["subgraph", "manifest", "questions", "answers", "corpus", "vectors"]
+    "artifact", ["subgraph", "manifest", "questions", "answers", "corpus"]
 )
 def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
     if artifact == "subgraph":
@@ -234,14 +240,9 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
         path = tmp_path / "answers-graph-bb.csv"
         records = [qaeval.AnswerRecord("q1", "graph-bb", 0.5, "p1")]
         write = functools.partial(qaeval.write_answers, records, path)
-    elif artifact == "corpus":
+    else:
         path = tmp_path / "corpus.jsonl"
         write = functools.partial(save_corpus, corpus(prop("sing.1", ("knowles",))), path)
-    else:
-        path = tmp_path / "vectors.tsv"
-        kill = pred("kill", "person", "person")
-        vectors = {kill: PairVector(kill, {("mustard", "boddy"): 0.5})}
-        write = functools.partial(dump_vectors_tsv, path, vectors, {})
     write()
     before = path.read_bytes()
     monkeypatch.setattr(
@@ -252,3 +253,34 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
         write()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("BU\t2:1", "UU\t2:1", r"UU 2:1 is not an edge kind and argument map"),
+    ("BU\t2:1", "UU\tx", r"UU x is not an edge kind and argument map"),
+    ("BU\t2:1", "XX\t1:1", r"XX 1:1 is not an edge kind and argument map"),
+    ("BU\t2:1", "BU\t2:1\textra", r"edge line has 7 fields, not 6"),
+    ("0.7745966692414834", "high", r"bad edge score 'high'"),
+], ids=["uu-with-bu-map", "unparsed-map", "unknown-kind", "extra-field", "bad-score"])
+def test_bad_edge_text_names_file_and_line(tmp_path, capsys, old, new, reason):
+    path = tmp_path / "graphs" / "bi__person__person.graph"
+    path.parent.mkdir()
+    path.write_text((DATA / "golden_bivalent.graph").read_text().replace(old, new))
+    with pytest.raises(ValueError, match=rf"bi__person__person\.graph:9: {reason}"):
+        read_subgraph(path)
+    code = main(["query", "--out", str(tmp_path), "--graphs", str(path.parent),
+                 "kill#person#person", "die.1#person"])
+    assert code == EXIT_DATA
+    assert f"{path}:9: " in capsys.readouterr().err
+
+
+def test_edge_inconsistent_with_its_vertices_names_file(tmp_path):
+    # a known kind and map, but a BB edge needs two binary vertices
+    path = tmp_path / "bi__person__person.graph"
+    path.write_text(
+        (DATA / "golden_bivalent.graph").read_text().replace("BU\t2:1", "BB\t1:1,2:2")
+    )
+    with pytest.raises(
+        ValueError, match=r"bi__person__person\.graph: kind BB inconsistent with valencies"
+    ):
+        read_subgraph(path)

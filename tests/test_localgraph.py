@@ -5,7 +5,9 @@ definitions (documented inline); the oracle is cross-checked against an
 independent enumeration in test_acceptance.py at scale.
 """
 
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,13 +25,13 @@ from entgraph.localgraph import (
     build_local_graphs,
     canonical_signature,
     lin_similarity,
-    inclusion_oracle,
     swapped_pair_features,
     valid_maps,
     weeds_precision,
 )
 
 from conftest import corpus, ent, pred, prop
+from oracles import inclusion_oracle
 
 
 class TestArgMap:
@@ -51,12 +53,6 @@ class TestArgMap:
         assert ArgMap.identity(2) is maps[0] and ArgMap.swap() is maps[1]
         assert ArgMap.from_slot(1) is ArgMap.identity(1) is maps[4]
         assert ArgMap.from_slot(2) is maps[3]
-        for amap in maps:
-            assert ArgMap.parse(amap.format()) is amap
-
-    def test_format_parse_round_trip(self):
-        for amap in (*valid_maps(2, 2), *valid_maps(2, 1), *valid_maps(1, 1)):
-            assert ArgMap.parse(amap.format()) == amap
 
 
 class TestOracle:
@@ -170,6 +166,34 @@ class TestScoreFormulas:
         v["z"] = 5.0
         if u:
             assert binc(u, v) > binc(v, u)
+
+
+def plain_sum(values):
+    """Floats added one at a time, left to right, each sum rounded."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+class TestLeftToRightSums:
+    """Scores add their weights left to right, the way ``sum`` did before
+    Python 3.12 made it compensated. Each case uses weights on which the
+    two sums differ, so a compensated sum would change the score's bits."""
+
+    def test_weeds_precision(self):
+        u = {**{f"f{i}": 0.1 for i in range(10)}, "g": 1.0}
+        v = {f"f{i}": 0.1 for i in range(10)}
+        shared = [0.1] * 10
+        assert plain_sum(shared) != math.fsum(shared)
+        expected = plain_sum(shared) / plain_sum([*shared, 1.0])
+        assert expected != math.fsum(shared) / math.fsum([*shared, 1.0])
+        assert weeds_precision(u, v) == expected
+
+    def test_lin_similarity(self):
+        u = {f"f{i}": 0.1 for i in range(8)}
+        v = {f"f{i}": 0.7 for i in range(8)}
+        expected = plain_sum([0.1 + 0.7] * 8) / (plain_sum([0.1] * 8) + plain_sum([0.7] * 8))
+        compensated = math.fsum([0.1 + 0.7] * 8) / (math.fsum([0.1] * 8) + math.fsum([0.7] * 8))
+        assert expected != compensated
+        assert lin_similarity(u, v) == expected
 
 
 def kill_die_corpus():
@@ -353,7 +377,7 @@ class TestSubgraphConstruction:
         for sub in graphs.bivalent.values():
             for e in sub.edges:
                 if e.kind == BU:
-                    premise_slot = e.arg_map.premise_slots[0]
+                    premise_slot = e.arg_map.pairs[0][0]
                     assert (
                         e.premise.slot_types[premise_slot - 1]
                         == e.hypothesis.slot_types[0]
@@ -494,7 +518,7 @@ class TestRelaxationConsistency:
                     if not inclusion_oracle(tuples[p], tuples[h], amap):
                         continue
                     if h.valency == 1:
-                        u = slots[(p, amap.premise_slots[0])].features
+                        u = slots[(p, amap.pairs[0][0])].features
                         v = slots[(h, 1)].features
                         if lin_similarity(u, v) > 0:
                             assert weeds_precision(u, v) == pytest.approx(1.0)

@@ -19,7 +19,6 @@ from entgraph.qaeval import (
     accuracy_at_k,
     answer_exact_match,
     answer_graph,
-    combine_components,
     compatible_evidence,
     export_evidence,
     external_scores,
@@ -32,6 +31,7 @@ from entgraph.qaeval import (
 from entgraph.store import GraphStore
 
 from conftest import ent, pred, prop
+from oracles import combine_components
 
 KILL = pred("kill", "person", "person")
 DIE = pred("die.1", "person")

@@ -1,6 +1,7 @@
 """Question generation tests: partitioning, selection, negatives, balance."""
 
 import datetime as dt
+import json
 import random
 
 import pytest
@@ -352,3 +353,57 @@ class TestEndToEndGeneration:
         write_questions(generate_questions(c, lex, config), a)
         write_questions(generate_questions(c, lex, config), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestMalformedHeaders:
+    """A QA file whose first line is not the header its writer writes
+    raises ValueError naming the file, never KeyError or AttributeError."""
+
+    def _write(self, tmp_path):
+        qs = generate_questions(
+            TestEndToEndGeneration()._corpus(), LexicalResource.fixture(),
+            QaGenConfig(entity_min=6, predicate_min=11, positives_per_partition=4, seed=5),
+        )
+        qpath, epath = tmp_path / "questions.jsonl", tmp_path / "evidence.jsonl"
+        write_questions(qs, qpath)
+        write_evidence(qs.evidence, epath)
+        return qpath, epath
+
+    @staticmethod
+    def _edit_header(path, edit):
+        lines = path.read_text().splitlines()
+        lines[0] = edit(json.loads(lines[0]))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda h: json.dumps({k: v for k, v in h.items() if k != "partitions"}),
+         r"evidence\.jsonl:1: evidence header lacks 'partitions'"),
+        (lambda h: json.dumps({**h, "partitions": [{"id": 0, "size": 1}]}),
+         r"evidence\.jsonl:1: evidence header lacks 'date_range'"),
+        (lambda h: json.dumps({**h, "partitions": [{**h["partitions"][0], "date_range": ["x"]}]}),
+         r"evidence\.jsonl:1: bad evidence header"),
+        (lambda h: json.dumps({**h, "partitions": 7}), r"evidence\.jsonl:1: bad evidence header"),
+        (lambda h: "[1]", r"evidence\.jsonl: not an evidence file"),
+        (lambda h: "{", r"evidence\.jsonl: not an evidence file"),
+        (lambda h: json.dumps({**h, "version": 2}), r"evidence\.jsonl: unsupported version 2"),
+    ], ids=["no-partitions", "no-date-range", "short-date-range", "partitions-not-a-list",
+            "list", "not-json", "version"])
+    def test_evidence_header(self, tmp_path, edit, reason):
+        _, epath = self._write(tmp_path)
+        self._edit_header(epath, edit)
+        with pytest.raises(ValueError, match=reason):
+            read_evidence(epath)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda h: "[1]", r"questions\.jsonl: not a question file"),
+        (lambda h: "{", r"questions\.jsonl: not a question file"),
+        (lambda h: json.dumps({k: v for k, v in h.items() if k != "format"}),
+         r"questions\.jsonl: not a question file"),
+        (lambda h: json.dumps({**h, "version": "1"}),
+         r"questions\.jsonl: unsupported version '1'"),
+    ], ids=["list", "not-json", "no-format", "version-string"])
+    def test_question_header(self, tmp_path, edit, reason):
+        qpath, _ = self._write(tmp_path)
+        self._edit_header(qpath, edit)
+        with pytest.raises(ValueError, match=reason):
+            read_questions(qpath)

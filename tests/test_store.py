@@ -1,5 +1,8 @@
 """Graph store query tests: routing, composition, back-off."""
 
+import functools
+import math
+import operator
 import random
 
 import pytest
@@ -180,6 +183,22 @@ class TestBackoff:
             "hire", 2, ("acme", "bob"), "promote", 2, ("acme", "bob")
         )
         assert result.score == 0.0 and result.backed_off
+
+    def test_mean_sums_left_to_right(self):
+        # ten subgraphs at 0.1: the left-to-right sum is 0.9999999999999999,
+        # a compensated one 1.0
+        bivalent = {}
+        for i in range(10):
+            sig = (f"t{i}", f"t{i}")
+            hire, pay = pred("hire", *sig), pred("pay", *sig)
+            bivalent[sig] = TypedSubgraph(
+                sig, {hire, pay}, [EntailmentEdge(hire, pay, BB, ID2, 0.1)]
+            )
+        store = GraphStore.from_subgraphs(bivalent, {})
+        result = store.backoff_score("hire", 2, ("a", "b"), "pay", 2, ("a", "b"))
+        expected = functools.reduce(operator.add, [0.1] * 10, 0.0) / 10
+        assert expected != math.fsum([0.1] * 10) / 10
+        assert result.score == expected
 
     def test_single_subgraph_mean_of_one(self):
         store = demo_store()
