@@ -6,9 +6,9 @@ seed, input digests) so identical inputs reproduce identical bytes.
 
 A stage normally runs as a process of its own, so each subcommand
 imports the layers it calls when it runs, not when this module loads:
-numpy, through ``globalgraph``, is loaded by ``globalize`` alone, and
-``qagen``, ``lexicon``, ``qaeval`` and ``store`` only by the stages that
-use them.
+``globalgraph`` is loaded by ``globalize`` alone, and ``qagen``,
+``lexicon``, ``qaeval`` and ``store`` only by the stages that use them.
+Every layer uses the standard library alone.
 
 Exit codes: 0 success, 1 usage error, 2 data/dependency error, 3 file
 format version mismatch.
@@ -272,7 +272,13 @@ def cmd_answer(args) -> int:
         if not args.scores:
             raise UsageError("--model external needs --scores (or --export-evidence)")
         tag = "external"
-        scores = qaeval.read_external_scores(_input_file(Path(args.scores), "score file"))
+        candidates = {
+            q.id: set(qaeval.compatible_evidence(q, evidence[q.partition_id]))
+            for q in questions
+        }
+        scores = qaeval.read_external_scores(
+            _input_file(Path(args.scores), "score file"), candidates
+        )
         records = qaeval.external_scores(questions, scores)
     path = out / f"answers-{tag}.csv"
     qaeval.write_answers(records, path)

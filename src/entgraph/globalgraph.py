@@ -23,11 +23,14 @@ its edges in the order of the local one, sharing every column but the
 scores with it.
 
 Cliques are found from the subgraphs' integer columns: paraphrase pairs
-by vertex id, and cross-graph twins by one integer key made of the
-untyped-name ids of both endpoints and the edge code. Components of one
-size are solved together, with one stacked ``np.linalg.solve``; each
-matrix is built entry by entry in clique order, as it would be alone, so
-the scores are the same bits as one solve per component.
+by vertex id, and cross-graph twins by one stable sort over integer keys
+made of the untyped-name ids of both endpoints and the edge code. Each
+component is solved exactly in plain Python, every float operation in a
+fixed order, so the global graphs are the same bits on every interpreter
+and machine. A component that is one clique of k edges tied with weight
+w has a closed form, because (I + w (k I - J))^-1 = (I + w J) / (1 + w k);
+any other is solved by Gaussian elimination on I + sum_g w_g L_g, which
+is strictly diagonally dominant, so it needs no pivoting.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 from typing import ClassVar, Mapping
 
-import numpy as np
-
-from .localgraph import EDGE_CODES, TypedSubgraph
+from .localgraph import EDGE_CODES, TypedSubgraph, _left_sum
 
 # how far rounding may carry a solved score outside [0, 1]
 SCORE_TOLERANCE = 1e-12
@@ -117,9 +119,10 @@ def _coupling_groups(subgraphs: Mapping, config: GlobalConfig):
     edge code.
     """
     signatures = sorted(subgraphs)
-    starts = [0]
+    local, starts = array("d"), [0]
     for sig in signatures:
-        starts.append(starts[-1] + len(subgraphs[sig].scores))
+        local.extend(subgraphs[sig].scores)
+        starts.append(len(local))
     groups: list[tuple[float, list[int]]] = []
     if config.lambda_para > 0:
         for sig, start in zip(signatures, starts):
@@ -132,43 +135,31 @@ def _coupling_groups(subgraphs: Mapping, config: GlobalConfig):
                     j = q_out.get((sub.hypothesis_ids[i], sub.codes[i]))
                     if j is not None:
                         groups.append((config.lambda_para, [start + i, start + j]))
-    if config.lambda_cross > 0 and signatures:
+    if config.lambda_cross > 0:
         names: dict[tuple[str, int], int] = {}
         name_ids = [
-            np.array([names.setdefault(v.untyped, len(names)) for v in subgraphs[sig].vertices],
-                     dtype=np.int64)
+            [names.setdefault(v.untyped, len(names)) for v in subgraphs[sig].vertices]
             for sig in signatures
         ]
-        keys = np.concatenate([
-            (name_id[np.frombuffer(sub.premise_ids, dtype=np.int32)] * len(names)
-             + name_id[np.frombuffer(sub.hypothesis_ids, dtype=np.int32)]) * len(EDGE_CODES)
-            + np.frombuffer(sub.codes, dtype=np.int8)
-            for name_id, sub in zip(name_ids, (subgraphs[sig] for sig in signatures))
-        ])
+        keys: list[int] = []
+        for name_id, sig in zip(name_ids, signatures):
+            sub = subgraphs[sig]
+            keys.extend(
+                (name_id[p] * len(names) + name_id[h]) * len(EDGE_CODES) + code
+                for p, h, code in zip(sub.premise_ids, sub.hypothesis_ids, sub.codes)
+            )
         # a stable sort keeps each clique's members ascending
-        order = np.argsort(keys, kind="stable")
-        run_starts = np.flatnonzero(np.diff(keys[order], prepend=-1, append=-1))
-        cliques = [
-            order[a:b].tolist()
-            for a, b in zip(run_starts[:-1].tolist(), run_starts[1:].tolist())
-            if b - a > 1
-        ]
+        runs = (list(run) for _, run in groupby(
+            sorted(range(len(keys)), key=keys.__getitem__), keys.__getitem__))
+        cliques = [members for members in runs if len(members) > 1]
         cliques.sort(key=lambda members: members[0])
         groups.extend((config.lambda_cross, members) for members in cliques)
-    local = np.concatenate(
-        [np.frombuffer(subgraphs[sig].scores, dtype=np.float64) for sig in signatures]
-        or [np.zeros(0)]
-    )
     return local, EdgePositions(signatures, starts), groups
 
 
-def _solve_components(local: np.ndarray, groups) -> np.ndarray:
-    """Exact minimizer of the quadratic, component by component.
-
-    Components of one size are solved together, with one stacked
-    ``np.linalg.solve``; each matrix is built exactly as it would be
-    alone, so the solution does not depend on the batching.
-    """
+def _solve_components(local: array, groups) -> array:
+    """Exact minimizer of the quadratic, component by component: the
+    closed form for a component of one clique, elimination otherwise."""
     parent = array("i", range(len(local)))
 
     def find(a: int) -> int:
@@ -178,43 +169,53 @@ def _solve_components(local: np.ndarray, groups) -> np.ndarray:
         return a
 
     for _, vids in groups:
+        root = find(vids[0])
         for v in vids[1:]:
-            ra, rb = find(vids[0]), find(v)
-            if ra != rb:
-                parent[rb] = ra
-
-    members: dict[int, list[int]] = {}
-    for v in sorted({v for _, vids in groups for v in vids}):
-        members.setdefault(find(v), []).append(v)
-    coupled_groups: dict[int, list] = {}
+            parent[find(v)] = root
+    components: dict[int, list] = {}
     for g in groups:
-        coupled_groups.setdefault(find(g[1][0]), []).append(g)
+        components.setdefault(find(g[1][0]), []).append(g)
 
-    by_size: dict[int, list[int]] = {}
-    for root, vids in members.items():
-        by_size.setdefault(len(vids), []).append(root)
-    solution = local.astype(float)
-    for k, roots in by_size.items():
-        a = np.empty((len(roots), k * k))
-        positions: list[int] = []
-        for c, root in enumerate(roots):
-            vids = members[root]
-            index = {v: i for i, v in enumerate(vids)}
-            # I plus each clique's Laplacian, entry by entry in group order
-            row = [0.0] * (k * k)
-            row[:: k + 1] = [1.0] * k
-            for weight, gvids in coupled_groups[root]:
-                diagonal = weight * (len(gvids) - 1.0)
-                at = [index[v] for v in gvids]
-                for i in at:
-                    for j in at:
-                        row[i * k + j] += diagonal if i == j else -weight
-            a[c] = row
-            positions.extend(vids)
-        at = np.array(positions)
-        rhs = local[at].reshape(len(roots), k, 1)
-        solution[at] = np.linalg.solve(a.reshape(len(roots), k, k), rhs).ravel()
+    solution = array("d", local)
+    for cliques in components.values():
+        if len(cliques) == 1:
+            ((weight, vids),) = cliques
+            b = [local[v] for v in vids]
+            total, scale = weight * _left_sum(b), 1.0 + weight * len(vids)
+            for v, bv in zip(vids, b):
+                solution[v] = (bv + total) / scale
+            continue
+        vids = sorted({v for _, gvids in cliques for v in gvids})
+        index = {v: i for i, v in enumerate(vids)}
+        # I plus each clique's Laplacian, entry by entry in clique order
+        a = [[float(i == j) for j in range(len(vids))] for i in range(len(vids))]
+        for weight, gvids in cliques:
+            diagonal = weight * (len(gvids) - 1.0)
+            at = [index[v] for v in gvids]
+            for i in at:
+                for j in at:
+                    a[i][j] += diagonal if i == j else -weight
+        for v, x in zip(vids, _eliminate(a, [local[v] for v in vids])):
+            solution[v] = x
     return solution
+
+
+def _eliminate(a: list[list[float]], b: list[float]) -> list[float]:
+    """Solve ``a x = b`` by Gaussian elimination without pivoting, stable
+    for a diagonally dominant ``a``; overwrites both and returns ``b``."""
+    k = len(b)
+    for c in range(k):
+        for r in range(c + 1, k):
+            f = a[r][c] / a[c][c]
+            for j in range(c + 1, k):
+                a[r][j] -= f * a[c][j]
+            b[r] -= f * b[c]
+    for r in reversed(range(k)):
+        s = b[r]
+        for j in range(r + 1, k):
+            s -= a[r][j] * b[j]
+        b[r] = s / a[r][r]
+    return b
 
 
 def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> GlobalGraph:
@@ -223,17 +224,16 @@ def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> Glob
     solved = _solve_components(local, groups)
     # (I + lambda L)^-1 is row-stochastic and nonnegative, so every score
     # is a convex combination of local ones: only rounding may leave [0, 1]
-    in_range = (solved >= -SCORE_TOLERANCE) & (solved <= 1 + SCORE_TOLERANCE)
-    if not in_range.all():
-        i = int(np.flatnonzero(~in_range)[0])
-        sig, j = edge_at[i]
-        e = subgraphs[sig].edges[j]
-        raise ValueError(
-            f"global score {float(solved[i])!r} of edge {e.premise.token()} -> "
-            f"{e.hypothesis.token()} ({e.kind} {e.arg_map.format()}) in "
-            f"{','.join(sig)} lies outside [0, 1]"
-        )
-    scores = np.clip(solved, 0.0, 1.0).tolist()
+    for i, score in enumerate(solved):
+        if not -SCORE_TOLERANCE <= score <= 1 + SCORE_TOLERANCE:
+            sig, j = edge_at[i]
+            e = subgraphs[sig].edges[j]
+            raise ValueError(
+                f"global score {score!r} of edge {e.premise.token()} -> "
+                f"{e.hypothesis.token()} ({e.kind} {e.arg_map.format()}) in "
+                f"{','.join(sig)} lies outside [0, 1]"
+            )
+    scores = [min(max(score, 0.0), 1.0) for score in solved]
     out, start = {}, 0
     for sig in sorted(subgraphs):
         end = start + len(subgraphs[sig].edges)

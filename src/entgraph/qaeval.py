@@ -15,7 +15,7 @@ import csv
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .localgraph import ALL_KINDS, _consistent_maps
 from .model import Proposition, _atomic_writer
@@ -105,25 +105,36 @@ class ScoreFileError(ValueError):
     pass
 
 
-def read_external_scores(path: str | Path) -> dict[tuple[str, str], float]:
+def read_external_scores(
+    path: str | Path, candidates: Mapping[str, Collection[str]]
+) -> dict[tuple[str, str], float]:
     """Parse (question id, evidence id, score) lines; scores must be in
-    [0, 1]. Duplicate pairs keep the max."""
+    [0, 1], and each evidence id one of the ``candidates`` of its
+    question, as ``export_evidence`` lists them. Duplicate pairs keep
+    the max."""
     scores: dict[tuple[str, str], float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("question_id"):
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ScoreFileError(f"line {lineno}: expected 3 tab-separated fields")
+                raise ScoreFileError(f"{where}: expected 3 tab-separated fields")
             qid, pid, raw = parts
             try:
                 value = float(raw)
             except ValueError as exc:
-                raise ScoreFileError(f"line {lineno}: bad score {raw!r}") from exc
+                raise ScoreFileError(f"{where}: bad score {raw!r}") from exc
             if not 0.0 <= value <= 1.0:
-                raise ScoreFileError(f"line {lineno}: score {value} outside [0, 1]")
+                raise ScoreFileError(f"{where}: score {value} outside [0, 1]")
+            if qid not in candidates:
+                raise ScoreFileError(f"{where}: unknown question {qid!r}")
+            if pid not in candidates[qid]:
+                raise ScoreFileError(
+                    f"{where}: {pid!r} is not an evidence candidate of question {qid!r}"
+                )
             key = (qid, pid)
             if key in scores:
                 scores[key] = max(scores[key], value)

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from entgraph.localgraph import ArgMap
 from entgraph.qaeval import AnswerRecord
 
@@ -44,14 +42,14 @@ def inclusion_oracle(
     return selected <= hypothesis_set
 
 
-def objective(scores: np.ndarray, local: np.ndarray, groups) -> float:
+def objective(scores: Sequence[float], local: Sequence[float], groups) -> float:
     """The globalization quadratic at ``scores``: squared distance to the
     local scores plus each clique's weighted pairwise squared differences."""
-    value = float(np.sum((scores - local) ** 2))
+    value = sum((s - x) ** 2 for s, x in zip(scores, local))
     for weight, vids in groups:
         for i in range(len(vids)):
             for j in range(i + 1, len(vids)):
-                value += weight * float(scores[vids[i]] - scores[vids[j]]) ** 2
+                value += weight * (scores[vids[i]] - scores[vids[j]]) ** 2
     return value
 
 

@@ -553,6 +553,33 @@ class TestQaArtifactsReadStrictly:
                 assert f"{path}: question {missing!r} of " in err and "is not answered" in err
         assert {p.name: p.read_bytes() for p in (out / "report").iterdir()} == report
 
+    def test_external_scores_outside_the_export_refused(self, pipeline_dir, tmp_path, capsys):
+        out, lines = self._copy(pipeline_dir, tmp_path)
+        export = tmp_path / "export.tsv"
+        assert main(["answer", "--out", str(out), "--model", "external",
+                     "--export-evidence", str(export)]) == EXIT_OK
+        exported = export.read_text().splitlines()[1]
+        question = exported.split("\t")[0]
+        positive = next(
+            q for q in map(json.loads, lines[1:])
+            if q["polarity"] == "positive" and "source_prop" in q["provenance"]
+        )
+        source = positive["provenance"]["source_prop"]
+        scores = tmp_path / "scores.tsv"
+        capsys.readouterr()
+        for rows, reason in (
+            (["zzz\tp999999"], ":1: unknown question 'zzz'"),
+            ([exported, f"{question}\tp999999"],
+             f":2: 'p999999' is not an evidence candidate of question {question!r}"),
+            ([f"{positive['id']}\t{source}"],
+             f":1: {source!r} is not an evidence candidate of question {positive['id']!r}"),
+        ):
+            scores.write_text("".join(f"{row}\t0.9\n" for row in rows))
+            assert main(["answer", "--out", str(out), "--model", "external",
+                         "--scores", str(scores)]) == EXIT_DATA
+            assert f"{scores}{reason}" in capsys.readouterr().err
+        assert not (out / "answers-external.csv").exists()
+
     @pytest.mark.parametrize("name, edit, reason", [
         ("evidence.jsonl", lambda h: json.dumps({k: v for k, v in h.items() if k != "partitions"}),
          "evidence.jsonl:1: evidence header lacks 'partitions'"),

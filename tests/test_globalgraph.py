@@ -219,24 +219,17 @@ class TestGlobalizeInvariants:
         local, edge_at, groups = _coupling_groups(subs, config)
         result = globalize(subs, config)
         final = [result.subgraphs[sig].edges[i].score for sig, i in edge_at]
-        import numpy as np
-
-        assert objective(np.array(final), local, groups) <= objective(
-            local, local, groups
-        ) + 1e-12
+        assert objective(final, local, groups) <= objective(local, local, groups) + 1e-12
 
 
 class TestScoreRangeCheck:
     """Solved scores are convex combinations; only rounding may leave [0, 1]."""
 
     def _solve_to(self, monkeypatch, value):
-        import numpy as np
-
         from entgraph import globalgraph
 
         monkeypatch.setattr(
-            globalgraph, "_solve_components",
-            lambda local, groups: np.full(len(local), value),
+            globalgraph, "_solve_components", lambda local, groups: [value] * len(local),
         )
 
     def test_out_of_range_score_names_edge(self, monkeypatch):
@@ -414,9 +407,10 @@ def predicate_coupling_groups(subgraphs, config):
 
 def per_component_solve(local, groups):
     """One ``np.linalg.solve`` per coupled component, its matrix built by
-    ``np.ix_`` updates: the reference for the batched solve."""
+    ``np.ix_`` updates: the reference for the per-component solve."""
     import numpy as np
 
+    local = np.array(local)
     parent = list(range(len(local)))
 
     def find(a):
@@ -449,8 +443,9 @@ def per_component_solve(local, groups):
 
 
 class TestColumnarCouplingOracle:
-    """Integer-keyed cliques and the batched solve against the edge-object
-    references, exactly: same cliques in the same order, same bits."""
+    """Integer-keyed cliques against the edge-object reference, exactly:
+    same cliques in the same order; the solve within 1e-12 relative of
+    one ``np.linalg.solve`` per component."""
 
     NAMES = ("beat", "top", "win.against", "edge.out", "crush")
     UNARIES = ("win.1", "lose.1", "be.winner.1")
@@ -504,7 +499,36 @@ class TestColumnarCouplingOracle:
             assert local.tobytes() == ref_local.tobytes()
             assert list(edge_at) == ref_edge_at
             assert groups == ref_groups
-            solved = _solve_components(local, groups)
-            assert solved.tobytes() == per_component_solve(local, groups).tobytes()
+            np.testing.assert_allclose(
+                _solve_components(local, groups), per_component_solve(local, groups),
+                rtol=1e-12, atol=0.0,
+            )
             sizes.update(len(vids) for _, vids in groups)
         assert {2, 3} <= sizes
+
+
+class TestClosedFormOracle:
+    """A component of one clique takes the closed form
+    x_i = (b_i + w sum(b)) / (1 + w k); elimination on its matrix
+    I + w (k I - J) is the reference."""
+
+    def test_closed_form_matches_elimination(self):
+        import random
+        from array import array
+
+        from entgraph.globalgraph import _eliminate, _solve_components
+
+        rng = random.Random(2021)
+        for _ in range(500):
+            k = rng.randint(2, 12)
+            weight = rng.uniform(0.01, 10.0)
+            local = array("d", (rng.random() for _ in range(k + 3)))
+            vids = sorted(rng.sample(range(len(local)), k))
+            solved = _solve_components(local, [(weight, vids)])
+            a = [[1.0 + weight * (k - 1) if i == j else -weight for j in range(k)]
+                 for i in range(k)]
+            expected = _eliminate(a, [local[v] for v in vids])
+            for v, x in zip(vids, expected):
+                assert solved[v] == pytest.approx(x, rel=1e-12, abs=0.0)
+            untouched = set(range(len(local))) - set(vids)
+            assert all(solved[v] == local[v] for v in untouched)

@@ -1,4 +1,4 @@
-"""Each stage process imports only the layers it runs: numpy in ``globalize`` alone.
+"""Each stage process imports only the layers it runs, and none loads numpy.
 
 Every test runs in a child interpreter, because this one has already
 imported everything. The child finds the package where this process
@@ -43,7 +43,7 @@ STAGES = {
 
 # the stages whose process loads each module
 USERS = {
-    "numpy": {"globalize"},
+    "numpy": set(),
     "entgraph.globalgraph": {"globalize"},
     "entgraph.qagen": {"gen-questions", "answer-graph", "answer-exact", "evaluate"},
     "entgraph.lexicon": {"gen-questions", "answer-graph", "answer-exact", "evaluate"},

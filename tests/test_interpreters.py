@@ -1,12 +1,14 @@
-"""Local graphs are the same bytes under every supported CPython.
+"""The sample pipeline writes the same bytes under every supported CPython.
 
-``ingest`` and ``build-local`` import only the standard library, so each
-CPython >= 3.10 found here (``python3.N`` on ``PATH``, or a pyenv
-install) runs them straight from the source tree on the shipped sample.
-Every file they write must equal the one this interpreter writes: scores
-add their weights left to right, so Python 3.12's compensated ``sum``
-cannot move their last bits. The test skips only when no other
-interpreter is found.
+The package imports only the standard library, so each CPython >= 3.10
+found here (``python3.N`` on ``PATH``, or a pyenv install) runs every
+stage, ``ingest`` to ``evaluate`` and ``query``, straight from the source
+tree on the shipped sample. Every file they write but the manifests,
+which hold absolute paths, and every stage's standard output must equal
+what this interpreter's run gives: scores add their terms in a fixed
+order, so Python 3.12's compensated ``sum`` cannot move their last bits,
+and the global solve runs in plain Python, with no BLAS build in the
+loop. The test skips only when no other interpreter is found.
 """
 
 from __future__ import annotations
@@ -53,30 +55,49 @@ def other_interpreters() -> dict[str, Path]:
     return found
 
 
-def local_stage_outputs(python: str | Path, out: Path) -> dict[str, bytes]:
-    """The corpus and local graph files ``ingest`` and ``build-local`` write
-    on the sample when run by ``python``."""
+# run in order, each with ``--out .`` inside the output directory
+STAGES = (
+    ["ingest"],
+    ["build-local"],
+    ["globalize"],
+    ["gen-questions", "--seed", "3"],
+    ["answer", "--model", "graph"],
+    ["answer", "--model", "exact"],
+    ["evaluate"],
+    ["evaluate", "--filtered"],
+    ["query", "kill.2", "die.1", "--type", "person"],
+)
+
+
+def pipeline_outputs(python: str | Path, out: Path) -> dict[str, bytes]:
+    """The artifacts, manifests apart, and the standard output of each
+    stage of the sample pipeline run by ``python`` in ``out``."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    for stage in ("ingest", "build-local"):
+    out.mkdir()
+    outputs = {}
+    for argv in STAGES:
         run = subprocess.run(
-            [str(python), "-m", "entgraph.cli", stage, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600,
+            [str(python), "-m", "entgraph.cli", *argv, "--out", "."],
+            cwd=out, env=env, capture_output=True, timeout=600,
         )
-        assert run.returncode == 0, f"{python} {stage}: {run.stderr}"
-    files = [out / "corpus.jsonl", *sorted((out / "graphs" / "local").glob("*.graph"))]
-    return {str(p.relative_to(out)): p.read_bytes() for p in files}
+        assert run.returncode == 0, f"{python} {' '.join(argv)}: {run.stderr.decode()}"
+        outputs[f"stdout of {' '.join(argv)}"] = run.stdout
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and not path.name.endswith(".manifest.json"):
+            outputs[path.relative_to(out).as_posix()] = path.read_bytes()
+    return outputs
 
 
-def test_local_graphs_identical_across_interpreters(tmp_path):
+def test_artifacts_identical_across_interpreters(tmp_path):
     others = other_interpreters()
     if not others:
         pytest.skip("no other CPython >= 3.10 found")
-    expected = local_stage_outputs(sys.executable, tmp_path / "this")
-    assert len(expected) > 1
+    expected = pipeline_outputs(sys.executable, tmp_path / "this")
+    assert any(name.startswith("graphs/global/") for name in expected)
     differ = {}
     for version, exe in sorted(others.items()):
-        got = local_stage_outputs(exe, tmp_path / version)
+        got = pipeline_outputs(exe, tmp_path / version)
         names = sorted(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
         if names:
             differ[version] = names
-    assert differ == {}, f"files that differ from Python {sys.version.split()[0]}'s"
+    assert differ == {}, f"outputs that differ from Python {sys.version.split()[0]}'s"

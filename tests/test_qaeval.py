@@ -192,7 +192,7 @@ class TestExternalScores:
     def test_scores_ingested_unchanged(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text("q1\tp1\t0.75\nq2\tp2\t0.5\n")
-        scores = read_external_scores(path)
+        scores = read_external_scores(path, {"q1": {"p1"}, "q2": {"p2"}, "q3": {"p3"}})
         qs = [question("q1", "sing.1", ("a",)), question("q2", "sing.1", ("b",)),
               question("q3", "sing.1", ("c",))]
         records = external_scores(qs, scores)
@@ -205,20 +205,34 @@ class TestExternalScores:
         path = tmp_path / "scores.tsv"
         path.write_text("")
         records = external_scores([question("q1", "sing.1", ("a",))],
-                                  read_external_scores(path))
+                                  read_external_scores(path, {"q1": {"p1"}}))
         assert records[0].confidence == 0.0
 
     def test_duplicate_rows_keep_max(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text("q1\tp1\t0.2\nq1\tp1\t0.9\nq1\tp1\t0.4\n")
-        scores = read_external_scores(path)
+        scores = read_external_scores(path, {"q1": {"p1"}})
         assert scores[("q1", "p1")] == 0.9
 
     def test_out_of_range_rejected_with_line(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text("q1\tp1\t0.5\nq1\tp2\t1.5\n")
-        with pytest.raises(ScoreFileError, match="line 2"):
-            read_external_scores(path)
+        with pytest.raises(ScoreFileError, match=r"scores\.tsv:2: score 1\.5 outside"):
+            read_external_scores(path, {"q1": {"p1", "p2"}})
+
+    def test_unknown_question_rejected_with_line(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("question_id\tprop_id\tscore\nq1\tp1\t0.5\nzzz\tp1\t0.9\n")
+        with pytest.raises(ScoreFileError, match=r"scores\.tsv:3: unknown question 'zzz'"):
+            read_external_scores(path, {"q1": {"p1"}})
+
+    def test_evidence_outside_candidates_rejected_with_line(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("q1\tp2\t0.5\n")
+        with pytest.raises(
+            ScoreFileError, match=r"scores\.tsv:1: 'p2' is not an evidence candidate of question 'q1'"
+        ):
+            read_external_scores(path, {"q1": {"p1"}, "q2": {"p2"}})
 
     def test_export_lists_same_argument_evidence(self, tmp_path):
         q = question("q1", "die.1", ("boddy",))
