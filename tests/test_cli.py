@@ -33,6 +33,15 @@ def pipeline_dir(tmp_path_factory) -> Path:
     return out
 
 
+def _digest_script():
+    """``scripts/make_sample_graph_digests.py``, loaded as a module."""
+    script = DATA.parent.parent / "scripts" / "make_sample_graph_digests.py"
+    spec = importlib.util.spec_from_file_location("make_sample_graph_digests", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestStageWiring:
     def test_artifacts_exist(self, pipeline_dir):
         for name in ("corpus.jsonl", "questions.jsonl", "evidence.jsonl"):
@@ -93,6 +102,12 @@ class TestStageWiring:
             with open(path, newline="") as fh:
                 model_ids = {row["model_id"] for row in csv.DictReader(fh)}
             assert model_ids == {path.stem.removeprefix("answers-")}
+        # the answers of every component subset are pinned; an intended
+        # change regenerates them with scripts/make_sample_graph_digests.py
+        script = _digest_script()
+        assert script.QUESTION_SEED == "3"
+        assert "".join(line + "\n" for line in script.answer_digest_lines(out)) == (
+            DATA / "sample_answer_digests.sha256").read_text()
 
     def test_query_finds_planted_edge(self, pipeline_dir, capsys):
         code = main([
@@ -290,11 +305,7 @@ class TestGoldenGraphs:
         )
 
     def test_digest_script_writes_the_recorded_file(self, pipeline_dir):
-        script = DATA.parent.parent / "scripts" / "make_sample_graph_digests.py"
-        spec = importlib.util.spec_from_file_location("make_sample_graph_digests", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        lines = module.digest_lines(pipeline_dir / "graphs")
+        lines = _digest_script().digest_lines(pipeline_dir / "graphs")
         assert "".join(line + "\n" for line in lines) == (
             DATA / "sample_graph_digests.sha256").read_text()
 
