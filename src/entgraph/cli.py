@@ -259,8 +259,7 @@ def cmd_answer(args) -> int:
     elif args.model == "graph":
         kinds = _parse_components(args.components)
         tag = qaeval._model_id(kinds)
-        store = GraphStore.open(_graph_dir(out, args.graphs),
-                                enable_composition=not args.no_composition)
+        store = GraphStore.open(_graph_dir(out, args.graphs))
         for q in questions:
             records.append(qaeval.answer_graph(q, evidence[q.partition_id], store, kinds))
     else:  # external
@@ -413,6 +412,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _bounded(convert, within, bound: str):
+    """An argparse ``type`` that converts an option's value and refuses
+    it, as a usage error, unless ``within(value)``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not within(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {bound}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
+_POSITIVE_INT = _bounded(int, lambda v: v >= 1, ">= 1")
+_COUNT = _bounded(int, lambda v: v >= 0, ">= 0")
+_WEIGHT = _bounded(float, lambda v: v >= 0, ">= 0")
+_UNIT_SCORE = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -433,17 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("globalize", help="refine scores with soft constraints")
     common(p)
-    p.add_argument("--lambda-para", type=float, default=1.0)
-    p.add_argument("--lambda-cross", type=float, default=0.5)
-    p.add_argument("--tau", type=float, default=0.9)
+    p.add_argument("--lambda-para", type=_WEIGHT, default=1.0)
+    p.add_argument("--lambda-cross", type=_WEIGHT, default=0.5)
+    p.add_argument("--tau", type=_UNIT_SCORE, default=0.9)
 
     p = sub.add_parser("gen-questions", help="generate the true/false question set")
     common(p)
     p.add_argument("--wordnet", default=None, help="WordNet database directory")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=_POSITIVE_INT, default=3)
     p.add_argument("--entity-min", type=int, default=6)
     p.add_argument("--predicate-min", type=int, default=11)
-    p.add_argument("--positives", type=int, default=8)
+    p.add_argument("--positives", type=_COUNT, default=8)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("answer", help="answer questions with a model")
@@ -451,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("exact", "graph", "external"), default="graph")
     p.add_argument("--components", default="bb,uu,bu")
     p.add_argument("--graphs", default="auto", help="local|global|auto|path")
-    p.add_argument("--no-composition", action="store_true")
     p.add_argument("--scores", default=None, help="external score file")
     p.add_argument("--export-evidence", default=None,
                    help="write the evidence export for external scorers")
@@ -459,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="compute PR curves and accuracy@K")
     common(p)
     p.add_argument("--answers", nargs="*", default=None)
-    p.add_argument("--k", type=int, nargs="*", default=[50, 200])
+    p.add_argument("--k", type=_POSITIVE_INT, nargs="*", default=[50, 200])
     p.add_argument("--filtered", action="store_true",
                    help="keep only questions with a graph vertex, re-balanced")
     p.add_argument("--graphs", default="auto")

@@ -36,8 +36,6 @@ is strictly diagonally dominant, so it needs no pivoting.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 from typing import ClassVar, Mapping
@@ -90,33 +88,15 @@ def _paraphrase_ids(sub: TypedSubgraph, tau: float) -> list[tuple[int, int]]:
     return pairs
 
 
-class EdgePositions(Sequence):
-    """The (signature, index in its ``edges``) of each family position,
-    computed on access from where each subgraph's edges start."""
-
-    def __init__(self, signatures: list, starts: list[int]):
-        self._signatures = signatures
-        self._starts = starts  # and the edge count after the last
-
-    def __len__(self) -> int:
-        return self._starts[-1]
-
-    def __getitem__(self, i: int) -> tuple[tuple, int]:
-        i = range(len(self))[i]
-        k = bisect_right(self._starts, i) - 1
-        return self._signatures[k], i - self._starts[k]
-
-
 def _coupling_groups(subgraphs: Mapping, config: GlobalConfig):
     """Number the family's edges and list the (weight, [positions]) cliques.
 
     Edges are numbered by sorted signature, then in each subgraph's
-    ``edges`` order; ``edge_at[i]`` is the (signature, index in ``edges``)
-    of position i and ``local[i]`` its local score. Paraphrase cliques
-    come first, by signature, then cross cliques in the order of their
-    first member; members are ascending positions. Cross-graph twins are
-    found from integer keys: untyped-name ids of both endpoints and the
-    edge code.
+    ``edges`` order; ``local[i]`` is the local score of position i.
+    Paraphrase cliques come first, by signature, then cross cliques in the
+    order of their first member; members are ascending positions.
+    Cross-graph twins are found from integer keys: untyped-name ids of
+    both endpoints and the edge code.
     """
     signatures = sorted(subgraphs)
     local, starts = array("d"), [0]
@@ -154,7 +134,7 @@ def _coupling_groups(subgraphs: Mapping, config: GlobalConfig):
         cliques = [members for members in runs if len(members) > 1]
         cliques.sort(key=lambda members: members[0])
         groups.extend((config.lambda_cross, members) for members in cliques)
-    return local, EdgePositions(signatures, starts), groups
+    return local, groups
 
 
 def _solve_components(local: array, groups) -> array:
@@ -220,25 +200,24 @@ def _eliminate(a: list[list[float]], b: list[float]) -> list[float]:
 
 def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> GlobalGraph:
     """Refine one family of subgraphs; valency-agnostic over edge lists."""
-    local, edge_at, groups = _coupling_groups(subgraphs, config)
+    local, groups = _coupling_groups(subgraphs, config)
     solved = _solve_components(local, groups)
-    # (I + lambda L)^-1 is row-stochastic and nonnegative, so every score
-    # is a convex combination of local ones: only rounding may leave [0, 1]
-    for i, score in enumerate(solved):
-        if not -SCORE_TOLERANCE <= score <= 1 + SCORE_TOLERANCE:
-            sig, j = edge_at[i]
-            e = subgraphs[sig].edges[j]
-            raise ValueError(
-                f"global score {score!r} of edge {e.premise.token()} -> "
-                f"{e.hypothesis.token()} ({e.kind} {e.arg_map.format()}) in "
-                f"{','.join(sig)} lies outside [0, 1]"
-            )
-    scores = [min(max(score, 0.0), 1.0) for score in solved]
     out, start = {}, 0
     for sig in sorted(subgraphs):
-        end = start + len(subgraphs[sig].edges)
-        out[sig] = subgraphs[sig].with_scores(scores[start:end])
-        start = end
+        sub = subgraphs[sig]
+        scores = solved[start:start + len(sub.scores)]
+        start += len(scores)
+        # (I + lambda L)^-1 is row-stochastic and nonnegative, so every score
+        # is a convex combination of local ones: only rounding may leave [0, 1]
+        for j, score in enumerate(scores):
+            if not -SCORE_TOLERANCE <= score <= 1 + SCORE_TOLERANCE:
+                e = sub.edge(j)
+                raise ValueError(
+                    f"global score {score!r} of edge {e.premise.token()} -> "
+                    f"{e.hypothesis.token()} ({e.kind} {e.arg_map.format()}) in "
+                    f"{','.join(sig)} lies outside [0, 1]"
+                )
+        out[sig] = sub.with_scores([min(max(score, 0.0), 1.0) for score in scores])
     return GlobalGraph(out)
 
 

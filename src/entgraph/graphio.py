@@ -17,6 +17,7 @@ from .model import TypedPredicate, VersionMismatch, _atomic_writer
 
 FORMAT_VERSION = 1
 MAGIC = "entgraph-subgraph"
+_HEADER_KEYS = ("kind", "types", "vertices", "edges")
 
 
 def subgraph_filename(signature: tuple[str, ...]) -> str:
@@ -56,7 +57,8 @@ def read_subgraph(
     ``predicates`` maps tokens to parsed predicates; a token found there is
     reused and a new one is added, so files read with one table share
     vertex objects. ``E`` endpoints resolve only against this file's ``V``
-    lines, which come first.
+    lines, which come first; each header key comes at most once, before
+    them. Any other line but a blank one is refused.
     """
     predicates = {} if predicates is None else predicates
     header: dict[str, str] = {}
@@ -110,8 +112,18 @@ def read_subgraph(
                     ids[token] = len(vertices)
                     vertices.append(vertex)
             elif line.strip():
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
+                key, eq, value = line.partition("=")
+                key = key.strip()
+                if not eq or key not in _HEADER_KEYS:
+                    raise ValueError(
+                        f"{path}:{lineno}: unknown line {line.strip()!r}; expected "
+                        + ", ".join(f"{k}=" for k in _HEADER_KEYS) + ", V or E"
+                    )
+                if vertices:
+                    raise ValueError(f"{path}:{lineno}: {key}= line after the V lines")
+                if key in header:
+                    raise ValueError(f"{path}:{lineno}: second {key}= line")
+                header[key] = value.strip()
     if "types" not in header:
         raise ValueError(f"{path}: missing types header")
     types = tuple(t for t in header["types"].split(",") if t)

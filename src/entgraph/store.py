@@ -6,11 +6,12 @@ subgraph and check direct edges under every argument map that is
 consistent with the bound arguments; unary hypotheses may additionally be
 reached through one binary->unary edge followed by one hop inside the
 matching univalent graph, scored as the minimum of the two edges.
-``score`` is the one route from an evidence proposition to a question: it
-answers only the components asked for, and when the typed route finds
-nothing and the premise predicate has no vertex in its typed subgraph it
-falls back to an untyped query over all subgraphs, averaging the scores
-found.
+``score`` is the one route from an evidence proposition to a question and
+the one place that reads the components asked for: the two valencies fix
+the one component that may answer, and composition runs only when UU is
+asked for too. When the typed route finds nothing and the premise
+predicate has no vertex in its typed subgraph, ``score`` falls back to an
+untyped query over all subgraphs, averaging the scores found.
 
 Queries work on vertex ids. A query maps the caller's premise and
 hypothesis predicates to ids once, by token, and every lookup after that
@@ -67,15 +68,10 @@ _BU_CODE = {slot: EDGE_CODE[BU, ArgMap.from_slot(slot)] for slot in (1, 2)}
 class GraphStore:
     """Read-only collection of typed subgraphs with an untyped index."""
 
-    def __init__(
-        self,
-        subgraphs: Mapping[tuple[str, ...], TypedSubgraph],
-        enable_composition: bool = True,
-    ):
+    def __init__(self, subgraphs: Mapping[tuple[str, ...], TypedSubgraph]):
         self.bivalent: dict[tuple[str, str], TypedSubgraph] = {}
         self.univalent: dict[tuple[str], TypedSubgraph] = {}
         self.untyped_index: dict[tuple[str, int], list] = {}
-        self.enable_composition = enable_composition
         self._by_signature = {tuple(sig): sub for sig, sub in subgraphs.items()}
         for sig, sub in self._by_signature.items():
             (self.bivalent if len(sig) == 2 else self.univalent)[sig] = sub
@@ -100,18 +96,13 @@ class GraphStore:
                 into.setdefault(h, {})[p] = i
 
     @classmethod
-    def open(cls, directory: str | Path, enable_composition: bool = True) -> "GraphStore":
+    def open(cls, directory: str | Path) -> "GraphStore":
         """Read every subgraph file of a graph directory."""
-        return cls(graphio.read_graph_dir(directory), enable_composition)
+        return cls(graphio.read_graph_dir(directory))
 
     @classmethod
-    def from_subgraphs(
-        cls,
-        bivalent: Mapping,
-        univalent: Mapping,
-        enable_composition: bool = True,
-    ) -> "GraphStore":
-        return cls({**bivalent, **univalent}, enable_composition)
+    def from_subgraphs(cls, bivalent: Mapping, univalent: Mapping) -> "GraphStore":
+        return cls({**bivalent, **univalent})
 
     # -- typed lookups ----------------------------------------------------
 
@@ -133,18 +124,20 @@ class GraphStore:
 
         Only the component that links the two valencies may answer (BB a
         binary from a binary, BU a unary from a binary, UU a unary from a
-        unary), and it must be in ``kinds``. The typed route answers when it
-        finds an entailment or the premise has a typed vertex; otherwise the
-        untyped back-off does.
+        unary), and it must be in ``kinds``; every edge either route finds
+        between such vertices is of that component. A BU answer may also
+        compose with a UU edge when UU is asked for. The typed route answers
+        when it finds an entailment or the premise has a typed vertex;
+        otherwise the untyped back-off does.
         """
         if _KIND_OF.get((premise.predicate.valency, hypothesis.valency)) not in kinds:
             return _MISS
-        typed = self.entailment_score(premise, hypothesis, hypothesis_args, kinds)
+        typed = self.entailment_score(premise, hypothesis, hypothesis_args, UU in kinds)
         if typed.score > 0 or self.has_typed_vertex(premise.predicate):
             return typed
         return self.backoff_score(
             premise.predicate.name, premise.predicate.valency, premise.arg_keys,
-            hypothesis.name, hypothesis.valency, hypothesis_args, kinds,
+            hypothesis.name, hypothesis.valency, hypothesis_args,
         )
 
     def entailment_score(
@@ -152,16 +145,15 @@ class GraphStore:
         premise: Proposition,
         hypothesis: TypedPredicate,
         hypothesis_args: Sequence[str],
-        kinds: frozenset[str] = ALL_KINDS,
+        compose: bool = True,
     ) -> QueryResult:
         """Max-scoring typed route from an evidence proposition to a query.
 
         An identical predicate and binding scores 1.0 without any lookup
         (self edges are implicit). Otherwise the best direct edge wins,
-        except where a composed two-hop path beats it.
+        except where a composed two-hop path beats it; ``compose`` allows
+        that path from a binary premise to a unary hypothesis.
         """
-        if premise.predicate.valency < hypothesis.valency:
-            return _MISS
         premise_keys = premise.arg_keys
         cand_maps = _consistent_maps(premise_keys, hypothesis_args)
         if not cand_maps:
@@ -179,17 +171,11 @@ class GraphStore:
         best = _MISS
         h = sub.vertex_id(hypothesis)
         if h is not None:
-            i = _best_edge(sub, p, h, cand_maps, kinds)
+            i = _best_edge(sub, p, h, cand_maps)
             if i is not None and sub.scores[i] > 0.0:
                 best = QueryResult(sub.scores[i], (sub.edge(i),))
-        if (
-            self.enable_composition
-            and hypothesis.valency == 1
-            and premise.predicate.valency == 2
-            and BU in kinds
-            and UU in kinds
-        ):
-            composed = self._composed(sub, premise, hypothesis, hypothesis_args)
+        if compose and hypothesis.valency == 1 and premise.predicate.valency == 2:
+            composed = self._composed(sub, p, premise, hypothesis, hypothesis_args)
             if composed.score > best.score:
                 best = composed
         return best
@@ -197,18 +183,19 @@ class GraphStore:
     def _composed(
         self,
         sub: TypedSubgraph,
+        p: int,
         premise: Proposition,
         hypothesis: TypedPredicate,
         hypothesis_args: Sequence[str],
     ) -> QueryResult:
         """One BU edge, then one hop inside the univalent graph.
 
-        The first strictly best path wins, slot 1 before slot 2 and BU
-        edges in subgraph order.
+        ``p`` is the premise's id in ``sub``. The first strictly best path
+        wins, slot 1 before slot 2 and BU edges in subgraph order.
         """
         best, best_at = 0.0, None
         premise_keys = premise.arg_keys
-        out = sub.out_positions(sub.vertex_id(premise.predicate))
+        out = sub.out_positions(p)
         to_univalent = self._univalent_ids[sub.signature]
         for slot in (1, 2):
             if premise_keys[slot - 1] != hypothesis_args[0]:
@@ -246,7 +233,6 @@ class GraphStore:
         hypothesis_name: str,
         hypothesis_valency: int,
         hypothesis_args: Sequence[str],
-        kinds: frozenset[str] = ALL_KINDS,
     ) -> QueryResult:
         """Untyped query over all subgraphs holding both predicate names.
 
@@ -277,7 +263,7 @@ class GraphStore:
             for prem_vertex in by_sig[sig]:
                 p = sub.vertex_id(prem_vertex)
                 for hyp_vertex in hyp_sigs[sig]:
-                    i = _best_edge(sub, p, sub.vertex_id(hyp_vertex), cand_maps, kinds)
+                    i = _best_edge(sub, p, sub.vertex_id(hyp_vertex), cand_maps)
                     if i is not None and (
                         sub_best is None or sub.scores[i] > sub.scores[sub_best]
                     ):
@@ -292,15 +278,12 @@ class GraphStore:
         return QueryResult(_left_sum(found) / len(found), best_path, backed_off=True)
 
 
-def _best_edge(
-    sub: TypedSubgraph, p: int, h: int, cand_maps: list[ArgMap], kinds: frozenset[str]
-) -> int | None:
+def _best_edge(sub: TypedSubgraph, p: int, h: int, cand_maps: list[ArgMap]) -> int | None:
     """Position of the first best-scoring edge from p to h under one of
-    the maps and kinds; edges of a pair come in map order."""
+    the maps; edges of a pair come in map order."""
     best = None
     for i in sub.pair_positions(p, h):
-        kind, amap = EDGE_CODES[sub.codes[i]]
-        if kind in kinds and amap in cand_maps and (
+        if EDGE_CODES[sub.codes[i]][1] in cand_maps and (
             best is None or sub.scores[i] > sub.scores[best]
         ):
             best = i

@@ -6,7 +6,7 @@ directly, so that tests can compare the package's fast paths with it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from entgraph.localgraph import ArgMap
 from entgraph.qaeval import AnswerRecord
@@ -51,6 +51,13 @@ def objective(scores: Sequence[float], local: Sequence[float], groups) -> float:
             for j in range(i + 1, len(vids)):
                 value += weight * (scores[vids[i]] - scores[vids[j]]) ** 2
     return value
+
+
+def edge_positions(family: Mapping) -> list[tuple[tuple, int]]:
+    """The (signature, index in its ``edges``) of each position that
+    globalization numbers a family's edges by: sorted signature, then
+    each subgraph's edge order."""
+    return [(sig, i) for sig in sorted(family) for i in range(len(family[sig].scores))]
 
 
 def combine_components(records: Sequence[AnswerRecord]) -> AnswerRecord:

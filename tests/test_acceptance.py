@@ -15,7 +15,7 @@ import sys
 import time
 
 from entgraph.features import SLOT, FeatureConfig, build_vectors, count
-from entgraph.globalgraph import GlobalConfig, _coupling_groups, globalize
+from entgraph.globalgraph import GlobalConfig, globalize
 from entgraph.lexicon import LexicalResource
 from entgraph.localgraph import (
     BB,
@@ -48,7 +48,7 @@ from entgraph.qaeval import (
 from entgraph.store import GraphStore
 
 from conftest import corpus, ent, pred, prop
-from oracles import combine_components, inclusion_oracle
+from oracles import combine_components, edge_positions, inclusion_oracle
 from test_localgraph import buy_sell_corpus, kill_die_corpus
 
 
@@ -234,9 +234,9 @@ def test_globalization_identity_and_convergence():
     family, (win, champ, happy) = _toy_paraphrase_family()
     config = GlobalConfig(lambda_para=0.0, lambda_cross=0.0)
     identity = globalize(family, config)
-    _, edge_at, _ = _coupling_groups(family, config)
     pairs = [
-        (family[sig].edges[i], identity.subgraphs[sig].edges[i]) for sig, i in edge_at
+        (family[sig].edges[i], identity.subgraphs[sig].edges[i])
+        for sig, i in edge_positions(family)
     ]
     identity_ok = len(pairs) == 4 and all(
         (final.premise, final.hypothesis, final.kind, final.arg_map)

@@ -212,6 +212,26 @@ class TestExitCodes:
     def test_removed_globalize_options_rejected(self, option, tmp_path):
         assert main(["globalize", "--out", str(tmp_path), *option]) == EXIT_USAGE
 
+    def test_removed_answer_option_rejected(self, pipeline_dir, capsys):
+        code = main(["answer", "--out", str(pipeline_dir), "--no-composition"])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --no-composition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-questions", "--window", "0"], "--window: 0 is not >= 1"),
+        (["gen-questions", "--positives", "-1"], "--positives: -1 is not >= 0"),
+        (["evaluate", "--k", "50", "-3"], "--k: -3 is not >= 1"),
+        (["globalize", "--tau", "0"], "--tau: 0 is not in (0, 1]"),
+        (["globalize", "--tau", "1.5"], "--tau: 1.5 is not in (0, 1]"),
+        (["globalize", "--lambda-para", "-1"], "--lambda-para: -1 is not >= 0"),
+        (["globalize", "--lambda-cross", "-0.5"], "--lambda-cross: -0.5 is not >= 0"),
+        (["globalize", "--tau", "high"], "--tau: invalid float value: 'high'"),
+    ])
+    def test_out_of_range_option_is_usage_error(self, argv, message, tmp_path, capsys):
+        # the parser refuses the value before the stage looks for its inputs
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert f"usage error: argument {message}" in capsys.readouterr().err
+
     def test_unknown_component_usage_error(self, pipeline_dir, capsys):
         code = main([
             "answer", "--out", str(pipeline_dir), "--model", "graph",

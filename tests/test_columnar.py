@@ -191,7 +191,8 @@ class TestAgainstEdgeLists:
                     for hypothesis in unaries:
                         for hyp_args in (("a",), ("b",)):
                             expected = reference_composed(family, premise, hypothesis, hyp_args)
-                            got = store._composed(sub, premise, hypothesis, hyp_args)
+                            got = store._composed(sub, sub.vertex_id(premise_pred), premise,
+                                                  hypothesis, hyp_args)
                             assert got.score == expected.score
                             assert got.path == expected.path
 

@@ -23,7 +23,7 @@ from entgraph.localgraph import (
 )
 
 from conftest import pred
-from oracles import objective
+from oracles import edge_positions, objective
 
 ID1 = ArgMap.identity(1)
 ID2 = ArgMap.identity(2)
@@ -216,9 +216,9 @@ class TestGlobalizeInvariants:
         config = GlobalConfig(lambda_para=3.0, lambda_cross=0.0)
         from entgraph.globalgraph import _coupling_groups
 
-        local, edge_at, groups = _coupling_groups(subs, config)
+        local, groups = _coupling_groups(subs, config)
         result = globalize(subs, config)
-        final = [result.subgraphs[sig].edges[i].score for sig, i in edge_at]
+        final = [result.subgraphs[sig].edges[i].score for sig, i in edge_positions(subs)]
         assert objective(final, local, groups) <= objective(local, local, groups) + 1e-12
 
 
@@ -362,7 +362,7 @@ class TestExactSolveOracle:
                 lambda_para=rng.uniform(0.1, 5.0),
                 lambda_cross=rng.uniform(5.5, 10.0),
             )
-            local, edge_at, groups = _coupling_groups(family, config)
+            local, groups = _coupling_groups(family, config)
             a = np.eye(len(local))
             for weight, vids in groups:
                 k = len(vids)
@@ -371,7 +371,9 @@ class TestExactSolveOracle:
             expected = np.linalg.solve(a, local)
 
             result = globalize(family, config)
-            got = np.array([result.subgraphs[sig].edges[i].score for sig, i in edge_at])
+            got = np.array([
+                result.subgraphs[sig].edges[i].score for sig, i in edge_positions(family)
+            ])
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
             assert result.iterations_run == 1
         assert tied["para"] > 0 and tied["cross"] > 0
@@ -494,10 +496,10 @@ class TestColumnarCouplingOracle:
                 lambda_cross=rng.choice((0.0, rng.uniform(0.1, 5.0))),
                 paraphrase_tau=rng.uniform(0.85, 0.99),
             )
-            local, edge_at, groups = _coupling_groups(family, config)
+            local, groups = _coupling_groups(family, config)
             ref_local, ref_edge_at, ref_groups = predicate_coupling_groups(family, config)
             assert local.tobytes() == ref_local.tobytes()
-            assert list(edge_at) == ref_edge_at
+            assert edge_positions(family) == ref_edge_at
             assert groups == ref_groups
             np.testing.assert_allclose(
                 _solve_components(local, groups), per_component_solve(local, groups),

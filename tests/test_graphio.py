@@ -255,23 +255,40 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-@pytest.mark.parametrize("old, new, reason", [
-    ("BU\t2:1", "UU\t2:1", r"UU 2:1 is not an edge kind and argument map"),
-    ("BU\t2:1", "UU\tx", r"UU x is not an edge kind and argument map"),
-    ("BU\t2:1", "XX\t1:1", r"XX 1:1 is not an edge kind and argument map"),
-    ("BU\t2:1", "BU\t2:1\textra", r"edge line has 7 fields, not 6"),
-    ("0.7745966692414834", "high", r"bad edge score 'high'"),
-], ids=["uu-with-bu-map", "unparsed-map", "unknown-kind", "extra-field", "bad-score"])
-def test_bad_edge_text_names_file_and_line(tmp_path, capsys, old, new, reason):
+@pytest.mark.parametrize("old, new, line, reason", [
+    ("BU\t2:1", "UU\t2:1", 9, r"UU 2:1 is not an edge kind and argument map"),
+    ("BU\t2:1", "UU\tx", 9, r"UU x is not an edge kind and argument map"),
+    ("BU\t2:1", "XX\t1:1", 9, r"XX 1:1 is not an edge kind and argument map"),
+    ("BU\t2:1", "BU\t2:1\textra", 9, r"edge line has 7 fields, not 6"),
+    ("0.7745966692414834", "high", 9, r"bad edge score 'high'"),
+    ("0.25\n", "0.25\nthis line is junk\n", 12, r"unknown line 'this line is junk'"),
+    ("edges=3\n", "edges=3\nformat=2\n", 6, r"unknown line 'format=2'"),
+    ("edges=3\n", "edges=3\nkind=bivalent\n", 6, r"second kind= line"),
+    ("slay#person#person\nE", "slay#person#person\nkind=bivalent\nE", 9,
+     r"kind= line after the V lines"),
+    ("0.25\n", "0.25\nedges=3\n", 12, r"edges= line after the V lines"),
+], ids=["uu-with-bu-map", "unparsed-map", "unknown-kind", "extra-field", "bad-score",
+        "junk-line", "unknown-header", "repeated-header", "header-after-vertices",
+        "header-after-edges"])
+def test_bad_edge_text_names_file_and_line(tmp_path, capsys, old, new, line, reason):
     path = tmp_path / "graphs" / "bi__person__person.graph"
     path.parent.mkdir()
-    path.write_text((DATA / "golden_bivalent.graph").read_text().replace(old, new))
-    with pytest.raises(ValueError, match=rf"bi__person__person\.graph:9: {reason}"):
+    text = (DATA / "golden_bivalent.graph").read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=rf"bi__person__person\.graph:{line}: {reason}"):
         read_subgraph(path)
     code = main(["query", "--out", str(tmp_path), "--graphs", str(path.parent),
                  "kill#person#person", "die.1#person"])
     assert code == EXIT_DATA
-    assert f"{path}:9: " in capsys.readouterr().err
+    assert f"{path}:{line}: " in capsys.readouterr().err
+
+
+def test_blank_lines_ignored(tmp_path):
+    path = tmp_path / "bi__person__person.graph"
+    text = (DATA / "golden_bivalent.graph").read_text()
+    path.write_text(text.replace("\n", "\n\n").replace("edges=3\n", "edges=3\n  \n"))
+    assert read_subgraph(path).edges == read_subgraph(DATA / "golden_bivalent.graph").edges
 
 
 def test_edge_inconsistent_with_its_vertices_names_file(tmp_path):

@@ -34,7 +34,7 @@ ID1 = ArgMap.identity(1)
 ID2 = ArgMap.identity(2)
 
 
-def demo_store(**kwargs) -> GraphStore:
+def demo_store() -> GraphStore:
     bivalent = {
         ("person", "person"): TypedSubgraph(
             ("person", "person"),
@@ -59,7 +59,7 @@ def demo_store(**kwargs) -> GraphStore:
             [EntailmentEdge(DIE, PERISH, UU, ID1, 0.6)],
         ),
     }
-    return GraphStore.from_subgraphs(bivalent, univalent, **kwargs)
+    return GraphStore.from_subgraphs(bivalent, univalent)
 
 
 class TestTypedRouting:
@@ -115,10 +115,8 @@ class TestTypedRouting:
     def test_kind_restriction(self):
         store = demo_store()
         evidence = prop("kill", ("mustard", "boddy"))
-        assert (
-            store.entailment_score(evidence, DIE, ("boddy",), frozenset({BB})).score
-            == 0.0
-        )
+        assert store.score(evidence, DIE, ("boddy",), frozenset({BB})) == QueryResult(0.0)
+        assert store.score(evidence, DIE, ("boddy",), frozenset({BU})).score == pytest.approx(0.8)
 
 
 class TestComposition:
@@ -131,16 +129,13 @@ class TestComposition:
         assert result.path[0].score >= result.score
         assert result.path[1].score >= result.score
 
-    def test_composition_flag_gated(self):
-        store = demo_store(enable_composition=False)
-        evidence = prop("kill", ("mustard", "boddy"))
-        assert store.entailment_score(evidence, PERISH, ("boddy",)).score == 0.0
-
     def test_composition_needs_both_kinds_enabled(self):
         store = demo_store()
         evidence = prop("kill", ("mustard", "boddy"))
-        only_bu = store.entailment_score(evidence, PERISH, ("boddy",), frozenset({BU}))
-        assert only_bu.score == 0.0
+        only_bu = store.score(evidence, PERISH, ("boddy",), frozenset({BU}))
+        assert only_bu == QueryResult(0.0)
+        both = store.score(evidence, PERISH, ("boddy",), frozenset({BU, UU}))
+        assert both.score == pytest.approx(0.6)
 
     def test_direct_edge_beats_weaker_path(self):
         store = demo_store()
@@ -356,7 +351,8 @@ class TestComposedIndexOracle:
                 for sub, premise, hypothesis, hyp_args in self._queries(store):
                     paths, expected = reference_composed(
                         store, sub, premise, hypothesis, hyp_args)
-                    got = store._composed(sub, premise, hypothesis, hyp_args)
+                    p = sub.vertex_id(premise.predicate)
+                    got = store._composed(sub, p, premise, hypothesis, hyp_args)
                     assert got.score == expected.score
                     assert len(got.path) == len(expected.path)
                     assert all(a is b for a, b in zip(got.path, expected.path))
