@@ -53,10 +53,8 @@ def _sha256sum(paths, base: Path) -> list[str]:
 
 def digest_lines(graphs: Path) -> list[str]:
     """``sha256sum local/*.graph global/*.graph`` run in ``graphs``."""
-    paths = [
-        path for family in ("local", "global") for path in sorted((graphs / family).glob("*.graph"))
-    ]
-    return _sha256sum(paths, graphs)
+    families = (sorted((graphs / family).glob("*.graph")) for family in ("local", "global"))
+    return _sha256sum([path for paths in families for path in paths], graphs)
 
 
 def answer_digest_lines(out: Path) -> list[str]:
