@@ -129,6 +129,13 @@ class TestComposition:
         assert result.path[0].score >= result.score
         assert result.path[1].score >= result.score
 
+    def test_composition_flag_gated(self):
+        store = demo_store()
+        evidence = prop("kill", ("mustard", "boddy"))
+        gated = store.entailment_score(evidence, PERISH, ("boddy",), compose=False)
+        assert gated == QueryResult(0.0)
+        assert store.score(evidence, PERISH, ("boddy",), frozenset({BB, BU})) == gated
+
     def test_composition_needs_both_kinds_enabled(self):
         store = demo_store()
         evidence = prop("kill", ("mustard", "boddy"))
