@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -412,24 +413,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _bounded(convert, within, bound: str):
+def _bounded(convert, *checks):
     """An argparse ``type`` that converts an option's value and refuses
-    it, as a usage error, unless ``within(value)``."""
+    it, as a usage error naming the bound, at the first ``(within,
+    bound)`` check for which ``within(value)`` is false."""
 
     def parse(text: str):
         value = convert(text)
-        if not within(value):
-            raise argparse.ArgumentTypeError(f"{text} is not {bound}")
+        for within, bound in checks:
+            if not within(value):
+                raise argparse.ArgumentTypeError(f"{text} is not {bound}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names the type in its errors
     return parse
 
 
-_POSITIVE_INT = _bounded(int, lambda v: v >= 1, ">= 1")
-_COUNT = _bounded(int, lambda v: v >= 0, ">= 0")
-_WEIGHT = _bounded(float, lambda v: v >= 0, ">= 0")
-_UNIT_SCORE = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_POSITIVE_INT = _bounded(int, (lambda v: v >= 1, ">= 1"))
+_COUNT = _bounded(int, (lambda v: v >= 0, ">= 0"))
+_WEIGHT = _bounded(float, (math.isfinite, "finite"), (lambda v: v >= 0, ">= 0"))
+_UNIT_SCORE = _bounded(float, (lambda v: 0 < v <= 1, "in (0, 1]"))
+_THRESHOLD = _bounded(float, (lambda v: 0 <= v <= 1, "in [0, 1]"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-local", help="build typed subgraphs from the corpus")
     common(p)
-    p.add_argument("--min-count", type=int, default=3)
-    p.add_argument("--edge-threshold", type=float, default=0.01)
+    p.add_argument("--min-count", type=_COUNT, default=3)
+    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.01)
 
     p = sub.add_parser("globalize", help="refine scores with soft constraints")
     common(p)
@@ -460,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--wordnet", default=None, help="WordNet database directory")
     p.add_argument("--window", type=_POSITIVE_INT, default=3)
-    p.add_argument("--entity-min", type=int, default=6)
-    p.add_argument("--predicate-min", type=int, default=11)
+    p.add_argument("--entity-min", type=_COUNT, default=6)
+    p.add_argument("--predicate-min", type=_COUNT, default=11)
     p.add_argument("--positives", type=_COUNT, default=8)
     p.add_argument("--seed", type=int, default=0)
 

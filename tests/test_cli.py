@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from entgraph import resources
-from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, main
+from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, build_parser, main
 from entgraph.localgraph import BU, UU, _bound_args, valid_maps
 from entgraph.model import EntityId, Proposition, TypedPredicate
 from entgraph.qaeval import answer_graph
@@ -226,11 +226,30 @@ class TestExitCodes:
         (["globalize", "--lambda-para", "-1"], "--lambda-para: -1 is not >= 0"),
         (["globalize", "--lambda-cross", "-0.5"], "--lambda-cross: -0.5 is not >= 0"),
         (["globalize", "--tau", "high"], "--tau: invalid float value: 'high'"),
+        (["globalize", "--lambda-para", "inf"], "--lambda-para: inf is not finite"),
+        (["globalize", "--lambda-cross", "inf"], "--lambda-cross: inf is not finite"),
+        (["globalize", "--lambda-para", "nan"], "--lambda-para: nan is not finite"),
+        (["build-local", "--edge-threshold", "1.5"], "--edge-threshold: 1.5 is not in [0, 1]"),
+        (["build-local", "--edge-threshold", "-0.1"], "--edge-threshold: -0.1 is not in [0, 1]"),
+        (["build-local", "--min-count", "-5"], "--min-count: -5 is not >= 0"),
+        (["gen-questions", "--entity-min", "-1"], "--entity-min: -1 is not >= 0"),
+        (["gen-questions", "--predicate-min", "-2"], "--predicate-min: -2 is not >= 0"),
     ])
     def test_out_of_range_option_is_usage_error(self, argv, message, tmp_path, capsys):
         # the parser refuses the value before the stage looks for its inputs
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
         assert f"usage error: argument {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (["build-local", "--edge-threshold", "0"], "edge_threshold", 0.0),
+        (["build-local", "--edge-threshold", "1"], "edge_threshold", 1.0),
+        (["build-local", "--min-count", "0"], "min_count", 0),
+        (["gen-questions", "--entity-min", "0"], "entity_min", 0),
+        (["globalize", "--lambda-para", "0"], "lambda_para", 0.0),
+        (["globalize", "--lambda-cross", "1e300"], "lambda_cross", 1e300),
+    ])
+    def test_option_bound_itself_accepted(self, argv, option, value):
+        assert getattr(build_parser().parse_args(argv), option) == value
 
     def test_unknown_component_usage_error(self, pipeline_dir, capsys):
         code = main([
