@@ -11,7 +11,11 @@ checks. It then runs ``gen-questions --seed 3`` and the graph model's
 ``bb,bu,uu``, and writes the sha256 of every ``answers-*.csv`` to
 ``tests/data/sample_answer_digests.sha256``, which
 ``tests/test_cli.py::TestStageWiring::test_answer_file_name_matches_model_id``
-checks. Run it after an intended change to the graphs or the answers:
+checks. Last, it builds the local graphs of ``synthetic_corpus()``, a
+seeded corpus with BB identity, BB swap, BU and UU edges, and writes
+their sha256 to ``tests/data/synthetic_graph_digests.sha256``, which
+``tests/test_cli.py::TestGoldenGraphs`` also checks. Run it after an
+intended change to the graphs or the answers:
 
     python3 scripts/make_sample_graph_digests.py
 """
@@ -22,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 OUT = DATA / "sample_graph_digests.sha256"
 ANSWERS_OUT = DATA / "sample_answer_digests.sha256"
+SYNTHETIC_OUT = DATA / "synthetic_graph_digests.sha256"
 
 # the question seed of tests/test_cli.py's pipeline fixture
 QUESTION_SEED = "3"
@@ -42,6 +48,9 @@ COMPONENTS = tuple(
 sys.path.insert(0, str(ROOT / "src"))
 
 from entgraph.cli import EXIT_OK, main as cli_main  # noqa: E402
+from entgraph.graphio import write_graph_dir  # noqa: E402
+from entgraph.localgraph import build_local_graphs  # noqa: E402
+from entgraph.model import Corpus, EntityId, Proposition, TypedPredicate  # noqa: E402
 
 
 def _sha256sum(paths, base: Path) -> list[str]:
@@ -62,6 +71,55 @@ def answer_digest_lines(out: Path) -> list[str]:
     return _sha256sum(sorted(out.glob("answers-*.csv")), out)
 
 
+def synthetic_corpus(seed: int = 14) -> Corpus:
+    """A seeded corpus of a few hundred propositions over two types.
+
+    Facts are (person, organization) pairs. Each "work.at" binary holds
+    a random share of them in that order and each "employ" one a share
+    with the arguments reversed, so the first group links by identity and
+    the two groups by swap. Each "meet" binary holds a share of (person,
+    person) facts, one of them reversed, so identity and swap compete in
+    one signature. Each unary keeps one slot of a share of the facts, so
+    binaries entail unaries (BU) and unaries of one type entail each
+    other (UU).
+    """
+    rng = random.Random(seed)
+    people = [EntityId(f"p{i}", None, True) for i in range(30)]
+    orgs = [EntityId(f"o{i}", None, True) for i in range(20)]
+    facts = sorted({(rng.choice(people), rng.choice(orgs)) for _ in range(60)},
+                   key=lambda f: (f[0].key, f[1].key))
+    colleagues = sorted({(rng.choice(people), rng.choice(people)) for _ in range(30)},
+                        key=lambda f: (f[0].key, f[1].key))
+    props = []
+
+    def add(lemma, valency, types, case, args):
+        predicate = TypedPredicate(lemma, valency, types, case)
+        props.append(Proposition(predicate, args, f"a{len(props)}"))
+
+    for n in range(5):
+        for person, org in rng.sample(facts, rng.randint(8, 24)):
+            add(f"work.at{n}", 2, ("person", "organization"), None, (person, org))
+    for n in range(3):
+        for person, org in rng.sample(facts, rng.randint(8, 24)):
+            add(f"employ{n}", 2, ("organization", "person"), None, (org, person))
+    for n in range(3):
+        for a, b in rng.sample(colleagues, rng.randint(8, 20)):
+            add(f"meet{n}", 2, ("person", "person"), None, (b, a) if n == 2 else (a, b))
+    for n in range(4):
+        for person, org in rng.sample(facts, rng.randint(6, 20)):
+            add(f"be.worker{n}", 1, ("person",), ".1", (person,))
+            add(f"be.employer{n}", 1, ("organization",), ".1", (org,))
+    return Corpus(props)
+
+
+def synthetic_digest_lines(directory: Path) -> list[str]:
+    """Write the local graphs of ``synthetic_corpus()`` to ``directory``/local
+    and return ``sha256sum local/*.graph`` run in ``directory``."""
+    graphs = build_local_graphs(synthetic_corpus())
+    paths = write_graph_dir(graphs.all_subgraphs(), directory / "local")
+    return _sha256sum(sorted(paths), directory)
+
+
 def _run(*argv: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(list(argv))
@@ -78,7 +136,9 @@ def main() -> None:
             _run("answer", "--out", tmp, "--components", components)
         lines = digest_lines(Path(tmp) / "graphs")
         answer_lines = answer_digest_lines(Path(tmp))
-    for path, found in ((OUT, lines), (ANSWERS_OUT, answer_lines)):
+        synthetic_lines = synthetic_digest_lines(Path(tmp) / "synthetic")
+    for path, found in ((OUT, lines), (ANSWERS_OUT, answer_lines),
+                        (SYNTHETIC_OUT, synthetic_lines)):
         path.write_text("".join(line + "\n" for line in found), encoding="utf-8")
         print(f"wrote {len(found)} digests to {path}")
 

@@ -14,7 +14,9 @@ import pytest
 
 from entgraph import resources
 from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, build_parser, main
-from entgraph.localgraph import BU, UU, _bound_args, valid_maps
+from entgraph.localgraph import (
+    BU, EDGE_CODES, UU, _bound_args, build_local_graphs, valid_maps,
+)
 from entgraph.model import EntityId, Proposition, TypedPredicate
 from entgraph.qaeval import answer_graph
 from entgraph.qagen import Partition, Question
@@ -347,6 +349,20 @@ class TestGoldenGraphs:
         lines = _digest_script().digest_lines(pipeline_dir / "graphs")
         assert "".join(line + "\n" for line in lines) == (
             DATA / "sample_graph_digests.sha256").read_text()
+
+    def test_synthetic_local_graphs_match_recorded_digests(self, tmp_path):
+        # a seeded corpus that yields every edge kind and map, pinned in
+        # tests/data/synthetic_graph_digests.sha256 by the same script
+        script = _digest_script()
+        graphs = build_local_graphs(script.synthetic_corpus())
+        found = {EDGE_CODES[c] for sub in graphs.all_subgraphs().values() for c in sub.codes}
+        assert found == set(EDGE_CODES)
+        lines = script.synthetic_digest_lines(tmp_path)
+        assert "".join(line + "\n" for line in lines) == (
+            DATA / "synthetic_graph_digests.sha256").read_text(), (
+            "the synthetic corpus's local graphs changed; if that is intended, regenerate "
+            "the digests with python3 scripts/make_sample_graph_digests.py"
+        )
 
 
 class TestStaleArtifacts:
