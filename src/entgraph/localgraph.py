@@ -5,8 +5,13 @@ selected subtuple of the premise's instances also occurs among the
 hypothesis's instances. Scoring relaxes that set inclusion to Balanced
 Inclusion (BInc) over PMI feature vectors, the geometric mean of Weeds
 Precision (directional coverage) and Lin similarity (symmetric, damping
-rare predicates). Their sums add left to right, so a score is the same
-bits on every supported Python.
+rare predicates). A pair that shares no feature has Weeds Precision 0,
+so BInc 0, and is never kept; so candidates are found by an
+inverted-index join (Bayardo, Ma & Srikant 2007): each hypothesis side
+is indexed by feature once per signature, and each premise walks its
+own features through that index, visiting only the hypotheses it
+shares one with. Sums add left to right in sorted-feature order, so a
+score is the same bits on every supported Python.
 
 Edges are assembled into disjoint typed subgraphs: bivalent graphs keyed
 by a type pair hold binary->binary (BB) and binary->unary (BU) edges;
@@ -31,7 +36,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .features import (
     PAIR,
@@ -132,36 +137,6 @@ def _left_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
-
-
-def weeds_precision(u: Mapping, v: Mapping) -> float:
-    """Directional coverage: the share of u's mass on features v also has.
-
-    sum_{f in supp(u) & supp(v)} u[f] / sum_{f in supp(u)} u[f]; 0 when u
-    is empty. Equals 1 exactly when supp(u) is contained in supp(v).
-    """
-    denom = _left_sum(u[f] for f in sorted(u))
-    if denom == 0:
-        return 0.0
-    num = _left_sum(u[f] for f in sorted(u) if f in v)
-    return num / denom
-
-
-def lin_similarity(u: Mapping, v: Mapping) -> float:
-    """Symmetric similarity: shared mass over total mass of both vectors."""
-    denom = _left_sum(u[f] for f in sorted(u)) + _left_sum(v[f] for f in sorted(v))
-    if denom == 0:
-        return 0.0
-    num = _left_sum(u[f] + v[f] for f in sorted(u) if f in v)
-    return num / denom
-
-
-def binc(u: Mapping, v: Mapping) -> float:
-    """Balanced Inclusion: geometric mean of Weeds Precision and Lin."""
-    wp = weeds_precision(u, v)
-    if wp == 0.0:
-        return 0.0
-    return math.sqrt(wp * lin_similarity(u, v))
 
 
 _KIND_OF = {(2, 2): BB, (2, 1): BU, (1, 1): UU}
@@ -437,15 +412,120 @@ def canonical_signature(slot_types: Sequence[str]) -> tuple[str, ...]:
     return tuple(sorted(slot_types))
 
 
-def swapped_pair_features(features: Mapping) -> dict:
-    return {(b, a): w for (a, b), w in features.items()}
-
-
 @dataclass(frozen=True)
 class LocalBuildConfig:
     features: FeatureConfig = FeatureConfig()
     # edges scoring below the threshold are not stored
     edge_threshold: float = 0.01
+
+
+def _vector(items: Iterable[tuple]) -> tuple[list, float]:
+    """A vector's (feature, weight) items in feature order, and its mass:
+    the sum of its weights, added left to right in that order."""
+    items = sorted(items)
+    return items, _left_sum(w for _, w in items)
+
+
+def _swapped(features: Mapping) -> Iterable[tuple]:
+    """A pair vector's items with each argument pair reversed."""
+    return (((b, a), w) for (a, b), w in features.items())
+
+
+def _postings(vectors: Iterable[tuple[int, Iterable[tuple]]]) -> dict:
+    """Feature -> the (id, weight) of each (id, items) vector holding it."""
+    postings: dict = {}
+    for h, items in vectors:
+        for f, w in items:
+            postings.setdefault(f, []).append((h, w))
+    return postings
+
+
+def _binc_join(premise: tuple[list, float], postings: dict, masses) -> dict[int, float]:
+    """BInc of a premise with each hypothesis that shares a feature with it.
+
+    ``premise`` is a ``_vector``, ``postings`` indexes the hypotheses by
+    feature and ``masses[h]`` is hypothesis h's mass. Walking the
+    premise's features in order adds, per hypothesis, the Weeds precision
+    numerator (u[f]) and the Lin numerator (u[f] + v[f]) left to right
+    over the shared features, the order of the pairwise definitions:
+
+        WP = sum_{f shared} u[f] / |u|
+        Lin = sum_{f shared} (u[f] + v[f]) / (|u| + |v|)
+        BInc = sqrt(WP * Lin), and 0 when WP is 0
+
+    A hypothesis that shares no feature has WP 0, so BInc 0, and is left
+    out; a premise that is its own hypothesis is not.
+    """
+    items, mass = premise
+    if mass == 0:
+        return {}
+    wp: dict[int, float] = {}
+    lin: dict[int, float] = {}
+    for f, w in items:
+        for h, x in postings.get(f, ()):
+            wp[h] = wp.get(h, 0.0) + w
+            lin[h] = lin.get(h, 0.0) + (w + x)
+    scores = {}
+    for h, num in wp.items():
+        precision = num / mass
+        if precision != 0.0:
+            denom = mass + masses[h]
+            scores[h] = math.sqrt(precision * (lin[h] / denom if denom != 0 else 0.0))
+    return scores
+
+
+def _bb_scores(binaries: list[TypedPredicate], pair_vectors: Mapping) -> Iterator[tuple]:
+    """(premise id, hypothesis id, code, BInc) of each BB pair that shares
+    a feature, under its best argument map.
+
+    Hypotheses are indexed by their own slot types: a premise takes
+    identity from those of its slot types and swap, with the argument
+    pairs of the hypothesis reversed, from those of the reversed ones.
+    """
+    features = [pair_vectors[p].features for p in binaries]
+    vectors = [_vector(f.items()) for f in features]
+    masses = [mass for _, mass in vectors]
+    swapped_masses = [_vector(_swapped(f))[1] for f in features]
+    by_types: dict[tuple[str, ...], list[int]] = {}
+    for j, q in enumerate(binaries):
+        by_types.setdefault(q.slot_types, []).append(j)
+    index = {t: _postings((j, vectors[j][0]) for j in js) for t, js in by_types.items()}
+    swap_index = {t: _postings((j, _swapped(features[j])) for j in js)
+                  for t, js in by_types.items()}
+
+    identity, swap = EDGE_CODE[BB, ArgMap.identity(2)], EDGE_CODE[BB, ArgMap.swap()]
+    for i, p in enumerate(binaries):
+        premise = vectors[i]
+        same = _binc_join(premise, index[p.slot_types], masses)
+        reverse = swap_index.get((p.slot_types[1], p.slot_types[0]))
+        swaps = _binc_join(premise, reverse, swapped_masses) if reverse is not None else {}
+        for j in sorted(same.keys() | swaps.keys()):
+            if j != i:
+                # identity, the first map tried, wins a tie
+                best, code = same.get(j, 0.0), identity
+                if swaps.get(j, 0.0) > best:
+                    best, code = swaps[j], swap
+                yield i, j, code, best
+
+
+def _bu_scores(
+    binaries: list[TypedPredicate],
+    slot_vectors: Mapping,
+    unaries: Mapping[str, list[TypedPredicate]],
+) -> Iterator[tuple]:
+    """(premise id, slot type, unary position, code, BInc) of each binary
+    slot and unary of ``unaries[slot type]`` that share a feature."""
+    features = {t: [slot_vectors[(u, 1)].features for u in us] for t, us in unaries.items()}
+    masses = {t: [_vector(f.items())[1] for f in fs] for t, fs in features.items()}
+    index = {t: _postings(enumerate(f.items() for f in fs)) for t, fs in features.items()}
+    for i, p in enumerate(binaries):
+        for slot in (1, 2):
+            sv = slot_vectors.get((p, slot))
+            if sv is not None:
+                t, code = sv.slot_type, EDGE_CODE[BU, ArgMap.from_slot(slot)]
+                found = _binc_join(_vector(sv.features.items()), index[t], masses[t])
+                for k in sorted(found):
+                    yield i, t, k, code, found[k]
 
 
 def build_bivalent(
@@ -455,19 +535,21 @@ def build_bivalent(
     unaries_by_type: Mapping[str, list[TypedPredicate]],
     threshold: float = 0.01,
 ) -> TypedSubgraph:
-    """Score all BB and BU candidates for one bivalent type signature.
+    """Score the BB and BU candidates of one bivalent type signature.
 
     BB pairs are scored under every argument map whose type constraints
     hold (identity and, when slot types allow, swap) and the best map is
-    kept. BU candidates compare a binary slot vector against the vector of
-    each unary of the matching type; each slot yields its own edge since
-    the two claims differ.
+    kept. BU candidates compare a binary slot vector against the vector
+    of each unary of the matching type; each slot yields its own edge
+    since the two claims differ. Only candidates that share a feature are
+    scored, through an inverted index (feature -> hypotheses) of each
+    side: any other candidate has BInc 0 and is never kept. Each index
+    lives only while its side is scored.
     """
     binaries = sorted(
         (p for p in pair_vectors if canonical_signature(p.slot_types) == tuple(signature)),
         key=lambda p: p.token(),
     )
-    features = [pair_vectors[p].features for p in binaries]
     vertices = list(binaries)
     premise_ids, hypothesis_ids, codes, scores = _columns()
 
@@ -477,48 +559,41 @@ def build_bivalent(
         codes.append(code)
         scores.append(min(score, 1.0))
 
-    identity, swap = EDGE_CODE[BB, ArgMap.identity(2)], EDGE_CODE[BB, ArgMap.swap()]
-    for i, p in enumerate(binaries):
-        u = features[i]
-        for j, q in enumerate(binaries):
-            if i == j:
-                continue
-            best: tuple[float, int] | None = None
-            if p.slot_types == q.slot_types:
-                best = (binc(u, features[j]), identity)
-            if p.slot_types == (q.slot_types[1], q.slot_types[0]):
-                s = binc(u, swapped_pair_features(features[j]))
-                if best is None or s > best[0]:
-                    best = (s, swap)
-            if best is not None and best[0] >= threshold and best[0] > 0.0:
-                add(i, j, best[1], best[0])
+    for i, j, code, s in _bb_scores(binaries, pair_vectors):
+        if s >= threshold and s > 0.0:
+            add(i, j, code, s)
 
     # the unaries of each slot type that have a vector, and the vertex id
     # each gets once it is the hypothesis of a kept edge
     unaries = {
-        t: [(u, slot_vectors[(u, 1)].features)
-            for u in unaries_by_type.get(t, ()) if (u, 1) in slot_vectors]
+        t: [u for u in unaries_by_type.get(t, ()) if (u, 1) in slot_vectors]
         for t in set(signature)
     }
     unary_ids = {t: [-1] * len(us) for t, us in unaries.items()}
-    for i, p in enumerate(binaries):
-        for slot in (1, 2):
-            sv = slot_vectors.get((p, slot))
-            if sv is None:
-                continue
-            code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
-            ids = unary_ids[sv.slot_type]
-            for k, (unary, uv) in enumerate(unaries[sv.slot_type]):
-                s = binc(sv.features, uv)
-                if s >= threshold and s > 0.0:
-                    if ids[k] < 0:
-                        ids[k] = len(vertices)
-                        vertices.append(unary)
-                    add(i, ids[k], code, s)
+    for i, t, k, code, s in _bu_scores(binaries, slot_vectors, unaries):
+        if s >= threshold and s > 0.0:
+            ids = unary_ids[t]
+            if ids[k] < 0:
+                ids[k] = len(vertices)
+                vertices.append(unaries[t][k])
+            add(i, ids[k], code, s)
 
     return TypedSubgraph.from_columns(
         signature, vertices, premise_ids, hypothesis_ids, codes, scores
     )
+
+
+def _uu_scores(features: Mapping[int, Mapping]) -> Iterator[tuple]:
+    """(premise id, hypothesis id, BInc) of each pair of distinct unary
+    vectors, by id, that share a feature."""
+    vectors = {i: _vector(f.items()) for i, f in features.items()}
+    masses = {i: mass for i, (_, mass) in vectors.items()}
+    index = _postings((i, items) for i, (items, _) in vectors.items())
+    for i, premise in vectors.items():
+        found = _binc_join(premise, index, masses)
+        for j in sorted(found):
+            if j != i:
+                yield i, j, found[j]
 
 
 def build_univalent(
@@ -527,23 +602,22 @@ def build_univalent(
     slot_vectors: Mapping[tuple[TypedPredicate, int], SlotVector],
     threshold: float = 0.01,
 ) -> TypedSubgraph:
-    """Score all UU candidates among the unaries of one type."""
+    """Score the UU candidates among the unaries of one type.
+
+    Only pairs that share a feature are scored, through an inverted index
+    (feature -> unaries): any other pair has BInc 0 and is never kept.
+    """
     unaries = sorted(set(unaries), key=lambda p: p.token())
-    vectors = [slot_vectors.get((p, 1)) for p in unaries]
+    features = {i: sv.features for i, p in enumerate(unaries)
+                if (sv := slot_vectors.get((p, 1))) is not None}
     premise_ids, hypothesis_ids, codes, scores = _columns()
     code = EDGE_CODE[UU, ArgMap.identity(1)]
-    for i, pv in enumerate(vectors):
-        if pv is None:
-            continue
-        for j, qv in enumerate(vectors):
-            if i == j or qv is None:
-                continue
-            s = binc(pv.features, qv.features)
-            if s >= threshold and s > 0.0:
-                premise_ids.append(i)
-                hypothesis_ids.append(j)
-                codes.append(code)
-                scores.append(min(s, 1.0))
+    for i, j, s in _uu_scores(features):
+        if s >= threshold and s > 0.0:
+            premise_ids.append(i)
+            hypothesis_ids.append(j)
+            codes.append(code)
+            scores.append(min(s, 1.0))
     return TypedSubgraph.from_columns(
         (slot_type,), unaries, premise_ids, hypothesis_ids, codes, scores
     )

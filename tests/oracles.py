@@ -6,9 +6,22 @@ directly, so that tests can compare the package's fast paths with it.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
-from entgraph.localgraph import ArgMap
+from entgraph.features import PairVector, SlotVector
+from entgraph.localgraph import (
+    BB,
+    BU,
+    EDGE_CODE,
+    UU,
+    ArgMap,
+    TypedSubgraph,
+    _columns,
+    _left_sum,
+    canonical_signature,
+)
+from entgraph.model import TypedPredicate
 from entgraph.qaeval import AnswerRecord
 
 
@@ -40,6 +53,135 @@ def inclusion_oracle(
             image[h_slot - 1] = t[p_slot - 1]
         selected.add(tuple(image))
     return selected <= hypothesis_set
+
+
+def weeds_precision(u: Mapping, v: Mapping) -> float:
+    """Directional coverage: the share of u's mass on features v also has.
+
+    sum_{f in supp(u) & supp(v)} u[f] / sum_{f in supp(u)} u[f]; 0 when u
+    is empty. Equals 1 exactly when supp(u) is contained in supp(v).
+    """
+    denom = _left_sum(u[f] for f in sorted(u))
+    if denom == 0:
+        return 0.0
+    num = _left_sum(u[f] for f in sorted(u) if f in v)
+    return num / denom
+
+
+def lin_similarity(u: Mapping, v: Mapping) -> float:
+    """Symmetric similarity: shared mass over total mass of both vectors."""
+    denom = _left_sum(u[f] for f in sorted(u)) + _left_sum(v[f] for f in sorted(v))
+    if denom == 0:
+        return 0.0
+    num = _left_sum(u[f] + v[f] for f in sorted(u) if f in v)
+    return num / denom
+
+
+def binc(u: Mapping, v: Mapping) -> float:
+    """Balanced Inclusion: geometric mean of Weeds Precision and Lin."""
+    wp = weeds_precision(u, v)
+    if wp == 0.0:
+        return 0.0
+    return math.sqrt(wp * lin_similarity(u, v))
+
+
+def swapped_pair_features(features: Mapping) -> dict:
+    """A pair vector with each argument pair reversed."""
+    return {(b, a): w for (a, b), w in features.items()}
+
+
+def build_bivalent_pairwise(
+    signature: tuple[str, str],
+    pair_vectors: Mapping[TypedPredicate, PairVector],
+    slot_vectors: Mapping[tuple[TypedPredicate, int], SlotVector],
+    unaries_by_type: Mapping[str, list[TypedPredicate]],
+    threshold: float = 0.01,
+) -> TypedSubgraph:
+    """``localgraph.build_bivalent`` by scoring every (premise, hypothesis)
+    pair with ``binc``, whether or not the two share a feature."""
+    binaries = sorted(
+        (p for p in pair_vectors if canonical_signature(p.slot_types) == tuple(signature)),
+        key=lambda p: p.token(),
+    )
+    features = [pair_vectors[p].features for p in binaries]
+    vertices = list(binaries)
+    premise_ids, hypothesis_ids, codes, scores = _columns()
+
+    def add(p: int, h: int, code: int, score: float) -> None:
+        premise_ids.append(p)
+        hypothesis_ids.append(h)
+        codes.append(code)
+        scores.append(min(score, 1.0))
+
+    identity, swap = EDGE_CODE[BB, ArgMap.identity(2)], EDGE_CODE[BB, ArgMap.swap()]
+    for i, p in enumerate(binaries):
+        u = features[i]
+        for j, q in enumerate(binaries):
+            if i == j:
+                continue
+            best: tuple[float, int] | None = None
+            if p.slot_types == q.slot_types:
+                best = (binc(u, features[j]), identity)
+            if p.slot_types == (q.slot_types[1], q.slot_types[0]):
+                s = binc(u, swapped_pair_features(features[j]))
+                if best is None or s > best[0]:
+                    best = (s, swap)
+            if best is not None and best[0] >= threshold and best[0] > 0.0:
+                add(i, j, best[1], best[0])
+
+    unaries = {
+        t: [(u, slot_vectors[(u, 1)].features)
+            for u in unaries_by_type.get(t, ()) if (u, 1) in slot_vectors]
+        for t in set(signature)
+    }
+    unary_ids = {t: [-1] * len(us) for t, us in unaries.items()}
+    for i, p in enumerate(binaries):
+        for slot in (1, 2):
+            sv = slot_vectors.get((p, slot))
+            if sv is None:
+                continue
+            code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
+            ids = unary_ids[sv.slot_type]
+            for k, (unary, uv) in enumerate(unaries[sv.slot_type]):
+                s = binc(sv.features, uv)
+                if s >= threshold and s > 0.0:
+                    if ids[k] < 0:
+                        ids[k] = len(vertices)
+                        vertices.append(unary)
+                    add(i, ids[k], code, s)
+
+    return TypedSubgraph.from_columns(
+        signature, vertices, premise_ids, hypothesis_ids, codes, scores
+    )
+
+
+def build_univalent_pairwise(
+    slot_type: str,
+    unaries: list[TypedPredicate],
+    slot_vectors: Mapping[tuple[TypedPredicate, int], SlotVector],
+    threshold: float = 0.01,
+) -> TypedSubgraph:
+    """``localgraph.build_univalent`` by scoring every pair of unaries
+    with ``binc``."""
+    unaries = sorted(set(unaries), key=lambda p: p.token())
+    vectors = [slot_vectors.get((p, 1)) for p in unaries]
+    premise_ids, hypothesis_ids, codes, scores = _columns()
+    code = EDGE_CODE[UU, ArgMap.identity(1)]
+    for i, pv in enumerate(vectors):
+        if pv is None:
+            continue
+        for j, qv in enumerate(vectors):
+            if i == j or qv is None:
+                continue
+            s = binc(pv.features, qv.features)
+            if s >= threshold and s > 0.0:
+                premise_ids.append(i)
+                hypothesis_ids.append(j)
+                codes.append(code)
+                scores.append(min(s, 1.0))
+    return TypedSubgraph.from_columns(
+        (slot_type,), unaries, premise_ids, hypothesis_ids, codes, scores
+    )
 
 
 def objective(scores: Sequence[float], local: Sequence[float], groups) -> float:

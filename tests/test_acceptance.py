@@ -25,11 +25,8 @@ from entgraph.localgraph import (
     ArgMap,
     EntailmentEdge,
     TypedSubgraph,
-    binc,
     build_local_graphs,
-    lin_similarity,
     valid_maps,
-    weeds_precision,
 )
 from entgraph.qagen import (
     Partition,
@@ -48,7 +45,14 @@ from entgraph.qaeval import (
 from entgraph.store import GraphStore
 
 from conftest import corpus, ent, pred, prop
-from oracles import combine_components, edge_positions, inclusion_oracle
+from oracles import (
+    binc,
+    combine_components,
+    edge_positions,
+    inclusion_oracle,
+    lin_similarity,
+    weeds_precision,
+)
 from test_localgraph import buy_sell_corpus, kill_die_corpus
 
 

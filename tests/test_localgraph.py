@@ -12,7 +12,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entgraph.features import SLOT, FeatureConfig, build_vectors, count
+from entgraph.features import SLOT, FeatureConfig, PairVector, SlotVector, build_vectors, count
 from entgraph.localgraph import (
     BB,
     BU,
@@ -21,17 +21,24 @@ from entgraph.localgraph import (
     EntailmentEdge,
     LocalBuildConfig,
     TypedSubgraph,
-    binc,
+    build_bivalent,
     build_local_graphs,
+    build_univalent,
     canonical_signature,
-    lin_similarity,
-    swapped_pair_features,
     valid_maps,
-    weeds_precision,
 )
+from entgraph.model import TypedPredicate
 
 from conftest import corpus, ent, pred, prop
-from oracles import inclusion_oracle
+from oracles import (
+    binc,
+    build_bivalent_pairwise,
+    build_univalent_pairwise,
+    inclusion_oracle,
+    lin_similarity,
+    swapped_pair_features,
+    weeds_precision,
+)
 
 
 class TestArgMap:
@@ -522,3 +529,103 @@ class TestRelaxationConsistency:
                         v = slots[(h, 1)].features
                         if lin_similarity(u, v) > 0:
                             assert weeds_precision(u, v) == pytest.approx(1.0)
+
+
+# Weights on which a plain left-to-right sum and a compensated one differ
+# (ten 0.1s, say), next to arbitrary ones.
+join_weights = st.one_of(st.sampled_from((0.1, 0.7, 1e-3, 3.0)), st.floats(0.01, 10.0))
+JOIN_ENTITIES = ("e0", "e1", "e2", "e3", "e4")
+JOIN_PAIRS = tuple((a, b) for a in JOIN_ENTITIES[:3] for b in JOIN_ENTITIES[:3])
+
+
+@st.composite
+def typed_vectors(draw):
+    """A bivalent signature with random pair and slot vectors.
+
+    Vectors may be empty or share no feature; a vector may copy an
+    earlier one, or (a pair vector) reverse its argument pairs, so scores
+    of 1 and swap edges occur; binaries come in both slot orders; some
+    binary slots and unaries have no vector.
+    """
+    signature = draw(st.sampled_from((("a", "a"), ("a", "b"))))
+    orders = sorted({signature, signature[::-1]})
+    slot_features = st.dictionaries(st.sampled_from(JOIN_ENTITIES), join_weights, max_size=5)
+    pair_vectors, slot_vectors, slot_pool = {}, {}, []
+    for i in range(draw(st.integers(0, 6))):
+        p = TypedPredicate(f"b{i}", 2, draw(st.sampled_from(orders)))
+        earlier = [v.features for v in pair_vectors.values()]
+        source = draw(st.sampled_from(("new", "copy", "reverse"))) if earlier else "new"
+        if source == "new":
+            features = draw(st.dictionaries(st.sampled_from(JOIN_PAIRS), join_weights, max_size=6))
+        else:
+            features = dict(draw(st.sampled_from(earlier)))
+            if source == "reverse":
+                features = {(b, a): w for (a, b), w in features.items()}
+        pair_vectors[p] = PairVector(p, features)
+        for slot in (1, 2):
+            if draw(st.booleans()):
+                f = draw(slot_features)
+                slot_pool.append(f)
+                slot_vectors[(p, slot)] = SlotVector(p, slot, p.slot_types[slot - 1], f)
+    unaries_by_type: dict[str, list[TypedPredicate]] = {}
+    for i in range(draw(st.integers(0, 6))):
+        t = draw(st.sampled_from(signature))
+        u = TypedPredicate(f"u{i}", 1, (t,), ".1")
+        unaries_by_type.setdefault(t, []).append(u)
+        if draw(st.booleans()):
+            f = (dict(draw(st.sampled_from(slot_pool)))
+                 if slot_pool and draw(st.booleans()) else draw(slot_features))
+            slot_pool.append(f)
+            slot_vectors[(u, 1)] = SlotVector(u, 1, t, f)
+    return signature, pair_vectors, slot_vectors, unaries_by_type
+
+
+def assert_same_subgraph(found: TypedSubgraph, expected: TypedSubgraph) -> None:
+    assert found.signature == expected.signature
+    assert found.vertices == expected.vertices
+    for column in ("premise_ids", "hypothesis_ids", "codes", "scores"):
+        assert getattr(found, column).tobytes() == getattr(expected, column).tobytes(), column
+
+
+class TestSparseJoin:
+    """The inverted-index join scores exactly the edges, bit for bit, that
+    comparing every premise with every hypothesis does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(typed_vectors(), st.sampled_from((0.0, 0.01)))
+    def test_matches_pairwise_builders(self, case, threshold):
+        signature, pair_vectors, slot_vectors, unaries_by_type = case
+        assert_same_subgraph(
+            build_bivalent(signature, pair_vectors, slot_vectors, unaries_by_type, threshold),
+            build_bivalent_pairwise(
+                signature, pair_vectors, slot_vectors, unaries_by_type, threshold),
+        )
+        for t, unaries in unaries_by_type.items():
+            assert_same_subgraph(
+                build_univalent(t, unaries, slot_vectors, threshold),
+                build_univalent_pairwise(t, unaries, slot_vectors, threshold),
+            )
+
+    def test_scores_add_left_to_right(self):
+        # ten shared 0.1s: compensated sums would move the score's last bit
+        shared = {f"f{i}": 0.1 for i in range(10)}
+        u, v = pred("win.1", "person"), pred("lead.1", "person")
+        slot_vectors = {(u, 1): SlotVector(u, 1, "person", {**shared, "g": 2.0}),
+                        (v, 1): SlotVector(v, 1, "person", dict(shared))}
+        sub = build_univalent("person", [u, v], slot_vectors)
+
+        def score(total):
+            wp = total([0.1] * 10) / total([0.1] * 10 + [2.0])
+            lin = total([0.2] * 10) / (total([0.1] * 10 + [2.0]) + total([0.1] * 10))
+            return math.sqrt(wp * lin)
+
+        assert score(plain_sum) != score(math.fsum)
+        assert sub.find_edges(u, v)[0].score == score(plain_sum)
+        assert_same_subgraph(sub, build_univalent_pairwise("person", [u, v], slot_vectors))
+
+    def test_disjoint_supports_score_no_edge(self):
+        u, v = pred("win.1", "person"), pred("lead.1", "person")
+        slot_vectors = {(u, 1): SlotVector(u, 1, "person", {"a": 1.0}),
+                        (v, 1): SlotVector(v, 1, "person", {"b": 1.0})}
+        sub = build_univalent("person", [u, v], slot_vectors, threshold=0.0)
+        assert sub.vertices == (v, u) and sub.edges == []
