@@ -6,9 +6,11 @@ seed, input digests) so identical inputs reproduce identical bytes.
 
 A stage normally runs as a process of its own, so each subcommand
 imports the layers it calls when it runs, not when this module loads:
-``globalgraph`` is loaded by ``globalize`` alone, and ``qagen``,
-``lexicon``, ``qaeval`` and ``store`` only by the stages that use them.
-Every layer uses the standard library alone.
+``globalgraph`` is loaded by ``globalize`` alone, ``lexicon`` by
+``gen-questions`` alone, ``qagen`` and ``qaeval`` only by the stages that
+use them, and ``store`` with the graph layers only where a graph is
+opened. Every layer uses the standard library alone, and none imports
+``dataclasses``.
 
 Exit codes: 0 success, 1 usage error, 2 data/dependency error, 3 file
 format version mismatch.
@@ -25,6 +27,9 @@ from pathlib import Path
 
 from . import resources
 from .model import (
+    BB,
+    BU,
+    UU,
     EntityId,
     Proposition,
     TypeInventory,
@@ -225,8 +230,6 @@ def _graph_dir(out: Path, choice: str) -> Path:
 
 
 def _parse_components(text: str) -> frozenset[str]:
-    from .localgraph import BB, BU, UU
-
     names = {"bb": BB, "uu": UU, "bu": BU}
     out = set()
     for part in text.split(","):
@@ -240,7 +243,6 @@ def _parse_components(text: str) -> frozenset[str]:
 def cmd_answer(args) -> int:
     from . import qaeval
     from .qagen import read_evidence, read_questions
-    from .store import GraphStore
 
     out = Path(args.out)
     questions, _ = read_questions(_require(out / "questions.jsonl", "gen-questions"))
@@ -258,6 +260,8 @@ def cmd_answer(args) -> int:
         for q in questions:
             records.append(qaeval.answer_exact_match(q, evidence[q.partition_id]))
     elif args.model == "graph":
+        from .store import GraphStore
+
         kinds = _parse_components(args.components)
         tag = qaeval._model_id(kinds)
         store = GraphStore.open(_graph_dir(out, args.graphs))
@@ -296,7 +300,6 @@ def cmd_answer(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import qaeval
     from .qagen import read_questions
-    from .store import GraphStore
 
     out = Path(args.out)
     questions_path = _require(out / "questions.jsonl", "gen-questions")
@@ -305,6 +308,8 @@ def cmd_evaluate(args) -> int:
     known = set(question_ids)
     suffix = ""
     if args.filtered:
+        from .store import GraphStore
+
         store = GraphStore.open(_graph_dir(out, args.graphs))
         questions = qaeval.filter_questions(questions, store, args.seed)
         if not questions:

@@ -9,8 +9,7 @@ negative weights are dropped so feature support means genuine association.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from .model import Corpus, TypedPredicate
 
@@ -18,7 +17,6 @@ PAIR = "pair"
 SLOT = "slot"
 
 
-@dataclass
 class CountStore:
     """Joint and marginal occurrence counts for one counting mode.
 
@@ -26,11 +24,12 @@ class CountStore:
     slot mode:  key = (predicate, slot),    feature = entity key
     """
 
-    mode: str
-    joint: Counter = field(default_factory=Counter)
-    pred_marginal: Counter = field(default_factory=Counter)
-    feat_marginal: Counter = field(default_factory=Counter)
-    total: int = 0
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
+        self.joint: Counter = Counter()
+        self.pred_marginal: Counter = Counter()
+        self.feat_marginal: Counter = Counter()
+        self.total = 0
 
     def add(self, pred_key, feat_key, n: int = 1) -> None:
         self.joint[(pred_key, feat_key)] += n
@@ -70,29 +69,30 @@ def pmi(store: CountStore, pred_key, feat_key) -> float:
     return max(0.0, value)
 
 
-@dataclass
 class PairVector:
     """Argument-pair feature vector of one binary predicate."""
 
-    predicate: TypedPredicate
-    features: dict[tuple[str, str], float]
+    def __init__(self, predicate: TypedPredicate, features: dict[tuple[str, str], float]):
+        self.predicate = predicate
+        self.features = features
 
 
-@dataclass
 class SlotVector:
     """Per-slot entity feature vector; comparable across predicates only
     when the slot types match."""
 
-    predicate: TypedPredicate
-    slot: int
-    slot_type: str
-    features: dict[str, float]
+    def __init__(self, predicate: TypedPredicate, slot: int, slot_type: str,
+                 features: dict[str, float]):
+        self.predicate = predicate
+        self.slot = slot
+        self.slot_type = slot_type
+        self.features = features
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    # predicates seen fewer times than min_count get no vector
-    min_count: int = 3
+class FeatureConfig(namedtuple("FeatureConfig", "min_count", defaults=(3,))):
+    """Predicates seen fewer than ``min_count`` times get no vector."""
+
+    __slots__ = ()
 
 
 def build_vectors(store: CountStore, config: FeatureConfig = FeatureConfig()):
@@ -124,7 +124,10 @@ def build_vectors(store: CountStore, config: FeatureConfig = FeatureConfig()):
 
 
 def _pred_sort_key(pred_key):
-    if isinstance(pred_key, tuple):
-        pred, slot = pred_key
-        return (pred.token(), slot)
-    return (pred_key.token(), 0)
+    """Sort key of a pair-mode key (a predicate) or a slot-mode key (a
+    (predicate, slot) pair); a predicate is a tuple too, so the test is
+    on its type."""
+    if isinstance(pred_key, TypedPredicate):
+        return (pred_key.token(), 0)
+    pred, slot = pred_key
+    return (pred.token(), slot)

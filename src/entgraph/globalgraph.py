@@ -36,9 +36,9 @@ is strictly diagonally dominant, so it needs no pivoting.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
-from typing import ClassVar, Mapping
+from typing import Mapping
 
 from .localgraph import EDGE_CODES, TypedSubgraph, _left_sum
 
@@ -46,26 +46,27 @@ from .localgraph import EDGE_CODES, TypedSubgraph, _left_sum
 SCORE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class GlobalConfig:
-    lambda_para: float = 1.0
-    lambda_cross: float = 0.5
-    paraphrase_tau: float = 0.9
+class GlobalConfig(namedtuple("GlobalConfig", "lambda_para lambda_cross paraphrase_tau")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lambda_para < 0 or self.lambda_cross < 0:
+    def __new__(
+        cls, lambda_para: float = 1.0, lambda_cross: float = 0.5, paraphrase_tau: float = 0.9
+    ):
+        if lambda_para < 0 or lambda_cross < 0:
             raise ValueError("constraint weights must be >= 0")
-        if not 0 < self.paraphrase_tau <= 1:
+        if not 0 < paraphrase_tau <= 1:
             raise ValueError("paraphrase_tau must be in (0, 1]")
+        return tuple.__new__(cls, (lambda_para, lambda_cross, paraphrase_tau))
 
 
-@dataclass
 class GlobalGraph:
     """Globalized family: the subgraphs with their refined scores."""
 
-    subgraphs: dict
     # one exact solve minimizes the whole objective
-    iterations_run: ClassVar[int] = 1
+    iterations_run = 1
+
+    def __init__(self, subgraphs: dict):
+        self.subgraphs = subgraphs
 
 
 def _paraphrase_ids(sub: TypedSubgraph, tau: float) -> list[tuple[int, int]]:

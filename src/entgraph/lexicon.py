@@ -11,7 +11,6 @@ byte offsets are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .model import TypedPredicate
@@ -19,11 +18,11 @@ from .model import TypedPredicate
 HYPONYM_POINTERS = {"~", "~i"}
 
 
-@dataclass
 class _Synset:
-    offset: str
-    words: list[str]
-    hyponym_offsets: list[str]
+    def __init__(self, offset: str, words: list[str], hyponym_offsets: list[str]):
+        self.offset = offset
+        self.words = words
+        self.hyponym_offsets = hyponym_offsets
 
 
 def _parse_data_file(path: Path) -> dict[str, _Synset]:

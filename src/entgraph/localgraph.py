@@ -34,8 +34,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .features import (
@@ -47,26 +47,28 @@ from .features import (
     build_vectors,
     count,
 )
-from .model import Corpus, TypedPredicate
-
-BB = "BB"
-BU = "BU"
-UU = "UU"
-ALL_KINDS = frozenset((BB, BU, UU))
+from .model import ALL_KINDS, BB, BU, UU, Corpus, TypedPredicate
 
 
-@dataclass(frozen=True, order=True)
-class ArgMap:
+class ArgMap(namedtuple("ArgMap", "pairs")):
     """Bijective assignment of selected premise slots to hypothesis slots.
 
     pairs lists (premise_slot, hypothesis_slot); the premise selection may
     drop slots (binary premise, unary hypothesis) but never invents them,
-    so the hypothesis valency is at most the premise valency.
+    so the hypothesis valency is at most the premise valency. Maps compare,
+    order and hash as the tuple of their pairs.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
+
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
+        amap = tuple.__new__(cls, (pairs,))
+        amap.__post_init__()
+        return amap
 
     def __post_init__(self) -> None:
+        """Check a new map; a method of its own, so that a tracer can count
+        the maps built."""
         src = [p for p, _ in self.pairs]
         dst = [h for _, h in self.pairs]
         if len(set(src)) != len(src) or sorted(dst) != list(range(1, len(dst) + 1)):
@@ -142,26 +144,28 @@ def _left_sum(values: Iterable[float]) -> float:
 _KIND_OF = {(2, 2): BB, (2, 1): BU, (1, 1): UU}
 
 
-@dataclass(frozen=True, order=True)
-class EntailmentEdge:
-    """Directed, scored entailment between two typed predicates."""
+class EntailmentEdge(namedtuple("EntailmentEdge", "premise hypothesis kind arg_map score")):
+    """Directed, scored entailment between two typed predicates; edges
+    compare, order and hash as the tuple of their fields."""
 
-    premise: TypedPredicate
-    hypothesis: TypedPredicate
-    kind: str
-    arg_map: ArgMap
-    score: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        valencies = (self.premise.valency, self.hypothesis.valency)
-        if _KIND_OF.get(valencies) != self.kind:
-            raise ValueError(f"kind {self.kind} inconsistent with valencies")
-        if self.arg_map not in _VALID_MAPS[valencies]:
-            raise ValueError(
-                f"argument map {self.arg_map.format()} invalid for a {self.kind} edge"
-            )
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
+    def __new__(
+        cls,
+        premise: TypedPredicate,
+        hypothesis: TypedPredicate,
+        kind: str,
+        arg_map: ArgMap,
+        score: float,
+    ):
+        valencies = (premise.valency, hypothesis.valency)
+        if _KIND_OF.get(valencies) != kind:
+            raise ValueError(f"kind {kind} inconsistent with valencies")
+        if arg_map not in _VALID_MAPS[valencies]:
+            raise ValueError(f"argument map {arg_map.format()} invalid for a {kind} edge")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score {score} outside [0, 1]")
+        return tuple.__new__(cls, (premise, hypothesis, kind, arg_map, score))
 
 
 # One small code per (kind, argument map) an edge can carry. Within a kind
@@ -412,11 +416,12 @@ def canonical_signature(slot_types: Sequence[str]) -> tuple[str, ...]:
     return tuple(sorted(slot_types))
 
 
-@dataclass(frozen=True)
-class LocalBuildConfig:
-    features: FeatureConfig = FeatureConfig()
-    # edges scoring below the threshold are not stored
-    edge_threshold: float = 0.01
+class LocalBuildConfig(
+    namedtuple("LocalBuildConfig", "features edge_threshold", defaults=(FeatureConfig(), 0.01))
+):
+    """Vector options, and the score below which an edge is not stored."""
+
+    __slots__ = ()
 
 
 def _vector(items: Iterable[tuple]) -> tuple[list, float]:
@@ -623,10 +628,14 @@ def build_univalent(
     )
 
 
-@dataclass
 class LocalGraphs:
-    bivalent: dict[tuple[str, str], TypedSubgraph]
-    univalent: dict[tuple[str], TypedSubgraph]
+    def __init__(
+        self,
+        bivalent: dict[tuple[str, str], TypedSubgraph],
+        univalent: dict[tuple[str], TypedSubgraph],
+    ):
+        self.bivalent = bivalent
+        self.univalent = univalent
 
     def all_subgraphs(self) -> dict[tuple[str, ...], TypedSubgraph]:
         out: dict[tuple[str, ...], TypedSubgraph] = {}

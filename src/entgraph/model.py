@@ -9,13 +9,20 @@ from __future__ import annotations
 
 import datetime as dt
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 FALLBACK_TYPE = "thing"
+
+# The three edge components: binary->binary, binary->unary, unary->unary.
+# Named here, not in ``localgraph`` which builds them, so that a stage can
+# choose components without importing a layer.
+BB = "BB"
+BU = "BU"
+UU = "UU"
+ALL_KINDS = frozenset((BB, BU, UU))
 
 
 class VersionMismatch(ValueError):
@@ -50,8 +57,7 @@ def normalize_surface(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-@dataclass(frozen=True, eq=False)
-class EntityId:
+class EntityId(namedtuple("EntityId", "surface kb_id is_named")):
     """One argument entity: a normalized surface form, optionally linked.
 
     Two entities are equal iff their ``key``s are: the kb id when linked,
@@ -61,18 +67,22 @@ class EntityId:
     seen wins), so that surfaces written out are consistent.
     """
 
-    surface: str
-    kb_id: str | None = None
-    is_named: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.surface:
+    def __new__(cls, surface: str, kb_id: str | None = None, is_named: bool = False):
+        if not surface:
             raise ValueError("entity surface must be non-empty")
+        return tuple.__new__(cls, (surface, kb_id, is_named))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntityId):
             return NotImplemented
         return self.key == other.key
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, EntityId):
+            return NotImplemented
+        return self.key != other.key
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -82,7 +92,7 @@ class EntityId:
         """Stable feature key: the kb id when linked, else the surface."""
         return self.kb_id if self.kb_id is not None else self.surface
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         kb = f"={self.kb_id}" if self.kb_id else ""
         return f"EntityId({self.surface!r}{kb})"
 
@@ -150,30 +160,30 @@ class TypeInventory:
         return FALLBACK_TYPE, False
 
 
-@dataclass(frozen=True, order=True)
-class TypedPredicate:
+class TypedPredicate(namedtuple("TypedPredicate", "lemma valency slot_types case_marker")):
     """A predicate vertex identity: lemma, valency, and per-slot types.
 
     Unary predicates carry a case marker (".1" nominative, ".2" accusative)
     recording which argument position of the source verb they keep; binary
-    predicates never do.
+    predicates never do. Predicates compare, order and hash as the tuple
+    of their fields.
     """
 
-    lemma: str
-    valency: int
-    slot_types: tuple[str, ...]
-    case_marker: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.valency not in (1, 2):
-            raise ValueError(f"valency must be 1 or 2, got {self.valency}")
-        if len(self.slot_types) != self.valency:
+    def __new__(
+        cls, lemma: str, valency: int, slot_types: tuple[str, ...], case_marker: str | None = None
+    ):
+        if valency not in (1, 2):
+            raise ValueError(f"valency must be 1 or 2, got {valency}")
+        if len(slot_types) != valency:
             raise ValueError("slot_types length must equal valency")
-        if self.valency == 1:
-            if self.case_marker not in (".1", ".2"):
+        if valency == 1:
+            if case_marker not in (".1", ".2"):
                 raise ValueError("unary predicates need a case marker .1 or .2")
-        elif self.case_marker is not None:
+        elif case_marker is not None:
             raise ValueError("binary predicates carry no case marker")
+        return tuple.__new__(cls, (lemma, valency, slot_types, case_marker))
 
     @property
     def name(self) -> str:
@@ -207,38 +217,43 @@ class TypedPredicate:
         return self.token()
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(
+    namedtuple("Proposition", "predicate args article_id date sentence_idx negated")
+):
     """One extracted predicate instance with its bound, typed arguments."""
 
-    predicate: TypedPredicate
-    args: tuple[EntityId, ...]
-    article_id: str = ""
-    date: dt.date | None = None
-    sentence_idx: int = 0
-    negated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.predicate.valency:
+    def __new__(
+        cls,
+        predicate: TypedPredicate,
+        args: tuple[EntityId, ...],
+        article_id: str = "",
+        date: dt.date | None = None,
+        sentence_idx: int = 0,
+        negated: bool = False,
+    ):
+        if len(args) != predicate.valency:
             raise ValueError("argument count must equal predicate valency")
-        if self.sentence_idx < 0:
+        if sentence_idx < 0:
             raise ValueError("sentence_idx must be >= 0")
+        return tuple.__new__(cls, (predicate, args, article_id, date, sentence_idx, negated))
 
     @property
     def arg_keys(self) -> tuple[str, ...]:
         return tuple(a.key for a in self.args)
 
 
-@dataclass
 class IngestStats:
     """Bookkeeping from one ingestion run; malformed input is never fatal."""
 
-    records_read: int = 0
-    propositions: int = 0
-    skipped_malformed: int = 0
-    skipped_unnamed: int = 0
-    unknown_type_labels: int = 0
-    decomposed_records: int = 0
+    def __init__(self, records_read: int = 0, propositions: int = 0) -> None:
+        self.records_read = records_read
+        self.propositions = propositions
+        self.skipped_malformed = 0
+        self.skipped_unnamed = 0
+        self.unknown_type_labels = 0
+        self.decomposed_records = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)

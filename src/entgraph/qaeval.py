@@ -7,35 +7,51 @@ counts as a positive prediction. The harness sweeps thresholds over the
 confidences for precision/recall curves, supports filtering to questions
 whose predicate is a graph vertex, and reports accuracy over the K most
 confident predictions.
+
+An evidence proposition can answer a question only if it holds the
+question's first argument: under every argument map each question
+argument is bound to an evidence argument, and a verbatim repeat holds
+them all. So the models read only ``Partition.holding`` that argument, the
+partition's evidence indexed once by argument key; the rest would score 0.
+
+Importing this module loads no graph layer: a caller that answers with a
+graph opens the store and passes it in, and ``compatible_evidence``
+imports the argument-map check when it runs.
 """
 
 from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
-from .localgraph import ALL_KINDS, _consistent_maps
-from .model import Proposition, _atomic_writer
+from .model import ALL_KINDS, Proposition, _atomic_writer
 from .qagen import Partition, Question, balance
-from .store import GraphStore
+
+if TYPE_CHECKING:
+    from .store import GraphStore
 
 
-@dataclass(frozen=True)
-class AnswerRecord:
-    question_id: str
-    model_id: str
-    confidence: float
-    best_evidence: str | None = None
-    backed_off: bool = False
+class AnswerRecord(
+    namedtuple("AnswerRecord", "question_id model_id confidence best_evidence backed_off")
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
+    def __new__(
+        cls,
+        question_id: str,
+        model_id: str,
+        confidence: float,
+        best_evidence: str | None = None,
+        backed_off: bool = False,
+    ):
+        if not 0.0 <= confidence <= 1.0:
             raise ValueError("confidence outside [0, 1]")
-        if (self.best_evidence is not None) != (self.confidence > 0):
+        if (best_evidence is not None) != (confidence > 0):
             raise ValueError("best_evidence present iff confidence > 0")
+        return tuple.__new__(cls, (question_id, model_id, confidence, best_evidence, backed_off))
 
 
 def _untyped_match(q: Question, prop: Proposition) -> bool:
@@ -48,7 +64,7 @@ def _untyped_match(q: Question, prop: Proposition) -> bool:
 def answer_exact_match(question: Question, evidence: Partition) -> AnswerRecord:
     """Confidence 1 iff some evidence proposition repeats the question
     verbatim (same untyped predicate, same bound arguments)."""
-    for pid, prop in evidence.propositions:
+    for pid, prop in evidence.holding(question.args[0].key):
         if _untyped_match(question, prop):
             return AnswerRecord(question.id, "exact", 1.0, pid)
     return AnswerRecord(question.id, "exact", 0.0)
@@ -65,12 +81,14 @@ def answer_graph(
     kinds: frozenset[str] = ALL_KINDS,
 ) -> AnswerRecord:
     """Max of ``GraphStore.score`` over the partition's evidence; the
-    first evidence proposition reaching it is the best evidence."""
+    first evidence proposition reaching it is the best evidence. Evidence
+    that shares no binding with the question scores 0, so only evidence
+    holding its first argument is scored."""
     hyp_args = tuple(a.key for a in question.args)
     best = 0.0
     best_pid = None
     backed_off = False
-    for pid, prop in evidence.propositions:
+    for pid, prop in evidence.holding(hyp_args[0]):
         result = store.score(prop, question.predicate, hyp_args, kinds)
         if result.score > best:
             best, best_pid, backed_off = result.score, pid, result.backed_off
@@ -82,10 +100,12 @@ def answer_graph(
 
 def compatible_evidence(question: Question, evidence: Partition) -> list[str]:
     """Evidence ids sharing the question's bound arguments under some map."""
+    from .localgraph import _consistent_maps
+
     hyp_args = tuple(a.key for a in question.args)
     return [
         pid
-        for pid, prop in evidence.propositions
+        for pid, prop in evidence.holding(hyp_args[0])
         if _consistent_maps(prop.arg_keys, hyp_args)
     ]
 
@@ -164,17 +184,14 @@ def external_scores(
 # -- metrics -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PRPoint:
-    threshold: float
-    precision: float
-    recall: float
+class PRPoint(namedtuple("PRPoint", "threshold precision recall")):
+    __slots__ = ()
 
 
-@dataclass
 class PRCurve:
-    points: list[PRPoint]
-    max_recall: float
+    def __init__(self, points: list[PRPoint], max_recall: float):
+        self.points = points
+        self.max_recall = max_recall
 
 
 def pr_curve(records: Sequence[AnswerRecord], gold: Mapping[str, bool]) -> PRCurve:
@@ -198,11 +215,8 @@ def pr_curve(records: Sequence[AnswerRecord], gold: Mapping[str, bool]) -> PRCur
     return PRCurve(points, points[0].recall if points else 0.0)
 
 
-@dataclass(frozen=True)
-class AccuracyAtK:
-    accuracy: float
-    k_requested: int
-    k_used: int
+class AccuracyAtK(namedtuple("AccuracyAtK", "accuracy k_requested k_used")):
+    __slots__ = ()
 
 
 def accuracy_at_k(

@@ -16,25 +16,35 @@ from __future__ import annotations
 import datetime as dt
 import json
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .ingest import _CanonicalReader, proposition_record
-from .lexicon import LexicalResource
 from .model import Corpus, EntityId, Proposition, TypedPredicate, _atomic_writer
+
+if TYPE_CHECKING:
+    from .lexicon import LexicalResource
 
 QUESTION_FORMAT_VERSION = 1
 EVIDENCE_FORMAT_VERSION = 1
 
 
-@dataclass
 class Partition:
-    """Propositions of up to window_days consecutive days of articles."""
+    """Propositions of up to window_days consecutive days of articles.
 
-    id: int
-    date_range: tuple[dt.date, dt.date]
-    propositions: list[tuple[str, Proposition]]
+    ``holding`` indexes them by argument key when it is first called, so
+    ``propositions`` must not change after that.
+    """
+
+    def __init__(
+        self, id: int, date_range: tuple[dt.date, dt.date],
+        propositions: list[tuple[str, Proposition]],
+    ):
+        self.id = id
+        self.date_range = date_range
+        self.propositions = propositions
+        self._by_key: dict[str, list[tuple[str, Proposition]]] | None = None
 
     def without(self, prop_ids: set[str]) -> "Partition":
         return Partition(
@@ -43,16 +53,35 @@ class Partition:
             [(pid, p) for pid, p in self.propositions if pid not in prop_ids],
         )
 
+    def holding(self, key: str) -> list[tuple[str, Proposition]]:
+        """The (id, proposition) items whose arguments include the entity
+        key ``key``, in ``propositions`` order."""
+        if self._by_key is None:
+            self._by_key = {}
+            for item in self.propositions:
+                for k in dict.fromkeys(item[1].arg_keys):
+                    self._by_key.setdefault(k, []).append(item)
+        return self._by_key.get(key, [])
 
-@dataclass
+
 class Question:
-    id: str
-    partition_id: int
-    predicate: TypedPredicate
-    args: tuple[EntityId, ...]
-    polarity: str  # "positive" | "negative"
-    provenance: dict
-    surface: str = ""
+    def __init__(
+        self,
+        id: str,
+        partition_id: int,
+        predicate: TypedPredicate,
+        args: tuple[EntityId, ...],
+        polarity: str,  # "positive" | "negative"
+        provenance: dict,
+        surface: str = "",
+    ):
+        self.id = id
+        self.partition_id = partition_id
+        self.predicate = predicate
+        self.args = args
+        self.polarity = polarity
+        self.provenance = provenance
+        self.surface = surface
 
 
 def partition(corpus: Corpus, window_days: int = 3) -> tuple[list[Partition], int]:
@@ -92,11 +121,11 @@ def _question_surface(pred: TypedPredicate, args: tuple[EntityId, ...]) -> str:
     return f"Did {names[0]} {verb}?"
 
 
-@dataclass
 class PositiveSelection:
-    questions: list[Question]
-    evidence: Partition
-    shortfall: bool
+    def __init__(self, questions: list[Question], evidence: Partition, shortfall: bool):
+        self.questions = questions
+        self.evidence = evidence
+        self.shortfall = shortfall
 
 
 def select_positives(
@@ -159,13 +188,13 @@ def select_positives(
     )
 
 
-@dataclass
 class ScreeningStats:
-    proposed: int = 0
-    screened_in_partition: int = 0
-    screened_zero_corpus: int = 0
-    positives_without_substitutes: int = 0
-    emitted: int = 0
+    def __init__(self) -> None:
+        self.proposed = 0
+        self.screened_in_partition = 0
+        self.screened_zero_corpus = 0
+        self.positives_without_substitutes = 0
+        self.emitted = 0
 
     def rates(self) -> dict:
         denom = self.proposed or 1
@@ -252,20 +281,21 @@ def balance(
     return sorted(out, key=lambda q: q.id), warned
 
 
-@dataclass
-class QaGenConfig:
-    window_days: int = 3
-    entity_min: int = 6
-    predicate_min: int = 11
-    positives_per_partition: int = 8
-    seed: int = 0
+class QaGenConfig(
+    namedtuple(
+        "QaGenConfig",
+        "window_days entity_min predicate_min positives_per_partition seed",
+        defaults=(3, 6, 11, 8, 0),
+    )
+):
+    __slots__ = ()
 
 
-@dataclass
 class QuestionSet:
-    questions: list[Question]
-    evidence: list[Partition]
-    manifest: dict
+    def __init__(self, questions: list[Question], evidence: list[Partition], manifest: dict):
+        self.questions = questions
+        self.evidence = evidence
+        self.manifest = manifest
 
 
 def generate_questions(
@@ -286,11 +316,8 @@ def generate_questions(
         )
         shortfalls += int(sel.shortfall)
         negatives, stats = generate_negatives(sel.questions, lex, part, corpus)
-        for f in (
-            "proposed", "screened_in_partition", "screened_zero_corpus",
-            "positives_without_substitutes", "emitted",
-        ):
-            setattr(screening, f, getattr(screening, f) + getattr(stats, f))
+        for f, n in stats.__dict__.items():
+            setattr(screening, f, getattr(screening, f) + n)
         all_pos.extend(sel.questions)
         all_neg.extend(negatives)
         evidence.append(sel.evidence)

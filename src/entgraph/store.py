@@ -31,7 +31,7 @@ out-degree, not with the subgraph.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -44,7 +44,6 @@ from .localgraph import (
     UU,
     _KIND_OF,
     ArgMap,
-    EntailmentEdge,
     TypedSubgraph,
     _consistent_maps,
     _left_sum,
@@ -53,11 +52,11 @@ from .localgraph import (
 from .model import Proposition, TypedPredicate
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    score: float
-    path: tuple[EntailmentEdge, ...] = ()
-    backed_off: bool = False
+class QueryResult(namedtuple("QueryResult", "score path backed_off", defaults=((), False))):
+    """A query's score, the edges of the route that gave it, and whether
+    the untyped back-off answered."""
+
+    __slots__ = ()
 
 
 _MISS = QueryResult(0.0)

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against.
 
 No pipeline stage runs these: each restates a definition from the paper
-directly, so that tests can compare the package's fast paths with it.
+directly, or a fast path's plain loop, so that tests can compare the
+package's fast paths with it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from entgraph.features import PairVector, SlotVector
 from entgraph.localgraph import (
+    ALL_KINDS,
     BB,
     BU,
     EDGE_CODE,
@@ -18,11 +20,14 @@ from entgraph.localgraph import (
     ArgMap,
     TypedSubgraph,
     _columns,
+    _consistent_maps,
     _left_sum,
     canonical_signature,
 )
 from entgraph.model import TypedPredicate
-from entgraph.qaeval import AnswerRecord
+from entgraph.qaeval import AnswerRecord, _model_id, _untyped_match
+from entgraph.qagen import Partition, Question
+from entgraph.store import GraphStore
 
 
 def inclusion_oracle(
@@ -212,3 +217,39 @@ def combine_components(records: Sequence[AnswerRecord]) -> AnswerRecord:
         best.question_id, "combined", best.confidence,
         best.best_evidence, best.backed_off,
     )
+
+
+# -- answer models over every evidence proposition ----------------------------
+
+
+def answer_exact_match_scan(question: Question, evidence: Partition) -> AnswerRecord:
+    """``answer_exact_match`` reading every proposition of the partition."""
+    for pid, prop in evidence.propositions:
+        if _untyped_match(question, prop):
+            return AnswerRecord(question.id, "exact", 1.0, pid)
+    return AnswerRecord(question.id, "exact", 0.0)
+
+
+def answer_graph_scan(
+    question: Question,
+    evidence: Partition,
+    store: GraphStore,
+    kinds: frozenset[str] = ALL_KINDS,
+) -> AnswerRecord:
+    """``answer_graph`` scoring every proposition of the partition: the max
+    of ``GraphStore.score``, reached first at the best evidence."""
+    hyp_args = tuple(a.key for a in question.args)
+    best, best_pid, backed_off = 0.0, None, False
+    for pid, prop in evidence.propositions:
+        result = store.score(prop, question.predicate, hyp_args, kinds)
+        if result.score > best:
+            best, best_pid, backed_off = result.score, pid, result.backed_off
+    return AnswerRecord(question.id, _model_id(kinds), best, best_pid, backed_off)
+
+
+def compatible_evidence_scan(question: Question, evidence: Partition) -> list[str]:
+    """``compatible_evidence`` testing every proposition of the partition."""
+    hyp_args = tuple(a.key for a in question.args)
+    return [
+        pid for pid, prop in evidence.propositions if _consistent_maps(prop.arg_keys, hyp_args)
+    ]

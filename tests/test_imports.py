@@ -1,4 +1,5 @@
-"""Each stage process imports only the layers it runs, and none loads numpy.
+"""Each stage process imports only the layers it runs, and none loads numpy,
+``dataclasses`` or ``inspect`` (class code generation costs start-up time).
 
 Every test runs in a child interpreter, because this one has already
 imported everything. The child finds the package where this process
@@ -17,10 +18,12 @@ import entgraph
 
 SRC = str(Path(entgraph.__file__).resolve().parent.parent)
 
-# prints the entgraph layers and numpy loaded once the code before it ran
+# prints the entgraph layers and the watched modules loaded once the code
+# before it ran
 LOADED = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("entgraph."))))
+watched = ("numpy", "dataclasses", "inspect")
+print(json.dumps(sorted(m for m in sys.modules if m in watched or m.startswith("entgraph."))))
 """
 
 RUN_STAGE = """
@@ -42,18 +45,24 @@ STAGES = {
 }
 
 # the stages whose process loads each module
+GRAPH_STAGES = {"build-local", "globalize", "answer-graph", "query"}
 USERS = {
     "numpy": set(),
+    "dataclasses": set(),
+    "inspect": set(),
+    "entgraph.features": GRAPH_STAGES,
+    "entgraph.localgraph": GRAPH_STAGES,
+    "entgraph.graphio": GRAPH_STAGES,
     "entgraph.globalgraph": {"globalize"},
     "entgraph.qagen": {"gen-questions", "answer-graph", "answer-exact", "evaluate"},
-    "entgraph.lexicon": {"gen-questions", "answer-graph", "answer-exact", "evaluate"},
+    "entgraph.lexicon": {"gen-questions"},
     "entgraph.qaeval": {"answer-graph", "answer-exact", "evaluate"},
-    "entgraph.store": {"answer-graph", "answer-exact", "evaluate", "query"},
+    "entgraph.store": {"answer-graph", "query"},
 }
 
 
 def _loaded(code: str, *args: str) -> set[str]:
-    """The ``entgraph.*`` and ``numpy`` modules a child running ``code`` has loaded."""
+    """The ``entgraph.*`` and watched modules a child running ``code`` has loaded."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     proc = subprocess.run(

@@ -1,7 +1,7 @@
 """Answer models and metric harness tests."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entgraph.localgraph import (
     BB,
@@ -28,10 +28,16 @@ from entgraph.qaeval import (
     read_external_scores,
     write_answers,
 )
+from entgraph.model import EntityId, Proposition
 from entgraph.store import GraphStore
 
 from conftest import ent, pred, prop
-from oracles import combine_components
+from oracles import (
+    answer_exact_match_scan,
+    answer_graph_scan,
+    combine_components,
+    compatible_evidence_scan,
+)
 
 KILL = pred("kill", "person", "person")
 DIE = pred("die.1", "person")
@@ -414,3 +420,61 @@ class TestAnswerFileRoundTrip:
         write_answers(records, path)
         again = read_answers(path)
         assert again == records
+
+
+class TestEvidenceIndex:
+    """The answer models read only the evidence holding the question's first
+    argument; each must give what scanning every proposition gives."""
+
+    BINARIES = [pred(n, "person", "person") for n in ("kill", "wound", "stab")]
+    UNARIES = [pred(n, "person") for n in ("die.1", "hurt.1", "fall.1")]
+    # the same names under other types: no typed vertex, so the back-off answers
+    ELSEWHERE = [pred("kill", "location", "location"), pred("die.1", "location"),
+                 pred("wound", "person", "location")]
+    # "q" and "r" are one linked entity with two surfaces
+    ENTITIES = [ent("a"), ent("b"), ent("c"), EntityId("q", "Q1", True),
+                EntityId("r", "Q1", True)]
+
+    def store(self, data) -> GraphStore:
+        def edges(pairs, kind, maps):
+            return [EntailmentEdge(p, h, kind, amap, data.draw(st.floats(0.0, 1.0)))
+                    for p, h in pairs for amap in maps if data.draw(st.booleans())]
+
+        b, u = self.BINARIES, self.UNARIES
+        bivalent = TypedSubgraph(("person", "person"), b + u, (
+            edges([(p, h) for p in b for h in b if p != h], BB, (ArgMap.identity(2),
+                                                                  ArgMap.swap()))
+            + edges([(p, h) for p in b for h in u], BU, (ArgMap.from_slot(1),
+                                                         ArgMap.from_slot(2)))))
+        univalent = TypedSubgraph(("person",), u, edges(
+            [(p, h) for p in u for h in u if p != h], UU, (ID1,)))
+        return GraphStore({bivalent.signature: bivalent, univalent.signature: univalent})
+
+    def draw_proposition(self, data) -> Proposition:
+        p = data.draw(st.sampled_from(self.BINARIES + self.UNARIES + self.ELSEWHERE))
+        args = tuple(data.draw(st.sampled_from(self.ENTITIES)) for _ in range(p.valency))
+        return Proposition(p, args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_models_match_a_scan_of_all_evidence(self, data):
+        store = self.store(data)
+        n = data.draw(st.integers(0, 12))
+        part = evidence_partition(*[(f"p{i}", self.draw_proposition(data)) for i in range(n)])
+        for j in range(4):
+            q = data.draw(st.sampled_from(self.BINARIES + self.UNARIES))
+            args = tuple(data.draw(st.sampled_from(self.ENTITIES)) for _ in range(q.valency))
+            question = Question(f"q{j}", 0, q, args, "positive", {})
+            for kinds in (ALL_KINDS, frozenset({BB}), frozenset({BU}), frozenset({BU, UU})):
+                assert (answer_graph(question, part, store, kinds)
+                        == answer_graph_scan(question, part, store, kinds))
+            assert answer_exact_match(question, part) == answer_exact_match_scan(question, part)
+            assert compatible_evidence(question, part) == compatible_evidence_scan(question, part)
+
+    def test_holding_lists_each_proposition_once_in_evidence_order(self):
+        items = [("p0", prop("kill", ("a", "a"))), ("p1", prop("die.1", ("b",))),
+                 ("p2", prop("kill", ("b", "a"))), ("p3", prop("kill", ("c", "b")))]
+        part = evidence_partition(*items)
+        assert part.holding("a") == [items[0], items[2]]
+        assert part.holding("b") == items[1:]
+        assert part.holding("z") == []
