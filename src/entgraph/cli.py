@@ -133,8 +133,9 @@ def cmd_build_local(args) -> int:
     )
     graphs = build_local_graphs(corpus, config)
     local_dir = out / "graphs" / "local"
-    paths = graphio.write_graph_dir(graphs.all_subgraphs(), local_dir)
-    n_edges = sum(len(g.edges) for g in graphs.all_subgraphs().values())
+    subgraphs = graphs.all_subgraphs()
+    paths = graphio.write_graph_dir(subgraphs, local_dir)
+    n_edges = sum(len(sub.scores) for sub in subgraphs.values())
     _write_manifest(
         out, "build-local",
         {"min_count": args.min_count, "edge_threshold": args.edge_threshold},

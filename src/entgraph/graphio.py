@@ -1,10 +1,11 @@
 """Typed subgraph file format: versioned, sorted, diff-friendly text.
 
 One file per subgraph. Header lines pin the format version, signature and
-counts; vertex lines then edge lines follow, both sorted. Scores are
-written with repr() so they reload bit-exactly. Edge lines are written
-from a subgraph's columns and parsed straight into them: no per-edge
-object is built either way. A graph directory is read as a whole: its
+counts; vertex lines then edge lines follow, both sorted, each once (a
+file out of order is refused, not sorted). Scores are written with
+repr() so they reload bit-exactly. Edge lines are written from a
+subgraph's columns and parsed straight into them: no per-edge object is
+built either way. A graph directory is read as a whole: its
 files share one object per predicate.
 """
 
@@ -58,7 +59,8 @@ def read_subgraph(
     reused and a new one is added, so files read with one table share
     vertex objects. ``E`` endpoints resolve only against this file's ``V``
     lines, which come first; each header key comes at most once, before
-    them. Any other line but a blank one is refused.
+    them. Any other line but a blank one is refused, and so are V and E
+    lines out of order.
     """
     predicates = {} if predicates is None else predicates
     header: dict[str, str] = {}
@@ -102,15 +104,14 @@ def read_subgraph(
                 if codes:
                     raise ValueError(f"{path}:{lineno}: V line after the E lines")
                 token = line[2:].strip()
-                if token not in ids:
-                    vertex = predicates.get(token)
-                    if vertex is None:
-                        try:
-                            vertex = predicates[token] = TypedPredicate.parse_token(token)
-                        except ValueError as exc:
-                            raise ValueError(f"{path}:{lineno}: {exc}") from None
-                    ids[token] = len(vertices)
-                    vertices.append(vertex)
+                vertex = predicates.get(token)
+                if vertex is None:
+                    try:
+                        vertex = predicates[token] = TypedPredicate.parse_token(token)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+                ids[token] = len(vertices)
+                vertices.append(vertex)
             elif line.strip():
                 key, eq, value = line.partition("=")
                 key = key.strip()

@@ -291,15 +291,17 @@ def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
     """Read a proposition file into a Corpus.
 
     Malformed records are skipped and counted in the returned corpus stats;
-    an unreadable file raises OSError.
+    an unreadable file raises OSError, and an unlinked surface equal to a
+    kb id of the file raises ValueError naming the file and line.
     """
     inventory = inventory or TypeInventory.default()
     stats = IngestStats()
     propositions: list[Proposition] = []
     canonical_surface: dict[str, str] = {}
+    linked: dict[str, bool] = {}
 
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -311,9 +313,20 @@ def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
                 stats.skipped_malformed += 1
                 continue
             for prop in props:
+                for arg in prop.args:
+                    if (clash := _key_clash(linked, arg)) is not None:
+                        raise ValueError(f"{path}:{lineno}: {clash}")
                 propositions.append(_canonicalize(prop, canonical_surface))
     stats.propositions = len(propositions)
     return Corpus(propositions, stats)
+
+
+def _key_clash(linked: dict[str, bool], entity: EntityId) -> str | None:
+    """Why ``entity``'s key cannot be told from an earlier entity's, if it
+    cannot: ``linked`` maps each key seen to whether it was a kb id."""
+    is_linked = entity.kb_id is not None
+    if linked.setdefault(entity.key, is_linked) != is_linked:
+        return f"{entity.key!r} is both a kb id and the surface of an unlinked entity"
 
 
 def _canonicalize(prop: Proposition, canon: dict[str, str]) -> Proposition:
@@ -373,9 +386,9 @@ class _CanonicalReader:
 
     A record is canonical iff ``proposition_record`` of the proposition it
     parses to reproduces it, its surfaces and type labels are already
-    normalized, at least one argument is named, and each kb id keeps the
-    one surface it first had in the file. Anything else raises ValueError
-    naming the file and line. ``read_questions`` builds question
+    normalized, at least one argument is named, each kb id keeps the one
+    surface it first had in the file and is no unlinked surface of it.
+    Anything else raises ValueError naming the file and line. ``read_questions`` builds question
     predicates and arguments through ``predicate`` and ``entity``, so
     question lines pass the same checks.
     """
@@ -386,6 +399,7 @@ class _CanonicalReader:
         self.entities: dict[tuple, EntityId] = {}
         self.dates: dict[str, dt.date] = {}
         self.surface_of: dict[str, str] = {}
+        self.linked: dict[str, bool] = {}
 
     def parse(
         self, lineno: int, line: str, keys: tuple[str, ...] = ()
@@ -452,7 +466,10 @@ class _CanonicalReader:
                 if first != surface:
                     raise ValueError(f"kb_id {kb_id!r} has surfaces {first!r} and {surface!r}")
                 kb_id = str(kb_id)
-            self.entities[key] = EntityId(surface, kb_id, is_named is True)
+            entity = EntityId(surface, kb_id, is_named is True)
+            if (clash := _key_clash(self.linked, entity)) is not None:
+                raise ValueError(clash)
+            self.entities[key] = entity
         return self.entities[key]
 
 

@@ -20,13 +20,15 @@ univalent graphs keyed by one type hold unary->unary (UU) edges.
 A subgraph is stored by integer ids: its vertices are numbered in token
 order, and its edges are parallel stdlib arrays of premise id, hypothesis
 id, a kind/map code and the score, sorted by (premise id, hypothesis
-id, code). The build fills these columns directly, and the graph file
-reader and writer, the globalization solve and the query store work on
-them, so no stage builds or hashes an object per edge. A subgraph keeps
-no index: the edges of a premise, or of a (premise, hypothesis) pair,
-are found by bisecting the sorted columns. ``EntailmentEdge`` objects
-are views, built when an edge is read through ``edges``, ``edge`` or
-``find_edges``.
+id, code), each edge once. That order is a contract, not a repair: the
+builders emit the columns in it, the graph file reader refuses a file out
+of it, and a subgraph checks it but never sorts columns it is given.
+The graph file writer, the globalization solve and the query store work
+on the columns, so no stage builds or hashes an object per edge. A
+subgraph keeps no index: the edges of a premise, or of a (premise,
+hypothesis) pair, are found by bisecting the sorted columns.
+``EntailmentEdge`` objects are views, built when an edge is read through
+``edges``, ``edge`` or ``find_edges``.
 """
 
 from __future__ import annotations
@@ -199,7 +201,9 @@ class TypedSubgraph:
     identified by its premise, hypothesis and map, so duplicates are
     rejected. ``edges`` is a read-only sequence of ``EntailmentEdge``
     views, each built when first read; ``edge(i)`` is the view of
-    position i.
+    position i. The constructor takes vertices and edge objects in any
+    order and sorts them; ``from_columns`` takes columns already in this
+    order and refuses any other.
 
     No index is kept beside the columns: because of their sort order,
     ``out_positions`` finds a premise's edges by bisecting
@@ -213,18 +217,15 @@ class TypedSubgraph:
         vertices: Iterable[TypedPredicate],
         edges: Iterable[EntailmentEdge],
     ):
-        vertices = list(set(vertices))
+        vertices = sorted(set(vertices), key=TypedPredicate.token)
         ids = {v: i for i, v in enumerate(vertices)}
-        premise_ids, hypothesis_ids, codes, scores = _columns()
-        for e in edges:
-            try:
-                premise_ids.append(ids[e.premise])
-                hypothesis_ids.append(ids[e.hypothesis])
-            except KeyError:
-                raise ValueError("edge endpoint missing from vertex set") from None
-            codes.append(EDGE_CODE[e.kind, e.arg_map])
-            scores.append(e.score)
-        self._setup(signature, vertices, premise_ids, hypothesis_ids, codes, scores)
+        try:
+            rows = sorted((ids[e.premise], ids[e.hypothesis], EDGE_CODE[e.kind, e.arg_map], e.score)
+                          for e in edges)
+        except KeyError:
+            raise ValueError("edge endpoint missing from vertex set") from None
+        p, h, c, s = zip(*rows) if rows else ((),) * 4
+        self._setup(signature, vertices, array("i", p), array("i", h), array("b", c), array("d", s))
 
     @classmethod
     def from_columns(
@@ -238,37 +239,31 @@ class TypedSubgraph:
     ) -> "TypedSubgraph":
         """A subgraph from edge columns whose ids are positions in ``vertices``.
 
-        Vertices and edges may come in any order; both are sorted, and the
-        edges are checked as ``__init__`` checks them.
+        The columns are taken as they come, never sorted: vertex tokens
+        must strictly increase, and so must the edges' (premise id,
+        hypothesis id, code), so a vertex or an edge comes once. Anything
+        else raises ValueError naming the tokens out of place.
         """
         sub = cls.__new__(cls)
-        sub._setup(signature, list(vertices), premise_ids, hypothesis_ids, codes, scores)
+        sub._setup(signature, vertices, premise_ids, hypothesis_ids, codes, scores)
         return sub
 
     def _setup(self, signature, vertices, premise_ids, hypothesis_ids, codes, scores) -> None:
         self.signature = tuple(signature)
         if len(self.signature) not in (1, 2):
             raise ValueError("signature must have one or two types")
-        tokens = [v.token() for v in vertices]
-        order = sorted(range(len(tokens)), key=tokens.__getitem__)
-        if order != list(range(len(order))):
-            new_id = array("i", [0]) * len(order)
-            for new, old in enumerate(order):
-                new_id[old] = new
-            premise_ids = array("i", [new_id[p] for p in premise_ids])
-            hypothesis_ids = array("i", [new_id[h] for h in hypothesis_ids])
-            vertices = [vertices[i] for i in order]
-            tokens = [tokens[i] for i in order]
         self.vertices: tuple[TypedPredicate, ...] = tuple(vertices)
+        tokens = [v.token() for v in self.vertices]
+        for a, b in zip(tokens, tokens[1:]):
+            if a >= b:
+                raise ValueError(f"two vertices share the token {a!r}" if a == b
+                                 else f"vertex {b!r} after {a!r}, out of token order")
         self.token_ids: dict[str, int] = {t: i for i, t in enumerate(tokens)}
-        if len(self.token_ids) != len(tokens):
-            twice = next(a for a, b in zip(tokens, tokens[1:]) if a == b)
-            raise ValueError(f"two vertices share the token {twice!r}")
 
         allowed = _ALLOWED_CODES[len(self.signature)]
         valency = [v.valency for v in self.vertices]
         n_codes, n_vertices = len(EDGE_CODES), len(valency)
-        last, in_order = -1, True
+        last = -1
         for p, h, c, s in zip(premise_ids, hypothesis_ids, codes, scores):
             kind = EDGE_CODES[c][0]
             if c not in allowed:
@@ -278,24 +273,10 @@ class TypedSubgraph:
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"score {s} outside [0, 1]")
             key = (p * n_vertices + h) * n_codes + c
-            in_order = in_order and key > last
+            if key <= last:
+                raise ValueError(f"{'duplicate edge' if key == last else 'edge out of order:'} "
+                                 f"{tokens[p]} -> {tokens[h]} under {EDGE_CODES[c][1].format()}")
             last = key
-        if not in_order:
-            order = sorted(
-                range(len(codes)), key=lambda i: (premise_ids[i], hypothesis_ids[i], codes[i])
-            )
-            premise_ids, hypothesis_ids, codes, scores = (
-                array(col.typecode, [col[i] for i in order])
-                for col in (premise_ids, hypothesis_ids, codes, scores)
-            )
-            for i in range(1, len(codes)):
-                if (premise_ids[i], hypothesis_ids[i], codes[i]) == (
-                    premise_ids[i - 1], hypothesis_ids[i - 1], codes[i - 1]
-                ):
-                    raise ValueError(
-                        f"duplicate edge {tokens[premise_ids[i]]} -> "
-                        f"{tokens[hypothesis_ids[i]]} under {EDGE_CODES[codes[i]][1].format()}"
-                    )
         self.premise_ids: array = premise_ids
         self.hypothesis_ids: array = hypothesis_ids
         self.codes: array = codes
@@ -479,9 +460,9 @@ def _binc_join(premise: tuple[list, float], postings: dict, masses) -> dict[int,
     return scores
 
 
-def _bb_scores(binaries: list[TypedPredicate], pair_vectors: Mapping) -> Iterator[tuple]:
-    """(premise id, hypothesis id, code, BInc) of each BB pair that shares
-    a feature, under its best argument map.
+def _bb_scores(binaries: list[TypedPredicate], pair_vectors: Mapping) -> Iterator[list]:
+    """For each premise id in turn, the (hypothesis id, code, BInc) of each
+    BB pair it forms that shares a feature, under its best argument map.
 
     Hypotheses are indexed by their own slot types: a premise takes
     identity from those of its slot types and swap, with the argument
@@ -504,33 +485,38 @@ def _bb_scores(binaries: list[TypedPredicate], pair_vectors: Mapping) -> Iterato
         same = _binc_join(premise, index[p.slot_types], masses)
         reverse = swap_index.get((p.slot_types[1], p.slot_types[0]))
         swaps = _binc_join(premise, reverse, swapped_masses) if reverse is not None else {}
-        for j in sorted(same.keys() | swaps.keys()):
+        row = []
+        for j in same.keys() | swaps.keys():
             if j != i:
                 # identity, the first map tried, wins a tie
                 best, code = same.get(j, 0.0), identity
                 if swaps.get(j, 0.0) > best:
                     best, code = swaps[j], swap
-                yield i, j, code, best
+                row.append((j, code, best))
+        yield row
 
 
 def _bu_scores(
-    binaries: list[TypedPredicate],
-    slot_vectors: Mapping,
-    unaries: Mapping[str, list[TypedPredicate]],
+    binaries: list[TypedPredicate], slot_vectors: Mapping, unaries: list[TypedPredicate]
 ) -> Iterator[tuple]:
-    """(premise id, slot type, unary position, code, BInc) of each binary
-    slot and unary of ``unaries[slot type]`` that share a feature."""
-    features = {t: [slot_vectors[(u, 1)].features for u in us] for t, us in unaries.items()}
-    masses = {t: [_vector(f.items())[1] for f in fs] for t, fs in features.items()}
-    index = {t: _postings(enumerate(f.items() for f in fs)) for t, fs in features.items()}
+    """(premise id, unary id, code, BInc) of each binary slot and unary of
+    its slot type that share a feature; a unary's id is its position in
+    ``unaries``."""
+    features = [slot_vectors[(u, 1)].features for u in unaries]
+    masses = [_vector(f.items())[1] for f in features]
+    by_type: dict[str, list[int]] = {}
+    for k, u in enumerate(unaries):
+        by_type.setdefault(u.slot_types[0], []).append(k)
+    index = {t: _postings((k, features[k].items()) for k in ks) for t, ks in by_type.items()}
     for i, p in enumerate(binaries):
         for slot in (1, 2):
             sv = slot_vectors.get((p, slot))
             if sv is not None:
-                t, code = sv.slot_type, EDGE_CODE[BU, ArgMap.from_slot(slot)]
-                found = _binc_join(_vector(sv.features.items()), index[t], masses[t])
-                for k in sorted(found):
-                    yield i, t, k, code, found[k]
+                code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
+                postings = index.get(sv.slot_type, {})
+                found = _binc_join(_vector(sv.features.items()), postings, masses)
+                for k, s in found.items():
+                    yield i, k, code, s
 
 
 def build_bivalent(
@@ -553,35 +539,34 @@ def build_bivalent(
     """
     binaries = sorted(
         (p for p in pair_vectors if canonical_signature(p.slot_types) == tuple(signature)),
-        key=lambda p: p.token(),
+        key=TypedPredicate.token,
     )
-    vertices = list(binaries)
+    # the unaries of the signature's types that have a vector
+    unaries = [u for t in sorted(set(signature)) for u in unaries_by_type.get(t, ())
+               if (u, 1) in slot_vectors]
+    # kept BU hits first, by premise: a unary is a vertex only once it
+    # heads one, and vertex ids follow the tokens of all the vertices
+    bu_hits: dict[int, list] = {}
+    for i, k, code, s in _bu_scores(binaries, slot_vectors, unaries):
+        if s >= threshold and s > 0.0:
+            bu_hits.setdefault(i, []).append((k, code, min(s, 1.0)))
+    heads = {k for hits in bu_hits.values() for k, _, _ in hits}
+    vertices = sorted(binaries + [unaries[k] for k in heads], key=TypedPredicate.token)
+    vertex_id = {v: n for n, v in enumerate(vertices)}
+    binary_id = [vertex_id[p] for p in binaries]
+    unary_id = {k: vertex_id[unaries[k]] for k in heads}
+
+    # premises in id order, each premise's BB and BU edges merged by
+    # (hypothesis id, code): the columns come out in their final order
     premise_ids, hypothesis_ids, codes, scores = _columns()
-
-    def add(p: int, h: int, code: int, score: float) -> None:
-        premise_ids.append(p)
-        hypothesis_ids.append(h)
-        codes.append(code)
-        scores.append(min(score, 1.0))
-
-    for i, j, code, s in _bb_scores(binaries, pair_vectors):
-        if s >= threshold and s > 0.0:
-            add(i, j, code, s)
-
-    # the unaries of each slot type that have a vector, and the vertex id
-    # each gets once it is the hypothesis of a kept edge
-    unaries = {
-        t: [u for u in unaries_by_type.get(t, ()) if (u, 1) in slot_vectors]
-        for t in set(signature)
-    }
-    unary_ids = {t: [-1] * len(us) for t, us in unaries.items()}
-    for i, t, k, code, s in _bu_scores(binaries, slot_vectors, unaries):
-        if s >= threshold and s > 0.0:
-            ids = unary_ids[t]
-            if ids[k] < 0:
-                ids[k] = len(vertices)
-                vertices.append(unaries[t][k])
-            add(i, ids[k], code, s)
+    for i, bb in enumerate(_bb_scores(binaries, pair_vectors)):
+        row = [(binary_id[j], code, min(s, 1.0)) for j, code, s in bb
+               if s >= threshold and s > 0.0]
+        row += [(unary_id[k], code, s) for k, code, s in bu_hits.pop(i, ())]
+        row.sort()
+        premise_ids.extend([binary_id[i]] * len(row))
+        for column, values in zip((hypothesis_ids, codes, scores), zip(*row)):
+            column.extend(values)
 
     return TypedSubgraph.from_columns(
         signature, vertices, premise_ids, hypothesis_ids, codes, scores
@@ -612,7 +597,7 @@ def build_univalent(
     Only pairs that share a feature are scored, through an inverted index
     (feature -> unaries): any other pair has BInc 0 and is never kept.
     """
-    unaries = sorted(set(unaries), key=lambda p: p.token())
+    unaries = sorted(set(unaries), key=TypedPredicate.token)
     features = {i: sv.features for i, p in enumerate(unaries)
                 if (sv := slot_vectors.get((p, 1))) is not None}
     premise_ids, hypothesis_ids, codes, scores = _columns()
@@ -638,10 +623,7 @@ class LocalGraphs:
         self.univalent = univalent
 
     def all_subgraphs(self) -> dict[tuple[str, ...], TypedSubgraph]:
-        out: dict[tuple[str, ...], TypedSubgraph] = {}
-        out.update(self.bivalent)
-        out.update(self.univalent)
-        return out
+        return {**self.bivalent, **self.univalent}
 
 
 def build_local_graphs(corpus: Corpus, config: LocalBuildConfig = LocalBuildConfig()) -> LocalGraphs:
@@ -653,16 +635,11 @@ def build_local_graphs(corpus: Corpus, config: LocalBuildConfig = LocalBuildConf
     for (pred, slot) in slot_vectors:
         if pred.valency == 1:
             unaries_by_type.setdefault(pred.slot_types[0], []).append(pred)
-    for preds in unaries_by_type.values():
-        preds.sort(key=lambda p: p.token())
 
-    signatures = sorted(
-        {canonical_signature(p.slot_types) for p in pair_vectors}
-    )
     bivalent = {
         sig: build_bivalent(sig, pair_vectors, slot_vectors, unaries_by_type,
                             config.edge_threshold)
-        for sig in signatures
+        for sig in sorted({canonical_signature(p.slot_types) for p in pair_vectors})
     }
     univalent = {
         (t,): build_univalent(t, preds, slot_vectors, config.edge_threshold)

@@ -62,9 +62,11 @@ class EntityId(namedtuple("EntityId", "surface kb_id is_named")):
 
     Two entities are equal iff their ``key``s are: the kb id when linked,
     the surface otherwise. So mentions of one linked entity are equal
-    whatever their surfaces, and a linked entity never equals an unlinked
-    one. Ingestion still pins one canonical surface per kb id (the first
-    seen wins), so that surfaces written out are consistent.
+    whatever their surfaces. A linked entity never equals an unlinked one
+    of the same file: ``ingest`` and the canonical readers refuse an
+    unlinked surface equal to a kb id of the file. Ingestion still pins
+    one canonical surface per kb id (the first seen wins), so that
+    surfaces written out are consistent.
     """
 
     __slots__ = ()

@@ -15,11 +15,10 @@ from entgraph.localgraph import (
     ALL_KINDS,
     BB,
     BU,
-    EDGE_CODE,
     UU,
     ArgMap,
+    EntailmentEdge,
     TypedSubgraph,
-    _columns,
     _consistent_maps,
     _left_sum,
     canonical_signature,
@@ -103,61 +102,41 @@ def build_bivalent_pairwise(
     threshold: float = 0.01,
 ) -> TypedSubgraph:
     """``localgraph.build_bivalent`` by scoring every (premise, hypothesis)
-    pair with ``binc``, whether or not the two share a feature."""
-    binaries = sorted(
-        (p for p in pair_vectors if canonical_signature(p.slot_types) == tuple(signature)),
-        key=lambda p: p.token(),
-    )
-    features = [pair_vectors[p].features for p in binaries]
-    vertices = list(binaries)
-    premise_ids, hypothesis_ids, codes, scores = _columns()
+    pair with ``binc``, whether or not the two share a feature.
 
-    def add(p: int, h: int, code: int, score: float) -> None:
-        premise_ids.append(p)
-        hypothesis_ids.append(h)
-        codes.append(code)
-        scores.append(min(score, 1.0))
-
-    identity, swap = EDGE_CODE[BB, ArgMap.identity(2)], EDGE_CODE[BB, ArgMap.swap()]
-    for i, p in enumerate(binaries):
-        u = features[i]
-        for j, q in enumerate(binaries):
-            if i == j:
+    Edges are collected in scoring order; ``TypedSubgraph`` sorts them,
+    and the vertices, into the columns' order.
+    """
+    binaries = [p for p in pair_vectors if canonical_signature(p.slot_types) == tuple(signature)]
+    vertices = set(binaries)
+    edges = []
+    for p in binaries:
+        u = pair_vectors[p].features
+        for q in binaries:
+            if p == q:
                 continue
-            best: tuple[float, int] | None = None
+            v = pair_vectors[q].features
+            best: tuple[float, ArgMap] | None = None
             if p.slot_types == q.slot_types:
-                best = (binc(u, features[j]), identity)
+                best = (binc(u, v), ArgMap.identity(2))
             if p.slot_types == (q.slot_types[1], q.slot_types[0]):
-                s = binc(u, swapped_pair_features(features[j]))
+                s = binc(u, swapped_pair_features(v))
                 if best is None or s > best[0]:
-                    best = (s, swap)
+                    best = (s, ArgMap.swap())
             if best is not None and best[0] >= threshold and best[0] > 0.0:
-                add(i, j, best[1], best[0])
+                edges.append(EntailmentEdge(p, q, BB, best[1], min(best[0], 1.0)))
 
-    unaries = {
-        t: [(u, slot_vectors[(u, 1)].features)
-            for u in unaries_by_type.get(t, ()) if (u, 1) in slot_vectors]
-        for t in set(signature)
-    }
-    unary_ids = {t: [-1] * len(us) for t, us in unaries.items()}
-    for i, p in enumerate(binaries):
         for slot in (1, 2):
             sv = slot_vectors.get((p, slot))
             if sv is None:
                 continue
-            code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
-            ids = unary_ids[sv.slot_type]
-            for k, (unary, uv) in enumerate(unaries[sv.slot_type]):
-                s = binc(sv.features, uv)
+            for unary in unaries_by_type.get(sv.slot_type, ()):
+                uv = slot_vectors.get((unary, 1))
+                s = binc(sv.features, uv.features) if uv is not None else 0.0
                 if s >= threshold and s > 0.0:
-                    if ids[k] < 0:
-                        ids[k] = len(vertices)
-                        vertices.append(unary)
-                    add(i, ids[k], code, s)
-
-    return TypedSubgraph.from_columns(
-        signature, vertices, premise_ids, hypothesis_ids, codes, scores
-    )
+                    vertices.add(unary)
+                    edges.append(EntailmentEdge(p, unary, BU, ArgMap.from_slot(slot), min(s, 1.0)))
+    return TypedSubgraph(signature, vertices, edges)
 
 
 def build_univalent_pairwise(
@@ -168,25 +147,14 @@ def build_univalent_pairwise(
 ) -> TypedSubgraph:
     """``localgraph.build_univalent`` by scoring every pair of unaries
     with ``binc``."""
-    unaries = sorted(set(unaries), key=lambda p: p.token())
-    vectors = [slot_vectors.get((p, 1)) for p in unaries]
-    premise_ids, hypothesis_ids, codes, scores = _columns()
-    code = EDGE_CODE[UU, ArgMap.identity(1)]
-    for i, pv in enumerate(vectors):
-        if pv is None:
-            continue
-        for j, qv in enumerate(vectors):
-            if i == j or qv is None:
-                continue
-            s = binc(pv.features, qv.features)
-            if s >= threshold and s > 0.0:
-                premise_ids.append(i)
-                hypothesis_ids.append(j)
-                codes.append(code)
-                scores.append(min(s, 1.0))
-    return TypedSubgraph.from_columns(
-        (slot_type,), unaries, premise_ids, hypothesis_ids, codes, scores
-    )
+    vectors = {p: slot_vectors[(p, 1)].features for p in unaries if (p, 1) in slot_vectors}
+    edges = [
+        EntailmentEdge(p, q, UU, ArgMap.identity(1), min(s, 1.0))
+        for p, u in vectors.items()
+        for q, v in vectors.items()
+        if p != q and (s := binc(u, v)) >= threshold and s > 0.0
+    ]
+    return TypedSubgraph((slot_type,), unaries, edges)
 
 
 def objective(scores: Sequence[float], local: Sequence[float], groups) -> float:

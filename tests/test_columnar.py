@@ -11,6 +11,7 @@ and globalization do not compare or hash predicates per edge.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,19 +161,25 @@ class TestAgainstEdgeLists:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32))
-    def test_unsorted_file_reads_as_sorted(self, seed, tmp_path_factory):
+    def test_unsorted_file_refused(self, seed, tmp_path_factory):
         rng = random.Random(seed)
         tmp = tmp_path_factory.mktemp("graphs")
         for ref in random_family(rng).values():
             lines = ref.text().splitlines()
-            head, vertex_lines, edge_lines = lines[:5], lines[5:5 + len(ref.vertices)], lines[
-                5 + len(ref.vertices):]
-            rng.shuffle(vertex_lines)
-            rng.shuffle(edge_lines)
-            path = tmp / "shuffled.graph"
-            path.write_text("\n".join(head + vertex_lines + edge_lines) + "\n")
-            write_subgraph(read_subgraph(path), tmp / "again.graph")
-            assert (tmp / "again.graph").read_text() == ref.text()
+            n = len(ref.vertices)
+            head, vertex_lines, edge_lines = lines[:5], lines[5:5 + n], lines[5 + n:]
+            for section, reason in ((vertex_lines, "out of token order"),
+                                    (edge_lines, "out of order")):
+                if len(section) < 2:
+                    continue
+                shuffled = list(section)
+                while shuffled == section:
+                    rng.shuffle(shuffled)
+                path = tmp / "shuffled.graph"
+                path.write_text("\n".join(lines).replace("\n".join(section), "\n".join(shuffled))
+                                + "\n")
+                with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{reason}"):
+                    read_subgraph(path)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32))
@@ -208,8 +215,9 @@ class TestAgainstEdgeLists:
             with pytest.raises(ValueError, match="duplicate edge"):
                 TypedSubgraph(ref.signature, ref.vertices, [*ref.edges, twin])
             text = ref.text().replace(f"edges={len(ref.edges)}", f"edges={len(ref.edges) + 1}")
+            line = _edge_line(e) + "\n"
             path = tmp_path_factory.mktemp("graphs") / "twin.graph"
-            path.write_text(text + _edge_line(twin) + "\n")
+            path.write_text(text.replace(line, line + _edge_line(twin) + "\n"))
             with pytest.raises(ValueError, match="duplicate edge"):
                 read_subgraph(path)
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entgraph import resources
+from entgraph.cli import EXIT_DATA, main
 from entgraph.ingest import (
     RecordError,
     decompose_higher_valency,
@@ -454,6 +455,52 @@ class TestReadCorpus:
         _write_records(path, records)
         with pytest.raises(ValueError, match=f"corpus.jsonl:{linked[-1] + 1}: .*fb:m.02"):
             read_corpus(path)
+
+
+def _sings(surface: str, kb_id: str | None = None) -> dict:
+    arg = {"surface": surface, "type": "person", "is_named": True, "role_index": 1}
+    return {"predicate": "sing", "date": "2021-01-01",
+            "args": [{**arg, "kb_id": kb_id} if kb_id is not None else arg]}
+
+
+# a linked entity and an unlinked surface with one key, in both orders
+KEY_CLASHES = {
+    "linked-first": [_sings("X", "fb:1"), _sings("fb:1")],
+    "unlinked-first": [_sings("fb:1"), _sings("X", "fb:1")],
+}
+
+
+class TestEntityKeyClash:
+    """An unlinked surface equal to a kb id of the same file would equal
+    the linked entity and share its feature key; both readers refuse it."""
+
+    @pytest.mark.parametrize("records", KEY_CLASHES.values(), ids=KEY_CLASHES.keys())
+    def test_ingest_refuses(self, tmp_path, capsys, records):
+        raw = tmp_path / "raw.jsonl"
+        _write_records(raw, records)
+        with pytest.raises(ValueError, match=r"raw\.jsonl:2: 'fb:1' is both a kb id"):
+            ingest(raw)
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", str(raw)]) == EXIT_DATA
+        assert f"{raw}:2: " in capsys.readouterr().err
+        assert not (out / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("records", KEY_CLASHES.values(), ids=KEY_CLASHES.keys())
+    def test_read_corpus_refuses(self, tmp_path, records):
+        props = []
+        for i, record in enumerate(records):
+            _write_records(tmp_path / f"{i}.jsonl", [record])
+            props += ingest(tmp_path / f"{i}.jsonl").propositions
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(Corpus(props), path)
+        with pytest.raises(ValueError, match=r"corpus\.jsonl:2: .*'fb:1' is both a kb id"):
+            read_corpus(path)
+
+    def test_one_key_in_two_files_is_no_clash(self, tmp_path):
+        for i, record in enumerate(KEY_CLASHES["linked-first"]):
+            _write_records(tmp_path / f"{i}.jsonl", [record])
+            save_corpus(ingest(tmp_path / f"{i}.jsonl"), tmp_path / f"corpus{i}.jsonl")
+            assert len(read_corpus(tmp_path / f"corpus{i}.jsonl")) == 1
 
 
 def test_sample_corpus_matches_its_generator():

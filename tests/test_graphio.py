@@ -188,6 +188,34 @@ def test_vertex_line_after_edge_lines_refused(tmp_path):
         read_subgraph(path)
 
 
+def test_repeated_vertex_line_refused(tmp_path):
+    path = tmp_path / "twice.graph"
+    text = (DATA / "golden_bivalent.graph").read_text()
+    path.write_text(text.replace("V\tkill#person#person\n", "V\tkill#person#person\n" * 2)
+                    .replace("vertices=3", "vertices=4"))
+    with pytest.raises(
+        ValueError, match=r"twice\.graph: two vertices share the token 'kill#person#person'"
+    ):
+        read_subgraph(path)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("V\tdie.1#person\n", "V\tkill#person#person\n"),
+    ("E\tkill#person#person\tdie.1#person\tBU\t2:1\t0.7745966692414834\n",
+     "E\tkill#person#person\tslay#person#person\tBB\t1:1,2:2\t0.5\n"),
+], ids=["vertices", "edges"])
+def test_globalize_refuses_shuffled_local_graph(tmp_path, capsys, first, second):
+    local = tmp_path / "graphs" / "local"
+    local.mkdir(parents=True)
+    path = local / "bi__person__person.graph"
+    text = (DATA / "golden_bivalent.graph").read_text()
+    assert text.count(first + second) == 1
+    path.write_text(text.replace(first + second, second + first))
+    assert main(["globalize", "--out", str(tmp_path)]) == EXIT_DATA
+    assert f"{path}: " in capsys.readouterr().err
+    assert not (tmp_path / "graphs" / "global").exists()
+
+
 def test_parsed_edges_share_vertex_objects():
     sub = read_subgraph(DATA / "golden_bivalent.graph")
     vertex_ids = {id(v) for v in sub.vertices}

@@ -8,6 +8,7 @@ independent enumeration in test_acceptance.py at scale.
 import functools
 import math
 import operator
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -472,6 +473,38 @@ class TestSubgraphInvariants:
         edges = [EntailmentEdge(kill, die, BU, ArgMap.from_slot(2), s) for s in (0.5, 0.6)]
         with pytest.raises(ValueError, match="duplicate"):
             TypedSubgraph(("person", "person"), {kill, die}, edges)
+
+    def test_from_columns_refuses_what_init_sorts(self):
+        kill, slay = pred("kill", "person", "person"), pred("slay", "person", "person")
+        die = pred("die.1", "person")
+        edges = [
+            EntailmentEdge(slay, kill, BB, ArgMap.swap(), 0.25),
+            EntailmentEdge(kill, slay, BB, ArgMap.identity(2), 0.5),
+            EntailmentEdge(kill, die, BU, ArgMap.from_slot(2), 0.75),
+        ]
+        sub = TypedSubgraph(("person", "person"), [slay, die, kill], edges)
+        assert sub.vertices == (die, kill, slay)
+        assert [e.score for e in sub.edges] == [0.75, 0.5, 0.25]
+        columns = (sub.premise_ids, sub.hypothesis_ids, sub.codes, sub.scores)
+        again = TypedSubgraph.from_columns(sub.signature, sub.vertices, *columns)
+        assert again.edges == sub.edges
+
+        def refused(reason, vertices, rows):
+            p, h, c, s = zip(*rows)
+            with pytest.raises(ValueError, match=reason):
+                TypedSubgraph.from_columns(sub.signature, vertices, array("i", p),
+                                           array("i", h), array("b", c), array("d", s))
+
+        rows = list(zip(*columns))
+        # kill first: its edge ids now point at the vertices as listed
+        refused(r"vertex 'die\.1#person' after 'kill#person#person', out of token order",
+                (kill, die, slay), [(0, 1, 3, 0.75)])
+        refused(r"edge out of order: kill#person#person -> die\.1#person under 2:1",
+                sub.vertices, [rows[1], rows[0], rows[2]])
+        refused(r"two vertices share the token 'kill#person#person'",
+                (die, kill, kill, slay), [(1, 0, 3, 0.75)])
+        refused(r"duplicate edge kill#person#person -> slay#person#person under 1:1,2:2",
+                sub.vertices, [rows[0], rows[1], (*rows[1][:3], 0.125), rows[2]])
 
     def test_score_bounds(self):
         die = pred("die.1", "person")
