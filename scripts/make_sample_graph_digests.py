@@ -11,11 +11,14 @@ checks. It then runs ``gen-questions --seed 3`` and the graph model's
 ``bb,bu,uu``, and writes the sha256 of every ``answers-*.csv`` to
 ``tests/data/sample_answer_digests.sha256``, which
 ``tests/test_cli.py::TestStageWiring::test_answer_file_name_matches_model_id``
-checks. Last, it builds the local graphs of ``synthetic_corpus()``, a
+checks. It then runs ``evaluate`` with its defaults on those 7 answer
+files and writes the sha256 of ``report/pr-*.csv`` and
+``report/summary.txt`` to ``tests/data/sample_report_digests.sha256``,
+which the same test checks. Last, it builds the local graphs of ``synthetic_corpus()``, a
 seeded corpus with BB identity, BB swap, BU and UU edges, and writes
 their sha256 to ``tests/data/synthetic_graph_digests.sha256``, which
 ``tests/test_cli.py::TestGoldenGraphs`` also checks. Run it after an
-intended change to the graphs or the answers:
+intended change to the graphs, the answers or the report:
 
     python3 scripts/make_sample_graph_digests.py
 """
@@ -35,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 OUT = DATA / "sample_graph_digests.sha256"
 ANSWERS_OUT = DATA / "sample_answer_digests.sha256"
+REPORT_OUT = DATA / "sample_report_digests.sha256"
 SYNTHETIC_OUT = DATA / "synthetic_graph_digests.sha256"
 
 # the question seed of tests/test_cli.py's pipeline fixture
@@ -69,6 +73,12 @@ def digest_lines(graphs: Path) -> list[str]:
 def answer_digest_lines(out: Path) -> list[str]:
     """``sha256sum answers-*.csv`` run in ``out``."""
     return _sha256sum(sorted(out.glob("answers-*.csv")), out)
+
+
+def report_digest_lines(out: Path) -> list[str]:
+    """``sha256sum report/pr-*.csv report/summary.txt`` run in ``out``."""
+    report = out / "report"
+    return _sha256sum([*sorted(report.glob("pr-*.csv")), report / "summary.txt"], out)
 
 
 def synthetic_corpus(seed: int = 14) -> Corpus:
@@ -134,11 +144,13 @@ def main() -> None:
         _run("gen-questions", "--out", tmp, "--seed", QUESTION_SEED)
         for components in COMPONENTS:
             _run("answer", "--out", tmp, "--components", components)
+        _run("evaluate", "--out", tmp)
         lines = digest_lines(Path(tmp) / "graphs")
         answer_lines = answer_digest_lines(Path(tmp))
+        report_lines = report_digest_lines(Path(tmp))
         synthetic_lines = synthetic_digest_lines(Path(tmp) / "synthetic")
     for path, found in ((OUT, lines), (ANSWERS_OUT, answer_lines),
-                        (SYNTHETIC_OUT, synthetic_lines)):
+                        (REPORT_OUT, report_lines), (SYNTHETIC_OUT, synthetic_lines)):
         path.write_text("".join(line + "\n" for line in found), encoding="utf-8")
         print(f"wrote {len(found)} digests to {path}")
 

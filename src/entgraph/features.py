@@ -69,26 +69,6 @@ def pmi(store: CountStore, pred_key, feat_key) -> float:
     return max(0.0, value)
 
 
-class PairVector:
-    """Argument-pair feature vector of one binary predicate."""
-
-    def __init__(self, predicate: TypedPredicate, features: dict[tuple[str, str], float]):
-        self.predicate = predicate
-        self.features = features
-
-
-class SlotVector:
-    """Per-slot entity feature vector; comparable across predicates only
-    when the slot types match."""
-
-    def __init__(self, predicate: TypedPredicate, slot: int, slot_type: str,
-                 features: dict[str, float]):
-        self.predicate = predicate
-        self.slot = slot
-        self.slot_type = slot_type
-        self.features = features
-
-
 class FeatureConfig(namedtuple("FeatureConfig", "min_count", defaults=(3,))):
     """Predicates seen fewer than ``min_count`` times get no vector."""
 
@@ -98,9 +78,10 @@ class FeatureConfig(namedtuple("FeatureConfig", "min_count", defaults=(3,))):
 def build_vectors(store: CountStore, config: FeatureConfig = FeatureConfig()):
     """Build PMI vectors from a count store.
 
-    Returns {predicate: PairVector} in pair mode and
-    {(predicate, slot): SlotVector} in slot mode. Iteration is over sorted
-    keys so float accumulation downstream is reproducible.
+    Returns {predicate: {entity-key pair: weight}} in pair mode and
+    {(predicate, slot): {entity key: weight}} in slot mode; a slot vector's
+    type is its key's ``predicate.slot_types[slot - 1]``. Iteration is over
+    sorted keys so float accumulation downstream is reproducible.
     """
     grouped: dict = {}
     for (pred_key, feat_key), _ in store.joint.items():
@@ -115,11 +96,7 @@ def build_vectors(store: CountStore, config: FeatureConfig = FeatureConfig()):
             w = pmi(store, pred_key, feat_key)
             if w > 0.0:
                 feats[feat_key] = w
-        if store.mode == PAIR:
-            out[pred_key] = PairVector(pred_key, feats)
-        else:
-            pred, slot = pred_key
-            out[pred_key] = SlotVector(pred, slot, pred.slot_types[slot - 1], feats)
+        out[pred_key] = feats
     return out
 
 

@@ -27,8 +27,8 @@ The graph file writer, the globalization solve and the query store work
 on the columns, so no stage builds or hashes an object per edge. A
 subgraph keeps no index: the edges of a premise, or of a (premise,
 hypothesis) pair, are found by bisecting the sorted columns.
-``EntailmentEdge`` objects are views, built when an edge is read through
-``edges``, ``edge`` or ``find_edges``.
+``EntailmentEdge`` objects are built from the columns each time an edge
+is read through ``edges``, ``edge`` or ``find_edges``, and kept by no one.
 """
 
 from __future__ import annotations
@@ -40,15 +40,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from typing import Iterable, Iterator, Mapping
 
-from .features import (
-    PAIR,
-    SLOT,
-    FeatureConfig,
-    PairVector,
-    SlotVector,
-    build_vectors,
-    count,
-)
+from .features import PAIR, SLOT, FeatureConfig, build_vectors, count
 from .model import ALL_KINDS, BB, BU, UU, Corpus, TypedPredicate
 
 
@@ -100,16 +92,33 @@ class ArgMap(namedtuple("ArgMap", "pairs")):
 _IDENTITY = {1: ArgMap(((1, 1),)), 2: ArgMap(((1, 1), (2, 2)))}
 _SWAP = ArgMap(((1, 2), (2, 1)))
 _FROM_SLOT = {1: _IDENTITY[1], 2: ArgMap(((2, 1),))}
-_VALID_MAPS = {
-    (2, 2): (_IDENTITY[2], _SWAP),
-    (2, 1): (_FROM_SLOT[1], _FROM_SLOT[2]),
-    (1, 1): (_IDENTITY[1],),
+
+# The edge rules, one small code per (kind, argument map) an edge can
+# carry, and the (premise, hypothesis) valencies of that code's edges.
+# Within a kind the codes follow ArgMap order, and the valencies fix the
+# kind of a (premise, hypothesis) pair, so ordering edges by (premise id,
+# hypothesis id, code) orders them by (premise, hypothesis, map).
+EDGE_CODES: tuple[tuple[str, ArgMap], ...] = (
+    (BB, _IDENTITY[2]), (BB, _SWAP), (BU, _FROM_SLOT[1]), (BU, _FROM_SLOT[2]), (UU, _IDENTITY[1]),
+)
+EDGE_VALENCIES: tuple[tuple[int, int], ...] = ((2, 2), (2, 2), (2, 1), (2, 1), (1, 1))
+EDGE_CODE = {kind_map: code for code, kind_map in enumerate(EDGE_CODES)}
+# the same table by valencies: the one kind that links them, and its maps
+_BY_VALENCIES: dict[tuple[int, int], tuple[str, tuple[ArgMap, ...]]] = {
+    valencies: (kind, tuple(m for (_, m), v in zip(EDGE_CODES, EDGE_VALENCIES) if v == valencies))
+    for (kind, _), valencies in zip(EDGE_CODES, EDGE_VALENCIES)
 }
+_NO_RULE = (None, ())
+
+
+def edge_kind(premise_valency: int, hypothesis_valency: int) -> str | None:
+    """The kind of the edges between two valencies, or None."""
+    return _BY_VALENCIES.get((premise_valency, hypothesis_valency), _NO_RULE)[0]
 
 
 def valid_maps(premise_valency: int, hypothesis_valency: int) -> tuple[ArgMap, ...]:
     """All argument maps for a (premise, hypothesis) valency combination."""
-    return _VALID_MAPS.get((premise_valency, hypothesis_valency), ())
+    return _BY_VALENCIES.get((premise_valency, hypothesis_valency), _NO_RULE)[1]
 
 
 def _bound_args(amap: ArgMap, premise_args: Sequence) -> tuple:
@@ -143,9 +152,6 @@ def _left_sum(values: Iterable[float]) -> float:
     return total
 
 
-_KIND_OF = {(2, 2): BB, (2, 1): BU, (1, 1): UU}
-
-
 class EntailmentEdge(namedtuple("EntailmentEdge", "premise hypothesis kind arg_map score")):
     """Directed, scored entailment between two typed predicates; edges
     compare, order and hash as the tuple of their fields."""
@@ -160,29 +166,14 @@ class EntailmentEdge(namedtuple("EntailmentEdge", "premise hypothesis kind arg_m
         arg_map: ArgMap,
         score: float,
     ):
-        valencies = (premise.valency, hypothesis.valency)
-        if _KIND_OF.get(valencies) != kind:
+        kind_of, maps = _BY_VALENCIES.get((premise.valency, hypothesis.valency), _NO_RULE)
+        if kind_of != kind:
             raise ValueError(f"kind {kind} inconsistent with valencies")
-        if arg_map not in _VALID_MAPS[valencies]:
+        if arg_map not in maps:
             raise ValueError(f"argument map {arg_map.format()} invalid for a {kind} edge")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} outside [0, 1]")
         return tuple.__new__(cls, (premise, hypothesis, kind, arg_map, score))
-
-
-# One small code per (kind, argument map) an edge can carry. Within a kind
-# the codes follow ArgMap order, and the valencies fix the kind of a
-# (premise, hypothesis) pair, so ordering edges by (premise id,
-# hypothesis id, code) orders them by (premise, hypothesis, map).
-EDGE_CODES: tuple[tuple[str, ArgMap], ...] = (
-    (BB, _IDENTITY[2]), (BB, _SWAP), (BU, _FROM_SLOT[1]), (BU, _FROM_SLOT[2]), (UU, _IDENTITY[1]),
-)
-EDGE_CODE = {kind_map: code for code, kind_map in enumerate(EDGE_CODES)}
-_VALENCIES_OF = {kind: valencies for valencies, kind in _KIND_OF.items()}
-_ALLOWED_CODES = {
-    1: frozenset(c for c, (kind, _) in enumerate(EDGE_CODES) if kind == UU),
-    2: frozenset(c for c, (kind, _) in enumerate(EDGE_CODES) if kind != UU),
-}
 
 
 class TypedSubgraph:
@@ -199,9 +190,9 @@ class TypedSubgraph:
     ``hypothesis_ids`` (``array('i')``), ``codes`` (``array('b')``, an
     index into ``EDGE_CODES``) and ``scores`` (``array('d')``). An edge is
     identified by its premise, hypothesis and map, so duplicates are
-    rejected. ``edges`` is a read-only sequence of ``EntailmentEdge``
-    views, each built when first read; ``edge(i)`` is the view of
-    position i. The constructor takes vertices and edge objects in any
+    rejected. ``edge(i)`` builds the ``EntailmentEdge`` of position i from
+    the columns each time it is called, and ``edges`` builds the list of
+    them all. The constructor takes vertices and edge objects in any
     order and sorts them; ``from_columns`` takes columns already in this
     order and refuses any other.
 
@@ -242,7 +233,9 @@ class TypedSubgraph:
         The columns are taken as they come, never sorted: vertex tokens
         must strictly increase, and so must the edges' (premise id,
         hypothesis id, code), so a vertex or an edge comes once. Anything
-        else raises ValueError naming the tokens out of place.
+        else raises ValueError naming the tokens out of place, as do
+        columns of unequal length, an id that is not a vertex's position
+        and a code that is not an ``EDGE_CODES`` index.
         """
         sub = cls.__new__(cls)
         sub._setup(signature, vertices, premise_ids, hypothesis_ids, codes, scores)
@@ -260,16 +253,30 @@ class TypedSubgraph:
                                  else f"vertex {b!r} after {a!r}, out of token order")
         self.token_ids: dict[str, int] = {t: i for i, t in enumerate(tokens)}
 
-        allowed = _ALLOWED_CODES[len(self.signature)]
+        n_codes, n_vertices = len(EDGE_CODES), len(tokens)
+        lengths = (len(premise_ids), len(hypothesis_ids), len(codes), len(scores))
+        if len(set(lengths)) > 1:
+            raise ValueError("edge columns of unequal length: {} premise ids, {} hypothesis "
+                             "ids, {} codes, {} scores".format(*lengths))
+        for name, column, stop in (("premise id", premise_ids, n_vertices),
+                                   ("hypothesis id", hypothesis_ids, n_vertices),
+                                   ("edge code", codes, n_codes)):
+            if column:
+                low, high = min(column), max(column)
+                if low < 0 or high >= stop:
+                    raise ValueError(f"{name} {low if low < 0 else high} outside [0, {stop})")
+
+        # an edge's premise valency is the signature's length: a bivalent
+        # subgraph holds BB and BU edges, a univalent one UU edges
+        n_types = len(self.signature)
         valency = [v.valency for v in self.vertices]
-        n_codes, n_vertices = len(EDGE_CODES), len(valency)
         last = -1
         for p, h, c, s in zip(premise_ids, hypothesis_ids, codes, scores):
-            kind = EDGE_CODES[c][0]
-            if c not in allowed:
-                raise ValueError(f"{kind} edge not allowed in this subgraph")
-            if _VALENCIES_OF[kind] != (valency[p], valency[h]):
-                raise ValueError(f"kind {kind} inconsistent with valencies")
+            valencies = EDGE_VALENCIES[c]
+            if valencies[0] != n_types:
+                raise ValueError(f"{EDGE_CODES[c][0]} edge not allowed in this subgraph")
+            if valencies != (valency[p], valency[h]):
+                raise ValueError(f"kind {EDGE_CODES[c][0]} inconsistent with valencies")
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"score {s} outside [0, 1]")
             key = (p * n_vertices + h) * n_codes + c
@@ -281,7 +288,6 @@ class TypedSubgraph:
         self.hypothesis_ids: array = hypothesis_ids
         self.codes: array = codes
         self.scores: array = scores
-        self._views: dict[int, EntailmentEdge] = {}
 
     @property
     def kind(self) -> str:
@@ -294,20 +300,18 @@ class TypedSubgraph:
         return predicate.token() in self.token_ids
 
     @property
-    def edges(self) -> "EdgeView":
-        return EdgeView(self)
+    def edges(self) -> list[EntailmentEdge]:
+        """Every edge, in column order."""
+        return [self.edge(i) for i in range(len(self.scores))]
 
     def edge(self, i: int) -> EntailmentEdge:
-        """The edge at position i, one object per position."""
-        e = self._views.get(i)
-        if e is None:
-            kind, amap = EDGE_CODES[self.codes[i]]
-            e = self._views[i] = EntailmentEdge(
-                self.vertices[self.premise_ids[i]],
-                self.vertices[self.hypothesis_ids[i]],
-                kind, amap, self.scores[i],
-            )
-        return e
+        """The edge at position i, built from the columns; ``_setup``
+        checked them, so the edge's own checks are not run again."""
+        kind, amap = EDGE_CODES[self.codes[i]]
+        return tuple.__new__(EntailmentEdge, (
+            self.vertices[self.premise_ids[i]], self.vertices[self.hypothesis_ids[i]],
+            kind, amap, self.scores[i],
+        ))
 
     def pair_positions(self, premise_id: int, hypothesis_id: int) -> range:
         """Positions of the edges from one vertex id to another."""
@@ -351,43 +355,13 @@ class TypedSubgraph:
                 raise ValueError(f"score {s} outside [0, 1]")
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
-        new.scores, new._views = column, {}
+        new.scores = column
         return new
 
 
 def _columns() -> tuple[array, array, array, array]:
     """Empty premise id, hypothesis id, code and score columns."""
     return array("i"), array("i"), array("b"), array("d")
-
-
-class EdgeView(Sequence):
-    """A subgraph's edges as ``EntailmentEdge`` objects, in ``edges`` order."""
-
-    __slots__ = ("_sub",)
-
-    def __init__(self, sub: TypedSubgraph):
-        self._sub = sub
-
-    def __len__(self) -> int:
-        return len(self._sub.scores)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._sub.edge(j) for j in range(len(self))[i]]
-        return self._sub.edge(range(len(self))[i])
-
-    def __iter__(self):
-        return map(self._sub.edge, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EdgeView({list(self)!r})"
 
 
 def canonical_signature(slot_types: Sequence[str]) -> tuple[str, ...]:
@@ -468,7 +442,7 @@ def _bb_scores(binaries: list[TypedPredicate], pair_vectors: Mapping) -> Iterato
     identity from those of its slot types and swap, with the argument
     pairs of the hypothesis reversed, from those of the reversed ones.
     """
-    features = [pair_vectors[p].features for p in binaries]
+    features = [pair_vectors[p] for p in binaries]
     vectors = [_vector(f.items()) for f in features]
     masses = [mass for _, mass in vectors]
     swapped_masses = [_vector(_swapped(f))[1] for f in features]
@@ -502,7 +476,7 @@ def _bu_scores(
     """(premise id, unary id, code, BInc) of each binary slot and unary of
     its slot type that share a feature; a unary's id is its position in
     ``unaries``."""
-    features = [slot_vectors[(u, 1)].features for u in unaries]
+    features = [slot_vectors[(u, 1)] for u in unaries]
     masses = [_vector(f.items())[1] for f in features]
     by_type: dict[str, list[int]] = {}
     for k, u in enumerate(unaries):
@@ -510,19 +484,19 @@ def _bu_scores(
     index = {t: _postings((k, features[k].items()) for k in ks) for t, ks in by_type.items()}
     for i, p in enumerate(binaries):
         for slot in (1, 2):
-            sv = slot_vectors.get((p, slot))
-            if sv is not None:
+            vector = slot_vectors.get((p, slot))
+            if vector is not None:
                 code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
-                postings = index.get(sv.slot_type, {})
-                found = _binc_join(_vector(sv.features.items()), postings, masses)
+                postings = index.get(p.slot_types[slot - 1], {})
+                found = _binc_join(_vector(vector.items()), postings, masses)
                 for k, s in found.items():
                     yield i, k, code, s
 
 
 def build_bivalent(
     signature: tuple[str, str],
-    pair_vectors: Mapping[TypedPredicate, PairVector],
-    slot_vectors: Mapping[tuple[TypedPredicate, int], SlotVector],
+    pair_vectors: Mapping[TypedPredicate, Mapping],
+    slot_vectors: Mapping[tuple[TypedPredicate, int], Mapping],
     unaries_by_type: Mapping[str, list[TypedPredicate]],
     threshold: float = 0.01,
 ) -> TypedSubgraph:
@@ -589,7 +563,7 @@ def _uu_scores(features: Mapping[int, Mapping]) -> Iterator[tuple]:
 def build_univalent(
     slot_type: str,
     unaries: list[TypedPredicate],
-    slot_vectors: Mapping[tuple[TypedPredicate, int], SlotVector],
+    slot_vectors: Mapping[tuple[TypedPredicate, int], Mapping],
     threshold: float = 0.01,
 ) -> TypedSubgraph:
     """Score the UU candidates among the unaries of one type.
@@ -598,8 +572,8 @@ def build_univalent(
     (feature -> unaries): any other pair has BInc 0 and is never kept.
     """
     unaries = sorted(set(unaries), key=TypedPredicate.token)
-    features = {i: sv.features for i, p in enumerate(unaries)
-                if (sv := slot_vectors.get((p, 1))) is not None}
+    features = {i: f for i, p in enumerate(unaries)
+                if (f := slot_vectors.get((p, 1))) is not None}
     premise_ids, hypothesis_ids, codes, scores = _columns()
     code = EDGE_CODE[UU, ArgMap.identity(1)]
     for i, j, s in _uu_scores(features):

@@ -199,19 +199,20 @@ def pr_curve(records: Sequence[AnswerRecord], gold: Mapping[str, bool]) -> PRCur
 
     A record predicts true at threshold t iff its confidence is >= t and
     > 0; abstentions never predict true. Gold must contain at least one
-    positive.
+    positive. One sweep down the answers, most confident first, counts
+    the true and false positives at each threshold as it passes it.
     """
     n_pos = sum(1 for qid in gold if gold[qid])
     if n_pos == 0:
         raise ValueError("gold labels contain no positives")
-    answered = [(r.confidence, bool(gold[r.question_id])) for r in records if r.confidence > 0]
-    thresholds = sorted({c for c, _ in answered})
-    points = []
-    for t in thresholds:
-        tp = sum(1 for c, g in answered if c >= t and g)
-        fp = sum(1 for c, g in answered if c >= t and not g)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        points.append(PRPoint(t, precision, tp / n_pos))
+    answered = sorted(((r.confidence, bool(gold[r.question_id]))
+                       for r in records if r.confidence > 0), reverse=True)
+    points, tp, fp = [], 0, 0
+    for i, (t, g) in enumerate(answered):
+        tp, fp = tp + g, fp + (not g)
+        if i + 1 == len(answered) or answered[i + 1][0] != t:
+            points.append(PRPoint(t, tp / (tp + fp), tp / n_pos))
+    points.reverse()
     return PRCurve(points, points[0].recall if points else 0.0)
 
 

@@ -42,12 +42,12 @@ from .localgraph import (
     EDGE_CODE,
     EDGE_CODES,
     UU,
-    _KIND_OF,
     ArgMap,
     TypedSubgraph,
     _consistent_maps,
     _left_sum,
     canonical_signature,
+    edge_kind,
 )
 from .model import Proposition, TypedPredicate
 
@@ -129,7 +129,7 @@ class GraphStore:
         when it finds an entailment or the premise has a typed vertex;
         otherwise the untyped back-off does.
         """
-        if _KIND_OF.get((premise.predicate.valency, hypothesis.valency)) not in kinds:
+        if edge_kind(premise.predicate.valency, hypothesis.valency) not in kinds:
             return _MISS
         typed = self.entailment_score(premise, hypothesis, hypothesis_args, UU in kinds)
         if typed.score > 0 or self.has_typed_vertex(premise.predicate):

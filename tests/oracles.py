@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from entgraph.features import PairVector, SlotVector
 from entgraph.localgraph import (
     ALL_KINDS,
     BB,
@@ -24,7 +23,7 @@ from entgraph.localgraph import (
     canonical_signature,
 )
 from entgraph.model import TypedPredicate
-from entgraph.qaeval import AnswerRecord, _model_id, _untyped_match
+from entgraph.qaeval import AnswerRecord, PRCurve, PRPoint, _model_id, _untyped_match
 from entgraph.qagen import Partition, Question
 from entgraph.store import GraphStore
 
@@ -96,8 +95,8 @@ def swapped_pair_features(features: Mapping) -> dict:
 
 def build_bivalent_pairwise(
     signature: tuple[str, str],
-    pair_vectors: Mapping[TypedPredicate, PairVector],
-    slot_vectors: Mapping[tuple[TypedPredicate, int], SlotVector],
+    pair_vectors: Mapping[TypedPredicate, Mapping],
+    slot_vectors: Mapping[tuple[TypedPredicate, int], Mapping],
     unaries_by_type: Mapping[str, list[TypedPredicate]],
     threshold: float = 0.01,
 ) -> TypedSubgraph:
@@ -111,11 +110,11 @@ def build_bivalent_pairwise(
     vertices = set(binaries)
     edges = []
     for p in binaries:
-        u = pair_vectors[p].features
+        u = pair_vectors[p]
         for q in binaries:
             if p == q:
                 continue
-            v = pair_vectors[q].features
+            v = pair_vectors[q]
             best: tuple[float, ArgMap] | None = None
             if p.slot_types == q.slot_types:
                 best = (binc(u, v), ArgMap.identity(2))
@@ -130,9 +129,9 @@ def build_bivalent_pairwise(
             sv = slot_vectors.get((p, slot))
             if sv is None:
                 continue
-            for unary in unaries_by_type.get(sv.slot_type, ()):
+            for unary in unaries_by_type.get(p.slot_types[slot - 1], ()):
                 uv = slot_vectors.get((unary, 1))
-                s = binc(sv.features, uv.features) if uv is not None else 0.0
+                s = binc(sv, uv) if uv is not None else 0.0
                 if s >= threshold and s > 0.0:
                     vertices.add(unary)
                     edges.append(EntailmentEdge(p, unary, BU, ArgMap.from_slot(slot), min(s, 1.0)))
@@ -142,12 +141,12 @@ def build_bivalent_pairwise(
 def build_univalent_pairwise(
     slot_type: str,
     unaries: list[TypedPredicate],
-    slot_vectors: Mapping[tuple[TypedPredicate, int], SlotVector],
+    slot_vectors: Mapping[tuple[TypedPredicate, int], Mapping],
     threshold: float = 0.01,
 ) -> TypedSubgraph:
     """``localgraph.build_univalent`` by scoring every pair of unaries
     with ``binc``."""
-    vectors = {p: slot_vectors[(p, 1)].features for p in unaries if (p, 1) in slot_vectors}
+    vectors = {p: slot_vectors[(p, 1)] for p in unaries if (p, 1) in slot_vectors}
     edges = [
         EntailmentEdge(p, q, UU, ArgMap.identity(1), min(s, 1.0))
         for p, u in vectors.items()
@@ -173,6 +172,23 @@ def edge_positions(family: Mapping) -> list[tuple[tuple, int]]:
     globalization numbers a family's edges by: sorted signature, then
     each subgraph's edge order."""
     return [(sig, i) for sig in sorted(family) for i in range(len(family[sig].scores))]
+
+
+def pr_curve_scan(records: Sequence[AnswerRecord], gold: Mapping[str, bool]) -> PRCurve:
+    """``qaeval.pr_curve`` counting every answered record again at each
+    distinct threshold."""
+    n_pos = sum(1 for qid in gold if gold[qid])
+    if n_pos == 0:
+        raise ValueError("gold labels contain no positives")
+    answered = [(r.confidence, bool(gold[r.question_id])) for r in records if r.confidence > 0]
+    thresholds = sorted({c for c, _ in answered})
+    points = []
+    for t in thresholds:
+        tp = sum(1 for c, g in answered if c >= t and g)
+        fp = sum(1 for c, g in answered if c >= t and not g)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        points.append(PRPoint(t, precision, tp / n_pos))
+    return PRCurve(points, points[0].recall if points else 0.0)
 
 
 def combine_components(records: Sequence[AnswerRecord]) -> AnswerRecord:

@@ -186,8 +186,8 @@ def test_kill_die_directionality():
         kill, die, ArgMap.from_slot(2)
     )
     slots = build_vectors(count(c, SLOT), FeatureConfig())
-    forward = binc(slots[(kill, 2)].features, slots[(die, 1)].features)
-    reverse = binc(slots[(die, 1)].features, slots[(kill, 2)].features)
+    forward = binc(slots[(kill, 2)], slots[(die, 1)])
+    reverse = binc(slots[(die, 1)], slots[(kill, 2)])
     elapsed = time.monotonic() - start
     report(
         "directionality-kill-die",

@@ -93,7 +93,7 @@ class TestStageWiring:
 
     def test_answer_file_name_matches_model_id(self, pipeline_dir, tmp_path):
         out = tmp_path / "out"
-        shutil.copytree(pipeline_dir, out, ignore=shutil.ignore_patterns("answers-*"))
+        shutil.copytree(pipeline_dir, out, ignore=shutil.ignore_patterns("answers-*", "report"))
         for n in (1, 2, 3):
             for subset in itertools.combinations(("bb", "bu", "uu"), n):
                 components = ",".join(reversed(subset))
@@ -110,6 +110,10 @@ class TestStageWiring:
         assert script.QUESTION_SEED == "3"
         assert "".join(line + "\n" for line in script.answer_digest_lines(out)) == (
             DATA / "sample_answer_digests.sha256").read_text()
+        # and so is the report evaluate writes from them
+        assert main(["evaluate", "--out", str(out)]) == EXIT_OK
+        assert "".join(line + "\n" for line in script.report_digest_lines(out)) == (
+            DATA / "sample_report_digests.sha256").read_text()
 
     def test_query_finds_planted_edge(self, pipeline_dir, capsys):
         code = main([

@@ -130,9 +130,11 @@ class TestBuildVectors:
         slots = build_vectors(count(corpus(*props), SLOT), FeatureConfig(min_count=3))
         v1 = slots[(build, 1)]
         v2 = slots[(build, 2)]
-        assert "apple" in v1.features
-        assert "iphone" in v2.features
-        assert v1.slot_type == "organization" and v2.slot_type == "thing"
+        assert "apple" in v1
+        assert "iphone" in v2
+        # a slot vector's type is the slot type its key names
+        assert {key: key[0].slot_types[key[1] - 1] for key in slots if key[0] == build} == {
+            (build, 1): "organization", (build, 2): "thing"}
 
     def test_min_count_threshold(self):
         props = [prop("kill", ("a", "b"))] * 2 + [prop("die.1", (c,)) for c in "bcdef"]
@@ -145,7 +147,7 @@ class TestBuildVectors:
         # single-event store: every pmi is ln(1) = 0, so vector is empty
         pairs = build_vectors(count(corpus(prop("kill", ("a", "b"))), PAIR),
                               FeatureConfig(min_count=1))
-        assert pairs[KILL].features == {}
+        assert pairs[KILL] == {}
 
     def test_empty_store(self):
         assert build_vectors(count(corpus(), PAIR)) == {}
@@ -159,8 +161,8 @@ class TestBuildVectors:
         ]
         slots = build_vectors(count(corpus(*props), SLOT), FeatureConfig(min_count=3))
         die = pred("die.1", "person")
-        assert "b" in slots[(KILL, 2)].features
-        assert "b" in slots[(die, 1)].features
+        assert "b" in slots[(KILL, 2)]
+        assert "b" in slots[(die, 1)]
 
     def test_slot_vector_covers_exactly_seen_entities(self):
         props = [
@@ -168,8 +170,8 @@ class TestBuildVectors:
             *[prop("chatter.1", (f"x{i}",)) for i in range(20)],
         ]
         slots = build_vectors(count(corpus(*props), SLOT), FeatureConfig(min_count=3))
-        assert set(slots[(KILL, 1)].features) == {"a", "c", "e"}
-        assert set(slots[(KILL, 2)].features) == {"b", "d", "f"}
+        assert set(slots[(KILL, 1)]) == {"a", "c", "e"}
+        assert set(slots[(KILL, 2)]) == {"b", "d", "f"}
 
     def test_deterministic_rebuild(self):
         props = [prop("kill", (f"k{i}", f"v{i}")) for i in range(5)] + [
@@ -178,9 +180,7 @@ class TestBuildVectors:
         store = count(corpus(*props), SLOT)
         first = build_vectors(store)
         second = build_vectors(store)
-        assert {k: v.features for k, v in first.items()} == {
-            k: v.features for k, v in second.items()
-        }
+        assert list(first.items()) == list(second.items())
 
 
 def test_no_module_imports_pickle():

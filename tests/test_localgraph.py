@@ -13,10 +13,11 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entgraph.features import SLOT, FeatureConfig, PairVector, SlotVector, build_vectors, count
+from entgraph.features import SLOT, FeatureConfig, build_vectors, count
 from entgraph.localgraph import (
     BB,
     BU,
+    EDGE_CODES,
     UU,
     ArgMap,
     EntailmentEdge,
@@ -26,6 +27,7 @@ from entgraph.localgraph import (
     build_local_graphs,
     build_univalent,
     canonical_signature,
+    edge_kind,
     valid_maps,
 )
 from entgraph.model import TypedPredicate
@@ -48,6 +50,10 @@ class TestArgMap:
         assert valid_maps(2, 1) == (ArgMap.from_slot(1), ArgMap.from_slot(2))
         assert valid_maps(1, 1) == (ArgMap.identity(1),)
         assert valid_maps(1, 2) == ()
+
+    def test_edge_kind_of_valencies(self):
+        assert [edge_kind(*v) for v in ((2, 2), (2, 1), (1, 1), (1, 2), (3, 3))] == [
+            BB, BU, UU, None, None]
 
     def test_invalid_maps_rejected(self):
         with pytest.raises(ValueError):
@@ -240,8 +246,8 @@ class TestKillDieDirectionality:
         slots = build_vectors(count(c, SLOT), FeatureConfig(min_count=3))
         kill = pred("kill", "person", "person")
         die = pred("die.1", "person")
-        forward = binc(slots[(kill, 2)].features, slots[(die, 1)].features)
-        reverse = binc(slots[(die, 1)].features, slots[(kill, 2)].features)
+        forward = binc(slots[(kill, 2)], slots[(die, 1)])
+        reverse = binc(slots[(die, 1)], slots[(kill, 2)])
         assert forward == pytest.approx(math.sqrt(0.6), abs=1e-12)
         assert reverse == pytest.approx(math.sqrt(0.2), abs=1e-12)
         assert forward > reverse
@@ -347,8 +353,8 @@ class TestSubgraphConstruction:
                 if a == b:
                     continue
                 expected = binc(
-                    slots[(pred(a, "person"), 1)].features,
-                    slots[(pred(b, "person"), 1)].features,
+                    slots[(pred(a, "person"), 1)],
+                    slots[(pred(b, "person"), 1)],
                 )
                 found = sub.find_edges(pred(a, "person"), pred(b, "person"))
                 if expected > 0.0:
@@ -453,7 +459,17 @@ class TestSubgraphInvariants:
         for name in ("vertices", "token_ids", "premise_ids", "hypothesis_ids", "codes"):
             assert getattr(new, name) is getattr(sub, name), name
         assert list(new.scores) == [0.25, 0.75] and list(sub.scores) == [0.5, 0.5]
-        assert new.edges[0] is new.edge(0) and new.edges[0].score == 0.25
+        assert new.edges[0] == new.edge(0) and new.edges[0].score == 0.25
+
+    def test_edges_are_built_from_the_columns_after_with_scores(self):
+        kill = pred("kill", "person", "person")
+        die = pred("die.1", "person")
+        edges = [EntailmentEdge(kill, die, BU, ArgMap.from_slot(s), 0.5) for s in (1, 2)]
+        sub = TypedSubgraph(("person", "person"), {kill, die}, edges)
+        assert sub.edges == edges  # read first: an edge the subgraph kept would reach the copy
+        new = sub.with_scores([0.25, 0.75])
+        assert new.edges == [new.edge(i) for i in range(len(new.scores))] == [
+            e._replace(score=s) for e, s in zip(edges, (0.25, 0.75))]
 
     def test_edge_kind_valency_consistency(self):
         kill = pred("kill", "person", "person")
@@ -505,6 +521,51 @@ class TestSubgraphInvariants:
                 (die, kill, kill, slay), [(1, 0, 3, 0.75)])
         refused(r"duplicate edge kill#person#person -> slay#person#person under 1:1,2:2",
                 sub.vertices, [rows[0], rows[1], (*rows[1][:3], 0.125), rows[2]])
+
+    @pytest.mark.parametrize("columns, reason", [
+        # a two-element premise column beside one-element columns
+        (([0, 0], [1], [3], [0.5]),
+         "edge columns of unequal length: 2 premise ids, 1 hypothesis ids, 1 codes, 1 scores"),
+        (([0], [1], [3], [0.5, 0.5]),
+         "edge columns of unequal length: 1 premise ids, 1 hypothesis ids, 1 codes, 2 scores"),
+        (([-1], [1], [3], [0.5]), r"premise id -1 outside \[0, 2\)"),
+        (([5], [1], [3], [0.5]), r"premise id 5 outside \[0, 2\)"),
+        (([1], [7], [3], [0.5]), r"hypothesis id 7 outside \[0, 2\)"),
+        (([1], [-2], [3], [0.5]), r"hypothesis id -2 outside \[0, 2\)"),
+        (([1], [0], [9], [0.5]), r"edge code 9 outside \[0, 5\)"),
+        (([1], [0], [-1], [0.5]), r"edge code -1 outside \[0, 5\)"),
+    ])
+    def test_from_columns_refuses_columns_that_do_not_fit(self, columns, reason):
+        kill, die = pred("kill", "person", "person"), pred("die.1", "person")
+        p, h, c, s = columns
+        with pytest.raises(ValueError, match=reason):
+            TypedSubgraph.from_columns(("person", "person"), (die, kill), array("i", p),
+                                       array("i", h), array("b", c), array("d", s))
+
+    def test_from_columns_takes_each_code_where_its_valencies_fit(self):
+        # BB joins two binaries and BU a binary to a unary, in a bivalent
+        # subgraph; UU joins two unaries, in a univalent one
+        fits = {(2, BB, 2, 2), (2, BU, 2, 1), (1, UU, 1, 1)}
+        binary, unary, other = (pred("kill", "person", "person"), pred("die.1", "person"),
+                                pred("perish.1", "person"))
+        accepted = set()
+        for signature in (("person", "person"), ("person",)):
+            for code, (kind, _) in enumerate(EDGE_CODES):
+                for premise in (binary, unary):
+                    for hypothesis in (binary, other):
+                        vertices = sorted({premise, hypothesis}, key=TypedPredicate.token)
+                        ids = [vertices.index(premise)], [vertices.index(hypothesis)]
+                        try:
+                            TypedSubgraph.from_columns(
+                                signature, vertices, array("i", ids[0]), array("i", ids[1]),
+                                array("b", [code]), array("d", [0.5]))
+                        except ValueError as exc:
+                            assert (f"{kind} edge not allowed in this subgraph" in str(exc)
+                                    or f"kind {kind} inconsistent with valencies" in str(exc))
+                        else:
+                            accepted.add((len(signature), kind,
+                                          premise.valency, hypothesis.valency))
+        assert accepted == fits
 
     def test_score_bounds(self):
         die = pred("die.1", "person")
@@ -558,8 +619,8 @@ class TestRelaxationConsistency:
                     if not inclusion_oracle(tuples[p], tuples[h], amap):
                         continue
                     if h.valency == 1:
-                        u = slots[(p, amap.pairs[0][0])].features
-                        v = slots[(h, 1)].features
+                        u = slots[(p, amap.pairs[0][0])]
+                        v = slots[(h, 1)]
                         if lin_similarity(u, v) > 0:
                             assert weeds_precision(u, v) == pytest.approx(1.0)
 
@@ -586,7 +647,7 @@ def typed_vectors(draw):
     pair_vectors, slot_vectors, slot_pool = {}, {}, []
     for i in range(draw(st.integers(0, 6))):
         p = TypedPredicate(f"b{i}", 2, draw(st.sampled_from(orders)))
-        earlier = [v.features for v in pair_vectors.values()]
+        earlier = list(pair_vectors.values())
         source = draw(st.sampled_from(("new", "copy", "reverse"))) if earlier else "new"
         if source == "new":
             features = draw(st.dictionaries(st.sampled_from(JOIN_PAIRS), join_weights, max_size=6))
@@ -594,12 +655,12 @@ def typed_vectors(draw):
             features = dict(draw(st.sampled_from(earlier)))
             if source == "reverse":
                 features = {(b, a): w for (a, b), w in features.items()}
-        pair_vectors[p] = PairVector(p, features)
+        pair_vectors[p] = features
         for slot in (1, 2):
             if draw(st.booleans()):
                 f = draw(slot_features)
                 slot_pool.append(f)
-                slot_vectors[(p, slot)] = SlotVector(p, slot, p.slot_types[slot - 1], f)
+                slot_vectors[(p, slot)] = f
     unaries_by_type: dict[str, list[TypedPredicate]] = {}
     for i in range(draw(st.integers(0, 6))):
         t = draw(st.sampled_from(signature))
@@ -609,7 +670,7 @@ def typed_vectors(draw):
             f = (dict(draw(st.sampled_from(slot_pool)))
                  if slot_pool and draw(st.booleans()) else draw(slot_features))
             slot_pool.append(f)
-            slot_vectors[(u, 1)] = SlotVector(u, 1, t, f)
+            slot_vectors[(u, 1)] = f
     return signature, pair_vectors, slot_vectors, unaries_by_type
 
 
@@ -643,8 +704,7 @@ class TestSparseJoin:
         # ten shared 0.1s: compensated sums would move the score's last bit
         shared = {f"f{i}": 0.1 for i in range(10)}
         u, v = pred("win.1", "person"), pred("lead.1", "person")
-        slot_vectors = {(u, 1): SlotVector(u, 1, "person", {**shared, "g": 2.0}),
-                        (v, 1): SlotVector(v, 1, "person", dict(shared))}
+        slot_vectors = {(u, 1): {**shared, "g": 2.0}, (v, 1): dict(shared)}
         sub = build_univalent("person", [u, v], slot_vectors)
 
         def score(total):
@@ -658,7 +718,6 @@ class TestSparseJoin:
 
     def test_disjoint_supports_score_no_edge(self):
         u, v = pred("win.1", "person"), pred("lead.1", "person")
-        slot_vectors = {(u, 1): SlotVector(u, 1, "person", {"a": 1.0}),
-                        (v, 1): SlotVector(v, 1, "person", {"b": 1.0})}
+        slot_vectors = {(u, 1): {"a": 1.0}, (v, 1): {"b": 1.0}}
         sub = build_univalent("person", [u, v], slot_vectors, threshold=0.0)
         assert sub.vertices == (v, u) and sub.edges == []

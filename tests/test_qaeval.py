@@ -37,6 +37,7 @@ from oracles import (
     answer_graph_scan,
     combine_components,
     compatible_evidence_scan,
+    pr_curve_scan,
 )
 
 KILL = pred("kill", "person", "person")
@@ -313,6 +314,34 @@ class TestPRCurve:
         thresholds = [p.threshold for p in curve.points]
         assert thresholds == sorted(thresholds)
         assert len(set(thresholds)) == len(thresholds)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            # few distinct confidences, 0 among them, so ties and
+            # abstentions are common
+            st.tuples(st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0),
+                      st.booleans()),
+            max_size=40,
+        ),
+        st.integers(0, 40),
+    )
+    def test_sweep_matches_scan(self, rows, positive):
+        gold = {f"q{i}": g for i, (_, g) in enumerate(rows)}
+        if positive < len(rows):
+            # a single positive: one recall step
+            gold = dict.fromkeys(gold, False)
+        # past the rows, a positive that no record answers
+        gold[f"q{positive}"] = True
+        records = [
+            AnswerRecord(f"q{i}", "m", c, f"p{i}" if c > 0 else None)
+            for i, (c, _) in enumerate(rows)
+        ]
+        curve, scan = pr_curve(records, gold), pr_curve_scan(records, gold)
+        # the same integer counts and divisions: the same bits
+        assert [tuple(map(float.hex, p)) for p in curve.points] == [
+            tuple(map(float.hex, p)) for p in scan.points]
+        assert curve.max_recall.hex() == scan.max_recall.hex()
 
 
 class TestAccuracyAtK:

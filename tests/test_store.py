@@ -361,8 +361,8 @@ class TestComposedIndexOracle:
                     p = sub.vertex_id(premise.predicate)
                     got = store._composed(sub, p, premise, hypothesis, hyp_args)
                     assert got.score == expected.score
-                    assert len(got.path) == len(expected.path)
-                    assert all(a is b for a, b in zip(got.path, expected.path))
+                    # a subgraph holds an edge once, so equal edges are one position
+                    assert got.path == expected.path
                     if expected.path:
                         seen["found"] += 1
                         seen["tied"] += sum(s == expected.score for s, _ in paths) > 1
