@@ -14,11 +14,16 @@ checks. It then runs ``gen-questions --seed 3`` and the graph model's
 checks. It then runs ``evaluate`` with its defaults on those 7 answer
 files and writes the sha256 of ``report/pr-*.csv`` and
 ``report/summary.txt`` to ``tests/data/sample_report_digests.sha256``,
-which the same test checks. Last, it builds the local graphs of ``synthetic_corpus()``, a
-seeded corpus with BB identity, BB swap, BU and UU edges, and writes
-their sha256 to ``tests/data/synthetic_graph_digests.sha256``, which
+which the same test checks. It writes the sha256 of ``corpus.jsonl``,
+``questions.jsonl`` and ``evidence.jsonl`` to
+``tests/data/sample_jsonl_digests.sha256``, which
+``tests/test_cli.py::TestGoldenGraphs`` checks. Last, it builds the
+local graphs of ``synthetic_corpus()``, a seeded corpus with BB
+identity, BB swap, BU and UU edges, and writes their sha256 to
+``tests/data/synthetic_graph_digests.sha256``, which
 ``tests/test_cli.py::TestGoldenGraphs`` also checks. Run it after an
-intended change to the graphs, the answers or the report:
+intended change to the graphs, the answers, the report or the JSONL
+files:
 
     python3 scripts/make_sample_graph_digests.py
 """
@@ -40,6 +45,8 @@ OUT = DATA / "sample_graph_digests.sha256"
 ANSWERS_OUT = DATA / "sample_answer_digests.sha256"
 REPORT_OUT = DATA / "sample_report_digests.sha256"
 SYNTHETIC_OUT = DATA / "synthetic_graph_digests.sha256"
+JSONL_OUT = DATA / "sample_jsonl_digests.sha256"
+JSONL_FILES = ("corpus.jsonl", "questions.jsonl", "evidence.jsonl")
 
 # the question seed of tests/test_cli.py's pipeline fixture
 QUESTION_SEED = "3"
@@ -79,6 +86,11 @@ def report_digest_lines(out: Path) -> list[str]:
     """``sha256sum report/pr-*.csv report/summary.txt`` run in ``out``."""
     report = out / "report"
     return _sha256sum([*sorted(report.glob("pr-*.csv")), report / "summary.txt"], out)
+
+
+def jsonl_digest_lines(out: Path) -> list[str]:
+    """``sha256sum corpus.jsonl questions.jsonl evidence.jsonl`` run in ``out``."""
+    return _sha256sum([out / name for name in JSONL_FILES], out)
 
 
 def synthetic_corpus(seed: int = 14) -> Corpus:
@@ -148,9 +160,11 @@ def main() -> None:
         lines = digest_lines(Path(tmp) / "graphs")
         answer_lines = answer_digest_lines(Path(tmp))
         report_lines = report_digest_lines(Path(tmp))
+        jsonl_lines = jsonl_digest_lines(Path(tmp))
         synthetic_lines = synthetic_digest_lines(Path(tmp) / "synthetic")
     for path, found in ((OUT, lines), (ANSWERS_OUT, answer_lines),
-                        (REPORT_OUT, report_lines), (SYNTHETIC_OUT, synthetic_lines)):
+                        (REPORT_OUT, report_lines), (JSONL_OUT, jsonl_lines),
+                        (SYNTHETIC_OUT, synthetic_lines)):
         path.write_text("".join(line + "\n" for line in found), encoding="utf-8")
         print(f"wrote {len(found)} digests to {path}")
 

@@ -10,6 +10,8 @@ only place where a predicate is lemmatized and an argument typed.
 reads that form back without normalizing it again: re-normalizing a lemma
 is not the identity (``caused`` is saved as ``caus``, which would become
 ``cau``). The reader refuses any record ``save_corpus`` would not write.
+Every record file (corpus, evidence, questions) is written by
+``write_records`` and its lines checked by ``_CanonicalReader.parse``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 import datetime as dt
 import json
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .model import (
     Corpus,
@@ -158,113 +161,104 @@ def normalize_predicate(raw: str, voice: str = "active", modifiers: Iterable[str
         raise RecordError(f"predicate empty after normalization: {raw!r}")
     prefix: list[str] = []
     for mod in modifiers:
-        mod_segs = _segments(mod, "active")
+        mod_segs = _segments(_typed(mod, str, "modifier"), "active")
         if not mod_segs:
             raise RecordError(f"empty modifier in {raw!r}")
         prefix.extend(mod_segs)
     return _lemma(".".join(prefix + segs))
 
 
-def _mapped_role(role: int, voice: str) -> int:
-    # passive surface subject is the underlying object and vice versa
-    if voice == "passive":
-        return {1: 2, 2: 1}.get(role, role)
-    return role
-
-
-def decompose_higher_valency(record: dict) -> list[dict]:
-    """Split a record with more than two arguments into binary sub-records.
-
-    One record is emitted per unordered role pair (i < j); the pair of role
-    labels is appended to the predicate so every binary remains a distinct
-    view of its source predicate (murder -> murder.1.2, murder.1.3, ...).
-    Valency-2 records are returned unchanged.
-    """
-    args = record.get("args", [])
-    if len(args) <= 2:
-        return [record]
-    roles = [a.get("role_index") for a in args]
-    if len(set(roles)) != len(roles):
-        raise RecordError("duplicate role labels in higher-valency record")
-    by_role = sorted(args, key=lambda a: a["role_index"])
-    out = []
-    for a, b in combinations(by_role, 2):
-        sub = dict(record)
-        sub["predicate"] = f"{record['predicate']}.{a['role_index']}.{b['role_index']}"
-        sub["args"] = [
-            {**a, "role_index": 1},
-            {**b, "role_index": 2},
-        ]
-        out.append(sub)
-    return out
+def _typed(value, kind: type, name: str):
+    """``value`` if its type is exactly ``kind``, so that no bool passes for
+    an int and nothing is coerced; RecordError otherwise."""
+    if type(value) is not kind:
+        raise RecordError(f"{name} {value!r} is not {kind.__name__}")
+    return value
 
 
 def _parse_entity(obj: dict, inventory: TypeInventory) -> tuple[EntityId, str, bool]:
-    surface = normalize_surface(str(obj.get("surface", "")))
+    surface = normalize_surface(_typed(obj.get("surface", ""), str, "surface"))
     if not surface:
         raise RecordError("entity surface empty after normalization")
     kb_id = obj.get("kb_id")
     if kb_id is not None:
-        kb_id = str(kb_id)
-    etype, known = inventory.resolve(str(obj.get("type", "")))
-    return EntityId(surface, kb_id, bool(obj.get("is_named", False))), etype, known
+        _typed(kb_id, str, "kb_id")
+    etype, known = inventory.resolve(_typed(obj.get("type", ""), str, "type"))
+    is_named = _typed(obj.get("is_named", False), bool, "is_named")
+    return EntityId(surface, kb_id, is_named), etype, known
 
 
 def _parse_date(value) -> dt.date | None:
+    """A ``YYYY-MM-DD`` string's date: Python 3.11 reads more forms than
+    3.10 does (``20210304``), so a corpus must not depend on them."""
     if value in (None, ""):
         return None
     try:
-        return dt.date.fromisoformat(str(value))
+        date = dt.date.fromisoformat(_typed(value, str, "date"))
     except ValueError as exc:
         raise RecordError(f"bad date {value!r}") from exc
+    if date.isoformat() != value:
+        raise RecordError(f"bad date {value!r}")
+    return date
 
 
 def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> list[Proposition]:
-    """Turn one raw record into propositions, or raise RecordError."""
+    """Turn one raw record into propositions, or raise RecordError.
+
+    The arguments are taken once as (post-voice role, argument) pairs in
+    role order. A record with more than two of them becomes one binary per
+    role pair (i < j), its roles renumbered 1 and 2 and the pair appended
+    to the lemma, so that every binary stays a distinct view of its source
+    predicate (murder -> murder.1.2, murder.1.3, ...).
+    """
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
     raw_pred = obj.get("predicate")
     args = obj.get("args")
     if not raw_pred or not isinstance(args, list) or not args:
         raise RecordError("record lacks predicate or args")
-    voice = obj.get("voice", "active")
-    modifiers = obj.get("modifiers", []) or []
-    lemma = normalize_predicate(str(raw_pred), voice, modifiers)
-    negated = _negated(lemma)
+    voice = _typed(obj.get("voice", "active"), str, "voice")
+    modifiers = obj.get("modifiers") or []
+    lemma = normalize_predicate(
+        _typed(raw_pred, str, "predicate"), voice, _typed(modifiers, list, "modifiers")
+    )
 
-    # voice resolution happens on role labels before any decomposition
-    mapped = []
+    # the passive surface subject is the underlying object and vice versa
+    swap = {1: 2, 2: 1} if voice == "passive" else {}
+    pairs = []
     for a in args:
         if not isinstance(a, dict) or "role_index" not in a:
             raise RecordError("argument lacks role_index")
-        mapped.append({**a, "role_index": _mapped_role(int(a["role_index"]), voice)})
-
-    base = {**obj, "predicate": lemma, "args": mapped}
-    if len(mapped) > 2:
-        sub_records = decompose_higher_valency(base)
+        role = _typed(a["role_index"], int, "role_index")
+        pairs.append((swap.get(role, role), a))
+    pairs.sort(key=itemgetter(0))
+    if len(pairs) > 2:
+        if len({role for role, _ in pairs}) != len(pairs):
+            raise RecordError("duplicate role labels in higher-valency record")
+        views = [
+            (f"{lemma}.{i}.{j}", ((1, a), (2, b)))
+            for (i, a), (j, b) in combinations(pairs, 2)
+        ]
         stats.decomposed_records += 1
     else:
-        sub_records = [base]
+        views = [(lemma, pairs)]
 
     date = _parse_date(obj.get("date"))
-    article_id = str(obj.get("article_id", ""))
-    sentence_idx = int(obj.get("sentence_idx", 0))
+    article_id = _typed(obj.get("article_id", ""), str, "article_id")
+    sentence_idx = _typed(obj.get("sentence_idx", 0), int, "sentence_idx")
+    negated = _negated(lemma)
 
     props = []
-    for rec in sub_records:
-        rec_args = sorted(rec["args"], key=lambda a: int(a["role_index"]))
-        roles = [int(a["role_index"]) for a in rec_args]
-        valency = len(rec_args)
-        if valency not in (1, 2):
-            raise RecordError(f"valency {valency} outside 1..2")
-        if valency == 2 and roles != [1, 2]:
+    for name, view in views:
+        roles = [role for role, _ in view]
+        if len(roles) == 2 and roles != [1, 2]:
             raise RecordError(f"binary roles must be 1 and 2, got {roles}")
-        if valency == 1 and roles[0] not in (1, 2):
+        if len(roles) == 1 and roles[0] not in (1, 2):
             raise RecordError(f"unary role must be 1 or 2, got {roles[0]}")
 
         entities: list[EntityId] = []
         types: list[str] = []
-        for a in rec_args:
+        for _, a in view:
             ent, etype, known = _parse_entity(a, inventory)
             if not known:
                 stats.unknown_type_labels += 1
@@ -275,8 +269,8 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
             stats.skipped_unnamed += 1
             continue
 
-        case = f".{roles[0]}" if valency == 1 else None
-        pred = TypedPredicate(rec["predicate"], valency, tuple(types), case)
+        case = f".{roles[0]}" if len(roles) == 1 else None
+        pred = TypedPredicate(name, len(roles), tuple(types), case)
         props.append(
             Proposition(pred, tuple(entities), article_id, date, sentence_idx, negated)
         )
@@ -374,23 +368,35 @@ def proposition_record(prop: Proposition) -> dict:
     }
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
+# every record file is written through this one encoder, so equal records
+# give equal bytes
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one sorted-key JSON line, atomically."""
+    encode = _ENCODER.encode
     with _atomic_writer(path) as fh:
-        for prop in corpus.propositions:
-            fh.write(json.dumps(proposition_record(prop), sort_keys=True) + "\n")
+        for record in records:
+            fh.write(encode(record) + "\n")
+
+
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    write_records(path, map(proposition_record, corpus.propositions))
 
 
 class _CanonicalReader:
-    """Parses lines in the form ``proposition_record`` writes, one file at a
+    """Parses lines in the form a record function writes, one file at a
     time, sharing one object per predicate, entity and date.
 
-    A record is canonical iff ``proposition_record`` of the proposition it
-    parses to reproduces it, its surfaces and type labels are already
-    normalized, at least one argument is named, each kb id keeps the one
-    surface it first had in the file and is no unlinked surface of it.
-    Anything else raises ValueError naming the file and line. ``read_questions`` builds question
-    predicates and arguments through ``predicate`` and ``entity``, so
-    question lines pass the same checks.
+    A line is canonical iff the record function of the value it parses to
+    reproduces it, ``sentence_idx``, ``role_index`` and ``partition_id`` are
+    ints and ``is_named`` a bool (not merely equal to one), its surfaces and
+    type labels are already normalized, each kb id keeps the one surface it
+    first had in the file and is no unlinked surface of it, and a
+    proposition has a named argument. Anything else raises ValueError
+    naming the file and line. Corpus, evidence and question lines all go
+    through ``parse``.
     """
 
     def __init__(self, path: str | Path):
@@ -401,26 +407,32 @@ class _CanonicalReader:
         self.surface_of: dict[str, str] = {}
         self.linked: dict[str, bool] = {}
 
-    def parse(
-        self, lineno: int, line: str, keys: tuple[str, ...] = ()
-    ) -> tuple[Proposition, list]:
-        """One line's proposition, and the values of ``keys``, which the
-        line carries besides the proposition record."""
+    def parse(self, lineno: int, line: str, build: Callable, record: Callable, what: str):
+        """The value ``build`` makes of one line's object, if ``record`` of
+        it writes that object back; otherwise ValueError
+        ``path:line: not a canonical <what>: reason``."""
         try:
             obj = json.loads(line)
-            values = [obj.pop(key) for key in keys]
-            return self._proposition(obj), values
+            value = build(obj)
+            saved = record(value)
+            if saved != obj:
+                differ = sorted(k for k in saved.keys() | obj.keys() if saved.get(k) != obj.get(k))
+                raise ValueError(f"fields {differ} differ from the saved form")
+            return value
         except KeyError as exc:
             reason = f"missing field {exc.args[0]!r}"
         except (AttributeError, TypeError, ValueError) as exc:
             reason = str(exc)
-        raise ValueError(f"{self.path}:{lineno}: not a canonical record: {reason}")
+        raise ValueError(f"{self.path}:{lineno}: not a canonical {what}: {reason}")
 
-    def _proposition(self, obj: dict) -> Proposition:
+    def proposition(self, obj: dict) -> Proposition:
+        """The proposition of a record in the form ``proposition_record``
+        writes; ``parse`` compares the two."""
         args = obj["args"]
         lemma = obj["predicate"]
         types = tuple(a["type"] for a in args)
-        case = f".{args[0]['role_index']}" if len(args) == 1 else None
+        roles = [_typed(a["role_index"], int, "role_index") for a in args]
+        case = f".{roles[0]}" if len(args) == 1 else None
         pred = self.predicate(lemma, types, case)
         entities = tuple(self.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in args)
         if not any(e.is_named for e in entities):
@@ -430,15 +442,10 @@ class _CanonicalReader:
             if date not in self.dates:
                 self.dates[date] = dt.date.fromisoformat(date)
             date = self.dates[date]
-        prop = Proposition(
-            pred, entities, str(obj["article_id"]), date, int(obj["sentence_idx"]),
-            _negated(lemma),
+        return Proposition(
+            pred, entities, str(obj["article_id"]),
+            date, _typed(obj["sentence_idx"], int, "sentence_idx"), _negated(lemma),
         )
-        record = proposition_record(prop)
-        if record != obj:
-            differ = sorted(k for k in record.keys() | obj.keys() if record.get(k) != obj.get(k))
-            raise ValueError(f"fields {differ} differ from the saved form")
-        return prop
 
     def predicate(self, lemma: str, types: tuple[str, ...], case: str | None) -> TypedPredicate:
         """The predicate with this lemma, types and case marker; the lemma
@@ -456,8 +463,9 @@ class _CanonicalReader:
 
     def entity(self, surface: str, kb_id: str | None, is_named: bool) -> EntityId:
         """The entity with this surface and kb id; the surface must be
-        normalized and a kb id keeps the surface it first had in the file."""
-        key = (surface, kb_id, is_named)
+        normalized and a kb id keeps the surface it first had in the file.
+        ``is_named`` is checked first: ``1`` would find the entity of ``True``."""
+        key = (surface, kb_id, _typed(is_named, bool, "is_named"))
         if key not in self.entities:
             if normalize_surface(surface) != surface:
                 raise ValueError(f"surface {surface!r} is not normalized")
@@ -466,7 +474,7 @@ class _CanonicalReader:
                 if first != surface:
                     raise ValueError(f"kb_id {kb_id!r} has surfaces {first!r} and {surface!r}")
                 kb_id = str(kb_id)
-            entity = EntityId(surface, kb_id, is_named is True)
+            entity = EntityId(surface, kb_id, is_named)
             if (clash := _key_clash(self.linked, entity)) is not None:
                 raise ValueError(clash)
             self.entities[key] = entity
@@ -478,4 +486,7 @@ def read_corpus(path: str | Path) -> Corpus:
     again; a line in any other form raises ValueError naming it."""
     reader = _CanonicalReader(path)
     with open(path, "r", encoding="utf-8") as fh:
-        return Corpus(reader.parse(lineno, line)[0] for lineno, line in enumerate(fh, 1))
+        return Corpus(
+            reader.parse(lineno, line, reader.proposition, proposition_record, "record")
+            for lineno, line in enumerate(fh, 1)
+        )

@@ -17,11 +17,12 @@ import datetime as dt
 import json
 import random
 from collections import Counter, namedtuple
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .ingest import _CanonicalReader, proposition_record
-from .model import Corpus, EntityId, Proposition, TypedPredicate, _atomic_writer
+from .ingest import _CanonicalReader, _typed, proposition_record, write_records
+from .model import Corpus, EntityId, Proposition, TypedPredicate
 
 if TYPE_CHECKING:
     from .lexicon import LexicalResource
@@ -323,7 +324,6 @@ def generate_questions(
         evidence.append(sel.evidence)
 
     balanced, warned = balance(all_pos, all_neg, rng)
-    kept_ids = {q.id for q in balanced}
     manifest = {
         "format": "entgraph-questions",
         "version": QUESTION_FORMAT_VERSION,
@@ -369,20 +369,19 @@ def question_from_record(obj: dict, reader: _CanonicalReader) -> Question:
     """The question a record holds, its predicate and arguments built
     through the reader, which checks them as it checks corpus records and
     shares them across one file."""
+    if obj["polarity"] not in ("positive", "negative"):
+        raise ValueError(f"polarity {obj['polarity']!r} is neither positive nor negative")
     token = TypedPredicate.parse_token(obj["predicate"])
     pred = reader.predicate(token.lemma, token.slot_types, token.case_marker)
     args = tuple(reader.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in obj["args"])
     return Question(
-        obj["id"], obj["partition_id"], pred, args, obj["polarity"],
-        obj.get("provenance", {}), obj.get("surface", ""),
+        obj["id"], _typed(obj["partition_id"], int, "partition_id"), pred, args,
+        obj["polarity"], obj.get("provenance", {}), obj.get("surface", ""),
     )
 
 
 def write_questions(qs: QuestionSet, path: str | Path) -> None:
-    with _atomic_writer(path) as fh:
-        fh.write(json.dumps(qs.manifest, sort_keys=True) + "\n")
-        for q in qs.questions:
-            fh.write(json.dumps(question_record(q), sort_keys=True) + "\n")
+    write_records(path, chain([qs.manifest], map(question_record, qs.questions)))
 
 
 def read_questions(path: str | Path) -> tuple[list[Question], dict]:
@@ -398,7 +397,9 @@ def read_questions(path: str | Path) -> tuple[list[Question], dict]:
     )
     reader = _CanonicalReader(path)
     return [
-        _read_question(reader, lineno, ln) for lineno, ln in enumerate(lines[1:], 2)
+        reader.parse(lineno, line, lambda obj: question_from_record(obj, reader),
+                     question_record, "question record")
+        for lineno, line in enumerate(lines[1:], 2)
     ], manifest
 
 
@@ -420,47 +421,28 @@ def _read_qa_file(path: str | Path, fmt: str, version: int, what: str) -> tuple[
     return header, lines
 
 
-def _read_question(reader: _CanonicalReader, lineno: int, line: str) -> Question:
-    try:
-        obj = json.loads(line)
-        q = question_from_record(obj, reader)
-        record = question_record(q)
-        if record != obj:
-            differ = sorted(k for k in record.keys() | obj.keys() if record.get(k) != obj.get(k))
-            raise ValueError(f"fields {differ} differ from the saved form")
-        if q.polarity not in ("positive", "negative"):
-            raise ValueError(f"polarity {q.polarity!r} is neither positive nor negative")
-        return q
-    except KeyError as exc:
-        reason = f"missing field {exc.args[0]!r}"
-    except (AttributeError, TypeError, ValueError) as exc:
-        reason = str(exc)
-    raise ValueError(f"{reader.path}:{lineno}: not a canonical question record: {reason}")
+def _evidence_record(item: tuple[int, str, Proposition]) -> dict:
+    """The evidence line of a proposition: its partition, id and record."""
+    part_id, prop_id, prop = item
+    return {"partition_id": part_id, "prop_id": prop_id, **proposition_record(prop)}
 
 
 def write_evidence(partitions: list[Partition], path: str | Path) -> None:
-    with _atomic_writer(path) as fh:
-        header = {
-            "format": "entgraph-evidence",
-            "version": EVIDENCE_FORMAT_VERSION,
-            "partitions": [
-                {
-                    "id": p.id,
-                    "date_range": [p.date_range[0].isoformat(), p.date_range[1].isoformat()],
-                    "size": len(p.propositions),
-                }
-                for p in partitions
-            ],
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for p in partitions:
-            for pid, prop in p.propositions:
-                rec = {
-                    "partition_id": p.id,
-                    "prop_id": pid,
-                    **proposition_record(prop),
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    header = {
+        "format": "entgraph-evidence",
+        "version": EVIDENCE_FORMAT_VERSION,
+        "partitions": [
+            {
+                "id": p.id,
+                "date_range": [p.date_range[0].isoformat(), p.date_range[1].isoformat()],
+                "size": len(p.propositions),
+            }
+            for p in partitions
+        ],
+    }
+    write_records(path, chain([header], (
+        _evidence_record((p.id, pid, prop)) for p in partitions for pid, prop in p.propositions
+    )))
 
 
 def read_evidence(path: str | Path) -> list[Partition]:
@@ -481,8 +463,13 @@ def read_evidence(path: str | Path) -> list[Partition]:
         raise ValueError(f"{path}:1: bad evidence header: {exc}") from None
     by_id: dict[int, list[tuple[str, Proposition]]] = {pid: [] for pid in meta}
     reader = _CanonicalReader(path)
+
+    def build(obj: dict) -> tuple[int, str, Proposition]:
+        return (_typed(obj["partition_id"], int, "partition_id"),
+                _typed(obj["prop_id"], str, "prop_id"), reader.proposition(obj))
+
     for lineno, line in enumerate(lines[1:], 2):
-        prop, (part_id, prop_id) = reader.parse(lineno, line, ("partition_id", "prop_id"))
+        part_id, prop_id, prop = reader.parse(lineno, line, build, _evidence_record, "record")
         if part_id not in by_id:
             raise ValueError(f"{path}:{lineno}: partition {part_id!r} is not in the header")
         by_id[part_id].append((prop_id, prop))

@@ -7,8 +7,12 @@ package's fast paths with it.
 
 from __future__ import annotations
 
+import datetime as dt
 import math
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
+
+from entgraph.ingest import RecordError, normalize_predicate
 
 from entgraph.localgraph import (
     ALL_KINDS,
@@ -22,7 +26,14 @@ from entgraph.localgraph import (
     _left_sum,
     canonical_signature,
 )
-from entgraph.model import TypedPredicate
+from entgraph.model import (
+    EntityId,
+    IngestStats,
+    Proposition,
+    TypedPredicate,
+    TypeInventory,
+    normalize_surface,
+)
 from entgraph.qaeval import AnswerRecord, PRCurve, PRPoint, _model_id, _untyped_match
 from entgraph.qagen import Partition, Question
 from entgraph.store import GraphStore
@@ -237,3 +248,94 @@ def compatible_evidence_scan(question: Question, evidence: Partition) -> list[st
     return [
         pid for pid, prop in evidence.propositions if _consistent_maps(prop.arg_keys, hyp_args)
     ]
+
+
+# -- raw record parsing through dict copies -----------------------------------
+
+
+def _decompose_dicts(record: dict) -> list[dict]:
+    """One binary sub-record per unordered role pair (i < j) of a record with
+    more than two arguments, the pair appended to the predicate; a record
+    with at most two arguments unchanged."""
+    args = record.get("args", [])
+    if len(args) <= 2:
+        return [record]
+    roles = [a.get("role_index") for a in args]
+    if len(set(roles)) != len(roles):
+        raise RecordError("duplicate role labels in higher-valency record")
+    by_role = sorted(args, key=lambda a: a["role_index"])
+    out = []
+    for a, b in combinations(by_role, 2):
+        sub = dict(record)
+        sub["predicate"] = f"{record['predicate']}.{a['role_index']}.{b['role_index']}"
+        sub["args"] = [{**a, "role_index": 1}, {**b, "role_index": 2}]
+        out.append(sub)
+    return out
+
+
+def parse_record_dicts(
+    obj: dict, inventory: TypeInventory, stats: IngestStats
+) -> list[Proposition]:
+    """``ingest.parse_record`` for well-typed records, restated as copies of
+    the record: passive roles 1 and 2 swapped in a copy of every argument,
+    then one sub-record dict per binary view, each parsed on its own."""
+    if not isinstance(obj, dict):
+        raise RecordError("record is not an object")
+    raw_pred = obj.get("predicate")
+    args = obj.get("args")
+    if not raw_pred or not isinstance(args, list) or not args:
+        raise RecordError("record lacks predicate or args")
+    voice = obj.get("voice", "active")
+    lemma = normalize_predicate(str(raw_pred), voice, obj.get("modifiers", []) or [])
+    swap = {1: 2, 2: 1} if voice == "passive" else {}
+    mapped = []
+    for a in args:
+        if not isinstance(a, dict) or "role_index" not in a:
+            raise RecordError("argument lacks role_index")
+        role = int(a["role_index"])
+        mapped.append({**a, "role_index": swap.get(role, role)})
+    base = {**obj, "predicate": lemma, "args": mapped}
+    sub_records = _decompose_dicts(base)
+    if len(mapped) > 2:
+        stats.decomposed_records += 1
+
+    date = obj.get("date")
+    if date in (None, ""):
+        date = None
+    else:
+        try:
+            date = dt.date.fromisoformat(str(date))
+        except ValueError as exc:
+            raise RecordError(f"bad date {date!r}") from exc
+    article_id = str(obj.get("article_id", ""))
+    sentence_idx = int(obj.get("sentence_idx", 0))
+
+    props = []
+    for rec in sub_records:
+        rec_args = sorted(rec["args"], key=lambda a: int(a["role_index"]))
+        roles = [int(a["role_index"]) for a in rec_args]
+        valency = len(rec_args)
+        if valency == 2 and roles != [1, 2]:
+            raise RecordError(f"binary roles must be 1 and 2, got {roles}")
+        if valency == 1 and roles[0] not in (1, 2):
+            raise RecordError(f"unary role must be 1 or 2, got {roles[0]}")
+        entities, types = [], []
+        for a in rec_args:
+            surface = normalize_surface(str(a.get("surface", "")))
+            if not surface:
+                raise RecordError("entity surface empty after normalization")
+            kb_id = a.get("kb_id")
+            etype, known = inventory.resolve(str(a.get("type", "")))
+            if not known:
+                stats.unknown_type_labels += 1
+            entities.append(EntityId(surface, None if kb_id is None else str(kb_id),
+                                     bool(a.get("is_named", False))))
+            types.append(etype)
+        if not any(e.is_named for e in entities):
+            stats.skipped_unnamed += 1
+            continue
+        case = f".{roles[0]}" if valency == 1 else None
+        pred = TypedPredicate(rec["predicate"], valency, tuple(types), case)
+        negated = lemma == "not" or lemma.startswith("not.")
+        props.append(Proposition(pred, tuple(entities), article_id, date, sentence_idx, negated))
+    return props

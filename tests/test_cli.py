@@ -330,8 +330,9 @@ class TestGraphDirRefused:
 
 class TestGoldenGraphs:
     """The shipped sample pipeline writes the graphs recorded in
-    ``tests/data/sample_graph_digests.sha256``. An intended change to the
-    graphs must regenerate that file with
+    ``tests/data/sample_graph_digests.sha256`` and the JSONL files recorded
+    in ``tests/data/sample_jsonl_digests.sha256``. An intended change to
+    them must regenerate those files with
     ``scripts/make_sample_graph_digests.py``."""
 
     def test_sample_graphs_match_recorded_digests(self, pipeline_dir):
@@ -353,6 +354,16 @@ class TestGoldenGraphs:
         lines = _digest_script().digest_lines(pipeline_dir / "graphs")
         assert "".join(line + "\n" for line in lines) == (
             DATA / "sample_graph_digests.sha256").read_text()
+
+    def test_sample_jsonl_match_recorded_digests(self, pipeline_dir):
+        # the corpus, question and evidence files of the same pipeline, pinned
+        # in tests/data/sample_jsonl_digests.sha256 by the same script
+        lines = _digest_script().jsonl_digest_lines(pipeline_dir)
+        assert "".join(line + "\n" for line in lines) == (
+            DATA / "sample_jsonl_digests.sha256").read_text(), (
+            "the sample's JSONL artifacts changed; if that is intended, regenerate "
+            "the digests with python3 scripts/make_sample_graph_digests.py"
+        )
 
     def test_synthetic_local_graphs_match_recorded_digests(self, tmp_path):
         # a seeded corpus that yields every edge kind and map, pinned in

@@ -15,15 +15,16 @@ from entgraph import resources
 from entgraph.cli import EXIT_DATA, main
 from entgraph.ingest import (
     RecordError,
-    decompose_higher_valency,
     ingest,
     normalize_predicate,
+    parse_record,
     read_corpus,
     save_corpus,
 )
 from entgraph.model import (
     Corpus,
     EntityId,
+    IngestStats,
     Proposition,
     TypeInventory,
     TypedPredicate,
@@ -31,6 +32,7 @@ from entgraph.model import (
 )
 
 from conftest import prop
+from oracles import parse_record_dicts
 
 
 class TestEntityId:
@@ -153,6 +155,9 @@ class TestNormalizePredicate:
 
 
 class TestDecompose:
+    """``parse_record`` splits a record with more than two arguments into
+    one binary per role pair."""
+
     def _record(self, n):
         return {
             "predicate": "murder",
@@ -162,31 +167,44 @@ class TestDecompose:
             ],
         }
 
+    def _parse(self, record, stats=None):
+        return parse_record(record, TypeInventory.default(), stats or IngestStats())
+
     def test_three_ary_gives_three_binaries(self):
-        subs = decompose_higher_valency(self._record(3))
-        assert len(subs) == 3
-        assert [s["predicate"] for s in subs] == ["murder.1.2", "murder.1.3", "murder.2.3"]
+        stats = IngestStats()
+        props = self._parse(self._record(3), stats)
+        assert [p.predicate.lemma for p in props] == ["murder.1.2", "murder.1.3", "murder.2.3"]
+        assert [tuple(a.surface for a in p.args) for p in props] == [
+            ("e1", "e2"), ("e1", "e3"), ("e2", "e3")]
+        assert stats.decomposed_records == 1
 
     def test_binary_unchanged(self):
-        rec = self._record(2)
-        assert decompose_higher_valency(rec) == [rec]
+        stats = IngestStats()
+        (p,) = self._parse(self._record(2), stats)
+        assert p.predicate == TypedPredicate("murder", 2, ("person", "person"))
+        assert [a.surface for a in p.args] == ["e1", "e2"]
+        assert stats.decomposed_records == 0
 
     def test_four_ary_gives_six(self):
-        assert len(decompose_higher_valency(self._record(4))) == 6
+        assert len(self._parse(self._record(4))) == 6
 
     @given(st.integers(min_value=3, max_value=7))
     def test_count_is_n_choose_2(self, n):
-        subs = decompose_higher_valency(self._record(n))
-        assert len(subs) == n * (n - 1) // 2
-        # every sub-record is binary with roles renumbered to 1, 2
-        for s in subs:
-            assert [a["role_index"] for a in s["args"]] == [1, 2]
+        props = self._parse(self._record(n))
+        assert len(props) == n * (n - 1) // 2
+        # every view is binary, named after its role pair in role order
+        for p in props:
+            i, j = map(int, p.predicate.lemma.split(".")[1:])
+            assert i < j and p.predicate.valency == 2
+            assert [a.surface for a in p.args] == [f"e{i}", f"e{j}"]
 
     def test_duplicate_roles_rejected(self):
         rec = self._record(3)
         rec["args"][2]["role_index"] = 1
+        stats = IngestStats()
         with pytest.raises(RecordError):
-            decompose_higher_valency(rec)
+            self._parse(rec, stats)
+        assert stats.decomposed_records == 0
 
 
 class TestIngest(object):
@@ -327,16 +345,24 @@ COPULAR = ["is an author", "was the winner", "be.champion", "are causes"]
 
 
 @st.composite
-def raw_records(draw):
+def raw_records(draw, loose: bool = False):
+    """Well-typed raw records; ``loose`` ones may also repeat or skip roles
+    and hold a surface that normalizes to nothing."""
     voice = draw(st.sampled_from(["active", "passive", "copular"]))
     predicate = draw(st.sampled_from({"active": ACTIVE, "passive": PASSIVE,
                                       "copular": COPULAR}[voice]))
     n = draw(st.integers(1, 4))
-    roles = [draw(st.sampled_from([1, 2]))] if n == 1 else draw(st.permutations(range(1, n + 1)))
+    if loose:
+        roles = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    elif n == 1:
+        roles = [draw(st.sampled_from([1, 2]))]
+    else:
+        roles = draw(st.permutations(range(1, n + 1)))
+    surfaces = ["Mustard", " mr.  Boddy", "KNOWLES", "phelps"] + ([" "] if loose else [])
     args = []
     for role in roles:
         arg = {
-            "surface": draw(st.sampled_from(["Mustard", " mr.  Boddy", "KNOWLES", "phelps"])),
+            "surface": draw(st.sampled_from(surfaces)),
             "type": draw(st.sampled_from(["person", "swimmer", "ORGANIZATION", "volcano"])),
             "is_named": draw(st.booleans()),
             "role_index": role,
@@ -374,6 +400,92 @@ def _saved_lines(conformance_file, tmp_path) -> tuple[Path, list[dict]]:
 
 def _write_records(path: Path, records: list[dict]) -> None:
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+class TestParseRecordOracle:
+    """``parse_record`` gives what ``oracles.parse_record_dicts``, the
+    parser through copies of the record, gives: the same propositions and
+    counts, or RecordError from both."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_records(loose=True))
+    def test_agrees_with_dict_parser(self, record):
+        got_stats, want_stats = IngestStats(), IngestStats()
+        try:
+            want = parse_record_dicts(record, INVENTORY, want_stats)
+        except RecordError:
+            with pytest.raises(RecordError):
+                parse_record(record, INVENTORY, got_stats)
+        else:
+            got = parse_record(record, INVENTORY, got_stats)
+            assert [_fields(p) for p in got] == [_fields(p) for p in want]
+        assert got_stats.as_dict() == want_stats.as_dict()
+
+
+# one raw field of a well-formed record given a value of another type than
+# docs/formats.md's table gives it
+RAW_MISTYPED = {
+    "predicate-list": lambda r: r.update(predicate=["won"]),
+    "predicate-number": lambda r: r.update(predicate=7),
+    "voice-null": lambda r: r.update(voice=None),
+    "voice-list": lambda r: r.update(voice=["active"]),
+    "article-id-number": lambda r: r.update(article_id=7),
+    "article-id-null": lambda r: r.update(article_id=None),
+    "modifier-null": lambda r: r.update(modifiers=[None]),
+    "modifier-number": lambda r: r.update(modifiers=["not", 3]),
+    "modifiers-string": lambda r: r.update(modifiers="not"),
+    "surface-null": lambda r: r["args"][0].update(surface=None),
+    "surface-number": lambda r: r["args"][0].update(surface=12),
+    "type-null": lambda r: r["args"][0].update(type=None),
+    "type-list": lambda r: r["args"][0].update(type=["person"]),
+    "kb-id-number": lambda r: r["args"][0].update(kb_id=2),
+    "kb-id-list": lambda r: r["args"][0].update(kb_id=["fb:1"]),
+    "is-named-string": lambda r: r["args"][0].update(is_named="false"),
+    "is-named-int": lambda r: r["args"][0].update(is_named=1),
+    "is-named-null": lambda r: r["args"][0].update(is_named=None),
+    "sentence-idx-float": lambda r: r.update(sentence_idx=1.0),
+    "sentence-idx-bool": lambda r: r.update(sentence_idx=True),
+    "sentence-idx-string": lambda r: r.update(sentence_idx="1"),
+    "role-index-float": lambda r: r["args"][0].update(role_index=1.5),
+    "role-index-string": lambda r: r["args"][0].update(role_index="1"),
+    "role-index-bool": lambda r: r["args"][0].update(role_index=True),
+    # Python 3.11 reads these basic-format dates, 3.10 does not
+    "date-basic-format": lambda r: r.update(date="20210101"),
+    "date-number": lambda r: r.update(date=20210101),
+}
+
+
+class TestRawFieldTypes:
+    """A raw record whose field has another type than the format gives it is
+    skipped and counted as malformed, neither coerced nor fatal."""
+
+    @staticmethod
+    def _record() -> dict:
+        return {
+            "article_id": "a1", "date": "2021-01-01", "sentence_idx": 1,
+            "predicate": "won", "voice": "active", "modifiers": [],
+            "args": [{"surface": "Biden", "kb_id": "fb:b", "type": "person",
+                      "is_named": True, "role_index": 1}],
+        }
+
+    @pytest.mark.parametrize("edit", RAW_MISTYPED.values(), ids=RAW_MISTYPED.keys())
+    def test_mistyped_field_is_skipped(self, tmp_path, edit):
+        record = self._record()
+        edit(record)
+        path = tmp_path / "raw.jsonl"
+        _write_records(path, [self._record(), record])
+        corpus = ingest(path)
+        assert len(corpus) == 1
+        assert corpus.stats.records_read == 2 and corpus.stats.skipped_malformed == 1
+
+    def test_null_modifier_is_no_crash_in_the_cli(self, tmp_path):
+        record = self._record()
+        record["modifiers"] = [None]
+        raw = tmp_path / "raw.jsonl"
+        _write_records(raw, [record, self._record()])
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", str(raw)]) == 0
+        assert len(read_corpus(out / "corpus.jsonl")) == 1
 
 
 # hand edits of a saved unary record (`kill.2` of `boddy`, linked as fb:m.02)
@@ -454,6 +566,43 @@ class TestReadCorpus:
         records[linked[-1]]["args"][0]["surface"] = "mr. boddy"
         _write_records(path, records)
         with pytest.raises(ValueError, match=f"corpus.jsonl:{linked[-1] + 1}: .*fb:m.02"):
+            read_corpus(path)
+
+
+# values that equal what ``save_corpus`` writes but are of another type, in
+# the record itself (None) or in one of its arguments
+LOOKALIKES = {
+    "sentence-idx-float": ("sentence_idx", 1.0, None),
+    "sentence-idx-true": ("sentence_idx", True, None),
+    "role-index-true": ("role_index", True, 0),
+    "role-index-float": ("role_index", 2.0, 1),
+    "is-named-one": ("is_named", 1, 1),
+}
+
+
+class TestCanonicalValueTypes:
+    """``read_corpus`` refuses a value that only compares equal to the one
+    ``save_corpus`` writes (``1 == 1.0 == True``), on any line, whether or
+    not an earlier line holds the same entity with the written value."""
+
+    @staticmethod
+    def _lines(tmp_path) -> tuple[Path, list[dict]]:
+        path = tmp_path / "corpus.jsonl"
+        kill = Proposition(TypedPredicate("kill", 2, ("person", "person")),
+                           (EntityId("mustard", None, True), EntityId("boddy", None, True)),
+                           "a1", None, 1)
+        save_corpus(Corpus([kill, kill]), path)
+        return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+    @pytest.mark.parametrize("line", [0, 1], ids=["first-line", "second-line"])
+    @pytest.mark.parametrize("field, value, arg", LOOKALIKES.values(), ids=LOOKALIKES.keys())
+    def test_refused_on_either_line(self, tmp_path, field, value, arg, line):
+        path, records = self._lines(tmp_path)
+        written = records[line] if arg is None else records[line]["args"][arg]
+        assert written[field] == value
+        written[field] = value
+        _write_records(path, records)
+        with pytest.raises(ValueError, match=f"corpus.jsonl:{line + 1}: .*{field}"):
             read_corpus(path)
 
 

@@ -407,3 +407,50 @@ class TestMalformedHeaders:
         self._edit_header(qpath, edit)
         with pytest.raises(ValueError, match=reason):
             read_questions(qpath)
+
+
+class TestQaRecordValueTypes:
+    """Evidence and question lines whose value only compares equal to the
+    one the writer writes (``1 == 1.0 == True``) are refused, on the first
+    line that holds an entity as on a later one."""
+
+    @staticmethod
+    def _lines(path) -> list[dict]:
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    @staticmethod
+    def _rewrite(path, records) -> None:
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+    @pytest.mark.parametrize("field, cast", [
+        ("partition_id", float), ("partition_id", bool), ("prop_id", lambda pid: 7),
+    ], ids=["partition-id-float", "partition-id-bool", "prop-id-number"])
+    def test_evidence_line(self, tmp_path, field, cast):
+        _, epath = TestMalformedHeaders()._write(tmp_path)
+        records = self._lines(epath)
+        line = next(i for i, r in enumerate(records) if i and r["partition_id"] in (0, 1))
+        records[line][field] = cast(records[line][field])
+        self._rewrite(epath, records)
+        with pytest.raises(ValueError, match=f"evidence.jsonl:{line + 1}: .*{field}"):
+            read_evidence(epath)
+
+    def test_question_partition_id(self, tmp_path):
+        qpath, _ = TestMalformedHeaders()._write(tmp_path)
+        records = self._lines(qpath)
+        records[1]["partition_id"] = float(records[1]["partition_id"])
+        self._rewrite(qpath, records)
+        with pytest.raises(ValueError, match="questions.jsonl:2: .*partition_id"):
+            read_questions(qpath)
+
+    @pytest.mark.parametrize("which", ["first", "later"])
+    def test_question_is_named_one(self, tmp_path, which):
+        qpath, _ = TestMalformedHeaders()._write(tmp_path)
+        records = self._lines(qpath)
+        surface = records[1]["args"][0]["surface"]
+        lines = [i for i, r in enumerate(records) if i and r["args"][0]["surface"] == surface]
+        assert len(lines) > 1
+        line = lines[0] if which == "first" else lines[-1]
+        records[line]["args"][0]["is_named"] = 1
+        self._rewrite(qpath, records)
+        with pytest.raises(ValueError, match=f"questions.jsonl:{line + 1}: .*is_named"):
+            read_questions(qpath)
