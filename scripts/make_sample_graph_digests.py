@@ -21,7 +21,13 @@ which the same test checks. It writes the sha256 of ``corpus.jsonl``,
 local graphs of ``synthetic_corpus()``, a seeded corpus with BB
 identity, BB swap, BU and UU edges, and writes their sha256 to
 ``tests/data/synthetic_graph_digests.sha256``, which
-``tests/test_cli.py::TestGoldenGraphs`` also checks. Run it after an
+``tests/test_cli.py::TestGoldenGraphs`` also checks. Last, it runs
+``ingest``, ``build-local`` and ``globalize`` on two corpora of
+``perfbench/gen.py``'s ``dense_records`` (imported, never changed): the
+benchmark's 4,000-proposition dense corpus and one four times its size,
+and writes the sha256 of their local and global graph files to
+``tests/data/dense_graph_digests.sha256``, which
+``tests/test_cli.py::TestGoldenGraphs`` checks too. Run it after an
 intended change to the graphs, the answers, the report or the JSONL
 files:
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import random
@@ -46,6 +53,7 @@ ANSWERS_OUT = DATA / "sample_answer_digests.sha256"
 REPORT_OUT = DATA / "sample_report_digests.sha256"
 SYNTHETIC_OUT = DATA / "synthetic_graph_digests.sha256"
 JSONL_OUT = DATA / "sample_jsonl_digests.sha256"
+DENSE_OUT = DATA / "dense_graph_digests.sha256"
 JSONL_FILES = ("corpus.jsonl", "questions.jsonl", "evidence.jsonl")
 
 # the question seed of tests/test_cli.py's pipeline fixture
@@ -55,6 +63,14 @@ COMPONENTS = tuple(
     for n in (1, 2, 3)
     for subset in itertools.combinations(("bb", "bu", "uu"), n)
 )
+
+# ``perfbench/gen.py``'s ``dense_records`` arguments: 4k is the dense
+# benchmark workload's corpus (``perfbench/run.py``'s DENSE), 16k scales
+# its propositions, lemmas and entities by four
+DENSE_CORPORA = {
+    "dense-4k": {"propositions": 4000, "lemmas": 80, "entities": 300, "seed": 0},
+    "dense-16k": {"propositions": 16000, "lemmas": 320, "entities": 1200, "seed": 0},
+}
 
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -142,6 +158,34 @@ def synthetic_digest_lines(directory: Path) -> list[str]:
     return _sha256sum(sorted(paths), directory)
 
 
+def _bench_gen():
+    """``perfbench/gen.py``, loaded as a module of its own name."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def dense_digest_lines(directory: Path) -> list[str]:
+    """Run ``ingest``, ``build-local`` and ``globalize`` on each dense
+    corpus in ``directory``/<name> and return ``sha256sum
+    <name>/graphs/local/*.graph <name>/graphs/global/*.graph`` run in
+    ``directory``, corpus by corpus."""
+    gen = _bench_gen()
+    lines = []
+    for name, params in DENSE_CORPORA.items():
+        out = directory / name
+        records = directory / f"{name}.jsonl"
+        gen.write_lines(records, gen.dense_records(**params))
+        _run("ingest", "--corpus", str(records), "--out", str(out))
+        for stage in ("build-local", "globalize"):
+            _run(stage, "--out", str(out))
+        families = (sorted((out / "graphs" / family).glob("*.graph"))
+                    for family in ("local", "global"))
+        lines += _sha256sum([path for paths in families for path in paths], directory)
+    return lines
+
+
 def _run(*argv: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(list(argv))
@@ -162,9 +206,10 @@ def main() -> None:
         report_lines = report_digest_lines(Path(tmp))
         jsonl_lines = jsonl_digest_lines(Path(tmp))
         synthetic_lines = synthetic_digest_lines(Path(tmp) / "synthetic")
+        dense_lines = dense_digest_lines(Path(tmp) / "dense")
     for path, found in ((OUT, lines), (ANSWERS_OUT, answer_lines),
                         (REPORT_OUT, report_lines), (JSONL_OUT, jsonl_lines),
-                        (SYNTHETIC_OUT, synthetic_lines)):
+                        (SYNTHETIC_OUT, synthetic_lines), (DENSE_OUT, dense_lines)):
         path.write_text("".join(line + "\n" for line in found), encoding="utf-8")
         print(f"wrote {len(found)} digests to {path}")
 

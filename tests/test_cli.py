@@ -379,6 +379,17 @@ class TestGoldenGraphs:
             "the digests with python3 scripts/make_sample_graph_digests.py"
         )
 
+    def test_dense_graphs_match_recorded_digests(self, tmp_path):
+        # the benchmark's dense corpus and one four times its size, through
+        # ingest, build-local and globalize, pinned in
+        # tests/data/dense_graph_digests.sha256 by the same script
+        lines = _digest_script().dense_digest_lines(tmp_path)
+        assert "".join(line + "\n" for line in lines) == (
+            DATA / "dense_graph_digests.sha256").read_text(), (
+            "the dense corpora's graphs changed; if that is intended, regenerate "
+            "the digests with python3 scripts/make_sample_graph_digests.py"
+        )
+
 
 class TestStaleArtifacts:
     def test_rebuild_removes_subgraphs_of_earlier_run(self, tmp_path, capsys):
