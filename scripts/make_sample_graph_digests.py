@@ -153,8 +153,7 @@ def synthetic_corpus(seed: int = 14) -> Corpus:
 def synthetic_digest_lines(directory: Path) -> list[str]:
     """Write the local graphs of ``synthetic_corpus()`` to ``directory``/local
     and return ``sha256sum local/*.graph`` run in ``directory``."""
-    graphs = build_local_graphs(synthetic_corpus())
-    paths = write_graph_dir(graphs.all_subgraphs(), directory / "local")
+    paths = write_graph_dir(build_local_graphs(synthetic_corpus()), directory / "local")
     return _sha256sum(sorted(paths), directory)
 
 

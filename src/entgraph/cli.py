@@ -133,9 +133,8 @@ def cmd_build_local(args) -> int:
     )
     graphs = build_local_graphs(corpus, config)
     local_dir = out / "graphs" / "local"
-    subgraphs = graphs.all_subgraphs()
-    paths = graphio.write_graph_dir(subgraphs, local_dir)
-    n_edges = sum(len(sub.scores) for sub in subgraphs.values())
+    paths = graphio.write_graph_dir(graphs, local_dir)
+    n_edges = sum(len(sub.scores) for sub in graphs.values())
     _write_manifest(
         out, "build-local",
         {"min_count": args.min_count, "edge_threshold": args.edge_threshold},

@@ -13,19 +13,11 @@ from collections import Counter, namedtuple
 
 from .model import Corpus, TypedPredicate
 
-PAIR = "pair"
-SLOT = "slot"
-
 
 class CountStore:
-    """Joint and marginal occurrence counts for one counting mode.
+    """Joint and marginal occurrence counts of (key, feature) events."""
 
-    pair mode:  key = binary predicate,     feature = ordered entity-key pair
-    slot mode:  key = (predicate, slot),    feature = entity key
-    """
-
-    def __init__(self, mode: str) -> None:
-        self.mode = mode
+    def __init__(self) -> None:
         self.joint: Counter = Counter()
         self.pred_marginal: Counter = Counter()
         self.feat_marginal: Counter = Counter()
@@ -38,19 +30,20 @@ class CountStore:
         self.total += n
 
 
-def count(corpus: Corpus, mode: str) -> CountStore:
-    """Accumulate occurrence counts over a corpus in pair or slot mode."""
-    if mode not in (PAIR, SLOT):
-        raise ValueError(f"mode must be {PAIR!r} or {SLOT!r}")
-    store = CountStore(mode)
+def count(corpus: Corpus) -> tuple[CountStore, CountStore]:
+    """The pair store and the slot store of a corpus, counted in one pass.
+
+    pair store:  key = binary predicate,     feature = ordered entity-key pair
+    slot store:  key = (predicate, slot),    feature = entity key
+    """
+    pairs, slots = CountStore(), CountStore()
     for prop in corpus:
-        if mode == PAIR:
-            if prop.predicate.valency == 2:
-                store.add(prop.predicate, (prop.args[0].key, prop.args[1].key))
-        else:
-            for slot, arg in enumerate(prop.args, start=1):
-                store.add((prop.predicate, slot), arg.key)
-    return store
+        args = prop.args
+        if prop.predicate.valency == 2:
+            pairs.add(prop.predicate, (args[0].key, args[1].key))
+        for slot, arg in enumerate(args, start=1):
+            slots.add((prop.predicate, slot), arg.key)
+    return pairs, slots
 
 
 def pmi(store: CountStore, pred_key, feat_key) -> float:
@@ -78,8 +71,8 @@ class FeatureConfig(namedtuple("FeatureConfig", "min_count", defaults=(3,))):
 def build_vectors(store: CountStore, config: FeatureConfig = FeatureConfig()):
     """Build PMI vectors from a count store.
 
-    Returns {predicate: {entity-key pair: weight}} in pair mode and
-    {(predicate, slot): {entity key: weight}} in slot mode; a slot vector's
+    Returns {predicate: {entity-key pair: weight}} from a pair store and
+    {(predicate, slot): {entity key: weight}} from a slot store; a slot vector's
     type is its key's ``predicate.slot_types[slot - 1]``. Iteration is over
     sorted keys so float accumulation downstream is reproducible.
     """
@@ -101,8 +94,8 @@ def build_vectors(store: CountStore, config: FeatureConfig = FeatureConfig()):
 
 
 def _pred_sort_key(pred_key):
-    """Sort key of a pair-mode key (a predicate) or a slot-mode key (a
-    (predicate, slot) pair); a predicate is a tuple too, so the test is
+    """Sort key of a pair store's key (a predicate) or a slot store's key
+    (a (predicate, slot) pair); a predicate is a tuple too, so the test is
     on its type."""
     if isinstance(pred_key, TypedPredicate):
         return (pred_key.token(), 0)

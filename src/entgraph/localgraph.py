@@ -6,12 +6,15 @@ hypothesis's instances. Scoring relaxes that set inclusion to Balanced
 Inclusion (BInc) over PMI feature vectors, the geometric mean of Weeds
 Precision (directional coverage) and Lin similarity (symmetric, damping
 rare predicates). A pair that shares no feature has Weeds Precision 0,
-so BInc 0, and is never kept; so candidates are found by an
-inverted-index join (Bayardo, Ma & Srikant 2007): each hypothesis side
-is indexed by feature once per signature, and each premise walks its
-own features through that index, visiting only the hypotheses it
-shares one with. Sums add left to right in sorted-feature order, so a
-score is the same bits on every supported Python.
+so BInc 0, and is never kept; so candidates are found by one
+inverted-index join (Bayardo, Ma & Srikant 2007), ``BIncJoin``, for
+every edge kind: a set of hypotheses is indexed by feature once, and
+each premise walks its own features through that index, visiting only
+the hypotheses it shares one with. A signature's binaries are indexed
+for its BB edges; each type's unaries are indexed once, for the BU
+edges of every signature holding the type and for the type's UU edges.
+Sums add left to right in sorted-feature order, so a score is the same
+bits on every supported Python.
 
 Edges are assembled into disjoint typed subgraphs: bivalent graphs keyed
 by a type pair hold binary->binary (BB) and binary->unary (BU) edges;
@@ -38,9 +41,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .features import PAIR, SLOT, FeatureConfig, build_vectors, count
+from .features import FeatureConfig, build_vectors, count
 from .model import ALL_KINDS, BB, BU, UU, Corpus, TypedPredicate
 
 
@@ -386,157 +389,149 @@ def _vector(items: Iterable[tuple]) -> tuple[list, float]:
     return items, _left_sum(w for _, w in items)
 
 
-def _swapped(features: Mapping) -> Iterable[tuple]:
-    """A pair vector's items with each argument pair reversed."""
-    return (((b, a), w) for (a, b), w in features.items())
+class BIncJoin:
+    """One side of the BInc join: a set of hypothesis vectors, by id.
 
+    It holds each hypothesis's mass and the postings (feature -> the
+    (id, weight) of each hypothesis holding it) of their vectors, and
+    ``scores`` scores one premise vector against all of them at once.
+    BB identity, BB swap, BU and UU edges all score through it.
+    """
 
-def _postings(vectors: Iterable[tuple[int, Iterable[tuple]]]) -> dict:
-    """Feature -> the (id, weight) of each (id, items) vector holding it."""
-    postings: dict = {}
-    for h, items in vectors:
+    __slots__ = ("masses", "postings")
+
+    def __init__(self, vectors: Iterable[tuple[int, tuple[list, float]]]):
+        """From each hypothesis's id and its ``_vector``."""
+        masses: dict[int, float] = {}
+        postings: dict = {}
+        for h, (items, mass) in vectors:
+            masses[h] = mass
+            for f, w in items:
+                postings.setdefault(f, []).append((h, w))
+        self.masses, self.postings = masses, postings
+
+    def scores(self, premise: tuple[list, float]) -> dict[int, float]:
+        """BInc of a premise with each hypothesis that shares a feature with it.
+
+        ``premise`` is a ``_vector``. Walking its features in order adds,
+        per hypothesis, the Weeds precision numerator (u[f]) and the Lin
+        numerator (u[f] + v[f]) left to right over the shared features,
+        the order of the pairwise definitions:
+
+            WP = sum_{f shared} u[f] / |u|
+            Lin = sum_{f shared} (u[f] + v[f]) / (|u| + |v|)
+            BInc = sqrt(WP * Lin), and 0 when WP is 0
+
+        A hypothesis that shares no feature has WP 0, so BInc 0, and is
+        left out; a premise that is its own hypothesis is not.
+        """
+        items, mass = premise
+        if mass == 0:
+            return {}
+        postings, masses = self.postings, self.masses
+        wp: dict[int, float] = {}
+        lin: dict[int, float] = {}
         for f, w in items:
-            postings.setdefault(f, []).append((h, w))
-    return postings
+            for h, x in postings.get(f, ()):
+                wp[h] = wp.get(h, 0.0) + w
+                lin[h] = lin.get(h, 0.0) + (w + x)
+        scores = {}
+        for h, num in wp.items():
+            precision = num / mass
+            if precision != 0.0:
+                denom = mass + masses[h]
+                scores[h] = math.sqrt(precision * (lin[h] / denom if denom != 0 else 0.0))
+        return scores
 
 
-def _binc_join(premise: tuple[list, float], postings: dict, masses) -> dict[int, float]:
-    """BInc of a premise with each hypothesis that shares a feature with it.
+class UnarySide(namedtuple("UnarySide", "predicates vectors join")):
+    """The unaries of one type that have a vector, in token order; their
+    ``_vector``s, by position; and a ``BIncJoin`` over those vectors, with
+    a unary's position as its id. Built once per type, it is the
+    hypothesis side of the BU edges of every signature holding the type
+    and both sides of the type's UU edges."""
 
-    ``premise`` is a ``_vector``, ``postings`` indexes the hypotheses by
-    feature and ``masses[h]`` is hypothesis h's mass. Walking the
-    premise's features in order adds, per hypothesis, the Weeds precision
-    numerator (u[f]) and the Lin numerator (u[f] + v[f]) left to right
-    over the shared features, the order of the pairwise definitions:
-
-        WP = sum_{f shared} u[f] / |u|
-        Lin = sum_{f shared} (u[f] + v[f]) / (|u| + |v|)
-        BInc = sqrt(WP * Lin), and 0 when WP is 0
-
-    A hypothesis that shares no feature has WP 0, so BInc 0, and is left
-    out; a premise that is its own hypothesis is not.
-    """
-    items, mass = premise
-    if mass == 0:
-        return {}
-    wp: dict[int, float] = {}
-    lin: dict[int, float] = {}
-    for f, w in items:
-        for h, x in postings.get(f, ()):
-            wp[h] = wp.get(h, 0.0) + w
-            lin[h] = lin.get(h, 0.0) + (w + x)
-    scores = {}
-    for h, num in wp.items():
-        precision = num / mass
-        if precision != 0.0:
-            denom = mass + masses[h]
-            scores[h] = math.sqrt(precision * (lin[h] / denom if denom != 0 else 0.0))
-    return scores
-
-
-def _bb_scores(binaries: list[TypedPredicate], pair_vectors: Mapping) -> Iterator[list]:
-    """For each premise id in turn, the (hypothesis id, code, BInc) of each
-    BB pair it forms that shares a feature, under its best argument map.
-
-    Hypotheses are indexed by their own slot types: a premise takes
-    identity from those of its slot types and swap, with the argument
-    pairs of the hypothesis reversed, from those of the reversed ones.
-    """
-    features = [pair_vectors[p] for p in binaries]
-    vectors = [_vector(f.items()) for f in features]
-    masses = [mass for _, mass in vectors]
-    swapped_masses = [_vector(_swapped(f))[1] for f in features]
-    by_types: dict[tuple[str, ...], list[int]] = {}
-    for j, q in enumerate(binaries):
-        by_types.setdefault(q.slot_types, []).append(j)
-    index = {t: _postings((j, vectors[j][0]) for j in js) for t, js in by_types.items()}
-    swap_index = {t: _postings((j, _swapped(features[j])) for j in js)
-                  for t, js in by_types.items()}
-
-    identity, swap = EDGE_CODE[BB, ArgMap.identity(2)], EDGE_CODE[BB, ArgMap.swap()]
-    for i, p in enumerate(binaries):
-        premise = vectors[i]
-        same = _binc_join(premise, index[p.slot_types], masses)
-        reverse = swap_index.get((p.slot_types[1], p.slot_types[0]))
-        swaps = _binc_join(premise, reverse, swapped_masses) if reverse is not None else {}
-        row = []
-        for j in same.keys() | swaps.keys():
-            if j != i:
-                # identity, the first map tried, wins a tie
-                best, code = same.get(j, 0.0), identity
-                if swaps.get(j, 0.0) > best:
-                    best, code = swaps[j], swap
-                row.append((j, code, best))
-        yield row
-
-
-def _bu_scores(
-    binaries: list[TypedPredicate], slot_vectors: Mapping, unaries: list[TypedPredicate]
-) -> Iterator[tuple]:
-    """(premise id, unary id, code, BInc) of each binary slot and unary of
-    its slot type that share a feature; a unary's id is its position in
-    ``unaries``."""
-    features = [slot_vectors[(u, 1)] for u in unaries]
-    masses = [_vector(f.items())[1] for f in features]
-    by_type: dict[str, list[int]] = {}
-    for k, u in enumerate(unaries):
-        by_type.setdefault(u.slot_types[0], []).append(k)
-    index = {t: _postings((k, features[k].items()) for k in ks) for t, ks in by_type.items()}
-    for i, p in enumerate(binaries):
-        for slot in (1, 2):
-            vector = slot_vectors.get((p, slot))
-            if vector is not None:
-                code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
-                postings = index.get(p.slot_types[slot - 1], {})
-                found = _binc_join(_vector(vector.items()), postings, masses)
-                for k, s in found.items():
-                    yield i, k, code, s
+    __slots__ = ()
 
 
 def build_bivalent(
     signature: tuple[str, str],
+    binaries: list[TypedPredicate],
     pair_vectors: Mapping[TypedPredicate, Mapping],
     slot_vectors: Mapping[tuple[TypedPredicate, int], Mapping],
-    unaries_by_type: Mapping[str, list[TypedPredicate]],
+    unary_sides: Mapping[str, UnarySide],
     threshold: float = 0.01,
 ) -> TypedSubgraph:
     """Score the BB and BU candidates of one bivalent type signature.
 
+    ``binaries`` are the signature's binaries in token order, and
+    ``unary_sides`` holds the ``UnarySide`` of each type that has unaries.
     BB pairs are scored under every argument map whose type constraints
     hold (identity and, when slot types allow, swap) and the best map is
     kept. BU candidates compare a binary slot vector against the vector
     of each unary of the matching type; each slot yields its own edge
     since the two claims differ. Only candidates that share a feature are
-    scored, through an inverted index (feature -> hypotheses) of each
-    side: any other candidate has BInc 0 and is never kept. Each index
-    lives only while its side is scored.
+    scored, through a ``BIncJoin``: any other candidate has BInc 0 and is
+    never kept. The BB joins live while the signature is scored; a type's
+    unary side serves every signature holding the type.
     """
-    binaries = sorted(
-        (p for p in pair_vectors if canonical_signature(p.slot_types) == tuple(signature)),
-        key=TypedPredicate.token,
-    )
-    # the unaries of the signature's types that have a vector
-    unaries = [u for t in sorted(set(signature)) for u in unaries_by_type.get(t, ())
-               if (u, 1) in slot_vectors]
+    # the unaries of the signature's types, numbered across the types; the
+    # BU hits share these int objects, so that the hundreds of thousands
+    # of hits of a large signature do not each hold an int of their own
+    sides: dict[str, tuple[list[int], BIncJoin]] = {}
+    unaries: list[TypedPredicate] = []
+    for t in sorted(unary_sides.keys() & set(signature)):
+        numbers = list(range(len(unaries), len(unaries) + len(unary_sides[t].predicates)))
+        sides[t] = (numbers, unary_sides[t].join)
+        unaries += unary_sides[t].predicates
     # kept BU hits first, by premise: a unary is a vertex only once it
     # heads one, and vertex ids follow the tokens of all the vertices
     bu_hits: dict[int, list] = {}
-    for i, k, code, s in _bu_scores(binaries, slot_vectors, unaries):
-        if s >= threshold and s > 0.0:
-            bu_hits.setdefault(i, []).append((k, code, min(s, 1.0)))
+    for i, p in enumerate(binaries):
+        for slot in (1, 2):
+            vector = slot_vectors.get((p, slot))
+            side = sides.get(p.slot_types[slot - 1])
+            if vector is not None and side is not None:
+                numbers, join = side
+                code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
+                for k, s in join.scores(_vector(vector.items())).items():
+                    if s >= threshold and s > 0.0:
+                        bu_hits.setdefault(i, []).append((numbers[k], code, min(s, 1.0)))
     heads = {k for hits in bu_hits.values() for k, _, _ in hits}
     vertices = sorted(binaries + [unaries[k] for k in heads], key=TypedPredicate.token)
     vertex_id = {v: n for n, v in enumerate(vertices)}
     binary_id = [vertex_id[p] for p in binaries]
     unary_id = {k: vertex_id[unaries[k]] for k in heads}
 
+    # BB hypotheses are joined by their own slot types: a premise takes
+    # identity from those of its slot types and swap, with the argument
+    # pairs of the hypothesis reversed, from those of the reversed ones
+    features = [pair_vectors[p] for p in binaries]
+    vectors = [_vector(f.items()) for f in features]
+    by_types: dict[tuple[str, ...], list[int]] = {}
+    for j, q in enumerate(binaries):
+        by_types.setdefault(q.slot_types, []).append(j)
+    same = {t: BIncJoin((j, vectors[j]) for j in js) for t, js in by_types.items()}
+    swapped = {t: BIncJoin((j, _vector(((b, a), w) for (a, b), w in features[j].items()))
+                           for j in js)
+               for t, js in by_types.items()}
+    identity, swap = EDGE_CODE[BB, ArgMap.identity(2)], EDGE_CODE[BB, ArgMap.swap()]
+
     # premises in id order, each premise's BB and BU edges merged by
     # (hypothesis id, code): the columns come out in their final order
     premise_ids, hypothesis_ids, codes, scores = _columns()
-    for i, bb in enumerate(_bb_scores(binaries, pair_vectors)):
-        row = [(binary_id[j], code, min(s, 1.0)) for j, code, s in bb
-               if s >= threshold and s > 0.0]
-        row += [(unary_id[k], code, s) for k, code, s in bu_hits.pop(i, ())]
+    for i, p in enumerate(binaries):
+        ids = same[p.slot_types].scores(vectors[i])
+        reverse = swapped.get(p.slot_types[::-1])
+        swaps = reverse.scores(vectors[i]) if reverse is not None else {}
+        row = [(unary_id[k], code, s) for k, code, s in bu_hits.pop(i, ())]
+        for j in ids.keys() | swaps.keys():
+            # identity, the first map tried, wins a tie
+            best, code = ids.get(j, 0.0), identity
+            if swaps.get(j, 0.0) > best:
+                best, code = swaps[j], swap
+            if j != i and best >= threshold and best > 0.0:
+                row.append((binary_id[j], code, min(best, 1.0)))
         row.sort()
         premise_ids.extend([binary_id[i]] * len(row))
         for column, values in zip((hypothesis_ids, codes, scores), zip(*row)):
@@ -547,76 +542,73 @@ def build_bivalent(
     )
 
 
-def _uu_scores(features: Mapping[int, Mapping]) -> Iterator[tuple]:
-    """(premise id, hypothesis id, BInc) of each pair of distinct unary
-    vectors, by id, that share a feature."""
-    vectors = {i: _vector(f.items()) for i, f in features.items()}
-    masses = {i: mass for i, (_, mass) in vectors.items()}
-    index = _postings((i, items) for i, (items, _) in vectors.items())
-    for i, premise in vectors.items():
-        found = _binc_join(premise, index, masses)
-        for j in sorted(found):
-            if j != i:
-                yield i, j, found[j]
-
-
-def build_univalent(
-    slot_type: str,
-    unaries: list[TypedPredicate],
-    slot_vectors: Mapping[tuple[TypedPredicate, int], Mapping],
-    threshold: float = 0.01,
-) -> TypedSubgraph:
+def build_univalent(slot_type: str, side: UnarySide, threshold: float = 0.01) -> TypedSubgraph:
     """Score the UU candidates among the unaries of one type.
 
-    Only pairs that share a feature are scored, through an inverted index
-    (feature -> unaries): any other pair has BInc 0 and is never kept.
+    Each unary's vector is scored as a premise against the type's
+    ``BIncJoin``, so only pairs that share a feature are scored: any other
+    pair has BInc 0 and is never kept.
     """
-    unaries = sorted(set(unaries), key=TypedPredicate.token)
-    features = {i: f for i, p in enumerate(unaries)
-                if (f := slot_vectors.get((p, 1))) is not None}
     premise_ids, hypothesis_ids, codes, scores = _columns()
     code = EDGE_CODE[UU, ArgMap.identity(1)]
-    for i, j, s in _uu_scores(features):
-        if s >= threshold and s > 0.0:
-            premise_ids.append(i)
-            hypothesis_ids.append(j)
-            codes.append(code)
-            scores.append(min(s, 1.0))
+    for i, premise in enumerate(side.vectors):
+        found = side.join.scores(premise)
+        for j in sorted(found):
+            s = found[j]
+            if j != i and s >= threshold and s > 0.0:
+                premise_ids.append(i)
+                hypothesis_ids.append(j)
+                codes.append(code)
+                scores.append(min(s, 1.0))
     return TypedSubgraph.from_columns(
-        (slot_type,), unaries, premise_ids, hypothesis_ids, codes, scores
+        (slot_type,), side.predicates, premise_ids, hypothesis_ids, codes, scores
     )
 
 
-class LocalGraphs:
-    def __init__(
-        self,
-        bivalent: dict[tuple[str, str], TypedSubgraph],
-        univalent: dict[tuple[str], TypedSubgraph],
-    ):
-        self.bivalent = bivalent
-        self.univalent = univalent
+class LocalGraphs(dict):
+    """Signature -> local subgraph, bivalent ones first, each family in
+    signature order: what ``graphio.write_graph_dir`` takes. The benchmark's
+    build-oracle test still reads the three views below."""
 
-    def all_subgraphs(self) -> dict[tuple[str, ...], TypedSubgraph]:
-        return {**self.bivalent, **self.univalent}
+    bivalent = property(lambda self: {sig: g for sig, g in self.items() if len(sig) == 2})
+    univalent = property(lambda self: {sig: g for sig, g in self.items() if len(sig) == 1})
+    all_subgraphs = dict.copy
+
+
+def _subgraphs(pair_vectors: Mapping, slot_vectors: Mapping, threshold: float) -> LocalGraphs:
+    """One subgraph per signature from the pair and slot vectors.
+
+    Binaries are grouped by signature once, and each type's unary side is
+    built once, then shared by the BU step of every signature holding the
+    type and by the type's UU graph.
+    """
+    binaries: dict[tuple[str, ...], list[TypedPredicate]] = {}
+    for p in sorted(pair_vectors, key=TypedPredicate.token):
+        binaries.setdefault(canonical_signature(p.slot_types), []).append(p)
+    unaries: dict[str, list[TypedPredicate]] = {}
+    for pred in sorted((p for p, _ in slot_vectors if p.valency == 1), key=TypedPredicate.token):
+        unaries.setdefault(pred.slot_types[0], []).append(pred)
+    sides = {}
+    for t, preds in unaries.items():
+        vectors = [_vector(slot_vectors[(u, 1)].items()) for u in preds]
+        sides[t] = UnarySide(preds, vectors, BIncJoin(enumerate(vectors)))
+
+    graphs = LocalGraphs(
+        (sig, build_bivalent(sig, binaries[sig], pair_vectors, slot_vectors, sides, threshold))
+        for sig in sorted(binaries)
+    )
+    graphs.update(((t,), build_univalent(t, sides[t], threshold)) for t in sorted(sides))
+    return graphs
 
 
 def build_local_graphs(corpus: Corpus, config: LocalBuildConfig = LocalBuildConfig()) -> LocalGraphs:
-    """Full local stage: counts, vectors, then one subgraph per signature."""
-    pair_vectors = build_vectors(count(corpus, PAIR), config.features)
-    slot_vectors = build_vectors(count(corpus, SLOT), config.features)
-
-    unaries_by_type: dict[str, list[TypedPredicate]] = {}
-    for (pred, slot) in slot_vectors:
-        if pred.valency == 1:
-            unaries_by_type.setdefault(pred.slot_types[0], []).append(pred)
-
-    bivalent = {
-        sig: build_bivalent(sig, pair_vectors, slot_vectors, unaries_by_type,
-                            config.edge_threshold)
-        for sig in sorted({canonical_signature(p.slot_types) for p in pair_vectors})
-    }
-    univalent = {
-        (t,): build_univalent(t, preds, slot_vectors, config.edge_threshold)
-        for t, preds in sorted(unaries_by_type.items())
-    }
-    return LocalGraphs(bivalent, univalent)
+    """Full local stage: counts in one pass over the corpus, vectors, then
+    one subgraph per signature."""
+    pairs, slots = count(corpus)
+    # each count store is dropped once its vectors are built, so that
+    # neither lives on through the build
+    pair_vectors = build_vectors(pairs, config.features)
+    del pairs
+    slot_vectors = build_vectors(slots, config.features)
+    del slots
+    return _subgraphs(pair_vectors, slot_vectors, config.edge_threshold)

@@ -368,15 +368,19 @@ def question_record(q: Question) -> dict:
 def question_from_record(obj: dict, reader: _CanonicalReader) -> Question:
     """The question a record holds, its predicate and arguments built
     through the reader, which checks them as it checks corpus records and
-    shares them across one file."""
+    shares them across one file. ``id`` and ``surface`` must be strings
+    and ``provenance`` an object of strings."""
     if obj["polarity"] not in ("positive", "negative"):
         raise ValueError(f"polarity {obj['polarity']!r} is neither positive nor negative")
     token = TypedPredicate.parse_token(obj["predicate"])
     pred = reader.predicate(token.lemma, token.slot_types, token.case_marker)
     args = tuple(reader.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in obj["args"])
+    provenance = _typed(obj["provenance"], dict, "provenance")
+    for value in provenance.values():
+        _typed(value, str, "provenance value")
     return Question(
-        obj["id"], _typed(obj["partition_id"], int, "partition_id"), pred, args,
-        obj["polarity"], obj.get("provenance", {}), obj.get("surface", ""),
+        _typed(obj["id"], str, "id"), _typed(obj["partition_id"], int, "partition_id"), pred,
+        args, obj["polarity"], provenance, _typed(obj["surface"], str, "surface"),
     )
 
 
@@ -446,17 +450,22 @@ def write_evidence(partitions: list[Partition], path: str | Path) -> None:
 
 
 def read_evidence(path: str | Path) -> list[Partition]:
-    """The partitions ``write_evidence`` wrote. Records are read as strictly
-    as ``read_corpus`` reads them, and each partition must hold as many as
-    the header declares."""
+    """The partitions ``write_evidence`` wrote. Each header partition's
+    ``id`` and ``size`` must be ints (not floats or bools) and its
+    ``date_range`` two date strings. Records are read as strictly as
+    ``read_corpus`` reads them, and each partition must hold as many as the
+    header declares."""
     header, lines = _read_qa_file(
         path, "entgraph-evidence", EVIDENCE_FORMAT_VERSION, "an evidence file"
     )
     meta = {}
     try:
         for p in header["partitions"]:
-            lo, hi = p["date_range"]
-            meta[p["id"]] = (p["size"], (dt.date.fromisoformat(lo), dt.date.fromisoformat(hi)))
+            lo, hi = _typed(p["date_range"], list, "date_range")
+            meta[_typed(p["id"], int, "partition id")] = (
+                _typed(p["size"], int, "partition size"),
+                (dt.date.fromisoformat(lo), dt.date.fromisoformat(hi)),
+            )
     except KeyError as exc:
         raise ValueError(f"{path}:1: evidence header lacks {exc.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as exc:

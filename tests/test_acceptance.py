@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from entgraph.features import SLOT, FeatureConfig, build_vectors, count
+from entgraph.features import FeatureConfig, build_vectors, count
 from entgraph.globalgraph import GlobalConfig, globalize
 from entgraph.lexicon import LexicalResource
 from entgraph.localgraph import (
@@ -182,10 +182,10 @@ def test_kill_die_directionality():
     graphs = build_local_graphs(c)
     kill = pred("kill", "person", "person")
     die = pred("die.1", "person")
-    edges = graphs.bivalent[("person", "person")].find_edges(
+    edges = graphs[("person", "person")].find_edges(
         kill, die, ArgMap.from_slot(2)
     )
-    slots = build_vectors(count(c, SLOT), FeatureConfig())
+    slots = build_vectors(count(c)[1], FeatureConfig())
     forward = binc(slots[(kill, 2)], slots[(die, 1)])
     reverse = binc(slots[(die, 1)], slots[(kill, 2)])
     elapsed = time.monotonic() - start
@@ -206,7 +206,7 @@ def test_buy_sell_swap_map():
     graphs = build_local_graphs(buy_sell_corpus())
     buy = pred("buy", "organization", "organization")
     sell = pred("sell.to", "organization", "organization")
-    edges = graphs.bivalent[("organization", "organization")].find_edges(buy, sell)
+    edges = graphs[("organization", "organization")].find_edges(buy, sell)
     report(
         "swap-map-buy-sell",
         len(edges) == 1
@@ -518,7 +518,7 @@ def additivity_setup():
         props.append(prop("mingle", (f"ma{i}", f"mb{i}")))
     graph_corpus = corpus(*props)
     graphs = build_local_graphs(graph_corpus)
-    store = GraphStore.from_subgraphs(graphs.bivalent, graphs.univalent)
+    store = GraphStore(graphs)
 
     evidence_props = [
         ("p1", prop("defeat", ("alice", "bob"))),

@@ -370,7 +370,7 @@ class TestGoldenGraphs:
         # tests/data/synthetic_graph_digests.sha256 by the same script
         script = _digest_script()
         graphs = build_local_graphs(script.synthetic_corpus())
-        found = {EDGE_CODES[c] for sub in graphs.all_subgraphs().values() for c in sub.codes}
+        found = {EDGE_CODES[c] for sub in graphs.values() for c in sub.codes}
         assert found == set(EDGE_CODES)
         lines = script.synthetic_digest_lines(tmp_path)
         assert "".join(line + "\n" for line in lines) == (

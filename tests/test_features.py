@@ -11,8 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entgraph.features import (
-    PAIR,
-    SLOT,
     CountStore,
     FeatureConfig,
     build_vectors,
@@ -26,31 +24,27 @@ KILL = pred("kill", "person", "person")
 
 class TestCount:
     def test_singleton_pair_mode(self):
-        store = count(corpus(prop("kill", ("a", "b"))), PAIR)
+        store = count(corpus(prop("kill", ("a", "b"))))[0]
         assert store.joint == {(KILL, ("a", "b")): 1}
         assert store.total == 1
 
     def test_singleton_slot_mode(self):
-        store = count(corpus(prop("kill", ("a", "b"))), SLOT)
+        store = count(corpus(prop("kill", ("a", "b"))))[1]
         assert store.joint == {((KILL, 1), "a"): 1, ((KILL, 2), "b"): 1}
         assert store.total == 2
 
     def test_pair_marginal(self):
-        store = count(corpus(prop("kill", ("a", "b")), prop("kill", ("a", "c"))), PAIR)
+        store = count(corpus(prop("kill", ("a", "b")), prop("kill", ("a", "c"))))[0]
         assert store.pred_marginal[KILL] == 2
 
     def test_unary_counts_single_slot(self):
-        store = count(corpus(prop("die.1", ("a",))), SLOT)
+        store = count(corpus(prop("die.1", ("a",))))[1]
         die = pred("die.1", "person")
         assert store.joint == {((die, 1), "a"): 1}
 
     def test_empty_corpus(self):
-        store = count(corpus(), PAIR)
-        assert store.total == 0 and not store.joint
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            count(corpus(), "trigram")
+        for store in count(corpus()):
+            assert store.total == 0 and not store.joint
 
     def test_consistency_invariant(self):
         store = count(
@@ -59,8 +53,7 @@ class TestCount:
                 prop("kill", ("a", "c")),
                 prop("die.1", ("b",)),
             ),
-            SLOT,
-        )
+        )[1]
         by_pred, by_feat = Counter(), Counter()
         for (p, f), n in store.joint.items():
             by_pred[p] += n
@@ -72,13 +65,13 @@ class TestCount:
 
 class TestPmi:
     def test_degenerate_single_event_is_zero(self):
-        store = CountStore(PAIR)
+        store = CountStore()
         store.add("p", "a")
         assert pmi(store, "p", "a") == 0.0
 
     def test_hand_computed_log2(self):
         # joint=2, pred=2, feat=2, total=4 -> ln((2/4)/((2/4)*(2/4))) = ln 2
-        store = CountStore(PAIR)
+        store = CountStore()
         store.add("p", "a", 2)
         store.add("q", "b", 2)
         store.feat_marginal["a"] = 2  # keep feat marginal at 2
@@ -87,7 +80,7 @@ class TestPmi:
 
     def test_negative_pmi_clipped(self):
         # anti-correlated: joint=1, pred=10, feat=10, total=20 -> ln(0.2) < 0
-        store = CountStore(PAIR)
+        store = CountStore()
         store.joint[("p", "a")] = 1
         store.pred_marginal["p"] = 10
         store.feat_marginal["a"] = 10
@@ -95,7 +88,7 @@ class TestPmi:
         assert pmi(store, "p", "a") == 0.0
 
     def test_unseen_is_zero(self):
-        store = CountStore(PAIR)
+        store = CountStore()
         store.add("p", "a", 2)
         assert pmi(store, "p", "zzz") == 0.0
 
@@ -107,7 +100,7 @@ class TestPmi:
         )
     )
     def test_weights_finite_and_nonnegative(self, events):
-        store = CountStore(PAIR)
+        store = CountStore()
         for p, f in events:
             store.add(p, f)
         for p, f in events:
@@ -127,7 +120,7 @@ class TestBuildVectors:
             prop("found", ("gates", "microsoft"), types=("person", "organization")),
             prop("found", ("bezos", "amazon"), types=("person", "organization")),
         ]
-        slots = build_vectors(count(corpus(*props), SLOT), FeatureConfig(min_count=3))
+        slots = build_vectors(count(corpus(*props))[1], FeatureConfig(min_count=3))
         v1 = slots[(build, 1)]
         v2 = slots[(build, 2)]
         assert "apple" in v1
@@ -138,19 +131,19 @@ class TestBuildVectors:
 
     def test_min_count_threshold(self):
         props = [prop("kill", ("a", "b"))] * 2 + [prop("die.1", (c,)) for c in "bcdef"]
-        pairs = build_vectors(count(corpus(*props), PAIR), FeatureConfig(min_count=3))
+        pairs = build_vectors(count(corpus(*props))[0], FeatureConfig(min_count=3))
         assert KILL not in pairs  # only 2 occurrences
-        pairs = build_vectors(count(corpus(*props), PAIR), FeatureConfig(min_count=2))
+        pairs = build_vectors(count(corpus(*props))[0], FeatureConfig(min_count=2))
         assert KILL in pairs
 
     def test_zero_weight_features_dropped(self):
         # single-event store: every pmi is ln(1) = 0, so vector is empty
-        pairs = build_vectors(count(corpus(prop("kill", ("a", "b"))), PAIR),
+        pairs = build_vectors(count(corpus(prop("kill", ("a", "b"))))[0],
                               FeatureConfig(min_count=1))
         assert pairs[KILL] == {}
 
     def test_empty_store(self):
-        assert build_vectors(count(corpus(), PAIR)) == {}
+        assert build_vectors(count(corpus())[0]) == {}
 
     def test_shared_entity_in_both_slot_vectors(self):
         props = [
@@ -159,7 +152,7 @@ class TestBuildVectors:
             # filler pushes totals up so PMI stays positive
             *[prop("chatter.1", (f"x{i}",)) for i in range(12)],
         ]
-        slots = build_vectors(count(corpus(*props), SLOT), FeatureConfig(min_count=3))
+        slots = build_vectors(count(corpus(*props))[1], FeatureConfig(min_count=3))
         die = pred("die.1", "person")
         assert "b" in slots[(KILL, 2)]
         assert "b" in slots[(die, 1)]
@@ -169,7 +162,7 @@ class TestBuildVectors:
             prop("kill", ("a", "b")), prop("kill", ("c", "d")), prop("kill", ("e", "f")),
             *[prop("chatter.1", (f"x{i}",)) for i in range(20)],
         ]
-        slots = build_vectors(count(corpus(*props), SLOT), FeatureConfig(min_count=3))
+        slots = build_vectors(count(corpus(*props))[1], FeatureConfig(min_count=3))
         assert set(slots[(KILL, 1)]) == {"a", "c", "e"}
         assert set(slots[(KILL, 2)]) == {"b", "d", "f"}
 
@@ -177,7 +170,7 @@ class TestBuildVectors:
         props = [prop("kill", (f"k{i}", f"v{i}")) for i in range(5)] + [
             prop("die.1", (f"v{i}",)) for i in range(8)
         ]
-        store = count(corpus(*props), SLOT)
+        store = count(corpus(*props))[1]
         first = build_vectors(store)
         second = build_vectors(store)
         assert list(first.items()) == list(second.items())

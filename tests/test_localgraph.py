@@ -13,7 +13,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entgraph.features import SLOT, FeatureConfig, build_vectors, count
+from entgraph.features import FeatureConfig, build_vectors, count
 from entgraph.localgraph import (
     BB,
     BU,
@@ -23,9 +23,8 @@ from entgraph.localgraph import (
     EntailmentEdge,
     LocalBuildConfig,
     TypedSubgraph,
-    build_bivalent,
+    _subgraphs,
     build_local_graphs,
-    build_univalent,
     canonical_signature,
     edge_kind,
     valid_maps,
@@ -231,7 +230,7 @@ def kill_die_corpus():
 class TestKillDieDirectionality:
     def test_bu_edge_scores(self):
         graphs = build_local_graphs(kill_die_corpus())
-        sub = graphs.bivalent[("person", "person")]
+        sub = graphs[("person", "person")]
         kill = pred("kill", "person", "person")
         die = pred("die.1", "person")
         edges = sub.find_edges(kill, die, ArgMap.from_slot(2))
@@ -243,7 +242,7 @@ class TestKillDieDirectionality:
 
     def test_reverse_direction_strictly_lower(self):
         c = kill_die_corpus()
-        slots = build_vectors(count(c, SLOT), FeatureConfig(min_count=3))
+        slots = build_vectors(count(c)[1], FeatureConfig(min_count=3))
         kill = pred("kill", "person", "person")
         die = pred("die.1", "person")
         forward = binc(slots[(kill, 2)], slots[(die, 1)])
@@ -269,7 +268,7 @@ def buy_sell_corpus():
 class TestSwapMap:
     def test_buy_entails_sell_via_swap(self):
         graphs = build_local_graphs(buy_sell_corpus())
-        sub = graphs.bivalent[("organization", "organization")]
+        sub = graphs[("organization", "organization")]
         buy = pred("buy", "organization", "organization")
         sell = pred("sell.to", "organization", "organization")
         edges = sub.find_edges(buy, sell)
@@ -291,7 +290,7 @@ class TestSubgraphConstruction:
     def test_single_predicate_no_edges(self):
         c = corpus(*[prop("kill", (f"k{i}", f"v{i}")) for i in range(4)])
         graphs = build_local_graphs(c)
-        sub = graphs.bivalent[("person", "person")]
+        sub = graphs[("person", "person")]
         assert len(sub.vertices) == 1
         assert sub.edges == []
 
@@ -303,7 +302,7 @@ class TestSubgraphConstruction:
         for i in range(20):
             props.append(prop("chatter.1", (f"x{i}",)))
         graphs = build_local_graphs(corpus(*props))
-        sub = graphs.bivalent[("person", "person")]
+        sub = graphs[("person", "person")]
         edges = sub.find_edges(
             pred("defeat", "person", "person"), pred("be.winner.1", "person"),
             ArgMap.from_slot(1),
@@ -319,7 +318,7 @@ class TestSubgraphConstruction:
         for i in range(16):
             props.append(prop("chatter.1", (f"x{i}",)))
         graphs = build_local_graphs(corpus(*props))
-        sub = graphs.univalent[("person",)]
+        sub = graphs[("person",)]
         win = pred("be.winner.1", "person")
         champ = pred("be.champion.1", "person")
         assert sub.find_edges(win, champ)[0].score == pytest.approx(1.0)
@@ -327,7 +326,7 @@ class TestSubgraphConstruction:
 
     def test_empty_type_empty_subgraph(self):
         graphs = build_local_graphs(corpus(*[prop("kill", (f"k{i}", f"v{i}")) for i in range(3)]))
-        assert ("location",) not in graphs.univalent
+        assert ("location",) not in graphs
 
     def test_chained_inclusion_ordering_by_brute_force(self):
         # supports: sprint in run in move; scores brute-forced from formulas
@@ -345,8 +344,8 @@ class TestSubgraphConstruction:
         graphs = build_local_graphs(
             c, LocalBuildConfig(FeatureConfig(min_count=2), edge_threshold=0.0)
         )
-        sub = graphs.univalent[("person",)]
-        slots = build_vectors(count(c, SLOT), FeatureConfig(min_count=2))
+        sub = graphs[("person",)]
+        slots = build_vectors(count(c)[1], FeatureConfig(min_count=2))
         names = ("sprint.1", "run.1", "move.1")
         for a in names:
             for b in names:
@@ -379,7 +378,7 @@ class TestSubgraphConstruction:
         famous = pred("be.famous.1", "person")
         hosting = [
             sig
-            for sig, sub in graphs.bivalent.items()
+            for sig, sub in graphs.items()
             if famous in sub.vertices
             and any(e.hypothesis == famous and e.kind == BU for e in sub.edges)
         ]
@@ -388,7 +387,7 @@ class TestSubgraphConstruction:
 
     def test_bu_edge_types_match(self):
         graphs = build_local_graphs(kill_die_corpus())
-        for sub in graphs.bivalent.values():
+        for sub in graphs.values():
             for e in sub.edges:
                 if e.kind == BU:
                     premise_slot = e.arg_map.pairs[0][0]
@@ -400,12 +399,12 @@ class TestSubgraphConstruction:
     def test_edge_threshold_drops_weak_edges(self):
         c = kill_die_corpus()
         strict = build_local_graphs(c, LocalBuildConfig(edge_threshold=0.99))
-        sub = strict.bivalent[("person", "person")]
+        sub = strict[("person", "person")]
         assert all(e.score >= 0.99 for e in sub.edges)
 
     def test_no_self_edges(self):
         graphs = build_local_graphs(kill_die_corpus())
-        for sub in (*graphs.bivalent.values(), *graphs.univalent.values()):
+        for sub in graphs.values():
             for e in sub.edges:
                 assert e.premise != e.hypothesis
 
@@ -606,7 +605,7 @@ class TestRelaxationConsistency:
     @settings(max_examples=30, deadline=None)
     @given(small_typed_corpus())
     def test_oracle_true_implies_full_weeds_precision(self, c):
-        slots = build_vectors(count(c, SLOT), FeatureConfig(min_count=1))
+        slots = build_vectors(count(c)[1], FeatureConfig(min_count=1))
         tuples: dict = {}
         for p in c:
             tuples.setdefault(p.predicate, set()).add(p.arg_keys)
@@ -630,23 +629,26 @@ class TestRelaxationConsistency:
 join_weights = st.one_of(st.sampled_from((0.1, 0.7, 1e-3, 3.0)), st.floats(0.01, 10.0))
 JOIN_ENTITIES = ("e0", "e1", "e2", "e3", "e4")
 JOIN_PAIRS = tuple((a, b) for a in JOIN_ENTITIES[:3] for b in JOIN_ENTITIES[:3])
+JOIN_SIGNATURES = (("a", "a"), ("a", "b"), ("b", "b"))
 
 
 @st.composite
 def typed_vectors(draw):
-    """A bivalent signature with random pair and slot vectors.
+    """Random pair and slot vectors over the types a and b.
 
-    Vectors may be empty or share no feature; a vector may copy an
-    earlier one, or (a pair vector) reverse its argument pairs, so scores
-    of 1 and swap edges occur; binaries come in both slot orders; some
-    binary slots and unaries have no vector.
+    Each signature, (a, a), (a, b) and (b, b), has a binary, and each type
+    a unary, so one draw builds all five subgraphs. Vectors may be empty
+    or share no feature; a vector may copy an earlier one, or (a pair
+    vector) reverse its argument pairs, so scores of 1 and swap edges
+    occur; (a, b) binaries come in both slot orders; some binary slots
+    have no vector.
     """
-    signature = draw(st.sampled_from((("a", "a"), ("a", "b"))))
-    orders = sorted({signature, signature[::-1]})
     slot_features = st.dictionaries(st.sampled_from(JOIN_ENTITIES), join_weights, max_size=5)
+    orders = [*JOIN_SIGNATURES, *draw(st.lists(
+        st.sampled_from(JOIN_SIGNATURES + (("b", "a"),)), max_size=5))]
     pair_vectors, slot_vectors, slot_pool = {}, {}, []
-    for i in range(draw(st.integers(0, 6))):
-        p = TypedPredicate(f"b{i}", 2, draw(st.sampled_from(orders)))
+    for i, order in enumerate(orders):
+        p = TypedPredicate(f"b{i}", 2, order)
         earlier = list(pair_vectors.values())
         source = draw(st.sampled_from(("new", "copy", "reverse"))) if earlier else "new"
         if source == "new":
@@ -661,17 +663,12 @@ def typed_vectors(draw):
                 f = draw(slot_features)
                 slot_pool.append(f)
                 slot_vectors[(p, slot)] = f
-    unaries_by_type: dict[str, list[TypedPredicate]] = {}
-    for i in range(draw(st.integers(0, 6))):
-        t = draw(st.sampled_from(signature))
-        u = TypedPredicate(f"u{i}", 1, (t,), ".1")
-        unaries_by_type.setdefault(t, []).append(u)
-        if draw(st.booleans()):
-            f = (dict(draw(st.sampled_from(slot_pool)))
-                 if slot_pool and draw(st.booleans()) else draw(slot_features))
-            slot_pool.append(f)
-            slot_vectors[(u, 1)] = f
-    return signature, pair_vectors, slot_vectors, unaries_by_type
+    for i, t in enumerate(["a", "b", *draw(st.lists(st.sampled_from("ab"), max_size=5))]):
+        f = (dict(draw(st.sampled_from(slot_pool)))
+             if slot_pool and draw(st.booleans()) else draw(slot_features))
+        slot_pool.append(f)
+        slot_vectors[(TypedPredicate(f"u{i}", 1, (t,), ".1"), 1)] = f
+    return pair_vectors, slot_vectors
 
 
 def assert_same_subgraph(found: TypedSubgraph, expected: TypedSubgraph) -> None:
@@ -688,24 +685,28 @@ class TestSparseJoin:
     @settings(max_examples=300, deadline=None)
     @given(typed_vectors(), st.sampled_from((0.0, 0.01)))
     def test_matches_pairwise_builders(self, case, threshold):
-        signature, pair_vectors, slot_vectors, unaries_by_type = case
-        assert_same_subgraph(
-            build_bivalent(signature, pair_vectors, slot_vectors, unaries_by_type, threshold),
-            build_bivalent_pairwise(
-                signature, pair_vectors, slot_vectors, unaries_by_type, threshold),
-        )
+        # built as build_local_graphs builds them: each type's unary side
+        # serves two bivalent signatures and the type's univalent graph
+        pair_vectors, slot_vectors = case
+        graphs = _subgraphs(pair_vectors, slot_vectors, threshold)
+        assert list(graphs) == [*JOIN_SIGNATURES, ("a",), ("b",)]
+        unaries_by_type: dict[str, list[TypedPredicate]] = {}
+        for p, _ in slot_vectors:
+            if p.valency == 1:
+                unaries_by_type.setdefault(p.slot_types[0], []).append(p)
+        for signature in JOIN_SIGNATURES:
+            assert_same_subgraph(graphs[signature], build_bivalent_pairwise(
+                signature, pair_vectors, slot_vectors, unaries_by_type, threshold))
         for t, unaries in unaries_by_type.items():
             assert_same_subgraph(
-                build_univalent(t, unaries, slot_vectors, threshold),
-                build_univalent_pairwise(t, unaries, slot_vectors, threshold),
-            )
+                graphs[(t,)], build_univalent_pairwise(t, unaries, slot_vectors, threshold))
 
     def test_scores_add_left_to_right(self):
         # ten shared 0.1s: compensated sums would move the score's last bit
         shared = {f"f{i}": 0.1 for i in range(10)}
         u, v = pred("win.1", "person"), pred("lead.1", "person")
         slot_vectors = {(u, 1): {**shared, "g": 2.0}, (v, 1): dict(shared)}
-        sub = build_univalent("person", [u, v], slot_vectors)
+        sub = _subgraphs({}, slot_vectors, 0.01)[("person",)]
 
         def score(total):
             wp = total([0.1] * 10) / total([0.1] * 10 + [2.0])
@@ -719,5 +720,5 @@ class TestSparseJoin:
     def test_disjoint_supports_score_no_edge(self):
         u, v = pred("win.1", "person"), pred("lead.1", "person")
         slot_vectors = {(u, 1): {"a": 1.0}, (v, 1): {"b": 1.0}}
-        sub = build_univalent("person", [u, v], slot_vectors, threshold=0.0)
+        sub = _subgraphs({}, slot_vectors, 0.0)[("person",)]
         assert sub.vertices == (v, u) and sub.edges == []

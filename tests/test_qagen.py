@@ -383,11 +383,17 @@ class TestMalformedHeaders:
         (lambda h: json.dumps({**h, "partitions": [{**h["partitions"][0], "date_range": ["x"]}]}),
          r"evidence\.jsonl:1: bad evidence header"),
         (lambda h: json.dumps({**h, "partitions": 7}), r"evidence\.jsonl:1: bad evidence header"),
+        (lambda h: json.dumps({**h, "partitions": [{**h["partitions"][0], "id": 0.0}]}),
+         r"evidence\.jsonl:1: bad evidence header: partition id 0\.0 is not int"),
+        (lambda h: json.dumps({**h, "partitions": [{**h["partitions"][0], "id": True}]}),
+         r"evidence\.jsonl:1: bad evidence header: partition id True is not int"),
+        (lambda h: json.dumps({**h, "partitions": [{**h["partitions"][0], "size": 5.0}]}),
+         r"evidence\.jsonl:1: bad evidence header: partition size 5\.0 is not int"),
         (lambda h: "[1]", r"evidence\.jsonl: not an evidence file"),
         (lambda h: "{", r"evidence\.jsonl: not an evidence file"),
         (lambda h: json.dumps({**h, "version": 2}), r"evidence\.jsonl: unsupported version 2"),
     ], ids=["no-partitions", "no-date-range", "short-date-range", "partitions-not-a-list",
-            "list", "not-json", "version"])
+            "id-float", "id-bool", "size-float", "list", "not-json", "version"])
     def test_evidence_header(self, tmp_path, edit, reason):
         _, epath = self._write(tmp_path)
         self._edit_header(epath, edit)
@@ -440,6 +446,18 @@ class TestQaRecordValueTypes:
         records[1]["partition_id"] = float(records[1]["partition_id"])
         self._rewrite(qpath, records)
         with pytest.raises(ValueError, match="questions.jsonl:2: .*partition_id"):
+            read_questions(qpath)
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 7), ("provenance", 5), ("provenance", {"source_prop": 7}), ("surface", None),
+    ], ids=["id-number", "provenance-number", "provenance-value-number", "surface-null"])
+    def test_question_field_type(self, tmp_path, field, value):
+        qpath, _ = TestMalformedHeaders()._write(tmp_path)
+        records = self._lines(qpath)
+        records[1][field] = value
+        self._rewrite(qpath, records)
+        with pytest.raises(ValueError,
+                           match=f"questions.jsonl:2: not a canonical question record: {field}"):
             read_questions(qpath)
 
     @pytest.mark.parametrize("which", ["first", "later"])

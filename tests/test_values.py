@@ -12,7 +12,7 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
-from entgraph.features import PAIR, SLOT, FeatureConfig, _pred_sort_key, build_vectors, count
+from entgraph.features import FeatureConfig, _pred_sort_key, build_vectors, count
 from entgraph.globalgraph import GlobalConfig
 from entgraph.localgraph import (
     BB,
@@ -194,8 +194,8 @@ class TestPredSortKey:
     def test_vectors_come_in_token_then_slot_order(self):
         c = corpus(*[prop(name, args) for name, args in (
             ("kill", ("a", "b")), ("hire", ("b", "a")), ("die.1", ("a",)))] * 3)
-        assert list(build_vectors(count(c, PAIR), FeatureConfig(1))) == [
+        assert list(build_vectors(count(c)[0], FeatureConfig(1))) == [
             pred("hire", "person", "person"), KILL]
-        assert list(build_vectors(count(c, SLOT), FeatureConfig(1))) == [
+        assert list(build_vectors(count(c)[1], FeatureConfig(1))) == [
             (DIE, 1), (pred("hire", "person", "person"), 1),
             (pred("hire", "person", "person"), 2), (KILL, 1), (KILL, 2)]
