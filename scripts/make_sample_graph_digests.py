@@ -21,13 +21,21 @@ which the same test checks. It writes the sha256 of ``corpus.jsonl``,
 local graphs of ``synthetic_corpus()``, a seeded corpus with BB
 identity, BB swap, BU and UU edges, and writes their sha256 to
 ``tests/data/synthetic_graph_digests.sha256``, which
-``tests/test_cli.py::TestGoldenGraphs`` also checks. Last, it runs
+``tests/test_cli.py::TestGoldenGraphs`` also checks. It then runs
 ``ingest``, ``build-local`` and ``globalize`` on two corpora of
 ``perfbench/gen.py``'s ``dense_records`` (imported, never changed): the
 benchmark's 4,000-proposition dense corpus and one four times its size,
 and writes the sha256 of their local and global graph files to
 ``tests/data/dense_graph_digests.sha256``, which
-``tests/test_cli.py::TestGoldenGraphs`` checks too. Run it after an
+``tests/test_cli.py::TestGoldenGraphs`` checks too. Last, it runs all
+seven stages on qa x40, ``perfbench/gen.py``'s ``qa_sample_records`` of
+the sample at 40 copies and seed 1 with ``gen-questions --seed 1``:
+``answer`` with the exact model and the graph model's ``bb,bu,uu``,
+``bb``, ``bu`` and ``uu``, then ``evaluate`` on those five. It writes the
+sha256 of the local and global graphs, ``questions.jsonl``,
+``evidence.jsonl``, the answers and the report to
+``tests/data/qa40_digests.sha256``, which
+``tests/test_cli.py::TestGoldenGraphs`` checks as well. Run it after an
 intended change to the graphs, the answers, the report or the JSONL
 files:
 
@@ -54,6 +62,7 @@ REPORT_OUT = DATA / "sample_report_digests.sha256"
 SYNTHETIC_OUT = DATA / "synthetic_graph_digests.sha256"
 JSONL_OUT = DATA / "sample_jsonl_digests.sha256"
 DENSE_OUT = DATA / "dense_graph_digests.sha256"
+QA40_OUT = DATA / "qa40_digests.sha256"
 JSONL_FILES = ("corpus.jsonl", "questions.jsonl", "evidence.jsonl")
 
 # the question seed of tests/test_cli.py's pipeline fixture
@@ -71,6 +80,12 @@ DENSE_CORPORA = {
     "dense-4k": {"propositions": 4000, "lemmas": 80, "entities": 300, "seed": 0},
     "dense-16k": {"propositions": 16000, "lemmas": 320, "entities": 1200, "seed": 0},
 }
+
+# qa x40: ``perfbench/gen.py``'s ``qa_sample_records`` arguments, the
+# question seed and the answer models, exact first
+QA40_COPIES, QA40_SEED = 40, 1
+QA40_MODELS = (("--model", "exact"),) + tuple(
+    ("--components", components) for components in ("bb,bu,uu", "bb", "bu", "uu"))
 
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -185,6 +200,28 @@ def dense_digest_lines(directory: Path) -> list[str]:
     return lines
 
 
+def qa40_digest_lines(directory: Path) -> list[str]:
+    """Run all seven stages on qa x40 in ``directory``/qa40 and return
+    ``sha256sum graphs/local/*.graph graphs/global/*.graph questions.jsonl
+    evidence.jsonl answers-*.csv report/pr-*.csv report/summary.txt`` run
+    in ``directory``/qa40."""
+    gen = _bench_gen()
+    out, records = directory / "qa40", directory / "qa40.jsonl"
+    sample = gen.SAMPLE.read_text(encoding="utf-8").splitlines()
+    gen.write_lines(records, gen.qa_sample_records(sample, QA40_COPIES, QA40_SEED))
+    _run("ingest", "--corpus", str(records), "--out", str(out))
+    for stage in ("build-local", "globalize"):
+        _run(stage, "--out", str(out))
+    _run("gen-questions", "--out", str(out), "--seed", str(QA40_SEED))
+    for model in QA40_MODELS:
+        _run("answer", "--out", str(out), *model)
+    _run("evaluate", "--out", str(out))
+    graphs = [path for family in ("local", "global")
+              for path in sorted((out / "graphs" / family).glob("*.graph"))]
+    return (_sha256sum([*graphs, out / "questions.jsonl", out / "evidence.jsonl"], out)
+            + answer_digest_lines(out) + report_digest_lines(out))
+
+
 def _run(*argv: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(list(argv))
@@ -206,9 +243,11 @@ def main() -> None:
         jsonl_lines = jsonl_digest_lines(Path(tmp))
         synthetic_lines = synthetic_digest_lines(Path(tmp) / "synthetic")
         dense_lines = dense_digest_lines(Path(tmp) / "dense")
+        qa40_lines = qa40_digest_lines(Path(tmp))
     for path, found in ((OUT, lines), (ANSWERS_OUT, answer_lines),
                         (REPORT_OUT, report_lines), (JSONL_OUT, jsonl_lines),
-                        (SYNTHETIC_OUT, synthetic_lines), (DENSE_OUT, dense_lines)):
+                        (SYNTHETIC_OUT, synthetic_lines), (DENSE_OUT, dense_lines),
+                        (QA40_OUT, qa40_lines)):
         path.write_text("".join(line + "\n" for line in found), encoding="utf-8")
         print(f"wrote {len(found)} digests to {path}")
 

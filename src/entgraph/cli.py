@@ -146,30 +146,25 @@ def cmd_build_local(args) -> int:
 
 def cmd_globalize(args) -> int:
     from . import graphio
-    from .globalgraph import GlobalConfig, apply_to_all
+    from .globalgraph import GlobalConfig, globalize
 
     out = Path(args.out)
     local_dir = _require(out / "graphs" / "local", "build-local")
-    local = graphio.read_graph_dir(local_dir)
-    bivalent = {sig: sub for sig, sub in local.items() if len(sig) == 2}
-    univalent = {sig: sub for sig, sub in local.items() if len(sig) == 1}
     config = GlobalConfig(
         lambda_para=args.lambda_para,
         lambda_cross=args.lambda_cross,
         paraphrase_tau=args.tau,
     )
-    bi_graph, uni_graph = apply_to_all(bivalent, univalent, config)
+    # one solve for both families: no clique crosses them (see apply_to_all)
+    refined = globalize(graphio.read_graph_dir(local_dir), config).subgraphs
     global_dir = out / "graphs" / "global"
-    merged = {}
-    merged.update(bi_graph.subgraphs)
-    merged.update(uni_graph.subgraphs)
-    graphio.write_graph_dir(merged, global_dir)
+    graphio.write_graph_dir(refined, global_dir)
     _write_manifest(
         out, "globalize",
         {"lambda_para": args.lambda_para, "lambda_cross": args.lambda_cross, "tau": args.tau},
         sorted(local_dir.glob("*.graph")),
     )
-    print(f"globalized {len(merged)} subgraphs into {global_dir}")
+    print(f"globalized {len(refined)} subgraphs into {global_dir}")
     return EXIT_OK
 
 
@@ -264,9 +259,14 @@ def cmd_answer(args) -> int:
 
         kinds = _parse_components(args.components)
         tag = qaeval._model_id(kinds)
-        store = GraphStore.open(_graph_dir(out, args.graphs))
+        graph_dir = _graph_dir(out, args.graphs)
+        store = GraphStore.open(graph_dir)
         for q in questions:
             records.append(qaeval.answer_graph(q, evidence[q.partition_id], store, kinds))
+        if graph_dir == out / "graphs" / "local":
+            # named apart, so that local answers never overwrite global ones
+            tag = tag.replace("graph-", "graph-local-", 1)
+            records = [r._replace(model_id=tag) for r in records]
     else:  # external
         if args.export_evidence:
             qaeval.export_evidence(questions, evidence, Path(args.export_evidence))
@@ -368,7 +368,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from .localgraph import _bound_args, valid_maps
+    from .localgraph import EDGE_SLOTS, EDGE_VALENCIES
     from .store import GraphStore
 
     out = Path(args.out)
@@ -376,14 +376,16 @@ def cmd_query(args) -> int:
     premise = _parse_query_predicate(args.premise, args.type)
     hypothesis = _parse_query_predicate(args.hypothesis, args.type)
 
-    # bind fresh placeholder entities per candidate argument map
+    # bind fresh placeholder entities, carried over by each candidate code
     ents = tuple(
         EntityId(f"x{i}", None, True) for i in range(1, premise.valency + 1)
     )
     prop = Proposition(premise, ents)
     best = None
-    for amap in valid_maps(premise.valency, hypothesis.valency):
-        result = store.score(prop, hypothesis, _bound_args(amap, prop.arg_keys))
+    for slots, valencies in zip(EDGE_SLOTS, EDGE_VALENCIES):
+        if valencies != (premise.valency, hypothesis.valency):
+            continue
+        result = store.score(prop, hypothesis, tuple(prop.arg_keys[i] for i in slots))
         if result.score > 0 and (best is None or result.score > best.score):
             best = result
     if best is None:

@@ -200,7 +200,7 @@ def _eliminate(a: list[list[float]], b: list[float]) -> list[float]:
 
 
 def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> GlobalGraph:
-    """Refine one family of subgraphs; valency-agnostic over edge lists."""
+    """Refine subgraphs of one family or both; valency-agnostic over edge lists."""
     local, groups = _coupling_groups(subgraphs, config)
     solved = _solve_components(local, groups)
     out, start = {}, 0
@@ -225,5 +225,8 @@ def globalize(subgraphs: Mapping, config: GlobalConfig = GlobalConfig()) -> Glob
 def apply_to_all(
     bivalent: Mapping, univalent: Mapping, config: GlobalConfig = GlobalConfig()
 ) -> tuple[GlobalGraph, GlobalGraph]:
-    """Globalize the bivalent family and the univalent family separately."""
+    """Globalize the bivalent family and the univalent family separately, as
+    ``globalize`` of both at once does, since no clique crosses them: UU
+    codes live only in univalent graphs, and paraphrases within one
+    subgraph. The benchmark's tests import it."""
     return globalize(bivalent, config), globalize(univalent, config)

@@ -218,9 +218,9 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
     if not raw_pred or not isinstance(args, list) or not args:
         raise RecordError("record lacks predicate or args")
     voice = _typed(obj.get("voice", "active"), str, "voice")
-    modifiers = obj.get("modifiers") or []
     lemma = normalize_predicate(
-        _typed(raw_pred, str, "predicate"), voice, _typed(modifiers, list, "modifiers")
+        _typed(raw_pred, str, "predicate"), voice,
+        _typed(obj.get("modifiers", []), list, "modifiers"),
     )
 
     # the passive surface subject is the underlying object and vice versa

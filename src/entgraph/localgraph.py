@@ -32,6 +32,11 @@ subgraph keeps no index: the edges of a premise, or of a (premise,
 hypothesis) pair, are found by bisecting the sorted columns.
 ``EntailmentEdge`` objects are built from the columns each time an edge
 is read through ``edges``, ``edge`` or ``find_edges``, and kept by no one.
+
+An edge carries chosen premise arguments to the hypothesis slots, as one
+table, ``EDGE_SLOTS``, gives per code. ``consistent_codes`` reads it; the
+builders take their codes from it and every query route matches edges by
+them. An ``ArgMap`` names a code's map in print and in hand-built edges.
 """
 
 from __future__ import annotations
@@ -105,41 +110,28 @@ EDGE_CODES: tuple[tuple[str, ArgMap], ...] = (
     (BB, _IDENTITY[2]), (BB, _SWAP), (BU, _FROM_SLOT[1]), (BU, _FROM_SLOT[2]), (UU, _IDENTITY[1]),
 )
 EDGE_VALENCIES: tuple[tuple[int, int], ...] = ((2, 2), (2, 2), (2, 1), (2, 1), (1, 1))
+# The binding rule: for each code, the premise argument position that each
+# hypothesis slot takes, so its edges carry ``args`` to ``args[i] for i in slots``.
+EDGE_SLOTS: tuple[tuple[int, ...], ...] = ((0, 1), (1, 0), (0,), (1,), (0,))
 EDGE_CODE = {kind_map: code for code, kind_map in enumerate(EDGE_CODES)}
-# the same table by valencies: the one kind that links them, and its maps
-_BY_VALENCIES: dict[tuple[int, int], tuple[str, tuple[ArgMap, ...]]] = {
-    valencies: (kind, tuple(m for (_, m), v in zip(EDGE_CODES, EDGE_VALENCIES) if v == valencies))
-    for (kind, _), valencies in zip(EDGE_CODES, EDGE_VALENCIES)
-}
-_NO_RULE = (None, ())
+_EDGE_KIND = {valencies: kind for (kind, _), valencies in zip(EDGE_CODES, EDGE_VALENCIES)}
 
 
 def edge_kind(premise_valency: int, hypothesis_valency: int) -> str | None:
     """The kind of the edges between two valencies, or None."""
-    return _BY_VALENCIES.get((premise_valency, hypothesis_valency), _NO_RULE)[0]
+    return _EDGE_KIND.get((premise_valency, hypothesis_valency))
 
 
-def valid_maps(premise_valency: int, hypothesis_valency: int) -> tuple[ArgMap, ...]:
-    """All argument maps for a (premise, hypothesis) valency combination."""
-    return _BY_VALENCIES.get((premise_valency, hypothesis_valency), _NO_RULE)[1]
-
-
-def _bound_args(amap: ArgMap, premise_args: Sequence) -> tuple:
-    """The hypothesis binding that carries premise_args over under amap."""
-    out = [None] * len(amap.pairs)
-    for p_slot, h_slot in amap.pairs:
-        out[h_slot - 1] = premise_args[p_slot - 1]
-    return tuple(out)
-
-
-def _consistent_maps(premise_args: Sequence, hypothesis_args: Sequence) -> list[ArgMap]:
-    """Maps under which the hypothesis binding matches the premise's."""
+def consistent_codes(premise_args: Sequence, hypothesis_args: Sequence) -> tuple[int, ...]:
+    """The codes, ascending, of the edges that carry the premise arguments
+    to the hypothesis arguments under ``EDGE_SLOTS``."""
+    valencies = (len(premise_args), len(hypothesis_args))
     hypothesis_args = tuple(hypothesis_args)
-    return [
-        amap
-        for amap in valid_maps(len(premise_args), len(hypothesis_args))
-        if _bound_args(amap, premise_args) == hypothesis_args
-    ]
+    return tuple(
+        code for code, slots in enumerate(EDGE_SLOTS)
+        if EDGE_VALENCIES[code] == valencies
+        and tuple(premise_args[i] for i in slots) == hypothesis_args
+    )
 
 
 def _left_sum(values: Iterable[float]) -> float:
@@ -169,10 +161,9 @@ class EntailmentEdge(namedtuple("EntailmentEdge", "premise hypothesis kind arg_m
         arg_map: ArgMap,
         score: float,
     ):
-        kind_of, maps = _BY_VALENCIES.get((premise.valency, hypothesis.valency), _NO_RULE)
-        if kind_of != kind:
+        if edge_kind(premise.valency, hypothesis.valency) != kind:
             raise ValueError(f"kind {kind} inconsistent with valencies")
-        if arg_map not in maps:
+        if (kind, arg_map) not in EDGE_CODE:
             raise ValueError(f"argument map {arg_map.format()} invalid for a {kind} edge")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} outside [0, 1]")
@@ -493,7 +484,7 @@ def build_bivalent(
             side = sides.get(p.slot_types[slot - 1])
             if vector is not None and side is not None:
                 numbers, join = side
-                code = EDGE_CODE[BU, ArgMap.from_slot(slot)]
+                (code,) = consistent_codes((1, 2), (slot,))
                 for k, s in join.scores(_vector(vector.items())).items():
                     if s >= threshold and s > 0.0:
                         bu_hits.setdefault(i, []).append((numbers[k], code, min(s, 1.0)))
@@ -515,7 +506,7 @@ def build_bivalent(
     swapped = {t: BIncJoin((j, _vector(((b, a), w) for (a, b), w in features[j].items()))
                            for j in js)
                for t, js in by_types.items()}
-    identity, swap = EDGE_CODE[BB, ArgMap.identity(2)], EDGE_CODE[BB, ArgMap.swap()]
+    (identity,), (swap,) = consistent_codes((1, 2), (1, 2)), consistent_codes((1, 2), (2, 1))
 
     # premises in id order, each premise's BB and BU edges merged by
     # (hypothesis id, code): the columns come out in their final order
@@ -550,7 +541,7 @@ def build_univalent(slot_type: str, side: UnarySide, threshold: float = 0.01) ->
     pair has BInc 0 and is never kept.
     """
     premise_ids, hypothesis_ids, codes, scores = _columns()
-    code = EDGE_CODE[UU, ArgMap.identity(1)]
+    (code,) = consistent_codes((1,), (1,))
     for i, premise in enumerate(side.vectors):
         found = side.join.scores(premise)
         for j in sorted(found):

@@ -9,14 +9,14 @@ whose predicate is a graph vertex, and reports accuracy over the K most
 confident predictions.
 
 An evidence proposition can answer a question only if it holds the
-question's first argument: under every argument map each question
+question's first argument: under every edge code each question
 argument is bound to an evidence argument, and a verbatim repeat holds
 them all. So the models read only ``Partition.holding`` that argument, the
 partition's evidence indexed once by argument key; the rest would score 0.
 
 Importing this module loads no graph layer: a caller that answers with a
 graph opens the store and passes it in, and ``compatible_evidence``
-imports the argument-map check when it runs.
+imports the binding rule when it runs.
 """
 
 from __future__ import annotations
@@ -99,14 +99,14 @@ def answer_graph(
 
 
 def compatible_evidence(question: Question, evidence: Partition) -> list[str]:
-    """Evidence ids sharing the question's bound arguments under some map."""
-    from .localgraph import _consistent_maps
+    """Evidence ids that some edge code binds to the question's arguments."""
+    from .localgraph import consistent_codes
 
     hyp_args = tuple(a.key for a in question.args)
     return [
         pid
         for pid, prop in evidence.holding(hyp_args[0])
-        if _consistent_maps(prop.arg_keys, hyp_args)
+        if consistent_codes(prop.arg_keys, hyp_args)
     ]
 
 

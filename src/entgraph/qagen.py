@@ -394,17 +394,22 @@ def read_questions(path: str | Path) -> tuple[list[Question], dict]:
     to reproduces it, its polarity is positive or negative, and its
     predicate and arguments pass the checks ``read_corpus`` makes (type
     labels as the inventory holds them, normalized surfaces, one surface per
-    kb id across the file); any other line, a blank one included, raises
-    ValueError naming the file and line."""
+    kb id across the file) and its id is not an earlier line's; any other
+    line, a blank one included, raises ValueError naming the file and
+    line."""
     manifest, lines = _read_qa_file(
         path, "entgraph-questions", QUESTION_FORMAT_VERSION, "a question file"
     )
     reader = _CanonicalReader(path)
-    return [
-        reader.parse(lineno, line, lambda obj: question_from_record(obj, reader),
-                     question_record, "question record")
-        for lineno, line in enumerate(lines[1:], 2)
-    ], manifest
+    questions, first_line = [], {}
+    for lineno, line in enumerate(lines[1:], 2):
+        q = reader.parse(lineno, line, lambda obj: question_from_record(obj, reader),
+                         question_record, "question record")
+        if first_line.setdefault(q.id, lineno) != lineno:
+            raise ValueError(
+                f"{path}:{lineno}: question id {q.id!r} repeats line {first_line[q.id]}")
+        questions.append(q)
+    return questions, manifest
 
 
 def _read_qa_file(path: str | Path, fmt: str, version: int, what: str) -> tuple[dict, list[str]]:
@@ -451,10 +456,10 @@ def write_evidence(partitions: list[Partition], path: str | Path) -> None:
 
 def read_evidence(path: str | Path) -> list[Partition]:
     """The partitions ``write_evidence`` wrote. Each header partition's
-    ``id`` and ``size`` must be ints (not floats or bools) and its
-    ``date_range`` two date strings. Records are read as strictly as
-    ``read_corpus`` reads them, and each partition must hold as many as the
-    header declares."""
+    ``id`` and ``size`` must be ints (not floats or bools), no two may share
+    an id, and its ``date_range`` must be two date strings. Records are read
+    as strictly as ``read_corpus`` reads them, and each partition must hold
+    as many as the header declares."""
     header, lines = _read_qa_file(
         path, "entgraph-evidence", EVIDENCE_FORMAT_VERSION, "an evidence file"
     )
@@ -462,7 +467,10 @@ def read_evidence(path: str | Path) -> list[Partition]:
     try:
         for p in header["partitions"]:
             lo, hi = _typed(p["date_range"], list, "date_range")
-            meta[_typed(p["id"], int, "partition id")] = (
+            part_id = _typed(p["id"], int, "partition id")
+            if part_id in meta:
+                raise ValueError(f"partition {part_id} is listed twice")
+            meta[part_id] = (
                 _typed(p["size"], int, "partition size"),
                 (dt.date.fromisoformat(lo), dt.date.fromisoformat(hi)),
             )

@@ -2,30 +2,32 @@
 
 A store maps type signatures to subgraphs (read from a graph directory,
 or wrapped from memory). Queries route a premise proposition to its typed
-subgraph and check direct edges under every argument map that is
-consistent with the bound arguments; unary hypotheses may additionally be
-reached through one binary->unary edge followed by one hop inside the
-matching univalent graph, scored as the minimum of the two edges.
-``score`` is the one route from an evidence proposition to a question and
-the one place that reads the components asked for: the two valencies fix
-the one component that may answer, and composition runs only when UU is
-asked for too. When the typed route finds nothing and the premise
-predicate has no vertex in its typed subgraph, ``score`` falls back to an
-untyped query over all subgraphs, averaging the scores found.
+subgraph and check direct edges under every edge code consistent with the
+bound arguments (``localgraph.consistent_codes``, the one binding rule);
+unary hypotheses may additionally be reached through one binary->unary
+edge followed by one hop inside the matching univalent graph, scored as
+the minimum of the two edges. ``score`` is the one route from an evidence
+proposition to a question and the one place that reads the components
+asked for: the two valencies fix the one component that may answer, and
+composition runs only when UU is asked for too. When the typed route
+finds nothing and the premise predicate has no vertex in its typed
+subgraph, ``score`` falls back to an untyped query over all subgraphs,
+averaging the scores found.
 
-Queries work on vertex ids. A query maps the caller's premise and
-hypothesis predicates to ids once, by token, and every lookup after that
-is keyed by integers; an ``EntailmentEdge`` is built only for the edges
-of the path it returns. Direct lookups bisect the subgraph's sorted
-edge columns. Composition follows adjacency rather than scanning: when
-the store opens it builds its one index, which maps each univalent
-graph's hypothesis ids to the position of the UU edge from each premise
-id (the transpose a bisect cannot give), and maps each unary vertex of a
-bivalent graph to its id in the univalent graph of its type. A composed
-query walks the premise's out-edges, keeps the BU edges under the slot's
-map and joins each, with one dict lookup, to a UU edge from that edge's
-unary into the hypothesis, so its cost grows with the premise's
-out-degree, not with the subgraph.
+Queries work on vertex ids and edge codes. A query maps the caller's
+premise and hypothesis predicates to ids once, by token, and its binding
+to the consistent codes once; every lookup after that is keyed by
+integers, and an ``EntailmentEdge`` is built only for the edges of the
+path it returns. Direct lookups bisect the subgraph's sorted edge
+columns. Composition follows adjacency rather than scanning: when the
+store opens it builds its one index, which maps each univalent graph's
+hypothesis ids to the position of the UU edge from each premise id (the
+transpose a bisect cannot give), and maps each unary vertex of a bivalent
+graph to its id in the univalent graph of its type. A composed query
+walks the premise's out-edges, keeps the BU edges under each consistent
+BU code, slot 1 first, and joins each, with one dict lookup, to a UU edge
+from that edge's unary into the hypothesis, so its cost grows with the
+premise's out-degree, not with the subgraph.
 """
 
 from __future__ import annotations
@@ -38,15 +40,12 @@ from typing import Mapping, Sequence
 from . import graphio
 from .localgraph import (
     ALL_KINDS,
-    BU,
-    EDGE_CODE,
-    EDGE_CODES,
+    EDGE_SLOTS,
     UU,
-    ArgMap,
     TypedSubgraph,
-    _consistent_maps,
     _left_sum,
     canonical_signature,
+    consistent_codes,
     edge_kind,
 )
 from .model import Proposition, TypedPredicate
@@ -60,8 +59,6 @@ class QueryResult(namedtuple("QueryResult", "score path backed_off", defaults=((
 
 
 _MISS = QueryResult(0.0)
-# the code of the BU edges that carry each premise slot to the hypothesis
-_BU_CODE = {slot: EDGE_CODE[BU, ArgMap.from_slot(slot)] for slot in (1, 2)}
 
 
 class GraphStore:
@@ -154,8 +151,8 @@ class GraphStore:
         that path from a binary premise to a unary hypothesis.
         """
         premise_keys = premise.arg_keys
-        cand_maps = _consistent_maps(premise_keys, hypothesis_args)
-        if not cand_maps:
+        codes = consistent_codes(premise_keys, hypothesis_args)
+        if not codes:
             return _MISS
         if (
             premise.predicate.untyped == hypothesis.untyped
@@ -170,11 +167,11 @@ class GraphStore:
         best = _MISS
         h = sub.vertex_id(hypothesis)
         if h is not None:
-            i = _best_edge(sub, p, h, cand_maps)
+            i = _best_edge(sub, p, h, codes)
             if i is not None and sub.scores[i] > 0.0:
                 best = QueryResult(sub.scores[i], (sub.edge(i),))
         if compose and hypothesis.valency == 1 and premise.predicate.valency == 2:
-            composed = self._composed(sub, p, premise, hypothesis, hypothesis_args)
+            composed = self._composed(sub, p, premise.predicate, hypothesis, codes)
             if composed.score > best.score:
                 best = composed
         return best
@@ -183,23 +180,22 @@ class GraphStore:
         self,
         sub: TypedSubgraph,
         p: int,
-        premise: Proposition,
+        premise: TypedPredicate,
         hypothesis: TypedPredicate,
-        hypothesis_args: Sequence[str],
+        codes: Sequence[int],
     ) -> QueryResult:
         """One BU edge, then one hop inside the univalent graph.
 
-        ``p`` is the premise's id in ``sub``. The first strictly best path
-        wins, slot 1 before slot 2 and BU edges in subgraph order.
+        ``p`` is the premise's id in ``sub``, and ``codes`` are the BU codes
+        consistent with the query's binding, ascending. The first strictly
+        best path wins, slot 1 before slot 2 and BU edges in subgraph order.
         """
         best, best_at = 0.0, None
-        premise_keys = premise.arg_keys
         out = sub.out_positions(p)
         to_univalent = self._univalent_ids[sub.signature]
-        for slot in (1, 2):
-            if premise_keys[slot - 1] != hypothesis_args[0]:
-                continue
-            uni_sig = (premise.predicate.slot_types[slot - 1],)
+        for code in codes:
+            (slot,) = EDGE_SLOTS[code]
+            uni_sig = (premise.slot_types[slot],)
             uni = self.univalent.get(uni_sig)
             if uni is None:
                 continue
@@ -207,7 +203,6 @@ class GraphStore:
             into_hypothesis = self._uu_in[uni_sig].get(h)
             if not into_hypothesis:
                 continue
-            code = _BU_CODE[slot]
             for i in out:
                 if sub.codes[i] != code:
                     continue
@@ -240,8 +235,8 @@ class GraphStore:
         edge was found, summed left to right in signature order, or 0 when
         there is none.
         """
-        cand_maps = _consistent_maps(premise_args, hypothesis_args)
-        if not cand_maps:
+        codes = consistent_codes(premise_args, hypothesis_args)
+        if not codes:
             return QueryResult(0.0, backed_off=True)
         prem_vertices = self.untyped_index.get((premise_name, premise_valency), [])
         hyp_sigs: dict = {}
@@ -262,7 +257,7 @@ class GraphStore:
             for prem_vertex in by_sig[sig]:
                 p = sub.vertex_id(prem_vertex)
                 for hyp_vertex in hyp_sigs[sig]:
-                    i = _best_edge(sub, p, sub.vertex_id(hyp_vertex), cand_maps)
+                    i = _best_edge(sub, p, sub.vertex_id(hyp_vertex), codes)
                     if i is not None and (
                         sub_best is None or sub.scores[i] > sub.scores[sub_best]
                     ):
@@ -277,12 +272,12 @@ class GraphStore:
         return QueryResult(_left_sum(found) / len(found), best_path, backed_off=True)
 
 
-def _best_edge(sub: TypedSubgraph, p: int, h: int, cand_maps: list[ArgMap]) -> int | None:
+def _best_edge(sub: TypedSubgraph, p: int, h: int, codes: Sequence[int]) -> int | None:
     """Position of the first best-scoring edge from p to h under one of
-    the maps; edges of a pair come in map order."""
+    the codes; edges of a pair come in code order."""
     best = None
     for i in sub.pair_positions(p, h):
-        if EDGE_CODES[sub.codes[i]][1] in cand_maps and (
+        if sub.codes[i] in codes and (
             best is None or sub.scores[i] > sub.scores[best]
         ):
             best = i

@@ -19,10 +19,11 @@ from entgraph.localgraph import (
     BB,
     BU,
     UU,
+    EDGE_CODES,
+    EDGE_VALENCIES,
     ArgMap,
     EntailmentEdge,
     TypedSubgraph,
-    _consistent_maps,
     _left_sum,
     canonical_signature,
 )
@@ -37,6 +38,32 @@ from entgraph.model import (
 from entgraph.qaeval import AnswerRecord, PRCurve, PRPoint, _model_id, _untyped_match
 from entgraph.qagen import Partition, Question
 from entgraph.store import GraphStore
+
+
+def valency_maps(premise_valency: int, hypothesis_valency: int) -> tuple[ArgMap, ...]:
+    """The argument maps of the edge codes between two valencies, in code order."""
+    return tuple(amap for (_, amap), valencies in zip(EDGE_CODES, EDGE_VALENCIES)
+                 if valencies == (premise_valency, hypothesis_valency))
+
+
+def bound_args(amap: ArgMap, premise_args: Sequence) -> tuple:
+    """The hypothesis binding that carries premise_args over under amap."""
+    out = [None] * len(amap.pairs)
+    for p_slot, h_slot in amap.pairs:
+        out[h_slot - 1] = premise_args[p_slot - 1]
+    return tuple(out)
+
+
+def consistent_maps(premise_args: Sequence, hypothesis_args: Sequence) -> list[ArgMap]:
+    """The binding rule by ``ArgMap``: the maps of the two valencies under
+    which the hypothesis binding matches the premise's, in code order. The
+    reference of ``localgraph.consistent_codes``."""
+    hypothesis_args = tuple(hypothesis_args)
+    return [
+        amap
+        for amap in valency_maps(len(premise_args), len(hypothesis_args))
+        if bound_args(amap, premise_args) == hypothesis_args
+    ]
 
 
 def inclusion_oracle(
@@ -246,7 +273,7 @@ def compatible_evidence_scan(question: Question, evidence: Partition) -> list[st
     """``compatible_evidence`` testing every proposition of the partition."""
     hyp_args = tuple(a.key for a in question.args)
     return [
-        pid for pid, prop in evidence.propositions if _consistent_maps(prop.arg_keys, hyp_args)
+        pid for pid, prop in evidence.propositions if consistent_maps(prop.arg_keys, hyp_args)
     ]
 
 

@@ -26,7 +26,6 @@ from entgraph.localgraph import (
     EntailmentEdge,
     TypedSubgraph,
     build_local_graphs,
-    valid_maps,
 )
 from entgraph.qagen import (
     Partition,
@@ -51,6 +50,7 @@ from oracles import (
     edge_positions,
     inclusion_oracle,
     lin_similarity,
+    valency_maps,
     weeds_precision,
 )
 from test_localgraph import buy_sell_corpus, kill_die_corpus
@@ -101,7 +101,7 @@ def test_oracle_equivalence_1000_corpora():
             }
         for (p_name, p_arity), premises in tuple_sets.items():
             for (h_name, h_arity), hypotheses in tuple_sets.items():
-                for amap in valid_maps(p_arity, h_arity):
+                for amap in valency_maps(p_arity, h_arity):
                     if not premises:
                         continue
                     checks += 1

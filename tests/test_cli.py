@@ -14,15 +14,14 @@ import pytest
 
 from entgraph import resources
 from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, build_parser, main
-from entgraph.localgraph import (
-    BU, EDGE_CODES, UU, _bound_args, build_local_graphs, valid_maps,
-)
+from entgraph.localgraph import BU, EDGE_CODES, UU, build_local_graphs
 from entgraph.model import EntityId, Proposition, TypedPredicate
-from entgraph.qaeval import answer_graph
+from entgraph.qaeval import answer_graph, read_answers
 from entgraph.qagen import Partition, Question
 from entgraph.store import GraphStore
 
 from conftest import DATA
+from oracles import bound_args, valency_maps
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +114,24 @@ class TestStageWiring:
         assert "".join(line + "\n" for line in script.report_digest_lines(out)) == (
             DATA / "sample_report_digests.sha256").read_text()
 
+    def test_local_answers_sit_beside_global_ones(self, pipeline_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out, ignore=shutil.ignore_patterns("answers-*", "report"))
+        assert main(["answer", "--out", str(out)]) == EXIT_OK
+        assert main(["answer", "--out", str(out), "--graphs", "local"]) == EXIT_OK
+        # with no global graphs, auto reads the local ones, and says so too
+        shutil.rmtree(out / "graphs" / "global")
+        assert main(["answer", "--out", str(out), "--components", "bb"]) == EXIT_OK
+        tags = ["graph-bb+bu+uu", "graph-local-bb+bu+uu", "graph-local-bb"]
+        assert sorted(p.name for p in out.glob("answers-*.csv")) == [
+            f"answers-{tag}.csv" for tag in tags]
+        for tag in tags:
+            assert {r.model_id for r in read_answers(out / f"answers-{tag}.csv")} == {tag}
+            assert (out / f"answer-{tag}.manifest.json").is_file()
+        assert main(["evaluate", "--out", str(out)]) == EXIT_OK
+        summary = (out / "report" / "summary.txt").read_text()
+        assert [line.split(":")[0] for line in summary.splitlines()] == tags
+
     def test_query_finds_planted_edge(self, pipeline_dir, capsys):
         code = main([
             "query", "kill.2", "die.1", "--type", "person", "--out", str(pipeline_dir),
@@ -162,8 +179,8 @@ class TestStageWiring:
             prop = Proposition(premise, tuple(
                 EntityId(f"x{i}", None, True) for i in range(1, premise.valency + 1)))
             best = None
-            for amap in valid_maps(premise.valency, hypothesis.valency):
-                question = Question("q", 0, hypothesis, _bound_args(amap, prop.args), "positive", {})
+            for amap in valency_maps(premise.valency, hypothesis.valency):
+                question = Question("q", 0, hypothesis, bound_args(amap, prop.args), "positive", {})
                 record = answer_graph(question, Partition(0, (dt.date.min,) * 2, [("p", prop)]),
                                       store)
                 if record.confidence > 0 and (best is None or record.confidence > best.confidence):
@@ -389,6 +406,24 @@ class TestGoldenGraphs:
             "the dense corpora's graphs changed; if that is intended, regenerate "
             "the digests with python3 scripts/make_sample_graph_digests.py"
         )
+
+    def test_qa40_matches_recorded_digests(self, tmp_path):
+        # the sample at 40 copies through all seven stages, pinned in
+        # tests/data/qa40_digests.sha256 by the same script
+        lines = _digest_script().qa40_digest_lines(tmp_path)
+        assert "".join(line + "\n" for line in lines) == (
+            DATA / "qa40_digests.sha256").read_text(), (
+            "the qa x40 artifacts changed; if that is intended, regenerate "
+            "the digests with python3 scripts/make_sample_graph_digests.py"
+        )
+        # the paper's cross-valency claim, through the stages: evidence of
+        # every valency answers strictly more questions than BB or UU alone
+        answered = {
+            path.stem.removeprefix("answers-graph-"):
+                sum(r.confidence > 0 for r in read_answers(path))
+            for path in (tmp_path / "qa40").glob("answers-graph-*.csv")
+        }
+        assert answered["bb+bu+uu"] > max(answered["bb"], answered["uu"]), answered
 
 
 class TestStaleArtifacts:

@@ -26,6 +26,7 @@ from entgraph.localgraph import (
     ArgMap,
     EntailmentEdge,
     TypedSubgraph,
+    consistent_codes,
 )
 from entgraph.model import Proposition, TypedPredicate
 from entgraph.store import GraphStore, QueryResult
@@ -198,8 +199,9 @@ class TestAgainstEdgeLists:
                     for hypothesis in unaries:
                         for hyp_args in (("a",), ("b",)):
                             expected = reference_composed(family, premise, hypothesis, hyp_args)
-                            got = store._composed(sub, sub.vertex_id(premise_pred), premise,
-                                                  hypothesis, hyp_args)
+                            got = store._composed(
+                                sub, sub.vertex_id(premise_pred), premise_pred, hypothesis,
+                                consistent_codes(premise.arg_keys, hyp_args))
                             assert got.score == expected.score
                             assert got.path == expected.path
 

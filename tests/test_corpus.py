@@ -434,6 +434,12 @@ RAW_MISTYPED = {
     "modifier-null": lambda r: r.update(modifiers=[None]),
     "modifier-number": lambda r: r.update(modifiers=["not", 3]),
     "modifiers-string": lambda r: r.update(modifiers="not"),
+    # falsy values that are not a list are no modifiers list either
+    "modifiers-zero": lambda r: r.update(modifiers=0),
+    "modifiers-false": lambda r: r.update(modifiers=False),
+    "modifiers-empty-string": lambda r: r.update(modifiers=""),
+    "modifiers-empty-object": lambda r: r.update(modifiers={}),
+    "modifiers-null": lambda r: r.update(modifiers=None),
     "surface-null": lambda r: r["args"][0].update(surface=None),
     "surface-number": lambda r: r["args"][0].update(surface=12),
     "type-null": lambda r: r["args"][0].update(type=None),

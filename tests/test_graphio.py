@@ -23,12 +23,12 @@ from entgraph.localgraph import (
     ArgMap,
     EntailmentEdge,
     TypedSubgraph,
-    valid_maps,
 )
 
 from entgraph.ingest import save_corpus
 
 from conftest import DATA, corpus, ent, pred, prop
+from oracles import valency_maps
 
 
 def golden_subgraph() -> TypedSubgraph:
@@ -226,7 +226,7 @@ def test_parsed_edges_share_vertex_objects():
 def test_parsed_edges_carry_canonical_maps():
     sub = read_subgraph(DATA / "golden_bivalent.graph")
     for e in sub.edges:
-        maps = valid_maps(e.premise.valency, e.hypothesis.valency)
+        maps = valency_maps(e.premise.valency, e.hypothesis.valency)
         assert any(e.arg_map is m for m in maps)
 
 

@@ -11,12 +11,13 @@ import operator
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entgraph.features import FeatureConfig, build_vectors, count
 from entgraph.localgraph import (
     BB,
     BU,
+    EDGE_CODE,
     EDGE_CODES,
     UU,
     ArgMap,
@@ -26,8 +27,8 @@ from entgraph.localgraph import (
     _subgraphs,
     build_local_graphs,
     canonical_signature,
+    consistent_codes,
     edge_kind,
-    valid_maps,
 )
 from entgraph.model import TypedPredicate
 
@@ -36,19 +37,22 @@ from oracles import (
     binc,
     build_bivalent_pairwise,
     build_univalent_pairwise,
+    consistent_maps,
     inclusion_oracle,
     lin_similarity,
     swapped_pair_features,
+    valency_maps,
     weeds_precision,
 )
 
 
 class TestArgMap:
     def test_valid_map_families(self):
-        assert valid_maps(2, 2) == (ArgMap.identity(2), ArgMap.swap())
-        assert valid_maps(2, 1) == (ArgMap.from_slot(1), ArgMap.from_slot(2))
-        assert valid_maps(1, 1) == (ArgMap.identity(1),)
-        assert valid_maps(1, 2) == ()
+        # the maps of each valency pair, as EDGE_CODES and EDGE_VALENCIES give them
+        assert valency_maps(2, 2) == (ArgMap.identity(2), ArgMap.swap())
+        assert valency_maps(2, 1) == (ArgMap.from_slot(1), ArgMap.from_slot(2))
+        assert valency_maps(1, 1) == (ArgMap.identity(1),)
+        assert valency_maps(1, 2) == ()
 
     def test_edge_kind_of_valencies(self):
         assert [edge_kind(*v) for v in ((2, 2), (2, 1), (1, 1), (1, 2), (3, 3))] == [
@@ -61,11 +65,31 @@ class TestArgMap:
             ArgMap(((1, 2), (2, 2)))  # hypothesis slot reused
 
     def test_constructors_return_canonical_instances(self):
-        maps = (*valid_maps(2, 2), *valid_maps(2, 1), *valid_maps(1, 1))
+        maps = tuple(amap for _, amap in EDGE_CODES)
         assert len({id(m) for m in maps}) == 4  # from_slot(1) is identity(1)
         assert ArgMap.identity(2) is maps[0] and ArgMap.swap() is maps[1]
         assert ArgMap.from_slot(1) is ArgMap.identity(1) is maps[4]
         assert ArgMap.from_slot(2) is maps[3]
+
+
+class TestBindingRule:
+    """``consistent_codes``, the one binding rule, against the rule by
+    ``ArgMap`` kept in ``oracles.consistent_maps``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from("abc"), max_size=3),
+           st.lists(st.sampled_from("abc"), max_size=3))
+    @example(["a", "b"], ["b", "a"])
+    @example(["a", "b"], ["a", "b"])
+    @example(["a", "a"], ["a", "a"])
+    @example(["a", "a"], ["a"])
+    @example(["a", "b"], ["b"])
+    def test_agrees_with_argmap_rule(self, premise_args, hypothesis_args):
+        kind = edge_kind(len(premise_args), len(hypothesis_args))
+        expected = tuple(EDGE_CODE[kind, amap]
+                         for amap in consistent_maps(premise_args, hypothesis_args))
+        assert consistent_codes(premise_args, hypothesis_args) == expected
+        assert consistent_codes(tuple(premise_args), tuple(hypothesis_args)) == expected
 
 
 class TestOracle:
@@ -432,7 +456,7 @@ class TestSubgraphInvariants:
         edges = [
             EntailmentEdge(p, q, BB if q.valency == 2 else BU, m, 0.5)
             for p in preds[:3] for q in preds if p != q
-            for m in valid_maps(2, q.valency)
+            for m in valency_maps(2, q.valency)
         ]
         random.Random(7).shuffle(edges)
         sub = TypedSubgraph(("person", "person"), set(preds), edges)
@@ -614,7 +638,7 @@ class TestRelaxationConsistency:
             for h in preds:
                 if h.valency > p.valency or p == h:
                     continue
-                for amap in valid_maps(p.valency, h.valency):
+                for amap in valency_maps(p.valency, h.valency):
                     if not inclusion_oracle(tuples[p], tuples[h], amap):
                         continue
                     if h.valency == 1:

@@ -389,11 +389,14 @@ class TestMalformedHeaders:
          r"evidence\.jsonl:1: bad evidence header: partition id True is not int"),
         (lambda h: json.dumps({**h, "partitions": [{**h["partitions"][0], "size": 5.0}]}),
          r"evidence\.jsonl:1: bad evidence header: partition size 5\.0 is not int"),
+        (lambda h: json.dumps({**h, "partitions": h["partitions"] + [
+            {**h["partitions"][0], "date_range": ["2000-01-01", "2000-01-02"]}]}),
+         r"evidence\.jsonl:1: bad evidence header: partition 0 is listed twice"),
         (lambda h: "[1]", r"evidence\.jsonl: not an evidence file"),
         (lambda h: "{", r"evidence\.jsonl: not an evidence file"),
         (lambda h: json.dumps({**h, "version": 2}), r"evidence\.jsonl: unsupported version 2"),
     ], ids=["no-partitions", "no-date-range", "short-date-range", "partitions-not-a-list",
-            "id-float", "id-bool", "size-float", "list", "not-json", "version"])
+            "id-float", "id-bool", "size-float", "id-repeated", "list", "not-json", "version"])
     def test_evidence_header(self, tmp_path, edit, reason):
         _, epath = self._write(tmp_path)
         self._edit_header(epath, edit)
@@ -458,6 +461,14 @@ class TestQaRecordValueTypes:
         self._rewrite(qpath, records)
         with pytest.raises(ValueError,
                            match=f"questions.jsonl:2: not a canonical question record: {field}"):
+            read_questions(qpath)
+
+    def test_question_id_repeated(self, tmp_path):
+        qpath, _ = TestMalformedHeaders()._write(tmp_path)
+        lines = qpath.read_text().splitlines()
+        qpath.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(ValueError, match=f"questions.jsonl:{len(lines) + 1}: question id "
+                                             f"'[^']+' repeats line 2"):
             read_questions(qpath)
 
     @pytest.mark.parametrize("which", ["first", "later"])

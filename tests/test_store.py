@@ -15,6 +15,7 @@ from entgraph.localgraph import (
     ArgMap,
     EntailmentEdge,
     TypedSubgraph,
+    consistent_codes,
 )
 from entgraph.store import GraphStore, QueryResult
 
@@ -359,7 +360,8 @@ class TestComposedIndexOracle:
                     paths, expected = reference_composed(
                         store, sub, premise, hypothesis, hyp_args)
                     p = sub.vertex_id(premise.predicate)
-                    got = store._composed(sub, p, premise, hypothesis, hyp_args)
+                    got = store._composed(sub, p, premise.predicate, hypothesis,
+                                          consistent_codes(premise.arg_keys, hyp_args))
                     assert got.score == expected.score
                     # a subgraph holds an edge once, so equal edges are one position
                     assert got.path == expected.path
