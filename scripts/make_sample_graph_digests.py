@@ -14,7 +14,8 @@ checks. It then runs ``gen-questions --seed 3`` and the graph model's
 checks. It then runs ``evaluate`` with its defaults on those 7 answer
 files and writes the sha256 of ``report/pr-*.csv`` and
 ``report/summary.txt`` to ``tests/data/sample_report_digests.sha256``,
-which the same test checks. It writes the sha256 of ``corpus.jsonl``,
+which the same test checks. It writes the sha256 of ``corpus.jsonl``
+(what ``entgraph dump-corpus`` prints of the saved corpus),
 ``questions.jsonl`` and ``evidence.jsonl`` to
 ``tests/data/sample_jsonl_digests.sha256``, which
 ``tests/test_cli.py::TestGoldenGraphs`` checks. Last, it builds the
@@ -25,14 +26,15 @@ identity, BB swap, BU and UU edges, and writes their sha256 to
 ``ingest``, ``build-local`` and ``globalize`` on two corpora of
 ``perfbench/gen.py``'s ``dense_records`` (imported, never changed): the
 benchmark's 4,000-proposition dense corpus and one four times its size,
-and writes the sha256 of their local and global graph files to
-``tests/data/dense_graph_digests.sha256``, which
+and writes the sha256 of each one's ``corpus.jsonl`` dump and its local
+and global graph files to ``tests/data/dense_graph_digests.sha256``, which
 ``tests/test_cli.py::TestGoldenGraphs`` checks too. Last, it runs all
 seven stages on qa x40, ``perfbench/gen.py``'s ``qa_sample_records`` of
 the sample at 40 copies and seed 1 with ``gen-questions --seed 1``:
 ``answer`` with the exact model and the graph model's ``bb,bu,uu``,
 ``bb``, ``bu`` and ``uu``, then ``evaluate`` on those five. It writes the
-sha256 of the local and global graphs, ``questions.jsonl``,
+sha256 of the ``corpus.jsonl`` dump, the local and global graphs,
+``questions.jsonl``,
 ``evidence.jsonl``, the answers and the report to
 ``tests/data/qa40_digests.sha256``, which
 ``tests/test_cli.py::TestGoldenGraphs`` checks as well. Run it after an
@@ -63,7 +65,8 @@ SYNTHETIC_OUT = DATA / "synthetic_graph_digests.sha256"
 JSONL_OUT = DATA / "sample_jsonl_digests.sha256"
 DENSE_OUT = DATA / "dense_graph_digests.sha256"
 QA40_OUT = DATA / "qa40_digests.sha256"
-JSONL_FILES = ("corpus.jsonl", "questions.jsonl", "evidence.jsonl")
+# the files of the question stage; the corpus is hashed as its dump
+QA_FILES = ("questions.jsonl", "evidence.jsonl")
 
 # the question seed of tests/test_cli.py's pipeline fixture
 QUESTION_SEED = "3"
@@ -119,9 +122,17 @@ def report_digest_lines(out: Path) -> list[str]:
     return _sha256sum([*sorted(report.glob("pr-*.csv")), report / "summary.txt"], out)
 
 
+def corpus_digest_line(out: Path, base: Path) -> str:
+    """``entgraph dump-corpus --out <out> | sha256sum``, named as the file
+    ``corpus.jsonl`` in ``out``, relative to ``base``."""
+    digest = hashlib.sha256(_run("dump-corpus", "--out", str(out)).encode("utf-8")).hexdigest()
+    return f"{digest}  {(out / 'corpus.jsonl').relative_to(base).as_posix()}"
+
+
 def jsonl_digest_lines(out: Path) -> list[str]:
-    """``sha256sum corpus.jsonl questions.jsonl evidence.jsonl`` run in ``out``."""
-    return _sha256sum([out / name for name in JSONL_FILES], out)
+    """The ``corpus.jsonl`` dump's digest, then ``sha256sum questions.jsonl
+    evidence.jsonl`` run in ``out``."""
+    return [corpus_digest_line(out, out), *_sha256sum([out / name for name in QA_FILES], out)]
 
 
 def synthetic_corpus(seed: int = 14) -> Corpus:
@@ -182,9 +193,9 @@ def _bench_gen():
 
 def dense_digest_lines(directory: Path) -> list[str]:
     """Run ``ingest``, ``build-local`` and ``globalize`` on each dense
-    corpus in ``directory``/<name> and return ``sha256sum
-    <name>/graphs/local/*.graph <name>/graphs/global/*.graph`` run in
-    ``directory``, corpus by corpus."""
+    corpus in ``directory``/<name> and return the digest of its
+    ``corpus.jsonl`` dump, then ``sha256sum <name>/graphs/local/*.graph
+    <name>/graphs/global/*.graph`` run in ``directory``, corpus by corpus."""
     gen = _bench_gen()
     lines = []
     for name, params in DENSE_CORPORA.items():
@@ -196,15 +207,16 @@ def dense_digest_lines(directory: Path) -> list[str]:
             _run(stage, "--out", str(out))
         families = (sorted((out / "graphs" / family).glob("*.graph"))
                     for family in ("local", "global"))
+        lines.append(corpus_digest_line(out, directory))
         lines += _sha256sum([path for paths in families for path in paths], directory)
     return lines
 
 
 def qa40_digest_lines(directory: Path) -> list[str]:
-    """Run all seven stages on qa x40 in ``directory``/qa40 and return
-    ``sha256sum graphs/local/*.graph graphs/global/*.graph questions.jsonl
-    evidence.jsonl answers-*.csv report/pr-*.csv report/summary.txt`` run
-    in ``directory``/qa40."""
+    """Run all seven stages on qa x40 in ``directory``/qa40 and return the
+    digest of its ``corpus.jsonl`` dump, then ``sha256sum graphs/local/*.graph
+    graphs/global/*.graph questions.jsonl evidence.jsonl answers-*.csv
+    report/pr-*.csv report/summary.txt`` run in ``directory``/qa40."""
     gen = _bench_gen()
     out, records = directory / "qa40", directory / "qa40.jsonl"
     sample = gen.SAMPLE.read_text(encoding="utf-8").splitlines()
@@ -218,15 +230,19 @@ def qa40_digest_lines(directory: Path) -> list[str]:
     _run("evaluate", "--out", str(out))
     graphs = [path for family in ("local", "global")
               for path in sorted((out / "graphs" / family).glob("*.graph"))]
-    return (_sha256sum([*graphs, out / "questions.jsonl", out / "evidence.jsonl"], out)
+    return ([corpus_digest_line(out, out)]
+            + _sha256sum([*graphs, *(out / name for name in QA_FILES)], out)
             + answer_digest_lines(out) + report_digest_lines(out))
 
 
-def _run(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(*argv: str) -> str:
+    """The standard output of ``entgraph <argv>``, which must succeed."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = cli_main(list(argv))
     if code != EXIT_OK:
         sys.exit(f"entgraph {argv[0]} exited with {code}")
+    return stdout.getvalue()
 
 
 def main() -> None:

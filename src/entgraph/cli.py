@@ -6,7 +6,8 @@ seed, input digests) so identical inputs reproduce identical bytes.
 
 A stage normally runs as a process of its own, so each subcommand
 imports the layers it calls when it runs, not when this module loads:
-``globalgraph`` is loaded by ``globalize`` alone, ``lexicon`` by
+``ingest`` is loaded by ``ingest`` alone (later stages read its corpus
+through ``records``), ``globalgraph`` by ``globalize`` alone, ``lexicon`` by
 ``gen-questions`` alone, ``qagen`` and ``qaeval`` only by the stages that
 use them, and ``store`` with the graph layers only where a graph is
 opened. Every layer uses the standard library alone, and none imports
@@ -39,6 +40,8 @@ from .model import (
 )
 
 STAGE_VERSION = 1
+# the saved corpus ``ingest`` writes (see ``records``)
+CORPUS = "corpus.columns"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,7 +102,8 @@ def _input_file(path: Path, what: str) -> Path:
 
 
 def cmd_ingest(args) -> int:
-    from .ingest import ingest, save_corpus
+    from .ingest import ingest
+    from .records import save_corpus
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -108,7 +112,7 @@ def cmd_ingest(args) -> int:
     if args.types:
         inventory = TypeInventory.from_file(_input_file(Path(args.types), "type inventory file"))
     corpus = ingest(corpus_path, inventory)
-    save_corpus(corpus, out / "corpus.jsonl")
+    save_corpus(corpus, out / CORPUS)
     config = {"corpus": str(corpus_path), "types": args.types, "stats": corpus.stats.as_dict()}
     _write_manifest(out, "ingest", config, [corpus_path])
     print(
@@ -122,11 +126,11 @@ def cmd_ingest(args) -> int:
 def cmd_build_local(args) -> int:
     from . import graphio
     from .features import FeatureConfig
-    from .ingest import read_corpus
     from .localgraph import LocalBuildConfig, build_local_graphs
+    from .records import read_corpus
 
     out = Path(args.out)
-    corpus_path = _require(out / "corpus.jsonl", "ingest")
+    corpus_path = _require(out / CORPUS, "ingest")
     corpus = read_corpus(corpus_path)
     config = LocalBuildConfig(
         FeatureConfig(min_count=args.min_count), edge_threshold=args.edge_threshold
@@ -169,12 +173,12 @@ def cmd_globalize(args) -> int:
 
 
 def cmd_gen_questions(args) -> int:
-    from .ingest import read_corpus
     from .lexicon import LexicalResource
     from .qagen import QaGenConfig, generate_questions, write_evidence, write_questions
+    from .records import read_corpus
 
     out = Path(args.out)
-    corpus_path = _require(out / "corpus.jsonl", "ingest")
+    corpus_path = _require(out / CORPUS, "ingest")
     corpus = read_corpus(corpus_path)
     lex = (
         LexicalResource.from_wordnet_dir(args.wordnet)
@@ -200,6 +204,14 @@ def cmd_gen_questions(args) -> int:
         f"generated {qs.manifest['questions']} balanced questions "
         f"over {qs.manifest['partitions']} partitions"
     )
+    return EXIT_OK
+
+
+def cmd_dump_corpus(args) -> int:
+    from .records import corpus_lines, read_corpus
+
+    corpus = read_corpus(_require(Path(args.out) / CORPUS, "ingest"))
+    sys.stdout.writelines(corpus_lines(corpus))
     return EXIT_OK
 
 
@@ -494,6 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", default="auto")
     p.add_argument("--seed", type=int, default=0)
 
+    p = sub.add_parser("dump-corpus",
+                       help="print the saved corpus as one JSON record per line")
+    common(p)
+
     p = sub.add_parser("query", help="query one entailment")
     common(p)
     p.add_argument("premise")
@@ -511,6 +527,7 @@ _COMMANDS = {
     "answer": cmd_answer,
     "evaluate": cmd_evaluate,
     "query": cmd_query,
+    "dump-corpus": cmd_dump_corpus,
 }
 
 

@@ -4,14 +4,9 @@
 extraction stack (parser, NER, entity linker). Each record carries a raw
 predicate string plus voice/modifier annotations and role-indexed typed
 arguments; see docs/formats.md for the exact field contract. It is the
-only place where a predicate is lemmatized and an argument typed.
-
-``save_corpus`` writes the result in normalized form, and ``read_corpus``
-reads that form back without normalizing it again: re-normalizing a lemma
-is not the identity (``caused`` is saved as ``caus``, which would become
-``cau``). The reader refuses any record ``save_corpus`` would not write.
-Every record file (corpus, evidence, questions) is written by
-``write_records`` and its lines checked by ``_CanonicalReader.parse``.
+only place where a predicate is lemmatized and an argument typed. What it
+decides is saved and read back by ``records``, which the later stages load
+instead of this module.
 """
 
 from __future__ import annotations
@@ -21,8 +16,9 @@ import json
 from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
+from .columns import INT32_MAX
 from .model import (
     Corpus,
     EntityId,
@@ -30,14 +26,9 @@ from .model import (
     Proposition,
     TypeInventory,
     TypedPredicate,
-    _atomic_writer,
-    _type_label,
     normalize_surface,
 )
-
-
-class RecordError(ValueError):
-    """A single malformed record; ingestion counts these and moves on."""
+from .records import RecordError, _key_clash, _lemma, _negated, _typed
 
 
 BE_FORMS = {"be", "is", "are", "was", "were", "am", "been", "being"}
@@ -132,17 +123,6 @@ def _segments(raw: str, voice: str) -> list[str]:
     return out
 
 
-def _lemma(lemma: str) -> str:
-    """A lemma as a predicate vertex can carry it.
-
-    A ``#`` would split its predicate token (``kill#x#person#person``) into
-    the wrong number of types and raises RecordError.
-    """
-    if "#" in lemma:
-        raise RecordError(f"predicate {lemma!r} contains '#'")
-    return lemma
-
-
 def normalize_predicate(raw: str, voice: str = "active", modifiers: Iterable[str] = ()) -> str:
     """Normalize a raw predicate string to a dotted lemma.
 
@@ -166,14 +146,6 @@ def normalize_predicate(raw: str, voice: str = "active", modifiers: Iterable[str
             raise RecordError(f"empty modifier in {raw!r}")
         prefix.extend(mod_segs)
     return _lemma(".".join(prefix + segs))
-
-
-def _typed(value, kind: type, name: str):
-    """``value`` if its type is exactly ``kind``, so that no bool passes for
-    an int and nothing is coerced; RecordError otherwise."""
-    if type(value) is not kind:
-        raise RecordError(f"{name} {value!r} is not {kind.__name__}")
-    return value
 
 
 def _parse_entity(obj: dict, inventory: TypeInventory) -> tuple[EntityId, str, bool]:
@@ -246,6 +218,8 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
     date = _parse_date(obj.get("date"))
     article_id = _typed(obj.get("article_id", ""), str, "article_id")
     sentence_idx = _typed(obj.get("sentence_idx", 0), int, "sentence_idx")
+    if sentence_idx > INT32_MAX:
+        raise RecordError(f"sentence_idx {sentence_idx} does not fit a saved corpus")
     negated = _negated(lemma)
 
     props = []
@@ -275,10 +249,6 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
             Proposition(pred, tuple(entities), article_id, date, sentence_idx, negated)
         )
     return props
-
-
-def _negated(lemma: str) -> bool:
-    return lemma == "not" or lemma.startswith("not.")
 
 
 def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
@@ -315,14 +285,6 @@ def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
     return Corpus(propositions, stats)
 
 
-def _key_clash(linked: dict[str, bool], entity: EntityId) -> str | None:
-    """Why ``entity``'s key cannot be told from an earlier entity's, if it
-    cannot: ``linked`` maps each key seen to whether it was a kb id."""
-    is_linked = entity.kb_id is not None
-    if linked.setdefault(entity.key, is_linked) != is_linked:
-        return f"{entity.key!r} is both a kb id and the surface of an unlinked entity"
-
-
 def _canonicalize(prop: Proposition, canon: dict[str, str]) -> Proposition:
     """Pin one surface per kb id so hashing stays consistent corpus-wide."""
     new_args = []
@@ -340,153 +302,3 @@ def _canonicalize(prop: Proposition, canon: dict[str, str]) -> Proposition:
         prop.predicate, tuple(new_args), prop.article_id, prop.date,
         prop.sentence_idx, prop.negated,
     )
-
-
-def proposition_record(prop: Proposition) -> dict:
-    """Normalized record for one proposition, the form ``read_corpus`` reads."""
-    if prop.predicate.valency == 1:
-        roles = [int(prop.predicate.case_marker[1:])]
-    else:
-        roles = [1, 2]
-    return {
-        "article_id": prop.article_id,
-        "date": prop.date.isoformat() if prop.date else None,
-        "sentence_idx": prop.sentence_idx,
-        "predicate": prop.predicate.lemma,
-        "voice": "active",
-        "modifiers": [],
-        "args": [
-            {
-                "surface": ent.surface,
-                **({"kb_id": ent.kb_id} if ent.kb_id is not None else {}),
-                "type": etype,
-                "is_named": ent.is_named,
-                "role_index": role,
-            }
-            for ent, etype, role in zip(prop.args, prop.predicate.slot_types, roles)
-        ],
-    }
-
-
-# every record file is written through this one encoder, so equal records
-# give equal bytes
-_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def write_records(path: str | Path, records: Iterable[dict]) -> None:
-    """Write each record as one sorted-key JSON line, atomically."""
-    encode = _ENCODER.encode
-    with _atomic_writer(path) as fh:
-        for record in records:
-            fh.write(encode(record) + "\n")
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    write_records(path, map(proposition_record, corpus.propositions))
-
-
-class _CanonicalReader:
-    """Parses lines in the form a record function writes, one file at a
-    time, sharing one object per predicate, entity and date.
-
-    A line is canonical iff the record function of the value it parses to
-    reproduces it, ``sentence_idx``, ``role_index`` and ``partition_id`` are
-    ints and ``is_named`` a bool (not merely equal to one), its surfaces and
-    type labels are already normalized, each kb id keeps the one surface it
-    first had in the file and is no unlinked surface of it, and a
-    proposition has a named argument. Anything else raises ValueError
-    naming the file and line. Corpus, evidence and question lines all go
-    through ``parse``.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = path
-        self.predicates: dict[tuple, TypedPredicate] = {}
-        self.entities: dict[tuple, EntityId] = {}
-        self.dates: dict[str, dt.date] = {}
-        self.surface_of: dict[str, str] = {}
-        self.linked: dict[str, bool] = {}
-
-    def parse(self, lineno: int, line: str, build: Callable, record: Callable, what: str):
-        """The value ``build`` makes of one line's object, if ``record`` of
-        it writes that object back; otherwise ValueError
-        ``path:line: not a canonical <what>: reason``."""
-        try:
-            obj = json.loads(line)
-            value = build(obj)
-            saved = record(value)
-            if saved != obj:
-                differ = sorted(k for k in saved.keys() | obj.keys() if saved.get(k) != obj.get(k))
-                raise ValueError(f"fields {differ} differ from the saved form")
-            return value
-        except KeyError as exc:
-            reason = f"missing field {exc.args[0]!r}"
-        except (AttributeError, TypeError, ValueError) as exc:
-            reason = str(exc)
-        raise ValueError(f"{self.path}:{lineno}: not a canonical {what}: {reason}")
-
-    def proposition(self, obj: dict) -> Proposition:
-        """The proposition of a record in the form ``proposition_record``
-        writes; ``parse`` compares the two."""
-        args = obj["args"]
-        lemma = obj["predicate"]
-        types = tuple(a["type"] for a in args)
-        roles = [_typed(a["role_index"], int, "role_index") for a in args]
-        case = f".{roles[0]}" if len(args) == 1 else None
-        pred = self.predicate(lemma, types, case)
-        entities = tuple(self.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in args)
-        if not any(e.is_named for e in entities):
-            raise ValueError("no argument is named")
-        date = obj["date"]
-        if date is not None:
-            if date not in self.dates:
-                self.dates[date] = dt.date.fromisoformat(date)
-            date = self.dates[date]
-        return Proposition(
-            pred, entities, str(obj["article_id"]),
-            date, _typed(obj["sentence_idx"], int, "sentence_idx"), _negated(lemma),
-        )
-
-    def predicate(self, lemma: str, types: tuple[str, ...], case: str | None) -> TypedPredicate:
-        """The predicate with this lemma, types and case marker; the lemma
-        must carry no ``#`` and each type must be an inventory label."""
-        key = (lemma, types, case)
-        if key not in self.predicates:
-            if not isinstance(lemma, str) or not lemma:
-                raise ValueError(f"predicate {lemma!r} is not a lemma")
-            _lemma(lemma)
-            for label in types:
-                if not label or _type_label(label) != label:
-                    raise ValueError(f"type {label!r} is not an inventory label")
-            self.predicates[key] = TypedPredicate(lemma, len(types), types, case)
-        return self.predicates[key]
-
-    def entity(self, surface: str, kb_id: str | None, is_named: bool) -> EntityId:
-        """The entity with this surface and kb id; the surface must be
-        normalized and a kb id keeps the surface it first had in the file.
-        ``is_named`` is checked first: ``1`` would find the entity of ``True``."""
-        key = (surface, kb_id, _typed(is_named, bool, "is_named"))
-        if key not in self.entities:
-            if normalize_surface(surface) != surface:
-                raise ValueError(f"surface {surface!r} is not normalized")
-            if kb_id is not None:
-                first = self.surface_of.setdefault(kb_id, surface)
-                if first != surface:
-                    raise ValueError(f"kb_id {kb_id!r} has surfaces {first!r} and {surface!r}")
-                kb_id = str(kb_id)
-            entity = EntityId(surface, kb_id, is_named)
-            if (clash := _key_clash(self.linked, entity)) is not None:
-                raise ValueError(clash)
-            self.entities[key] = entity
-        return self.entities[key]
-
-
-def read_corpus(path: str | Path) -> Corpus:
-    """The corpus ``save_corpus`` wrote, read strictly and not normalized
-    again; a line in any other form raises ValueError naming it."""
-    reader = _CanonicalReader(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return Corpus(
-            reader.parse(lineno, line, reader.proposition, proposition_record, "record")
-            for lineno, line in enumerate(fh, 1)
-        )

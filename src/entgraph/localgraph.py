@@ -46,6 +46,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .features import FeatureConfig, build_vectors, count
@@ -122,16 +123,20 @@ def edge_kind(premise_valency: int, hypothesis_valency: int) -> str | None:
     return _EDGE_KIND.get((premise_valency, hypothesis_valency))
 
 
+# per (premise, hypothesis) valencies, each code in order with a getter of
+# the premise arguments its edges carry: the one argument itself for a
+# unary hypothesis, the tuple of both for a binary one
+_CARRIERS: dict[tuple[int, int], list[tuple[int, itemgetter]]] = {}
+for _code, (_valencies, _slots) in enumerate(zip(EDGE_VALENCIES, EDGE_SLOTS)):
+    _CARRIERS.setdefault(_valencies, []).append((_code, itemgetter(*_slots)))
+
+
 def consistent_codes(premise_args: Sequence, hypothesis_args: Sequence) -> tuple[int, ...]:
     """The codes, ascending, of the edges that carry the premise arguments
     to the hypothesis arguments under ``EDGE_SLOTS``."""
-    valencies = (len(premise_args), len(hypothesis_args))
-    hypothesis_args = tuple(hypothesis_args)
-    return tuple(
-        code for code, slots in enumerate(EDGE_SLOTS)
-        if EDGE_VALENCIES[code] == valencies
-        and tuple(premise_args[i] for i in slots) == hypothesis_args
-    )
+    carriers = _CARRIERS.get((len(premise_args), len(hypothesis_args)), ())
+    want = hypothesis_args[0] if len(hypothesis_args) == 1 else tuple(hypothesis_args)
+    return tuple([code for code, carried in carriers if carried(premise_args) == want])
 
 
 def _left_sum(values: Iterable[float]) -> float:

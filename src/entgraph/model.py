@@ -34,17 +34,18 @@ class VersionMismatch(ValueError):
 
 
 @contextmanager
-def _atomic_writer(path: str | Path, newline: str | None = None):
-    """Text handle on a temp file in the target directory, renamed over
-    the target on success.
+def _atomic_writer(path: str | Path, newline: str | None = None, binary: bool = False):
+    """Text (or ``binary``) handle on a temp file in the target directory,
+    renamed over the target on success.
 
     An interrupted write leaves the previous file (or none) in place, never
     a truncated one, and removes its temp file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    mode = {"mode": "wb"} if binary else {"mode": "w", "encoding": "utf-8", "newline": newline}
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, **mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -269,10 +270,15 @@ class Corpus:
         self.stats = stats or IngestStats(
             records_read=len(self.propositions), propositions=len(self.propositions)
         )
-        # untyped predicate occurrence counts back question screening
-        self.untyped_index: Counter[tuple[str, int]] = Counter(
-            prop.predicate.untyped for prop in self.propositions
-        )
+        self._untyped_index: Counter[tuple[str, int]] | None = None
+
+    @property
+    def untyped_index(self) -> Counter[tuple[str, int]]:
+        """Occurrences of each untyped predicate, counted on first use:
+        only question screening reads them."""
+        if self._untyped_index is None:
+            self._untyped_index = Counter(prop.predicate.untyped for prop in self.propositions)
+        return self._untyped_index
 
     def __len__(self) -> int:
         return len(self.propositions)

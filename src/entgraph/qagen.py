@@ -21,7 +21,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .ingest import _CanonicalReader, _typed, proposition_record, write_records
+from .records import _CanonicalReader, _typed, proposition_record, write_records
 from .model import Corpus, EntityId, Proposition, TypedPredicate
 
 if TYPE_CHECKING:
@@ -457,9 +457,11 @@ def write_evidence(partitions: list[Partition], path: str | Path) -> None:
 def read_evidence(path: str | Path) -> list[Partition]:
     """The partitions ``write_evidence`` wrote. Each header partition's
     ``id`` and ``size`` must be ints (not floats or bools), no two may share
-    an id, and its ``date_range`` must be two date strings. Records are read
-    as strictly as ``read_corpus`` reads them, and each partition must hold
-    as many as the header declares."""
+    an id, and its ``date_range`` must be two date strings. A record line is
+    accepted only if ``_evidence_record`` of what it parses to reproduces
+    it and its predicate and arguments pass the checks ``read_corpus``
+    makes of its table entries, and each partition must hold as many as
+    the header declares."""
     header, lines = _read_qa_file(
         path, "entgraph-evidence", EVIDENCE_FORMAT_VERSION, "an evidence file"
     )

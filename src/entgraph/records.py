@@ -1,0 +1,352 @@
+"""Artifact records: the saved corpus, and the record lines of the evidence
+and question files.
+
+``save_corpus`` writes the corpus ``ingest`` decided as ``corpus.columns``
+(see ``columns``): interned tables of predicates, entities and article
+ids, then one int32 column per proposition field. ``read_corpus`` reads it
+back without normalizing anything again: re-normalizing a lemma is not
+the identity (``caused`` is saved as ``caus``, which would become
+``cau``). It checks each table entry once and each row once, and refuses
+anything ``save_corpus`` would not write, naming the file and the entry
+or row. ``corpus_lines`` prints the corpus in the line form it was once
+saved in, one ``proposition_record`` per line.
+
+Evidence and question files are written by ``write_records``, one sorted-
+key JSON line per record, and each line is checked by
+``_CanonicalReader.parse``. The entry checks the corpus tables pass are
+that reader's ``predicate`` and ``entity``, so every reader makes them
+alike. This module imports no other layer, so the stages that read a
+corpus do not load ``ingest``.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+import json
+from array import array
+from pathlib import Path
+from typing import Callable, Iterable, Iterator
+
+from .columns import INT32_MAX, read_columns, write_columns
+from .model import (
+    Corpus,
+    EntityId,
+    Proposition,
+    TypedPredicate,
+    _atomic_writer,
+    _type_label,
+    normalize_surface,
+)
+
+CORPUS_MAGIC = "entgraph-corpus"
+CORPUS_VERSION = 1
+_CORPUS_TABLES = ("articles", "entities", "predicates")
+# predicate, argument 1, argument 2 (-1 for a unary), date (proleptic
+# ordinal, 0 for none), article, sentence index
+_CORPUS_COLUMNS = "iiiiii"
+_LAST_ORDINAL = dt.date.max.toordinal()
+
+
+class RecordError(ValueError):
+    """A single malformed record; ingestion counts these and moves on."""
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if its type is exactly ``kind``, so that no bool passes for
+    an int and nothing is coerced; RecordError otherwise."""
+    if type(value) is not kind:
+        raise RecordError(f"{name} {value!r} is not {kind.__name__}")
+    return value
+
+
+def _lemma(lemma: str) -> str:
+    """A lemma as a predicate vertex can carry it.
+
+    A ``#`` would split its predicate token (``kill#x#person#person``) into
+    the wrong number of types and raises RecordError.
+    """
+    if "#" in lemma:
+        raise RecordError(f"predicate {lemma!r} contains '#'")
+    return lemma
+
+
+def _negated(lemma: str) -> bool:
+    return lemma == "not" or lemma.startswith("not.")
+
+
+def _key_clash(linked: dict[str, bool], entity: EntityId) -> str | None:
+    """Why ``entity``'s key cannot be told from an earlier entity's, if it
+    cannot: ``linked`` maps each key seen to whether it was a kb id."""
+    is_linked = entity.kb_id is not None
+    if linked.setdefault(entity.key, is_linked) != is_linked:
+        return f"{entity.key!r} is both a kb id and the surface of an unlinked entity"
+
+
+# -- the saved corpus -----------------------------------------------------------
+
+
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write ``corpus`` as interned tables plus int32 columns, atomically.
+    Table entries are numbered in order of first use."""
+    predicates: dict[TypedPredicate, int] = {}
+    entities: dict[tuple, int] = {}
+    articles: dict[str, int] = {}
+    columns = [array("i") for _ in _CORPUS_COLUMNS]
+    preds, args1, args2, dates, article_ids, sentences = (c.append for c in columns)
+    for prop in corpus.propositions:
+        args = prop.args
+        preds(predicates.setdefault(prop.predicate, len(predicates)))
+        # by fields: entities of one kb id are equal whatever their surfaces
+        args1(entities.setdefault(tuple(args[0]), len(entities)))
+        args2(entities.setdefault(tuple(args[1]), len(entities)) if len(args) == 2 else -1)
+        dates(prop.date.toordinal() if prop.date is not None else 0)
+        article_ids(articles.setdefault(prop.article_id, len(articles)))
+        sentences(prop.sentence_idx)
+    tables = {
+        "articles": list(articles),
+        "entities": [list(entity) for entity in entities],
+        "predicates": [[p.lemma, list(p.slot_types), p.case_marker] for p in predicates],
+    }
+    write_columns(path, CORPUS_MAGIC, CORPUS_VERSION, tables, columns)
+
+
+def _fields(entry, names: tuple[str, ...]) -> list:
+    if type(entry) is not list or len(entry) != len(names):
+        raise ValueError(f"{entry!r} is not [{', '.join(names)}]")
+    return entry
+
+
+def _predicate_key(entry) -> tuple:
+    lemma, types, case = _fields(entry, ("lemma", "types", "case"))
+    return lemma, tuple(_typed(types, list, "types")), case
+
+
+def _entity_key(entry) -> tuple:
+    surface, kb_id, is_named = _fields(entry, ("surface", "kb_id", "is_named"))
+    return surface, kb_id, _typed(is_named, bool, "is_named")
+
+
+def _table(path, tables: dict, name: str, key_of: Callable, make: Callable) -> list:
+    """``make(*key_of(entry))`` of each entry of table ``name``. An entry
+    that ``key_of`` or ``make`` refuses, or that repeats an earlier one,
+    raises ValueError naming the file, the table and the entry's index."""
+    entries = tables[name]
+    if type(entries) is not list:
+        raise ValueError(f"{path}: {name} table is not a list")
+    values, seen = [], set()
+    for i, entry in enumerate(entries):
+        try:
+            key = key_of(entry)
+            if key in seen:
+                raise ValueError("repeats an earlier entry")
+            seen.add(key)
+            values.append(make(*key))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {name} entry {i}: {exc}") from None
+    return values
+
+
+def _first_row(path, column: array, within: Callable[[int], bool], what: str) -> None:
+    """ValueError naming the first row whose value ``within`` refuses, if any."""
+    for row, value in enumerate(column):
+        if not within(value):
+            raise ValueError(f"{path}: row {row}: {what} {value} out of range")
+
+
+def read_corpus(path: str | Path) -> Corpus:
+    """The corpus ``save_corpus`` wrote, read strictly and not normalized
+    again, with one shared object per predicate, entity and date.
+
+    Each table entry is checked once: a lemma without ``#``, inventory
+    type labels, a ``.1``/``.2`` case marker on a unary and none on a
+    binary; a normalized surface, a ``str`` or null kb id keeping one
+    surface, a ``bool`` named flag and no key shared by a kb id and an
+    unlinked surface; ``str`` article ids; no entry twice. Each row is
+    checked once: ids in range, an argument count equal to the valency, a
+    named argument, a date ordinal and a sentence index that are not
+    negative. Anything else raises ValueError naming the file and the
+    entry or row.
+    """
+    tables, columns = read_columns(
+        path, CORPUS_MAGIC, CORPUS_VERSION, _CORPUS_TABLES, _CORPUS_COLUMNS)
+    reader = _CanonicalReader(path)
+    predicates = _table(path, tables, "predicates", _predicate_key, reader.predicate)
+    entities = _table(path, tables, "entities", _entity_key, reader.entity)
+    articles = _table(path, tables, "articles",
+                      lambda a: (_typed(a, str, "article id"),), str)
+    pred_col, args1, args2, date_col, article_col, sentences = columns
+    n_ents = len(entities)
+    for column, lo, hi, what in (
+        (pred_col, 0, len(predicates), "predicate id"),
+        (args1, 0, n_ents, "argument 1 id"),
+        (args2, -1, n_ents, "argument 2 id"),
+        (article_col, 0, len(articles), "article id"),
+        (date_col, 0, _LAST_ORDINAL + 1, "date ordinal"),
+        (sentences, 0, INT32_MAX + 1, "sentence index"),
+    ):
+        if column and not (lo <= min(column) and max(column) < hi):
+            _first_row(path, column, lambda v: lo <= v < hi, what)
+    dates = {ordinal: dt.date.fromordinal(ordinal) for ordinal in set(date_col) - {0}}
+    dates[0] = None
+    negated = [_negated(p.lemma) for p in predicates]
+    named = [e.is_named for e in entities]
+
+    props = []
+    append = props.append
+    row = 0
+    try:
+        for row, (p, a, b, d, art, s) in enumerate(zip(*columns)):
+            if not (named[a] or b >= 0 and named[b]):
+                raise ValueError("no argument is named")
+            args = (entities[a],) if b < 0 else (entities[a], entities[b])
+            append(Proposition(predicates[p], args, articles[art], dates[d], s, negated[p]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: row {row}: {exc}") from None
+    return Corpus(props)
+
+
+def corpus_lines(corpus: Corpus) -> Iterator[str]:
+    """Each proposition's record as one sorted-key JSON line, the form
+    ``entgraph dump-corpus`` prints."""
+    encode = _ENCODER.encode
+    for prop in corpus.propositions:
+        yield encode(proposition_record(prop)) + "\n"
+
+
+# -- record lines -----------------------------------------------------------------
+
+
+def proposition_record(prop: Proposition) -> dict:
+    """Normalized record for one proposition, the form of an evidence line
+    and of a ``dump-corpus`` line."""
+    if prop.predicate.valency == 1:
+        roles = [int(prop.predicate.case_marker[1:])]
+    else:
+        roles = [1, 2]
+    return {
+        "article_id": prop.article_id,
+        "date": prop.date.isoformat() if prop.date else None,
+        "sentence_idx": prop.sentence_idx,
+        "predicate": prop.predicate.lemma,
+        "voice": "active",
+        "modifiers": [],
+        "args": [
+            {
+                "surface": ent.surface,
+                **({"kb_id": ent.kb_id} if ent.kb_id is not None else {}),
+                "type": etype,
+                "is_named": ent.is_named,
+                "role_index": role,
+            }
+            for ent, etype, role in zip(prop.args, prop.predicate.slot_types, roles)
+        ],
+    }
+
+
+# every record file is written through this one encoder, so equal records
+# give equal bytes
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one sorted-key JSON line, atomically."""
+    encode = _ENCODER.encode
+    with _atomic_writer(path) as fh:
+        for record in records:
+            fh.write(encode(record) + "\n")
+
+
+class _CanonicalReader:
+    """Parses lines in the form a record function writes, one file at a
+    time, sharing one object per predicate, entity and date.
+
+    A line is canonical iff the record function of the value it parses to
+    reproduces it, ``sentence_idx``, ``role_index`` and ``partition_id`` are
+    ints and ``is_named`` a bool (not merely equal to one), its surfaces and
+    type labels are already normalized, each kb id keeps the one surface it
+    first had in the file and is no unlinked surface of it, and a
+    proposition has a named argument. Anything else raises ValueError
+    naming the file and line. Evidence and question lines go through
+    ``parse``; the corpus tables through ``predicate`` and ``entity``.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.predicates: dict[tuple, TypedPredicate] = {}
+        self.entities: dict[tuple, EntityId] = {}
+        self.dates: dict[str, dt.date] = {}
+        self.surface_of: dict[str, str] = {}
+        self.linked: dict[str, bool] = {}
+
+    def parse(self, lineno: int, line: str, build: Callable, record: Callable, what: str):
+        """The value ``build`` makes of one line's object, if ``record`` of
+        it writes that object back; otherwise ValueError
+        ``path:line: not a canonical <what>: reason``."""
+        try:
+            obj = json.loads(line)
+            value = build(obj)
+            saved = record(value)
+            if saved != obj:
+                differ = sorted(k for k in saved.keys() | obj.keys() if saved.get(k) != obj.get(k))
+                raise ValueError(f"fields {differ} differ from the saved form")
+            return value
+        except KeyError as exc:
+            reason = f"missing field {exc.args[0]!r}"
+        except (AttributeError, TypeError, ValueError) as exc:
+            reason = str(exc)
+        raise ValueError(f"{self.path}:{lineno}: not a canonical {what}: {reason}")
+
+    def proposition(self, obj: dict) -> Proposition:
+        """The proposition of a record in the form ``proposition_record``
+        writes; ``parse`` compares the two."""
+        args = obj["args"]
+        lemma = obj["predicate"]
+        types = tuple(a["type"] for a in args)
+        roles = [_typed(a["role_index"], int, "role_index") for a in args]
+        case = f".{roles[0]}" if len(args) == 1 else None
+        pred = self.predicate(lemma, types, case)
+        entities = tuple(self.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in args)
+        if not any(e.is_named for e in entities):
+            raise ValueError("no argument is named")
+        date = obj["date"]
+        if date is not None:
+            if date not in self.dates:
+                self.dates[date] = dt.date.fromisoformat(date)
+            date = self.dates[date]
+        return Proposition(
+            pred, entities, str(obj["article_id"]),
+            date, _typed(obj["sentence_idx"], int, "sentence_idx"), _negated(lemma),
+        )
+
+    def predicate(self, lemma: str, types: tuple[str, ...], case: str | None) -> TypedPredicate:
+        """The predicate with this lemma, types and case marker; the lemma
+        must carry no ``#`` and each type must be an inventory label."""
+        key = (lemma, types, case)
+        if key not in self.predicates:
+            if not isinstance(lemma, str) or not lemma:
+                raise ValueError(f"predicate {lemma!r} is not a lemma")
+            _lemma(lemma)
+            for label in types:
+                if not label or _type_label(label) != label:
+                    raise ValueError(f"type {label!r} is not an inventory label")
+            self.predicates[key] = TypedPredicate(lemma, len(types), types, case)
+        return self.predicates[key]
+
+    def entity(self, surface: str, kb_id: str | None, is_named: bool) -> EntityId:
+        """The entity with this surface and kb id; the surface must be
+        normalized, the kb id a string or None, and a kb id keeps the surface
+        it first had in the file. ``is_named`` is checked first: ``1`` would
+        find the entity of ``True``."""
+        key = (surface, kb_id, _typed(is_named, bool, "is_named"))
+        if key not in self.entities:
+            if normalize_surface(_typed(surface, str, "surface")) != surface:
+                raise ValueError(f"surface {surface!r} is not normalized")
+            if kb_id is not None:
+                first = self.surface_of.setdefault(_typed(kb_id, str, "kb_id"), surface)
+                if first != surface:
+                    raise ValueError(f"kb_id {kb_id!r} has surfaces {first!r} and {surface!r}")
+            entity = EntityId(surface, kb_id, is_named)
+            if (clash := _key_clash(self.linked, entity)) is not None:
+                raise ValueError(clash)
+            self.entities[key] = entity
+        return self.entities[key]

@@ -8,6 +8,7 @@ package's fast paths with it.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import math
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -20,6 +21,7 @@ from entgraph.localgraph import (
     BU,
     UU,
     EDGE_CODES,
+    EDGE_SLOTS,
     EDGE_VALENCIES,
     ArgMap,
     EntailmentEdge,
@@ -28,6 +30,7 @@ from entgraph.localgraph import (
     canonical_signature,
 )
 from entgraph.model import (
+    Corpus,
     EntityId,
     IngestStats,
     Proposition,
@@ -64,6 +67,19 @@ def consistent_maps(premise_args: Sequence, hypothesis_args: Sequence) -> list[A
         for amap in valency_maps(len(premise_args), len(hypothesis_args))
         if bound_args(amap, premise_args) == hypothesis_args
     ]
+
+
+def consistent_codes_scan(premise_args: Sequence, hypothesis_args: Sequence) -> tuple[int, ...]:
+    """The binding rule by code, scanning all five codes and building the
+    carried binding of each code of the right valencies: the reference of
+    ``localgraph.consistent_codes``."""
+    valencies = (len(premise_args), len(hypothesis_args))
+    hypothesis_args = tuple(hypothesis_args)
+    return tuple(
+        code for code, slots in enumerate(EDGE_SLOTS)
+        if EDGE_VALENCIES[code] == valencies
+        and tuple(premise_args[i] for i in slots) == hypothesis_args
+    )
 
 
 def inclusion_oracle(
@@ -313,7 +329,10 @@ def parse_record_dicts(
     if not raw_pred or not isinstance(args, list) or not args:
         raise RecordError("record lacks predicate or args")
     voice = obj.get("voice", "active")
-    lemma = normalize_predicate(str(raw_pred), voice, obj.get("modifiers", []) or [])
+    modifiers = obj.get("modifiers", [])
+    if not isinstance(modifiers, list):
+        raise RecordError(f"modifiers {modifiers!r} is not a list")
+    lemma = normalize_predicate(str(raw_pred), voice, modifiers)
     swap = {1: 2, 2: 1} if voice == "passive" else {}
     mapped = []
     for a in args:
@@ -366,3 +385,34 @@ def parse_record_dicts(
         negated = lemma == "not" or lemma.startswith("not.")
         props.append(Proposition(pred, tuple(entities), article_id, date, sentence_idx, negated))
     return props
+
+
+# -- the corpus as JSON lines ---------------------------------------------------
+
+
+def corpus_jsonl(corpus: Corpus) -> str:
+    """The ``corpus.jsonl`` text the corpus was saved as before it was saved
+    as columns: one sorted-key JSON object per proposition, the reference
+    ``entgraph dump-corpus`` prints."""
+    lines = []
+    for prop in corpus.propositions:
+        pred = prop.predicate
+        roles = [int(pred.case_marker[1:])] if pred.valency == 1 else [1, 2]
+        args = []
+        for ent, etype, role in zip(prop.args, pred.slot_types, roles):
+            arg = {"surface": ent.surface, "type": etype, "is_named": ent.is_named,
+                   "role_index": role}
+            if ent.kb_id is not None:
+                arg["kb_id"] = ent.kb_id
+            args.append(arg)
+        record = {
+            "article_id": prop.article_id,
+            "date": None if prop.date is None else prop.date.isoformat(),
+            "sentence_idx": prop.sentence_idx,
+            "predicate": pred.lemma,
+            "voice": "active",
+            "modifiers": [],
+            "args": args,
+        }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)

@@ -45,8 +45,10 @@ def _digest_script():
 
 class TestStageWiring:
     def test_artifacts_exist(self, pipeline_dir):
-        for name in ("corpus.jsonl", "questions.jsonl", "evidence.jsonl"):
+        for name in ("corpus.columns", "questions.jsonl", "evidence.jsonl"):
             assert (pipeline_dir / name).is_file()
+        # one saved corpus: its line form is printed by dump-corpus, not written
+        assert not (pipeline_dir / "corpus.jsonl").exists()
         assert not (pipeline_dir / "vectors.tsv").exists()
         assert list((pipeline_dir / "graphs" / "local").glob("*.graph"))
         assert list((pipeline_dir / "graphs" / "global").glob("*.graph"))
@@ -227,6 +229,12 @@ class TestExitCodes:
         code = main(["build-local", "--out", str(tmp_path)])
         assert code == EXIT_DATA
         assert "ingest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["gen-questions", "dump-corpus"])
+    def test_corpus_reader_before_ingest(self, tmp_path, capsys, stage):
+        code = main([stage, "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "corpus.columns; run the `ingest` subcommand first" in capsys.readouterr().err
 
     def test_usage_error(self, capsys):
         assert main(["answer", "--model", "psychic"]) == EXIT_USAGE
@@ -451,7 +459,7 @@ class TestReproducibility:
             assert main(["build-local", "--out", str(out)]) == EXIT_OK
             assert main(["globalize", "--out", str(out)]) == EXIT_OK
             assert main(["gen-questions", "--out", str(out), "--seed", "11"]) == EXIT_OK
-        for rel in ["corpus.jsonl", "questions.jsonl", "evidence.jsonl"]:
+        for rel in ["corpus.columns", "questions.jsonl", "evidence.jsonl"]:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
         for graph_a in sorted((a / "graphs" / "global").glob("*")):
             graph_b = b / "graphs" / "global" / graph_a.name
@@ -566,15 +574,15 @@ class TestIngestDecidesOnce:
     def test_hand_edited_corpus_line_refused(self, tmp_path, capsys):
         out = tmp_path
         assert main(["ingest", "--out", str(out)]) == EXIT_OK
-        path = out / "corpus.jsonl"
-        lines = path.read_text().splitlines()
-        lines[4] = lines[4].replace('"voice": "active"', '"voice": "passive"')
-        assert '"passive"' in lines[4]
-        path.write_text("\n".join(lines) + "\n")
+        path = out / "corpus.columns"
+        magic, tables, columns = path.read_bytes().split(b"\n", 2)
+        edited = tables.replace(b'["person", "person"]', b'["person", "Person"]', 1)
+        assert edited != tables
+        path.write_bytes(b"\n".join([magic, edited, columns]))
         capsys.readouterr()
         assert main(["build-local", "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "corpus.jsonl:5:" in err and "voice" in err
+        assert "corpus.columns: predicates entry " in err and "'Person'" in err
         assert not (out / "graphs").exists()
 
     def test_hand_edited_evidence_refused(self, pipeline_dir, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Corpus model, normalization and ingestion contract tests."""
 
+import contextlib
 import datetime as dt
 import importlib.util
+import io
 import json
 import re
 import tempfile
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -12,15 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entgraph import resources
-from entgraph.cli import EXIT_DATA, main
-from entgraph.ingest import (
-    RecordError,
-    ingest,
-    normalize_predicate,
-    parse_record,
-    read_corpus,
-    save_corpus,
-)
+from entgraph.cli import EXIT_DATA, EXIT_VERSION, main
+from entgraph.columns import read_columns, write_columns
+from entgraph.ingest import RecordError, ingest, normalize_predicate, parse_record
 from entgraph.model import (
     Corpus,
     EntityId,
@@ -30,9 +27,18 @@ from entgraph.model import (
     TypedPredicate,
     normalize_surface,
 )
+from entgraph.qagen import Partition, read_evidence, write_evidence
+from entgraph.records import (
+    _CORPUS_TABLES as TABLES,
+    CORPUS_MAGIC,
+    CORPUS_VERSION,
+    corpus_lines,
+    read_corpus,
+    save_corpus,
+)
 
 from conftest import prop
-from oracles import parse_record_dicts
+from oracles import corpus_jsonl, parse_record_dicts
 
 
 class TestEntityId:
@@ -301,7 +307,7 @@ class TestIngest(object):
 class TestCorpusInvariants:
     def test_round_trip_identity(self, conformance_file, tmp_path):
         corpus = ingest(conformance_file)
-        out = tmp_path / "saved.jsonl"
+        out = tmp_path / "corpus.columns"
         save_corpus(corpus, out)
         again = read_corpus(out)
         assert again == corpus
@@ -377,8 +383,12 @@ def raw_records(draw, loose: bool = False):
         "sentence_idx": draw(st.integers(0, 9)),
         "predicate": predicate,
         "voice": voice,
-        "modifiers": draw(st.lists(st.sampled_from(["not", "planned to", "failed to"]),
-                                   max_size=2)),
+        "modifiers": draw(st.one_of(
+            st.lists(st.sampled_from(["not", "planned to", "failed to"]), max_size=2),
+            # values of other types, falsy ones included, which no reader may
+            # take for no modifiers
+            *([st.sampled_from([None, 0, "", {}, False, [None]])] if loose else []),
+        )),
         "args": args,
     }
 
@@ -390,12 +400,6 @@ def _fields(prop: Proposition) -> tuple:
         tuple((a.surface, a.kb_id, a.is_named) for a in prop.args),
         prop.date, prop.article_id, prop.sentence_idx, prop.negated,
     )
-
-
-def _saved_lines(conformance_file, tmp_path) -> tuple[Path, list[dict]]:
-    path = tmp_path / "corpus.jsonl"
-    save_corpus(ingest(conformance_file), path)
-    return path, [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def _write_records(path: Path, records: list[dict]) -> None:
@@ -491,28 +495,85 @@ class TestRawFieldTypes:
         _write_records(raw, [record, self._record()])
         out = tmp_path / "out"
         assert main(["ingest", "--out", str(out), "--corpus", str(raw)]) == 0
-        assert len(read_corpus(out / "corpus.jsonl")) == 1
+        assert len(read_corpus(out / "corpus.columns")) == 1
+
+    def test_sentence_idx_beyond_int32_is_skipped(self, tmp_path):
+        # the saved corpus holds sentence indices as int32
+        record = self._record()
+        record["sentence_idx"] = 2**31
+        path = tmp_path / "raw.jsonl"
+        _write_records(path, [self._record(), record])
+        corpus = ingest(path)
+        assert len(corpus) == 1 and corpus.stats.skipped_malformed == 1
 
 
-# hand edits of a saved unary record (`kill.2` of `boddy`, linked as fb:m.02)
+# the saved corpus as read_columns gives it: its tables, and its columns
+# as lists, which the edits below change in place
+PRED, ARG1, ARG2, DATE, ARTICLE, SENTENCE = range(6)
+
+
+def _saved(conformance_file, tmp_path) -> tuple[Path, dict, list[list[int]]]:
+    path = tmp_path / "corpus.columns"
+    save_corpus(ingest(conformance_file), path)
+    tables, columns = read_columns(path, CORPUS_MAGIC, CORPUS_VERSION, TABLES, "iiiiii")
+    return path, tables, [list(c) for c in columns]
+
+
+def _rewrite(path: Path, tables: dict, columns: list[list[int]]) -> None:
+    write_columns(path, CORPUS_MAGIC, CORPUS_VERSION, tables, [array("i", c) for c in columns])
+
+
+def _row(column: int, value: int):
+    """An edit of row 1's value in ``column``."""
+    def edit(tables, columns):
+        columns[column][1] = value
+        return "row 1"
+    return edit
+
+
+def _entry(table: str, column: int, field, value):
+    """An edit of ``field`` of the ``table`` entry row 1 names in ``column``."""
+    def edit(tables, columns):
+        k = columns[column][1]
+        tables[table][k][field] = value
+        return f"{table} entry {k}"
+    return edit
+
+
+def _tables(change):
+    """An edit of the tables' keys."""
+    def edit(tables, columns):
+        change(tables)
+        return "tables have keys"
+    return edit
+
+
+def _unname(tables, columns):
+    """Row 1's only argument made unnamed."""
+    tables["entities"][columns[ARG1][1]][2] = False
+    return "row 1"
+
+
+# hand edits of the saved corpus at row 1, the unary `kill.2` of `boddy`
+# (linked as fb:m.02), each returning where the reader must say it is. A
+# record line's `voice`, `modifiers`, present null `kb_id` and non-int
+# `sentence_idx` have no place in the columns; evidence lines still hold
+# them (RECORD_ONLY below).
 NOT_SAVED = {
-    "voice": lambda r: r.update(voice="passive"),
-    "modifiers": lambda r: r.update(modifiers=["not"]),
-    "date-format": lambda r: r.update(date="20210304"),
-    "sentence-idx-string": lambda r: r.update(sentence_idx="0"),
-    "extra-field": lambda r: r.update(note="extra"),
-    "missing-field": lambda r: r.pop("article_id"),
-    "linked-surface": lambda r: r["args"][0].update(surface="Mustard"),
-    "surface-case": lambda r: (r["args"][0].pop("kb_id"), r["args"][0].update(surface="Boddy")),
-    "type-case": lambda r: r["args"][0].update(type="Person"),
-    "type-separator": lambda r: r["args"][0].update(type="per#son"),
-    "predicate-separator": lambda r: r.update(predicate="kill#x"),
-    "is-named-string": lambda r: r["args"][0].update(is_named="yes"),
-    "kb-id-null": lambda r: r["args"][0].update(kb_id=None),
-    "kb-id-number": lambda r: r["args"][0].update(kb_id=2),
-    "role": lambda r: r["args"][0].update(role_index=3),
-    "unnamed": lambda r: r["args"][0].update(is_named=False),
-    "valency-2-roles": lambda r: r["args"].append(dict(r["args"][0], role_index=3)),
+    "date-format": _row(DATE, -1),
+    "sentence-idx-negative": _row(SENTENCE, -1),
+    "extra-field": _tables(lambda t: t.update(note="extra")),
+    "missing-field": _tables(lambda t: t.pop("articles")),
+    "linked-surface": _entry("entities", ARG1, 0, "Mustard"),
+    "surface-case": _entry("entities", ARG1, slice(0, 2), ["Boddy", None]),
+    "type-case": _entry("predicates", PRED, 1, ["Person"]),
+    "type-separator": _entry("predicates", PRED, 1, ["per#son"]),
+    "predicate-separator": _entry("predicates", PRED, 0, "kill#x"),
+    "is-named-string": _entry("entities", ARG1, 2, "yes"),
+    "kb-id-number": _entry("entities", ARG1, 1, 2),
+    "role": _entry("predicates", PRED, 2, ".3"),
+    "unnamed": _unname,
+    "valency-2-roles": _row(ARG2, 0),
 }
 
 
@@ -521,62 +582,227 @@ class TestReadCorpus:
     @given(st.lists(raw_records(), min_size=1, max_size=10))
     def test_inverts_save_of_ingest(self, records):
         with tempfile.TemporaryDirectory() as tmp:
-            raw, saved = Path(tmp) / "raw.jsonl", Path(tmp) / "corpus.jsonl"
+            raw, saved = Path(tmp) / "raw.jsonl", Path(tmp) / "corpus.columns"
             raw.write_text("".join(json.dumps(r) + "\n" for r in records))
             expected = ingest(raw, INVENTORY)
             save_corpus(expected, saved)
             got = read_corpus(saved)
+            dump = io.StringIO()
+            with contextlib.redirect_stdout(dump):
+                assert main(["dump-corpus", "--out", tmp]) == 0
         assert [_fields(p) for p in got] == [_fields(p) for p in expected]
+        _assert_shared(got.propositions)
+        assert dump.getvalue() == corpus_jsonl(expected)
 
     def test_keeps_lemma_that_normalizing_again_would_change(self, tmp_path):
         record = {
             "predicate": "caused", "date": "2021-03-01",
             "args": [{"surface": "Phelps", "type": "person", "is_named": True, "role_index": 1}],
         }
-        raw, saved = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl"
+        raw, saved = tmp_path / "raw.jsonl", tmp_path / "corpus.columns"
         _write_records(raw, [record])
         save_corpus(ingest(raw), saved)
         assert read_corpus(saved).propositions[0].predicate.lemma == "caus"
-        assert ingest(saved).propositions[0].predicate.lemma == "cau"
+        dumped = tmp_path / "dumped.jsonl"
+        dumped.write_text("".join(corpus_lines(read_corpus(saved))))
+        assert ingest(dumped).propositions[0].predicate.lemma == "cau"
 
     def test_shares_predicates_and_entities(self, conformance_file, tmp_path):
-        path, records = _saved_lines(conformance_file, tmp_path)
-        _write_records(path, records + records)
+        path = tmp_path / "corpus.columns"
+        props = ingest(conformance_file).propositions
+        save_corpus(Corpus(props + props), path)
         props = read_corpus(path).propositions
         half = len(props) // 2
         for a, b in zip(props[:half], props[half:]):
             assert a.predicate is b.predicate
             assert all(x is y for x, y in zip(a.args, b.args))
+            assert a.date is b.date
 
     @pytest.mark.parametrize("edit", NOT_SAVED.values(), ids=NOT_SAVED.keys())
     def test_refuses_what_save_corpus_would_not_write(self, conformance_file, tmp_path, edit):
-        path, records = _saved_lines(conformance_file, tmp_path)
-        edit(records[1])
-        _write_records(path, records)
-        with pytest.raises(ValueError, match="corpus.jsonl:2: "):
+        path, tables, columns = _saved(conformance_file, tmp_path)
+        where = edit(tables, columns)
+        _rewrite(path, tables, columns)
+        with pytest.raises(ValueError, match=rf"corpus\.columns: {re.escape(where)}"):
             read_corpus(path)
 
     @pytest.mark.parametrize("damage", [
-        lambda lines: lines[:2] + [lines[2][:-9]] + lines[3:],
-        lambda lines: lines[:2] + [""] + lines[2:],
+        lambda data: data[:-9],
+        lambda data: data.replace(b"\n", b"\n\n", 1),
     ])
     def test_refuses_truncated_or_blank_line(self, conformance_file, tmp_path, damage):
-        path, _ = _saved_lines(conformance_file, tmp_path)
-        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
-        with pytest.raises(ValueError, match="corpus.jsonl:3: "):
+        path, _, _ = _saved(conformance_file, tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=r"corpus\.columns: (column 5 is short|tables line)"):
             read_corpus(path)
 
     def test_refuses_second_surface_for_kb_id(self, conformance_file, tmp_path):
-        path, records = _saved_lines(conformance_file, tmp_path)
-        linked = [i for i, r in enumerate(records) if r["args"][0].get("kb_id") == "fb:m.02"]
-        records[linked[-1]]["args"][0]["surface"] = "mr. boddy"
-        _write_records(path, records)
-        with pytest.raises(ValueError, match=f"corpus.jsonl:{linked[-1] + 1}: .*fb:m.02"):
+        path, tables, columns = _saved(conformance_file, tmp_path)
+        boddy = tables["entities"][columns[ARG1][1]]
+        assert boddy[1] == "fb:m.02"
+        tables["entities"].append(["mr. boddy", "fb:m.02", True])
+        _rewrite(path, tables, columns)
+        k = len(tables["entities"]) - 1
+        with pytest.raises(ValueError, match=rf"corpus\.columns: entities entry {k}: .*fb:m.02"):
             read_corpus(path)
 
 
-# values that equal what ``save_corpus`` writes but are of another type, in
-# the record itself (None) or in one of its arguments
+def _assert_shared(props) -> None:
+    """Equal predicates, entities (by fields) and dates are one object."""
+    first: dict = {}
+    for p in props:
+        for key, obj in [(p.predicate, p.predicate), (("date", p.date), p.date),
+                         *((("entity", *a), a) for a in p.args)]:
+            assert first.setdefault(key, obj) is obj
+
+
+class TestCorpusColumns:
+    """What the column codec and the corpus reader refuse beyond the edits
+    of a saved record: the file's shape, ids and repeated table entries."""
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda data: data[:-1], "column 5 is short: 35 of 36 bytes"),
+        (lambda data: data[:-4 * 9 * 3], "column 3 is short: 0 of 36 bytes"),
+        (lambda data: data + b"\0", "trailing bytes after the last column"),
+        (lambda data: data.replace(b'"rows": 9', b'"rows": 9.0'), "rows 9.0 is not a count"),
+        (lambda data: data.replace(b'"rows": 9', b'"rows": true'), "rows True is not a count"),
+        (lambda data: data.replace(b'"rows": 9', b'"rows": 8'), "trailing bytes"),
+        (lambda data: data.replace(b"\n{", b"\n[{", 1), "tables line is not"),
+    ], ids=["short-last-column", "missing-columns", "trailing-byte", "rows-float", "rows-bool",
+            "rows-fewer", "tables-not-an-object"])
+    def test_refuses_damaged_file(self, conformance_file, tmp_path, damage, reason):
+        path, _, _ = _saved(conformance_file, tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=rf"corpus\.columns: {re.escape(reason)}"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("stage", [["build-local"], ["gen-questions"], ["dump-corpus"]])
+    @pytest.mark.parametrize("first, code, reason", [
+        (b"entgraph-corpus v2", EXIT_VERSION, "version mismatch: "),
+        (b"entgraph-corpus", EXIT_VERSION, "version mismatch: "),
+        (b"entgraph-subgraph v1", EXIT_DATA, "data error: "),
+        (b'{"article_id": "a1"}', EXIT_DATA, "data error: "),
+    ], ids=["version-2", "no-version", "graph-magic", "record-line"])
+    def test_wrong_magic_or_version_refused(self, tmp_path, capsys, stage, first, code, reason):
+        assert main(["ingest", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "corpus.columns"
+        path.write_bytes(first + path.read_bytes()[path.read_bytes().index(b"\n"):])
+        capsys.readouterr()
+        assert main([*stage, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err.startswith(f"{reason}{path}: ")
+
+    @pytest.mark.parametrize("column, value, what", [
+        (PRED, 99, "predicate id 99"),
+        (PRED, -1, "predicate id -1"),
+        (ARG1, -1, "argument 1 id -1"),
+        (ARG1, 99, "argument 1 id 99"),
+        (ARG2, -2, "argument 2 id -2"),
+        (ARTICLE, 99, "article id 99"),
+        (DATE, 10**7, "date ordinal 10000000"),
+    ])
+    def test_refuses_id_out_of_range(self, conformance_file, tmp_path, column, value, what):
+        path, tables, columns = _saved(conformance_file, tmp_path)
+        columns[column][4] = value
+        _rewrite(path, tables, columns)
+        with pytest.raises(ValueError, match=rf"corpus\.columns: row 4: {what} out of range"):
+            read_corpus(path)
+
+    def test_refuses_binary_without_second_argument(self, conformance_file, tmp_path):
+        path, tables, columns = _saved(conformance_file, tmp_path)
+        assert columns[ARG2][0] >= 0
+        columns[ARG2][0] = -1
+        _rewrite(path, tables, columns)
+        with pytest.raises(ValueError, match=r"corpus\.columns: row 0: argument count"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("table", ["articles", "entities", "predicates"])
+    def test_refuses_repeated_entry(self, conformance_file, tmp_path, table):
+        path, tables, columns = _saved(conformance_file, tmp_path)
+        tables[table].append(tables[table][0])
+        _rewrite(path, tables, columns)
+        k = len(tables[table]) - 1
+        with pytest.raises(ValueError,
+                           match=rf"corpus\.columns: {table} entry {k}: repeats an earlier entry"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("where", ["first-entry", "repeated-entry"])
+    def test_refuses_is_named_one(self, conformance_file, tmp_path, where):
+        # 1 == True: refused as the first entry of an entity, and after an
+        # entry that holds the entity with the written value
+        path, tables, columns = _saved(conformance_file, tmp_path)
+        entities = tables["entities"]
+        assert entities[0][2] is True
+        if where == "first-entry":
+            entities[0][2] = 1
+        else:
+            entities.append([*entities[0][:2], 1])
+        _rewrite(path, tables, columns)
+        k = 0 if where == "first-entry" else len(entities) - 1
+        with pytest.raises(ValueError, match=rf"corpus\.columns: entities entry {k}: is_named"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("table, entry, reason", [
+        ("predicates", "kill", "'kill' is not [lemma, types, case]"),
+        ("predicates", ["kill", "person", None], "types 'person' is not list"),
+        ("predicates", ["kill", ["person"], None], "unary predicates need a case marker"),
+        ("predicates", ["kill", ["person", "person"], ".1"], "binary predicates carry no case"),
+        ("predicates", ["", ["person"], ".1"], "predicate '' is not a lemma"),
+        ("entities", ["x", None], "['x', None] is not [surface, kb_id, is_named]"),
+        ("entities", [7, None, True], "surface 7 is not str"),
+        ("entities", ["", None, True], "entity surface must be non-empty"),
+        ("articles", 7, "article id 7 is not str"),
+    ])
+    def test_refuses_malformed_entry(self, conformance_file, tmp_path, table, entry, reason):
+        path, tables, columns = _saved(conformance_file, tmp_path)
+        tables[table].append(entry)
+        _rewrite(path, tables, columns)
+        k = len(tables[table]) - 1
+        with pytest.raises(ValueError, match=rf"corpus\.columns: {table} entry {k}: "
+                                             rf"{re.escape(reason)}"):
+            read_corpus(path)
+
+    def test_empty_corpus_round_trips(self, tmp_path):
+        path = tmp_path / "corpus.columns"
+        save_corpus(Corpus([]), path)
+        assert read_corpus(path) == Corpus([])
+
+
+# hand edits of a saved record line that only an evidence line can still
+# hold: the corpus columns have no place for them
+RECORD_ONLY = {
+    "voice": lambda r: r.update(voice="passive"),
+    "modifiers": lambda r: r.update(modifiers=["not"]),
+    "kb-id-null": lambda r: r["args"][0].update(kb_id=None),
+    "sentence-idx-string": lambda r: r.update(sentence_idx="0"),
+    "extra-field": lambda r: r.update(note="extra"),
+    "missing-field": lambda r: r.pop("article_id"),
+}
+
+
+def _evidence_lines(path: Path, props) -> list[dict]:
+    """``props`` written as one evidence partition; the file's records."""
+    dates = sorted(p.date for p in props if p.date is not None)
+    write_evidence([Partition(0, (dates[0], dates[-1]), list(Corpus(props).items()))], path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestEvidenceRecordLines:
+    """Evidence lines hold propositions in the record form; the reader
+    refuses any line ``write_evidence`` would not write."""
+
+    @pytest.mark.parametrize("edit", RECORD_ONLY.values(), ids=RECORD_ONLY.keys())
+    def test_refuses_what_write_evidence_would_not_write(self, conformance_file, tmp_path,
+                                                         edit):
+        path = tmp_path / "evidence.jsonl"
+        records = _evidence_lines(path, ingest(conformance_file).propositions)
+        edit(records[2])
+        _write_records(path, records)
+        with pytest.raises(ValueError, match=r"evidence\.jsonl:3: "):
+            read_evidence(path)
+
+
+# values that equal what ``write_evidence`` writes but are of another type,
+# in the record itself (None) or in one of its arguments
 LOOKALIKES = {
     "sentence-idx-float": ("sentence_idx", 1.0, None),
     "sentence-idx-true": ("sentence_idx", True, None),
@@ -587,29 +813,27 @@ LOOKALIKES = {
 
 
 class TestCanonicalValueTypes:
-    """``read_corpus`` refuses a value that only compares equal to the one
-    ``save_corpus`` writes (``1 == 1.0 == True``), on any line, whether or
-    not an earlier line holds the same entity with the written value."""
-
-    @staticmethod
-    def _lines(tmp_path) -> tuple[Path, list[dict]]:
-        path = tmp_path / "corpus.jsonl"
-        kill = Proposition(TypedPredicate("kill", 2, ("person", "person")),
-                           (EntityId("mustard", None, True), EntityId("boddy", None, True)),
-                           "a1", None, 1)
-        save_corpus(Corpus([kill, kill]), path)
-        return path, [json.loads(line) for line in path.read_text().splitlines()]
+    """The evidence reader refuses a value that only compares equal to the
+    one ``write_evidence`` writes (``1 == 1.0 == True``), on any line,
+    whether or not an earlier line holds the same entity with the written
+    value. The corpus columns hold ints and bools only where they belong,
+    so of these only ``is_named`` can be mistyped there
+    (``TestCorpusColumns.test_refuses_is_named_one``)."""
 
     @pytest.mark.parametrize("line", [0, 1], ids=["first-line", "second-line"])
     @pytest.mark.parametrize("field, value, arg", LOOKALIKES.values(), ids=LOOKALIKES.keys())
     def test_refused_on_either_line(self, tmp_path, field, value, arg, line):
-        path, records = self._lines(tmp_path)
-        written = records[line] if arg is None else records[line]["args"][arg]
+        path = tmp_path / "evidence.jsonl"
+        kill = Proposition(TypedPredicate("kill", 2, ("person", "person")),
+                           (EntityId("mustard", None, True), EntityId("boddy", None, True)),
+                           "a1", dt.date(2021, 3, 1), 1)
+        records = _evidence_lines(path, [kill, kill])
+        written = records[line + 1] if arg is None else records[line + 1]["args"][arg]
         assert written[field] == value
         written[field] = value
         _write_records(path, records)
-        with pytest.raises(ValueError, match=f"corpus.jsonl:{line + 1}: .*{field}"):
-            read_corpus(path)
+        with pytest.raises(ValueError, match=rf"evidence\.jsonl:{line + 2}: .*{field}"):
+            read_evidence(path)
 
 
 def _sings(surface: str, kb_id: str | None = None) -> dict:
@@ -638,7 +862,7 @@ class TestEntityKeyClash:
         out = tmp_path / "out"
         assert main(["ingest", "--out", str(out), "--corpus", str(raw)]) == EXIT_DATA
         assert f"{raw}:2: " in capsys.readouterr().err
-        assert not (out / "corpus.jsonl").exists()
+        assert not (out / "corpus.columns").exists()
 
     @pytest.mark.parametrize("records", KEY_CLASHES.values(), ids=KEY_CLASHES.keys())
     def test_read_corpus_refuses(self, tmp_path, records):
@@ -646,16 +870,17 @@ class TestEntityKeyClash:
         for i, record in enumerate(records):
             _write_records(tmp_path / f"{i}.jsonl", [record])
             props += ingest(tmp_path / f"{i}.jsonl").propositions
-        path = tmp_path / "corpus.jsonl"
+        path = tmp_path / "corpus.columns"
         save_corpus(Corpus(props), path)
-        with pytest.raises(ValueError, match=r"corpus\.jsonl:2: .*'fb:1' is both a kb id"):
+        with pytest.raises(ValueError,
+                           match=r"corpus\.columns: entities entry 1: 'fb:1' is both a kb id"):
             read_corpus(path)
 
     def test_one_key_in_two_files_is_no_clash(self, tmp_path):
         for i, record in enumerate(KEY_CLASHES["linked-first"]):
             _write_records(tmp_path / f"{i}.jsonl", [record])
-            save_corpus(ingest(tmp_path / f"{i}.jsonl"), tmp_path / f"corpus{i}.jsonl")
-            assert len(read_corpus(tmp_path / f"corpus{i}.jsonl")) == 1
+            save_corpus(ingest(tmp_path / f"{i}.jsonl"), tmp_path / f"corpus{i}.columns")
+            assert len(read_corpus(tmp_path / f"corpus{i}.columns")) == 1
 
 
 def test_sample_corpus_matches_its_generator():

@@ -25,7 +25,7 @@ from entgraph.localgraph import (
     TypedSubgraph,
 )
 
-from entgraph.ingest import save_corpus
+from entgraph.records import save_corpus
 
 from conftest import DATA, corpus, ent, pred, prop
 from oracles import valency_maps
@@ -269,7 +269,7 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
         records = [qaeval.AnswerRecord("q1", "graph-bb", 0.5, "p1")]
         write = functools.partial(qaeval.write_answers, records, path)
     else:
-        path = tmp_path / "corpus.jsonl"
+        path = tmp_path / "corpus.columns"
         write = functools.partial(save_corpus, corpus(prop("sing.1", ("knowles",))), path)
     write()
     before = path.read_bytes()

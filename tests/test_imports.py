@@ -53,6 +53,7 @@ USERS = {
     "entgraph.features": GRAPH_STAGES,
     "entgraph.localgraph": GRAPH_STAGES,
     "entgraph.graphio": GRAPH_STAGES,
+    "entgraph.ingest": {"ingest"},
     "entgraph.globalgraph": {"globalize"},
     "entgraph.qagen": {"gen-questions", "answer-graph", "answer-exact", "evaluate"},
     "entgraph.lexicon": {"gen-questions"},

@@ -37,6 +37,7 @@ from oracles import (
     binc,
     build_bivalent_pairwise,
     build_univalent_pairwise,
+    consistent_codes_scan,
     consistent_maps,
     inclusion_oracle,
     lin_similarity,
@@ -90,6 +91,16 @@ class TestBindingRule:
                          for amap in consistent_maps(premise_args, hypothesis_args))
         assert consistent_codes(premise_args, hypothesis_args) == expected
         assert consistent_codes(tuple(premise_args), tuple(hypothesis_args)) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from("ab"), max_size=3),
+           st.lists(st.sampled_from("ab"), max_size=3), st.booleans())
+    def test_agrees_with_full_scan(self, premise_args, hypothesis_args, as_tuples):
+        # valencies 0-3 on each side over two keys, so most draws repeat one
+        if as_tuples:
+            premise_args, hypothesis_args = tuple(premise_args), tuple(hypothesis_args)
+        assert consistent_codes(premise_args, hypothesis_args) == consistent_codes_scan(
+            premise_args, hypothesis_args)
 
 
 class TestOracle:
