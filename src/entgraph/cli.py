@@ -1,8 +1,10 @@
 """Command-line pipeline driver.
 
 Each stage reads the previous stage's artifacts from the output directory
-and writes its own, with a JSON manifest (stage version, config hash,
-seed, input digests) so identical inputs reproduce identical bytes.
+and writes its own, with a JSON manifest (stage version, option values,
+digests of the files read and written) so identical inputs reproduce
+identical bytes. A stage reads an artifact only as its producer's
+manifest lists it, up the chain, and otherwise exits 2 (``Artifacts``).
 
 A stage normally runs as a process of its own, so each subcommand
 imports the layers it calls when it runs, not when this module loads:
@@ -20,6 +22,7 @@ format version mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -39,9 +42,21 @@ from .model import (
     _atomic_writer,
 )
 
-STAGE_VERSION = 1
+STAGE_VERSION = 2
 # the saved corpus ``ingest`` writes (see ``records``)
 CORPUS = "corpus.columns"
+# each artifact under ``--out`` -> the stage that writes it; besides these,
+# ``answers-<tag>.csv`` is written by ``answer-<tag>`` (see ``_producer``)
+PRODUCERS = {
+    CORPUS: "ingest",
+    "graphs/local": "build-local",
+    "graphs/global": "globalize",
+    "questions.jsonl": "gen-questions",
+    "evidence.jsonl": "gen-questions",
+}
+# arguments kept out of a manifest's config: the options that name files
+_NOT_CONFIG = {"command", "out", "corpus", "types", "wordnet", "graphs", "scores",
+               "export_evidence", "answers"}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,56 +80,114 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, stage: str, config: dict, inputs: list[Path], seed=None) -> None:
-    payload = {
-        "stage": stage,
-        "stage_version": STAGE_VERSION,
-        "seed": seed,
-        "config": config,
-        "config_hash": hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()
-        ).hexdigest(),
-        "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
-    }
-    with _atomic_writer(out_dir / f"{stage}.manifest.json") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _producer(name: str) -> str | None:
+    """The stage that writes the ``--out`` artifact ``name``, if it is one."""
+    if name.startswith("answers-") and name.endswith(".csv"):
+        return "answer-" + name[len("answers-"):-len(".csv")]
+    return PRODUCERS.get(name)
 
 
-def _require(path: Path, produced_by: str) -> Path:
-    """An artifact an earlier stage writes."""
-    if not path.exists():
-        raise DataError(
-            f"missing artifact {path}; run the `{produced_by}` subcommand first"
-        )
-    return path
+class Artifacts:
+    """The files one stage run reads and writes. ``read`` accepts an
+    ``--out`` artifact only if its producer's manifest lists each of its
+    files with the digest it has now, and each ``--out`` input of that
+    manifest is itself accepted, up the chain; otherwise DataError names
+    the file and the stage to rerun. Each file is hashed at most once."""
 
+    def __init__(self, args):
+        self.args, self.out = args, Path(args.out)
+        self.inputs: dict[str, str] = {}
+        self._outputs: dict[str, dict] = {}  # stage -> its manifest's outputs
+        self._sha256 = functools.lru_cache(maxsize=None)(_sha256)
 
-def _input_file(path: Path, what: str) -> Path:
-    """A file the user names on the command line."""
-    if not path.exists():
-        raise DataError(f"{what} {path} does not exist")
-    if not path.is_file():
-        raise DataError(f"{what} {path} is not a file")
-    return path
+    def _listing(self, name: str, sha256=None) -> dict[str, str]:
+        """{key: digest} of the files the artifact ``name`` holds now."""
+        path = self.out / name
+        files = sorted(path.glob("*.graph")) if path.is_dir() else [path]
+        return {f.relative_to(self.out).as_posix(): (sha256 or self._sha256)(f) for f in files}
+
+    def _check(self, recorded: dict, name: str, stage: str, did: str) -> None:
+        listed = {k: v for k, v in recorded.items() if name in (k, k.rpartition("/")[0])}
+        now = self._listing(name)
+        if listed != now:
+            key = min(k for k in listed.keys() | now.keys() if listed.get(k) != now.get(k))
+            raise DataError(
+                f"{self.out / key} is not what `{stage}` {did}; rerun the `{stage}` stage")
+
+    def _manifest_outputs(self, stage: str) -> dict:
+        """The outputs ``stage``'s manifest lists, once its inputs are accepted."""
+        if stage not in self._outputs:
+            path = self.out / f"{stage}.manifest.json"
+            if not path.is_file():
+                raise DataError(f"missing manifest {path}; rerun the `{stage}` stage")
+            try:
+                manifest = json.loads(path.read_text(encoding="utf-8"))
+                inputs, outputs = dict(manifest["inputs"]), dict(manifest["outputs"])
+                current = manifest["stage_version"] == STAGE_VERSION
+            except (ValueError, TypeError, KeyError):
+                current = False
+            if not current:
+                raise DataError(f"{path} is not a current manifest; rerun the `{stage}` stage")
+            self._outputs[stage] = outputs
+            for name in sorted({k if _producer(k) else k.rpartition("/")[0]
+                                for k in inputs if not k.startswith("-")}):
+                self._accept(name)
+                self._check(inputs, name, stage, "read")
+        return self._outputs[stage]
+
+    def _accept(self, name: str) -> Path:
+        path, stage = self.out / name, _producer(name)
+        if not path.exists():
+            raise DataError(f"missing artifact {path}; run the `{stage}` subcommand first")
+        self._check(self._manifest_outputs(stage), name, stage, "wrote")
+        return path
+
+    def read(self, name: str) -> Path:
+        """The ``--out`` artifact ``name``, accepted, as an input of this run."""
+        path = self._accept(name)
+        self.inputs.update(self._listing(name))
+        return path
+
+    def read_file(self, path: Path, key: str, what: str) -> Path:
+        """A file the command line names, as an input of this run under ``key``."""
+        if not path.exists():
+            raise DataError(f"{what} {path} does not exist")
+        if not path.is_file():
+            raise DataError(f"{what} {path} is not a file")
+        self.inputs[key] = self._sha256(path)
+        return path
+
+    def seal(self, stage: str, outputs: list[str]) -> None:
+        """Write ``<stage>.manifest.json``: the run's option values, and the
+        digests of its inputs and of the ``outputs`` it wrote, keyed by path
+        relative to ``--out`` or, for a file the command line names, by option."""
+        config = {k: v for k, v in vars(self.args).items() if k not in _NOT_CONFIG}
+        payload = {
+            "stage": stage, "stage_version": STAGE_VERSION, "config": config,
+            "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+            "inputs": self.inputs,
+            "outputs": {k: v for name in outputs for k, v in self._listing(name, _sha256).items()},
+        }
+        with _atomic_writer(self.out / f"{stage}.manifest.json") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, run: Artifacts) -> int:
     from .ingest import ingest
     from .records import save_corpus
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_path = _input_file(Path(args.corpus), "input corpus file")
+    run.out.mkdir(parents=True, exist_ok=True)
+    corpus_path = run.read_file(Path(args.corpus), "--corpus", "input corpus file")
     inventory = None
     if args.types:
-        inventory = TypeInventory.from_file(_input_file(Path(args.types), "type inventory file"))
+        inventory = TypeInventory.from_file(
+            run.read_file(Path(args.types), "--types", "type inventory file"))
     corpus = ingest(corpus_path, inventory)
-    save_corpus(corpus, out / CORPUS)
-    config = {"corpus": str(corpus_path), "types": args.types, "stats": corpus.stats.as_dict()}
-    _write_manifest(out, "ingest", config, [corpus_path])
+    save_corpus(corpus, run.out / CORPUS)
+    run.seal("ingest", [CORPUS])
     print(
         f"ingested {corpus.stats.propositions} propositions "
         f"({corpus.stats.skipped_malformed} malformed, "
@@ -123,37 +196,30 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_build_local(args) -> int:
+def cmd_build_local(args, run: Artifacts) -> int:
     from . import graphio
     from .features import FeatureConfig
     from .localgraph import LocalBuildConfig, build_local_graphs
     from .records import read_corpus
 
-    out = Path(args.out)
-    corpus_path = _require(out / CORPUS, "ingest")
-    corpus = read_corpus(corpus_path)
+    corpus = read_corpus(run.read(CORPUS))
     config = LocalBuildConfig(
         FeatureConfig(min_count=args.min_count), edge_threshold=args.edge_threshold
     )
     graphs = build_local_graphs(corpus, config)
-    local_dir = out / "graphs" / "local"
+    local_dir = run.out / "graphs" / "local"
     paths = graphio.write_graph_dir(graphs, local_dir)
     n_edges = sum(len(sub.scores) for sub in graphs.values())
-    _write_manifest(
-        out, "build-local",
-        {"min_count": args.min_count, "edge_threshold": args.edge_threshold},
-        [corpus_path],
-    )
+    run.seal("build-local", ["graphs/local"])
     print(f"built {len(paths)} typed subgraphs with {n_edges} edges in {local_dir}")
     return EXIT_OK
 
 
-def cmd_globalize(args) -> int:
+def cmd_globalize(args, run: Artifacts) -> int:
     from . import graphio
     from .globalgraph import GlobalConfig, globalize
 
-    out = Path(args.out)
-    local_dir = _require(out / "graphs" / "local", "build-local")
+    local_dir = run.read("graphs/local")
     config = GlobalConfig(
         lambda_para=args.lambda_para,
         lambda_cross=args.lambda_cross,
@@ -161,30 +227,25 @@ def cmd_globalize(args) -> int:
     )
     # one solve for both families: no clique crosses them (see apply_to_all)
     refined = globalize(graphio.read_graph_dir(local_dir), config).subgraphs
-    global_dir = out / "graphs" / "global"
+    global_dir = run.out / "graphs" / "global"
     graphio.write_graph_dir(refined, global_dir)
-    _write_manifest(
-        out, "globalize",
-        {"lambda_para": args.lambda_para, "lambda_cross": args.lambda_cross, "tau": args.tau},
-        sorted(local_dir.glob("*.graph")),
-    )
+    run.seal("globalize", ["graphs/global"])
     print(f"globalized {len(refined)} subgraphs into {global_dir}")
     return EXIT_OK
 
 
-def cmd_gen_questions(args) -> int:
-    from .lexicon import LexicalResource
+def cmd_gen_questions(args, run: Artifacts) -> int:
+    from .lexicon import WORDNET_FILES, LexicalResource
     from .qagen import QaGenConfig, generate_questions, write_evidence, write_questions
     from .records import read_corpus
 
-    out = Path(args.out)
-    corpus_path = _require(out / CORPUS, "ingest")
-    corpus = read_corpus(corpus_path)
-    lex = (
-        LexicalResource.from_wordnet_dir(args.wordnet)
-        if args.wordnet
-        else LexicalResource.fixture()
-    )
+    corpus = read_corpus(run.read(CORPUS))
+    if args.wordnet:
+        for name in WORDNET_FILES:
+            run.read_file(Path(args.wordnet) / name, f"--wordnet/{name}", "WordNet file")
+        lex = LexicalResource.from_wordnet_dir(args.wordnet)
+    else:
+        lex = LexicalResource.fixture()
     config = QaGenConfig(
         window_days=args.window,
         entity_min=args.entity_min,
@@ -193,13 +254,9 @@ def cmd_gen_questions(args) -> int:
         seed=args.seed,
     )
     qs = generate_questions(corpus, lex, config)
-    write_questions(qs, out / "questions.jsonl")
-    write_evidence(qs.evidence, out / "evidence.jsonl")
-    _write_manifest(
-        out, "gen-questions",
-        {k: v for k, v in qs.manifest.items() if k != "format"},
-        [corpus_path], seed=args.seed,
-    )
+    write_questions(qs, run.out / "questions.jsonl")
+    write_evidence(qs.evidence, run.out / "evidence.jsonl")
+    run.seal("gen-questions", ["questions.jsonl", "evidence.jsonl"])
     print(
         f"generated {qs.manifest['questions']} balanced questions "
         f"over {qs.manifest['partitions']} partitions"
@@ -207,30 +264,28 @@ def cmd_gen_questions(args) -> int:
     return EXIT_OK
 
 
-def cmd_dump_corpus(args) -> int:
+def cmd_dump_corpus(args, run: Artifacts) -> int:
     from .records import corpus_lines, read_corpus
 
-    corpus = read_corpus(_require(Path(args.out) / CORPUS, "ingest"))
-    sys.stdout.writelines(corpus_lines(corpus))
+    sys.stdout.writelines(corpus_lines(read_corpus(run.read(CORPUS))))
     return EXIT_OK
 
 
-def _graph_dir(out: Path, choice: str) -> Path:
-    """The graph directory ``--graphs`` names; it must hold ``*.graph`` files."""
-    if choice == "global":
-        path = _require(out / "graphs" / "global", "globalize")
-    elif choice == "local":
-        path = _require(out / "graphs" / "local", "build-local")
-    elif choice == "auto" and (out / "graphs" / "global").exists():
-        path = out / "graphs" / "global"
-    elif choice == "auto":
-        path = _require(out / "graphs" / "local", "build-local")
+def _graph_dir(run: Artifacts, choice: str) -> Path:
+    """The graph directory ``--graphs`` names, read; it must hold ``*.graph``
+    files. The files of a directory named by path are recorded by option."""
+    if choice == "auto":
+        choice = "global" if (run.out / "graphs" / "global").exists() else "local"
+    if choice in ("global", "local"):
+        path = run.read(f"graphs/{choice}")
     else:
         path = Path(choice)
         if not path.exists():
             raise DataError(f"graph directory {path} does not exist")
-    if not path.is_dir():
-        raise DataError(f"graph directory {path} is not a directory")
+        if not path.is_dir():
+            raise DataError(f"graph directory {path} is not a directory")
+        for graph in sorted(path.glob("*.graph")):
+            run.read_file(graph, f"--graphs/{graph.name}", "graph file")
     if not any(path.glob("*.graph")):
         raise DataError(f"graph directory {path} holds no *.graph file")
     return path
@@ -247,13 +302,12 @@ def _parse_components(text: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def cmd_answer(args) -> int:
+def cmd_answer(args, run: Artifacts) -> int:
     from . import qaeval
     from .qagen import read_evidence, read_questions
 
-    out = Path(args.out)
-    questions, _ = read_questions(_require(out / "questions.jsonl", "gen-questions"))
-    evidence_path = _require(out / "evidence.jsonl", "gen-questions")
+    questions, _ = read_questions(run.read("questions.jsonl"))
+    evidence_path = run.read("evidence.jsonl")
     evidence = {p.id: p for p in read_evidence(evidence_path)}
     for q in questions:
         if q.partition_id not in evidence:
@@ -271,13 +325,13 @@ def cmd_answer(args) -> int:
 
         kinds = _parse_components(args.components)
         tag = qaeval._model_id(kinds)
-        graph_dir = _graph_dir(out, args.graphs)
+        graph_dir = _graph_dir(run, args.graphs)
         store = GraphStore.open(graph_dir)
         for q in questions:
             records.append(qaeval.answer_graph(q, evidence[q.partition_id], store, kinds))
-        if graph_dir == out / "graphs" / "local":
-            # named apart, so that local answers never overwrite global ones
-            tag = tag.replace("graph-", "graph-local-", 1)
+        if graph_dir != run.out / "graphs" / "global":
+            # named apart, so that these answers never overwrite global ones
+            tag = tag.replace("graph-", f"graph-{graph_dir.name}-", 1)
             records = [r._replace(model_id=tag) for r in records]
     else:  # external
         if args.export_evidence:
@@ -293,28 +347,22 @@ def cmd_answer(args) -> int:
             for q in questions
         }
         scores = qaeval.read_external_scores(
-            _input_file(Path(args.scores), "score file"), candidates
+            run.read_file(Path(args.scores), "--scores", "score file"), candidates
         )
         records = qaeval.external_scores(questions, scores)
-    path = out / f"answers-{tag}.csv"
+    path = run.out / f"answers-{tag}.csv"
     qaeval.write_answers(records, path)
-    _write_manifest(
-        out, f"answer-{tag}",
-        {"model": args.model, "components": getattr(args, "components", None),
-         "graphs": getattr(args, "graphs", None)},
-        [out / "questions.jsonl", out / "evidence.jsonl"],
-    )
+    run.seal(f"answer-{tag}", [path.name])
     answered = sum(1 for r in records if r.confidence > 0)
     print(f"answered {answered}/{len(records)} questions -> {path}")
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, run: Artifacts) -> int:
     from . import qaeval
     from .qagen import read_questions
 
-    out = Path(args.out)
-    questions_path = _require(out / "questions.jsonl", "gen-questions")
+    questions_path = run.read("questions.jsonl")
     questions, _ = read_questions(questions_path)
     question_ids = [q.id for q in questions]
     known = set(question_ids)
@@ -322,15 +370,17 @@ def cmd_evaluate(args) -> int:
     if args.filtered:
         from .store import GraphStore
 
-        store = GraphStore.open(_graph_dir(out, args.graphs))
+        store = GraphStore.open(_graph_dir(run, args.graphs))
         questions = qaeval.filter_questions(questions, store, args.seed)
         if not questions:
             raise DataError("no questions left after vertex filtering")
         suffix = "-filtered"
     gold = {q.id: q.polarity == "positive" for q in questions}
-    answer_paths = sorted(out.glob("answers-*.csv"))
     if args.answers:
-        answer_paths = [_input_file(Path(p), "answer file") for p in args.answers]
+        answer_paths = [run.read_file(Path(p), f"--answers[{i}]", "answer file")
+                        for i, p in enumerate(args.answers)]
+    else:
+        answer_paths = [run.read(p.name) for p in sorted(run.out.glob("answers-*.csv"))]
     if not answer_paths:
         raise DataError("no answer files found; run the `answer` subcommand first")
     # every file is read and checked before any report is written
@@ -350,15 +400,16 @@ def cmd_evaluate(args) -> int:
                 f"{path}: question {unanswered!r} of {questions_path} is not answered"
             )
         answers.append((path, [r for r in records if r.question_id in gold]))
-    report_dir = out / "report"
+    report_dir = run.out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    summary_lines = []
+    summary_lines, written = [], [f"report/summary{suffix}.txt"]
     if args.filtered:
         summary_lines.append(f"filtered question set: {len(questions)} questions")
     for path, records in answers:
         model = records[0].model_id if records else path.stem
         curve = qaeval.pr_curve(records, gold)
         qaeval.write_pr_csv(curve, report_dir / f"pr-{model}{suffix}.csv")
+        written.append(f"report/pr-{model}{suffix}.csv")
         accs = []
         for k in args.k:
             acc = qaeval.accuracy_at_k(records, gold, k)
@@ -370,21 +421,16 @@ def cmd_evaluate(args) -> int:
     summary = "\n".join(summary_lines) + "\n"
     with _atomic_writer(report_dir / f"summary{suffix}.txt") as fh:
         fh.write(summary)
-    _write_manifest(
-        out, f"evaluate{suffix}",
-        {"k": args.k, "filtered": args.filtered},
-        answer_paths, seed=args.seed if args.filtered else None,
-    )
+    run.seal(f"evaluate{suffix}", written)
     print(summary, end="")
     return EXIT_OK
 
 
-def cmd_query(args) -> int:
+def cmd_query(args, run: Artifacts) -> int:
     from .localgraph import EDGE_SLOTS, EDGE_VALENCIES
     from .store import GraphStore
 
-    out = Path(args.out)
-    store = GraphStore.open(_graph_dir(out, args.graphs))
+    store = GraphStore.open(_graph_dir(run, args.graphs))
     premise = _parse_query_predicate(args.premise, args.type)
     hypothesis = _parse_query_predicate(args.hypothesis, args.type)
 
@@ -535,7 +581,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, Artifacts(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,6 +16,8 @@ from pathlib import Path
 from .model import TypedPredicate
 
 HYPONYM_POINTERS = {"~", "~i"}
+# the files ``LexicalResource.from_wordnet_dir`` reads
+WORDNET_FILES = ("index.noun", "data.noun", "index.verb", "data.verb")
 
 
 class _Synset:

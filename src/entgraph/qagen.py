@@ -34,8 +34,9 @@ EVIDENCE_FORMAT_VERSION = 1
 class Partition:
     """Propositions of up to window_days consecutive days of articles.
 
-    ``holding`` indexes them by argument key when it is first called, so
-    ``propositions`` must not change after that.
+    ``holding`` indexes them by argument key, and ``arg_keys`` lists their
+    keys, when each is first called, so ``propositions`` must not change
+    after that.
     """
 
     def __init__(
@@ -46,6 +47,7 @@ class Partition:
         self.date_range = date_range
         self.propositions = propositions
         self._by_key: dict[str, list[tuple[str, Proposition]]] | None = None
+        self._arg_keys: list[tuple[str, ...]] | None = None
 
     def without(self, prop_ids: set[str]) -> "Partition":
         return Partition(
@@ -53,6 +55,12 @@ class Partition:
             self.date_range,
             [(pid, p) for pid, p in self.propositions if pid not in prop_ids],
         )
+
+    def arg_keys(self) -> list[tuple[str, ...]]:
+        """The ``arg_keys`` of each proposition, in ``propositions`` order."""
+        if self._arg_keys is None:
+            self._arg_keys = [p.arg_keys for _, p in self.propositions]
+        return self._arg_keys
 
     def holding(self, key: str) -> list[tuple[str, Proposition]]:
         """The (id, proposition) items whose arguments include the entity
@@ -148,18 +156,17 @@ def select_positives(
     rng = rng or random.Random(0)
     pair_counts: Counter = Counter()
     entity_counts: Counter = Counter()
-    for _, p in part.propositions:
-        keys = p.arg_keys
+    keyed = list(zip(part.propositions, part.arg_keys()))
+    for (_, p), keys in keyed:
         for k in keys:
             entity_counts[k] += 1
         if p.predicate.valency == 2:
             pair_counts[tuple(sorted(keys))] += 1
 
     candidates = []
-    for pid, p in part.propositions:
+    for (pid, p), keys in keyed:
         if corpus.untyped_index[p.predicate.untyped] < predicate_min:
             continue
-        keys = p.arg_keys
         if p.predicate.valency == 2:
             starred = pair_counts[tuple(sorted(keys))] >= entity_min
         else:
@@ -219,8 +226,8 @@ def generate_negatives(
     """
     stats = ScreeningStats()
     in_partition = {
-        (p.predicate.name, p.predicate.valency, p.arg_keys)
-        for _, p in part.propositions
+        (p.predicate.name, p.predicate.valency, keys)
+        for (_, p), keys in zip(part.propositions, part.arg_keys())
     }
     negatives = []
     seq = 0

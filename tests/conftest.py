@@ -3,13 +3,36 @@
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from entgraph.cli import PRODUCERS, STAGE_VERSION
 from entgraph.model import Corpus, EntityId, Proposition, TypedPredicate
 
 DATA = Path(__file__).parent / "data"
+
+
+def reseal(out: Path, name: str) -> None:
+    """Record the files the ``--out`` artifact ``name`` holds now in the
+    manifest of the stage that writes it (a new manifest if there is none),
+    as if that stage had written them. A test that hand-edits an artifact
+    reseals it, so that the stage reading it gets past the digest check
+    to the check the test is about."""
+    stage = PRODUCERS[name]
+    path = out / f"{stage}.manifest.json"
+    manifest = json.loads(path.read_text()) if path.exists() else {
+        "stage": stage, "stage_version": STAGE_VERSION, "config": {}, "inputs": {}}
+    target = out / name
+    files = sorted(target.glob("*.graph")) if target.is_dir() else [target]
+    outputs = {k: v for k, v in manifest.get("outputs", {}).items()
+               if k != name and not k.startswith(f"{name}/")}
+    for f in files:
+        outputs[f.relative_to(out).as_posix()] = hashlib.sha256(f.read_bytes()).hexdigest()
+    manifest["outputs"] = outputs
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def ent(key: str, named: bool = True) -> EntityId:

@@ -20,7 +20,7 @@ from entgraph.qaeval import answer_graph, read_answers
 from entgraph.qagen import Partition, Question
 from entgraph.store import GraphStore
 
-from conftest import DATA
+from conftest import DATA, reseal
 from oracles import bound_args, valency_maps
 
 
@@ -41,6 +41,18 @@ def _digest_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# every stage of the sample pipeline, in order
+PIPELINE = (["ingest"], ["build-local"], ["globalize"], ["gen-questions", "--seed", "11"],
+            ["answer", "--model", "graph"], ["answer", "--model", "exact"],
+            ["evaluate"], ["evaluate", "--filtered"])
+
+
+def _tree(out: Path) -> dict[str, bytes]:
+    """Every file under ``out``, by path relative to it."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 class TestStageWiring:
@@ -73,8 +85,48 @@ class TestStageWiring:
             (pipeline_dir / "gen-questions.manifest.json").read_text()
         )
         assert manifest["stage"] == "gen-questions"
-        assert manifest["seed"] == 3
-        assert "config_hash" in manifest and manifest["inputs"]
+        assert manifest["config"]["seed"] == 3
+        assert "config_hash" in manifest
+        # keyed by path relative to --out, each file with its digest
+        digest = hashlib.sha256((pipeline_dir / "corpus.columns").read_bytes()).hexdigest()
+        assert manifest["inputs"] == {"corpus.columns": digest}
+        assert sorted(manifest["outputs"]) == ["evidence.jsonl", "questions.jsonl"]
+
+    def test_manifests_list_every_file_read(self, pipeline_dir, tmp_path):
+        def inputs(out, stage):
+            return json.loads((out / f"{stage}.manifest.json").read_text())["inputs"]
+
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        # files the command line names are keyed by option
+        fresh = tmp_path / "fresh"
+        types, wordnet = resources.default_type_inventory_path(), resources.fixture_wordnet_dir()
+        assert main(["ingest", "--out", str(fresh), "--types", str(types)]) == EXIT_OK
+        assert main(["gen-questions", "--out", str(fresh), "--wordnet", str(wordnet)]) == EXIT_OK
+        assert inputs(fresh, "ingest") == {
+            "--corpus": digest(resources.sample_corpus_path()), "--types": digest(types)}
+        assert inputs(fresh, "gen-questions") == {
+            "corpus.columns": digest(fresh / "corpus.columns"),
+            **{f"--wordnet/{n}": digest(wordnet / n)
+               for n in ("index.noun", "data.noun", "index.verb", "data.verb")}}
+        # answer lists its graphs and --scores, evaluate its questions
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out, ignore=shutil.ignore_patterns("answers-*", "report"))
+        assert main(["answer", "--out", str(out), "--model", "graph"]) == EXIT_OK
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("")
+        assert main(["answer", "--out", str(out), "--model", "external",
+                     "--scores", str(scores)]) == EXIT_OK
+        assert main(["evaluate", "--out", str(out)]) == EXIT_OK
+        qa = {name: digest(out / name) for name in ("questions.jsonl", "evidence.jsonl")}
+        graphs = {p.relative_to(out).as_posix(): digest(p)
+                  for p in sorted((out / "graphs" / "global").glob("*.graph"))}
+        assert inputs(out, "answer-graph-bb+bu+uu") == {**qa, **graphs}
+        assert inputs(out, "answer-external") == {**qa, "--scores": digest(scores)}
+        assert inputs(out, "evaluate") == {
+            name: digest(out / name) for name in (
+                "questions.jsonl", "answers-external.csv", "answers-graph-bb+bu+uu.csv")}
 
     def test_answer_and_evaluate(self, pipeline_dir):
         assert main(["answer", "--out", str(pipeline_dir), "--model", "graph"]) == EXIT_OK
@@ -119,20 +171,32 @@ class TestStageWiring:
     def test_local_answers_sit_beside_global_ones(self, pipeline_dir, tmp_path):
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out, ignore=shutil.ignore_patterns("answers-*", "report"))
+        mine = shutil.copytree(out / "graphs" / "global", tmp_path / "mine")
         assert main(["answer", "--out", str(out)]) == EXIT_OK
         assert main(["answer", "--out", str(out), "--graphs", "local"]) == EXIT_OK
-        # with no global graphs, auto reads the local ones, and says so too
-        shutil.rmtree(out / "graphs" / "global")
-        assert main(["answer", "--out", str(out), "--components", "bb"]) == EXIT_OK
-        tags = ["graph-bb+bu+uu", "graph-local-bb+bu+uu", "graph-local-bb"]
+        assert main(["answer", "--out", str(out), "--graphs", str(mine)]) == EXIT_OK
+        tags = ["graph-bb+bu+uu", "graph-local-bb+bu+uu", "graph-mine-bb+bu+uu"]
         assert sorted(p.name for p in out.glob("answers-*.csv")) == [
             f"answers-{tag}.csv" for tag in tags]
         for tag in tags:
             assert {r.model_id for r in read_answers(out / f"answers-{tag}.csv")} == {tag}
             assert (out / f"answer-{tag}.manifest.json").is_file()
+        # a copy of the global graphs answers as they do, and is recorded by option
+        confidences = {tag: [r.confidence for r in read_answers(out / f"answers-{tag}.csv")]
+                       for tag in (tags[0], tags[2])}
+        assert confidences[tags[0]] == confidences[tags[2]]
+        inputs = json.loads((out / f"answer-{tags[2]}.manifest.json").read_text())["inputs"]
+        assert sorted(k for k in inputs if k.startswith("--graphs/")) == [
+            f"--graphs/{p.name}" for p in sorted(mine.glob("*.graph"))]
         assert main(["evaluate", "--out", str(out)]) == EXIT_OK
         summary = (out / "report" / "summary.txt").read_text()
         assert [line.split(":")[0] for line in summary.splitlines()] == tags
+        # with no global graphs, auto reads the local ones, and says so too
+        bare = tmp_path / "bare"
+        shutil.copytree(pipeline_dir, bare,
+                        ignore=shutil.ignore_patterns("answers-*", "report", "global"))
+        assert main(["answer", "--out", str(bare), "--components", "bb"]) == EXIT_OK
+        assert [p.name for p in bare.glob("answers-*.csv")] == ["answers-graph-local-bb.csv"]
 
     def test_query_finds_planted_edge(self, pipeline_dir, capsys):
         code = main([
@@ -297,6 +361,7 @@ class TestExitCodes:
         victim.write_text(
             victim.read_text().replace("entgraph-subgraph v1", "entgraph-subgraph v9")
         )
+        reseal(out, "graphs/local")
         assert main(["globalize", "--out", str(out)]) == EXIT_VERSION
 
 
@@ -450,31 +515,104 @@ class TestStaleArtifacts:
         assert capsys.readouterr().out.startswith(f"globalized {built} subgraphs")
         assert len(list((tmp_path / "graphs" / "global").glob("*.graph"))) == built
 
+    @staticmethod
+    def _refused(out: Path, argv: list[str], capsys) -> str:
+        """The error of a stage that must exit 2 and leave ``out`` as it was."""
+        before = _tree(out)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == EXIT_DATA
+        assert _tree(out) == before
+        return capsys.readouterr().err
+
+    def test_evidence_of_another_seed_refused(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        seed3 = (out / "evidence.jsonl").read_bytes()
+        assert main(["gen-questions", "--out", str(out), "--seed", "5"]) == EXIT_OK
+        assert (out / "evidence.jsonl").read_bytes() != seed3
+        (out / "evidence.jsonl").write_bytes(seed3)
+        for model in ("exact", "graph"):
+            err = self._refused(out, ["answer", "--model", model], capsys)
+            assert f"{out / 'evidence.jsonl'} is not what `gen-questions` wrote" in err
+            assert "rerun the `gen-questions` stage" in err
+
+    def test_corpus_of_another_ingest_refused(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_OK
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(
+            resources.sample_corpus_path().read_text().splitlines(keepends=True)[:40]))
+        assert main(["ingest", "--out", str(out), "--corpus", str(other)]) == EXIT_OK
+        for argv, stage in ((["globalize"], "build-local"),
+                            (["answer", "--model", "graph"], "gen-questions"),
+                            (["evaluate"], "gen-questions")):
+            err = self._refused(out, argv, capsys)
+            assert f"{out / 'corpus.columns'} is not what `{stage}` read" in err, argv
+            assert f"rerun the `{stage}` stage" in err
+
+    @pytest.mark.parametrize("stage, argv", [
+        ("ingest", ["dump-corpus"]),
+        ("build-local", ["globalize"]),
+        ("globalize", ["query", "kill.2", "die.1", "--type", "person"]),
+        ("gen-questions", ["answer", "--model", "exact"]),
+        ("answer-exact", ["evaluate"]),
+    ])
+    @pytest.mark.parametrize("manifest", ["missing", "older-format"])
+    def test_missing_or_older_manifest_refused(
+        self, pipeline_dir, tmp_path, capsys, stage, argv, manifest
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_OK
+        path = out / f"{stage}.manifest.json"
+        if manifest == "missing":
+            path.unlink()
+            reason = f"missing manifest {path}"
+        else:
+            # as the former writer wrote it: version 1, inputs keyed by the
+            # path as given, no output digests
+            current = json.loads(path.read_text())
+            path.write_text(json.dumps({
+                "stage": stage, "stage_version": 1, "seed": None,
+                "config": current["config"], "config_hash": current["config_hash"],
+                "inputs": {str(out / k): v for k, v in current["inputs"].items()},
+            }, sort_keys=True, indent=2) + "\n")
+            reason = f"{path} is not a current manifest"
+        err = self._refused(out, argv, capsys)
+        assert f"{reason}; rerun the `{stage}` stage" in err
+
+    @pytest.mark.parametrize("family, argv, stage", [
+        ("local", ["globalize"], "build-local"),
+        ("global", ["query", "kill.2", "die.1", "--type", "person"], "globalize"),
+    ])
+    @pytest.mark.parametrize("change", ["added", "removed"])
+    def test_graph_file_added_or_removed_refused(
+        self, pipeline_dir, tmp_path, capsys, family, argv, stage, change
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        graphs = sorted((out / "graphs" / family).glob("*.graph"))
+        if change == "added":
+            victim = graphs[0].with_name("bi__zzz__zzz.graph")
+            shutil.copyfile(graphs[0], victim)
+        else:
+            victim = graphs[0]
+            victim.unlink()
+        err = self._refused(out, argv, capsys)
+        assert f"{victim} is not what `{stage}` wrote; rerun the `{stage}` stage" in err
+
 
 class TestReproducibility:
     def test_rerun_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
+        # the whole pipeline in two --out directories at different paths:
+        # every file, manifests included, is byte for byte the same
+        a, b = tmp_path / "a", tmp_path / "x" / "y" / "b"
         for out in (a, b):
-            assert main(["ingest", "--out", str(out)]) == EXIT_OK
-            assert main(["build-local", "--out", str(out)]) == EXIT_OK
-            assert main(["globalize", "--out", str(out)]) == EXIT_OK
-            assert main(["gen-questions", "--out", str(out), "--seed", "11"]) == EXIT_OK
-        for rel in ["corpus.columns", "questions.jsonl", "evidence.jsonl"]:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
-        for graph_a in sorted((a / "graphs" / "global").glob("*")):
-            graph_b = b / "graphs" / "global" / graph_a.name
-            assert graph_a.read_bytes() == graph_b.read_bytes(), graph_a.name
-        for man in a.glob("*.manifest.json"):
-            twin = b / man.name
-            ma = json.loads(man.read_text())
-            mb = json.loads(twin.read_text())
-            ma["inputs"] = {Path(k).name: v for k, v in ma["inputs"].items()}
-            mb["inputs"] = {Path(k).name: v for k, v in mb["inputs"].items()}
-            ma["config"] = {k: v for k, v in ma["config"].items() if k != "corpus"}
-            mb["config"] = {k: v for k, v in mb["config"].items() if k != "corpus"}
-            assert {k: v for k, v in ma.items() if k != "config_hash"} == {
-                k: v for k, v in mb.items() if k != "config_hash"
-            }
+            for stage in PIPELINE:
+                assert main([*stage, "--out", str(out)]) == EXIT_OK
+        assert len(list(a.glob("*.manifest.json"))) == 8
+        assert _tree(a) == _tree(b)
 
 
 def _raw_corpus(path: Path, records: list[dict]) -> Path:
@@ -579,6 +717,7 @@ class TestIngestDecidesOnce:
         edited = tables.replace(b'["person", "person"]', b'["person", "Person"]', 1)
         assert edited != tables
         path.write_bytes(b"\n".join([magic, edited, columns]))
+        reseal(out, "corpus.columns")
         capsys.readouterr()
         assert main(["build-local", "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
@@ -593,10 +732,12 @@ class TestIngestDecidesOnce:
         edited = lines[3].replace('"is_named": true', '"is_named": "yes"')
         assert edited != lines[3]
         path.write_text("\n".join([*lines[:3], edited, *lines[4:]]) + "\n")
+        reseal(out, "evidence.jsonl")
         capsys.readouterr()
         assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
         assert "evidence.jsonl:4:" in capsys.readouterr().err
         path.write_text("\n".join(lines[:-1]) + "\n")
+        reseal(out, "evidence.jsonl")
         assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
         assert "the header declares" in capsys.readouterr().err
 
@@ -631,6 +772,7 @@ class TestQaArtifactsReadStrictly:
         edited = edit(json.loads(lines[2]))
         lines[2] = "" if edited is None else json.dumps(edited, sort_keys=True)
         (out / "questions.jsonl").write_text("\n".join(lines) + "\n")
+        reseal(out, "questions.jsonl")
         capsys.readouterr()
         for stage in (["answer", "--model", "graph"], ["answer", "--model", "exact"],
                       ["evaluate"]):
@@ -644,6 +786,7 @@ class TestQaArtifactsReadStrictly:
         record = json.loads(lines[2])
         lines[2] = json.dumps({**record, "partition_id": 9999}, sort_keys=True)
         (out / "questions.jsonl").write_text("\n".join(lines) + "\n")
+        reseal(out, "questions.jsonl")
         export = tmp_path / "export.tsv"
         capsys.readouterr()
         for model in (["--model", "graph"], ["--model", "exact"],
@@ -727,6 +870,7 @@ class TestQaArtifactsReadStrictly:
         lines = (out / name).read_text().splitlines()
         lines[0] = edit(json.loads(lines[0]))
         (out / name).write_text("\n".join(lines) + "\n")
+        reseal(out, name)
         capsys.readouterr()
         assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
         assert reason in capsys.readouterr().err

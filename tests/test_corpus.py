@@ -37,7 +37,7 @@ from entgraph.records import (
     save_corpus,
 )
 
-from conftest import prop
+from conftest import prop, reseal
 from oracles import corpus_jsonl, parse_record_dicts
 
 
@@ -587,6 +587,7 @@ class TestReadCorpus:
             expected = ingest(raw, INVENTORY)
             save_corpus(expected, saved)
             got = read_corpus(saved)
+            reseal(Path(tmp), "corpus.columns")
             dump = io.StringIO()
             with contextlib.redirect_stdout(dump):
                 assert main(["dump-corpus", "--out", tmp]) == 0
@@ -687,6 +688,7 @@ class TestCorpusColumns:
         assert main(["ingest", "--out", str(tmp_path)]) == 0
         path = tmp_path / "corpus.columns"
         path.write_bytes(first + path.read_bytes()[path.read_bytes().index(b"\n"):])
+        reseal(tmp_path, "corpus.columns")
         capsys.readouterr()
         assert main([*stage, "--out", str(tmp_path)]) == code
         assert capsys.readouterr().err.startswith(f"{reason}{path}: ")

@@ -7,7 +7,7 @@ import functools
 import pytest
 
 from entgraph import model, qaeval, qagen
-from entgraph.cli import EXIT_DATA, _write_manifest, main
+from entgraph.cli import EXIT_DATA, Artifacts, build_parser, main
 from entgraph.graphio import (
     VersionMismatch,
     read_graph_dir,
@@ -27,7 +27,7 @@ from entgraph.localgraph import (
 
 from entgraph.records import save_corpus
 
-from conftest import DATA, corpus, ent, pred, prop
+from conftest import DATA, corpus, ent, pred, prop, reseal
 from oracles import valency_maps
 
 
@@ -211,6 +211,7 @@ def test_globalize_refuses_shuffled_local_graph(tmp_path, capsys, first, second)
     text = (DATA / "golden_bivalent.graph").read_text()
     assert text.count(first + second) == 1
     path.write_text(text.replace(first + second, second + first))
+    reseal(tmp_path, "graphs/local")
     assert main(["globalize", "--out", str(tmp_path)]) == EXIT_DATA
     assert f"{path}: " in capsys.readouterr().err
     assert not (tmp_path / "graphs" / "global").exists()
@@ -257,7 +258,8 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
         write = functools.partial(write_subgraph, golden_subgraph(), path)
     elif artifact == "manifest":
         path = tmp_path / "globalize.manifest.json"
-        write = functools.partial(_write_manifest, tmp_path, "globalize", {"tau": 0.9}, [])
+        run = Artifacts(build_parser().parse_args(["globalize", "--out", str(tmp_path)]))
+        write = functools.partial(run.seal, "globalize", [])
     elif artifact == "questions":
         path = tmp_path / "questions.jsonl"
         question = qagen.Question(

@@ -3,12 +3,11 @@
 The package imports only the standard library, so each CPython >= 3.10
 found here (``python3.N`` on ``PATH``, or a pyenv install) runs every
 stage, ``ingest`` to ``evaluate`` and ``query``, straight from the source
-tree on the shipped sample. Every file they write but the manifests,
-which hold absolute paths, and every stage's standard output must equal
-what this interpreter's run gives: scores add their terms in a fixed
-order, so Python 3.12's compensated ``sum`` cannot move their last bits,
-and the global solve runs in plain Python, with no BLAS build in the
-loop. The test skips only when no other interpreter is found.
+tree on the shipped sample. Every file they write, manifests included,
+and every stage's standard output must equal what this interpreter's
+run gives: scores add their terms in a fixed order, so Python 3.12's
+compensated ``sum`` cannot move their last bits, and the global solve
+runs in plain Python, with no BLAS build in the loop. The test skips only when no other interpreter is found.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ STAGES = (
 
 
 def pipeline_outputs(python: str | Path, out: Path) -> dict[str, bytes]:
-    """The artifacts, manifests apart, and the standard output of each
-    stage of the sample pipeline run by ``python`` in ``out``."""
+    """The artifacts and the standard output of each stage of the sample
+    pipeline run by ``python`` in ``out``."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     out.mkdir()
     outputs = {}
@@ -83,7 +82,7 @@ def pipeline_outputs(python: str | Path, out: Path) -> dict[str, bytes]:
         assert run.returncode == 0, f"{python} {' '.join(argv)}: {run.stderr.decode()}"
         outputs[f"stdout of {' '.join(argv)}"] = run.stdout
     for path in sorted(out.rglob("*")):
-        if path.is_file() and not path.name.endswith(".manifest.json"):
+        if path.is_file():
             outputs[path.relative_to(out).as_posix()] = path.read_bytes()
     return outputs
 
