@@ -312,12 +312,15 @@ def generate_questions(
     """Full generation pass: partition, select, derive negatives, balance."""
     rng = random.Random(config.seed)
     partitions, undated = partition(corpus, config.window_days)
+    n_partitions = len(partitions)
     all_pos: list[Question] = []
     all_neg: list[Question] = []
     evidence: list[Partition] = []
     screening = ScreeningStats()
     shortfalls = 0
-    for part in partitions:
+    while partitions:
+        # each partition is dropped once done, and its arg_keys with it
+        part = partitions.pop(0)
         sel = select_positives(
             part, corpus, config.entity_min, config.predicate_min,
             config.positives_per_partition, rng,
@@ -339,7 +342,7 @@ def generate_questions(
         "entity_min": config.entity_min,
         "predicate_min": config.predicate_min,
         "positives_per_partition": config.positives_per_partition,
-        "partitions": len(partitions),
+        "partitions": n_partitions,
         "undated_excluded": undated,
         "partitions_with_shortfall": shortfalls,
         "candidates": {"positives": len(all_pos), "negatives": len(all_neg)},

@@ -544,7 +544,9 @@ class TestStaleArtifacts:
         other.write_text("".join(
             resources.sample_corpus_path().read_text().splitlines(keepends=True)[:40]))
         assert main(["ingest", "--out", str(out), "--corpus", str(other)]) == EXIT_OK
+        # query reads the global graphs only: the check goes up their chain
         for argv, stage in ((["globalize"], "build-local"),
+                            (["query", "kill.2", "die.1", "--type", "person"], "build-local"),
                             (["answer", "--model", "graph"], "gen-questions"),
                             (["evaluate"], "gen-questions")):
             err = self._refused(out, argv, capsys)
@@ -558,7 +560,7 @@ class TestStaleArtifacts:
         ("gen-questions", ["answer", "--model", "exact"]),
         ("answer-exact", ["evaluate"]),
     ])
-    @pytest.mark.parametrize("manifest", ["missing", "older-format"])
+    @pytest.mark.parametrize("manifest", ["missing", "older-format", "older-version"])
     def test_missing_or_older_manifest_refused(
         self, pipeline_dir, tmp_path, capsys, stage, argv, manifest
     ):
@@ -569,6 +571,9 @@ class TestStaleArtifacts:
         if manifest == "missing":
             path.unlink()
             reason = f"missing manifest {path}"
+        elif manifest == "older-version":
+            path.write_text(path.read_text().replace('"stage_version": 2', '"stage_version": 1'))
+            reason = f"{path} is not a current manifest"
         else:
             # as the former writer wrote it: version 1, inputs keyed by the
             # path as given, no output digests
