@@ -267,7 +267,8 @@ def cmd_gen_questions(args, run: Artifacts) -> int:
 def cmd_dump_corpus(args, run: Artifacts) -> int:
     from .records import corpus_lines, read_corpus
 
-    sys.stdout.writelines(corpus_lines(read_corpus(run.read(CORPUS))))
+    corpus = read_corpus(run.read(CORPUS))
+    sys.stdout.writelines(corpus_lines(corpus))
     return EXIT_OK
 
 
