@@ -16,7 +16,7 @@ files and writes the sha256 of ``report/pr-*.csv`` and
 ``report/summary.txt`` to ``tests/data/sample_report_digests.sha256``,
 which the same test checks. It writes the sha256 of ``corpus.jsonl``
 (what ``entgraph dump-corpus`` prints of the saved corpus),
-``questions.jsonl`` and ``evidence.jsonl`` to
+``questions.jsonl``, ``evidence.jsonl`` and ``evidence.columns`` to
 ``tests/data/sample_jsonl_digests.sha256``, which
 ``tests/test_cli.py::TestGoldenGraphs`` checks. Last, it builds the
 local graphs of ``synthetic_corpus()``, a seeded corpus with BB
@@ -34,8 +34,8 @@ the sample at 40 copies and seed 1 with ``gen-questions --seed 1``:
 ``answer`` with the exact model and the graph model's ``bb,bu,uu``,
 ``bb``, ``bu`` and ``uu``, then ``evaluate`` on those five. It writes the
 sha256 of the ``corpus.jsonl`` dump, the local and global graphs,
-``questions.jsonl``,
-``evidence.jsonl``, the answers and the report to
+``questions.jsonl``, ``evidence.jsonl``, ``evidence.columns``, the
+answers and the report to
 ``tests/data/qa40_digests.sha256``, which
 ``tests/test_cli.py::TestGoldenGraphs`` checks as well. Run it after an
 intended change to the graphs, the answers, the report or the JSONL
@@ -66,7 +66,7 @@ JSONL_OUT = DATA / "sample_jsonl_digests.sha256"
 DENSE_OUT = DATA / "dense_graph_digests.sha256"
 QA40_OUT = DATA / "qa40_digests.sha256"
 # the files of the question stage; the corpus is hashed as its dump
-QA_FILES = ("questions.jsonl", "evidence.jsonl")
+QA_FILES = ("questions.jsonl", "evidence.jsonl", "evidence.columns")
 
 # the question seed of tests/test_cli.py's pipeline fixture
 QUESTION_SEED = "3"
@@ -131,7 +131,7 @@ def corpus_digest_line(out: Path, base: Path) -> str:
 
 def jsonl_digest_lines(out: Path) -> list[str]:
     """The ``corpus.jsonl`` dump's digest, then ``sha256sum questions.jsonl
-    evidence.jsonl`` run in ``out``."""
+    evidence.jsonl evidence.columns`` run in ``out``."""
     return [corpus_digest_line(out, out), *_sha256sum([out / name for name in QA_FILES], out)]
 
 
@@ -215,7 +215,7 @@ def dense_digest_lines(directory: Path) -> list[str]:
 def qa40_digest_lines(directory: Path) -> list[str]:
     """Run all seven stages on qa x40 in ``directory``/qa40 and return the
     digest of its ``corpus.jsonl`` dump, then ``sha256sum graphs/local/*.graph
-    graphs/global/*.graph questions.jsonl evidence.jsonl answers-*.csv
+    graphs/global/*.graph questions.jsonl evidence.jsonl evidence.columns answers-*.csv
     report/pr-*.csv report/summary.txt`` run in ``directory``/qa40."""
     gen = _bench_gen()
     out, records = directory / "qa40", directory / "qa40.jsonl"

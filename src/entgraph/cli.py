@@ -43,8 +43,10 @@ from .model import (
 )
 
 STAGE_VERSION = 2
-# the saved corpus ``ingest`` writes (see ``records``)
+# the saved corpus ``ingest`` writes (see ``records``), and the corpus rows
+# of the evidence ``gen-questions`` writes (see ``qagen.read_evidence``)
 CORPUS = "corpus.columns"
+EVIDENCE = "evidence.columns"
 # each artifact under ``--out`` -> the stage that writes it; besides these,
 # ``answers-<tag>.csv`` is written by ``answer-<tag>`` (see ``_producer``)
 PRODUCERS = {
@@ -53,6 +55,7 @@ PRODUCERS = {
     "graphs/global": "globalize",
     "questions.jsonl": "gen-questions",
     "evidence.jsonl": "gen-questions",
+    EVIDENCE: "gen-questions",
 }
 # arguments kept out of a manifest's config: the options that name files
 _NOT_CONFIG = {"command", "out", "corpus", "types", "wordnet", "graphs", "scores",
@@ -236,7 +239,8 @@ def cmd_globalize(args, run: Artifacts) -> int:
 
 def cmd_gen_questions(args, run: Artifacts) -> int:
     from .lexicon import WORDNET_FILES, LexicalResource
-    from .qagen import QaGenConfig, generate_questions, write_evidence, write_questions
+    from .qagen import (
+        QaGenConfig, generate_questions, save_evidence, write_evidence, write_questions)
     from .records import read_corpus
 
     corpus = read_corpus(run.read(CORPUS))
@@ -256,7 +260,8 @@ def cmd_gen_questions(args, run: Artifacts) -> int:
     qs = generate_questions(corpus, lex, config)
     write_questions(qs, run.out / "questions.jsonl")
     write_evidence(qs.evidence, run.out / "evidence.jsonl")
-    run.seal("gen-questions", ["questions.jsonl", "evidence.jsonl"])
+    save_evidence(qs.evidence, corpus, run.out / EVIDENCE)
+    run.seal("gen-questions", ["questions.jsonl", "evidence.jsonl", EVIDENCE])
     print(
         f"generated {qs.manifest['questions']} balanced questions "
         f"over {qs.manifest['partitions']} partitions"
@@ -306,10 +311,11 @@ def _parse_components(text: str) -> frozenset[str]:
 def cmd_answer(args, run: Artifacts) -> int:
     from . import qaeval
     from .qagen import read_evidence, read_questions
+    from .records import read_corpus
 
     questions, _ = read_questions(run.read("questions.jsonl"))
-    evidence_path = run.read("evidence.jsonl")
-    evidence = {p.id: p for p in read_evidence(evidence_path)}
+    evidence_path = run.read(EVIDENCE)
+    evidence = {p.id: p for p in read_evidence(evidence_path, read_corpus(run.read(CORPUS)))}
     for q in questions:
         if q.partition_id not in evidence:
             raise DataError(

@@ -28,7 +28,7 @@ from .model import (
     TypedPredicate,
     normalize_surface,
 )
-from .records import RecordError, _key_clash, _lemma, _negated, _typed
+from .records import RecordError, _iso_date, _key_clash, _lemma, _negated, _typed
 
 
 BE_FORMS = {"be", "is", "are", "was", "were", "am", "been", "being"}
@@ -161,17 +161,9 @@ def _parse_entity(obj: dict, inventory: TypeInventory) -> tuple[EntityId, str, b
 
 
 def _parse_date(value) -> dt.date | None:
-    """A ``YYYY-MM-DD`` string's date: Python 3.11 reads more forms than
-    3.10 does (``20210304``), so a corpus must not depend on them."""
-    if value in (None, ""):
-        return None
-    try:
-        date = dt.date.fromisoformat(_typed(value, str, "date"))
-    except ValueError as exc:
-        raise RecordError(f"bad date {value!r}") from exc
-    if date.isoformat() != value:
-        raise RecordError(f"bad date {value!r}")
-    return date
+    """A ``YYYY-MM-DD`` string's date (see ``records._iso_date``); none for
+    a null or empty one."""
+    return None if value in (None, "") else _iso_date(value)
 
 
 def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> list[Proposition]:

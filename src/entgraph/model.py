@@ -294,6 +294,10 @@ class Corpus:
     def prop_id(self, index: int) -> str:
         return f"p{index:06d}"
 
+    def row_of(self, prop_id: str) -> int:
+        """The index a ``prop_id`` names."""
+        return int(prop_id[1:])
+
     def items(self) -> Iterator[tuple[str, Proposition]]:
         for i, prop in enumerate(self.propositions):
             yield self.prop_id(i), prop

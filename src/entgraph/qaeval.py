@@ -261,41 +261,49 @@ def filter_questions(
 ANSWER_FIELDS = ["question_id", "model_id", "confidence", "best_evidence", "backed_off"]
 
 
+def _answer_row(r: AnswerRecord) -> list[str]:
+    return [r.question_id, r.model_id, repr(r.confidence), r.best_evidence or "",
+            str(int(r.backed_off))]
+
+
 def write_answers(records: Sequence[AnswerRecord], path: str | Path) -> None:
     with _atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ANSWER_FIELDS)
-        for r in records:
-            writer.writerow(
-                [r.question_id, r.model_id, repr(r.confidence),
-                 r.best_evidence or "", int(r.backed_off)]
-            )
+        writer.writerows(map(_answer_row, records))
 
 
 def read_answers(path: str | Path) -> list[AnswerRecord]:
-    """The records ``write_answers`` wrote. A file with another header, or
-    a row that does not parse, raises ValueError naming the file."""
-    out = []
+    """The records ``write_answers`` wrote of one model. A file with
+    another header raises ValueError naming the file; a row that does not
+    parse, that ``write_answers`` would not write back as it stands (a
+    sixth field, a ``backed_off`` of ``7`` or `` 1``) or whose model id
+    is not the first row's raises ValueError naming the file and line."""
+    out: list[AnswerRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ANSWER_FIELDS:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ANSWER_FIELDS:
             raise ValueError(
-                f"{path}: not an answer file: its header is {reader.fieldnames}, "
-                f"not {ANSWER_FIELDS}"
+                f"{path}: not an answer file: its header is {header}, not {ANSWER_FIELDS}"
             )
         for row in reader:
             try:
-                out.append(
-                    AnswerRecord(
-                        row["question_id"],
-                        row["model_id"],
-                        float(row["confidence"]),
-                        row["best_evidence"] or None,
-                        bool(int(row["backed_off"])),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
+                if len(row) != len(ANSWER_FIELDS):
+                    raise ValueError(f"{len(row)} fields, not {len(ANSWER_FIELDS)}")
+                qid, model_id, confidence, best, backed_off = row
+                record = AnswerRecord(
+                    qid, model_id, float(confidence), best or None, bool(int(backed_off)))
+                written = _answer_row(record)
+                if written != row:
+                    differ = [f for f, a, b in zip(ANSWER_FIELDS, written, row) if a != b]
+                    raise ValueError(f"fields {differ} differ from the written form")
+                if out and model_id != out[0].model_id:
+                    raise ValueError(
+                        f"model id {model_id!r} is not the first row's {out[0].model_id!r}")
+            except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad answer row: {exc}") from None
+            out.append(record)
     return out
 
 

@@ -9,6 +9,11 @@ screened: a candidate that occurs in its own partition is discarded as
 actually true, and one that never occurs anywhere in the corpus is
 discarded as too easy. The surviving pool is downsampled to equal-size
 unary/binary and positive/negative quadrants with a seeded generator.
+
+The evidence is written twice: ``evidence.jsonl`` holds each evidence
+proposition as a record line, for people and for digests taken of it,
+and ``evidence.columns`` holds its corpus row, which is all ``answer``
+reads, beside the corpus, so no stage parses an evidence line.
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ from __future__ import annotations
 import datetime as dt
 import json
 import random
+from array import array
 from collections import Counter, namedtuple
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .records import _CanonicalReader, _typed, proposition_record, write_records
+from .columns import read_columns, write_columns
+from .records import _CanonicalReader, _iso_date, _typed, proposition_record, write_records
 from .model import Corpus, EntityId, Proposition, TypedPredicate
 
 if TYPE_CHECKING:
@@ -29,6 +36,9 @@ if TYPE_CHECKING:
 
 QUESTION_FORMAT_VERSION = 1
 EVIDENCE_FORMAT_VERSION = 1
+# ``evidence.columns``, the evidence ``answer`` reads (see ``read_evidence``)
+EVIDENCE_MAGIC = "entgraph-evidence-rows"
+EVIDENCE_ROWS_VERSION = 1
 
 
 class Partition:
@@ -446,69 +456,109 @@ def _evidence_record(item: tuple[int, str, Proposition]) -> dict:
     return {"partition_id": part_id, "prop_id": prop_id, **proposition_record(prop)}
 
 
+def _partition_header(p: Partition) -> dict:
+    return {
+        "id": p.id,
+        "date_range": [p.date_range[0].isoformat(), p.date_range[1].isoformat()],
+        "size": len(p.propositions),
+    }
+
+
 def write_evidence(partitions: list[Partition], path: str | Path) -> None:
+    """Write ``evidence.jsonl``: a header listing each partition, then one
+    record line per evidence proposition. No stage reads it back."""
     header = {
         "format": "entgraph-evidence",
         "version": EVIDENCE_FORMAT_VERSION,
-        "partitions": [
-            {
-                "id": p.id,
-                "date_range": [p.date_range[0].isoformat(), p.date_range[1].isoformat()],
-                "size": len(p.propositions),
-            }
-            for p in partitions
-        ],
+        "partitions": list(map(_partition_header, partitions)),
     }
     write_records(path, chain([header], (
         _evidence_record((p.id, pid, prop)) for p in partitions for pid, prop in p.propositions
     )))
 
 
-def read_evidence(path: str | Path) -> list[Partition]:
-    """The partitions ``write_evidence`` wrote. Each header partition's
-    ``id`` and ``size`` must be ints (not floats or bools), no two may share
-    an id, and its ``date_range`` must be two date strings. A record line is
-    accepted only if ``_evidence_record`` of what it parses to reproduces
-    it and its predicate and arguments pass the checks ``read_corpus``
-    makes of its table entries, and each partition must hold as many as
-    the header declares."""
-    header, lines = _read_qa_file(
-        path, "entgraph-evidence", EVIDENCE_FORMAT_VERSION, "an evidence file"
-    )
-    meta = {}
-    try:
-        for p in header["partitions"]:
-            lo, hi = _typed(p["date_range"], list, "date_range")
-            part_id = _typed(p["id"], int, "partition id")
-            if part_id in meta:
-                raise ValueError(f"partition {part_id} is listed twice")
-            meta[part_id] = (
-                _typed(p["size"], int, "partition size"),
-                (dt.date.fromisoformat(lo), dt.date.fromisoformat(hi)),
-            )
-    except KeyError as exc:
-        raise ValueError(f"{path}:1: evidence header lacks {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}:1: bad evidence header: {exc}") from None
-    by_id: dict[int, list[tuple[str, Proposition]]] = {pid: [] for pid in meta}
-    reader = _CanonicalReader(path)
+def save_evidence(partitions: list[Partition], corpus: Corpus, path: str | Path) -> None:
+    """Write ``partitions`` of ``corpus`` as ``evidence.columns``: the
+    corpus's length and the partition list of ``write_evidence``'s header,
+    then the corpus row of each evidence proposition, partition by
+    partition, in one int32 column."""
+    rows = array("i", (corpus.row_of(pid) for p in partitions for pid, _ in p.propositions))
+    tables = {"corpus_rows": len(corpus), "partitions": list(map(_partition_header, partitions))}
+    write_columns(path, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION, tables, [rows])
 
-    def build(obj: dict) -> tuple[int, str, Proposition]:
-        return (_typed(obj["partition_id"], int, "partition_id"),
-                _typed(obj["prop_id"], str, "prop_id"), reader.proposition(obj))
 
-    for lineno, line in enumerate(lines[1:], 2):
-        part_id, prop_id, prop = reader.parse(lineno, line, build, _evidence_record, "record")
-        if part_id not in by_id:
-            raise ValueError(f"{path}:{lineno}: partition {part_id!r} is not in the header")
-        by_id[part_id].append((prop_id, prop))
-    out = []
-    for pid in sorted(by_id):
-        size, date_range = meta[pid]
-        if len(by_id[pid]) != size:
-            raise ValueError(
-                f"{path}: partition {pid} has {len(by_id[pid])} records, "
-                f"the header declares {size}"
-            )
-        out.append(Partition(pid, date_range, by_id[pid]))
+def _partition_entry(entry) -> tuple[int, tuple[dt.date, dt.date], int]:
+    """The id, date range and size of a header partition, as
+    ``_partition_header`` writes them."""
+    if type(entry) is not dict or entry.keys() != {"id", "date_range", "size"}:
+        raise ValueError("is not an object of id, date_range and size")
+    dates = _typed(entry["date_range"], list, "date_range")
+    if len(dates) != 2:
+        raise ValueError(f"date_range {dates!r} is not two dates")
+    lo, hi = map(_iso_date, dates)
+    if lo > hi:
+        raise ValueError(f"date_range {dates!r} starts after it ends")
+    size = _typed(entry["size"], int, "size")
+    if size < 0:
+        raise ValueError(f"size {size} is negative")
+    return _typed(entry["id"], int, "id"), (lo, hi), size
+
+
+def read_evidence(path: str | Path, corpus: Corpus) -> list[Partition]:
+    """The partitions ``save_evidence`` wrote of ``corpus``, in header
+    order, each holding the corpus's own (id, proposition) items.
+
+    The header's ``corpus_rows`` must be the corpus's length; each
+    partition an ``int`` id (no float or bool) no earlier one has, a date
+    range of two ``YYYY-MM-DD`` dates that does not end before it starts,
+    and an ``int`` size not below 0, the sizes adding up to the column's
+    length. A partition's rows must lie in the corpus, strictly increase,
+    and be dated within its range. Anything else raises ValueError naming
+    the file and the partition entry, or the partition and row; the codec
+    refuses a wrong magic, a short column and trailing bytes, and raises
+    VersionMismatch for another version.
+    """
+    tables, (rows,) = read_columns(
+        path, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION, ("corpus_rows", "partitions"), "i")
+    n = len(corpus)
+    if type(tables["corpus_rows"]) is not int or tables["corpus_rows"] != n:
+        raise ValueError(
+            f"{path}: corpus_rows {tables['corpus_rows']!r} is not the corpus's {n} rows")
+    entries = tables["partitions"]
+    if type(entries) is not list:
+        raise ValueError(f"{path}: partitions is not a list")
+    meta, ids = [], set()
+    for i, entry in enumerate(entries):
+        try:
+            part_id, date_range, size = _partition_entry(entry)
+            if part_id in ids:
+                raise ValueError(f"id {part_id} repeats an earlier entry")
+        except ValueError as exc:
+            raise ValueError(f"{path}: partitions entry {i}: {exc}") from None
+        ids.add(part_id)
+        meta.append((part_id, date_range, size))
+    total = sum(size for _, _, size in meta)
+    if total != len(rows):
+        raise ValueError(
+            f"{path}: partition sizes add up to {total}, not to the column's {len(rows)} rows")
+    props, prop_id = corpus.propositions, corpus.prop_id
+    out, start = [], 0
+    for part_id, (lo, hi), size in meta:
+        items, prev = [], -1
+        for row in rows[start:start + size]:
+            if not 0 <= row < n:
+                why = f"is outside the corpus of {n} rows"
+            elif row <= prev:
+                why = f"does not follow row {prev}"
+            elif (date := props[row].date) is None:
+                why = "is undated"
+            elif not lo <= date <= hi:
+                why = f"is dated {date}, outside {lo} to {hi}"
+            else:
+                items.append((prop_id(row), props[row]))
+                prev = row
+                continue
+            raise ValueError(f"{path}: partition {part_id}: row {row} {why}")
+        out.append(Partition(part_id, (lo, hi), items))
+        start += size
     return out

@@ -12,11 +12,13 @@ or row. ``corpus_lines`` prints the corpus in the line form it was once
 saved in, one ``proposition_record`` per line.
 
 Evidence and question files are written by ``write_records``, one sorted-
-key JSON line per record, and each line is checked by
-``_CanonicalReader.parse``. The entry checks the corpus tables pass are
-that reader's ``predicate`` and ``entity``, so every reader makes them
-alike. This module imports no other layer, so the stages that read a
-corpus do not load ``ingest``.
+key JSON line per record. Question lines are checked by
+``_CanonicalReader.parse``; no stage reads an evidence line (``answer``
+reads evidence as corpus rows, see ``qagen.read_evidence``). The entry
+checks the corpus tables pass are that reader's ``predicate`` and
+``entity``, so every reader makes them alike. ``_iso_date`` is the one
+date check of every reader. This module imports no other layer, so the
+stages that read a corpus do not load ``ingest``.
 """
 
 from __future__ import annotations
@@ -57,6 +59,19 @@ def _typed(value, kind: type, name: str):
     if type(value) is not kind:
         raise RecordError(f"{name} {value!r} is not {kind.__name__}")
     return value
+
+
+def _iso_date(value) -> dt.date:
+    """The date of a ``YYYY-MM-DD`` string. Python 3.11 reads more forms
+    than 3.10 does (``20210304``), so a file must not depend on them: a
+    string that is not its date's ``isoformat`` raises RecordError."""
+    try:
+        date = dt.date.fromisoformat(_typed(value, str, "date"))
+        if date.isoformat() == value:
+            return date
+    except ValueError:
+        pass
+    raise RecordError(f"bad date {value!r}")
 
 
 def _lemma(lemma: str) -> str:
@@ -261,20 +276,18 @@ class _CanonicalReader:
     time, sharing one object per predicate, entity and date.
 
     A line is canonical iff the record function of the value it parses to
-    reproduces it, ``sentence_idx``, ``role_index`` and ``partition_id`` are
-    ints and ``is_named`` a bool (not merely equal to one), its surfaces and
-    type labels are already normalized, each kb id keeps the one surface it
-    first had in the file and is no unlinked surface of it, and a
-    proposition has a named argument. Anything else raises ValueError
-    naming the file and line. Evidence and question lines go through
-    ``parse``; the corpus tables through ``predicate`` and ``entity``.
+    reproduces it, ``partition_id`` is an int and ``is_named`` a bool (not
+    merely equal to one), its surfaces and type labels are already
+    normalized, and each kb id keeps the one surface it first had in the
+    file and is no unlinked surface of it. Anything else raises ValueError
+    naming the file and line. Question lines go through ``parse``; the
+    corpus tables through ``predicate`` and ``entity``.
     """
 
     def __init__(self, path: str | Path):
         self.path = path
         self.predicates: dict[tuple, TypedPredicate] = {}
         self.entities: dict[tuple, EntityId] = {}
-        self.dates: dict[str, dt.date] = {}
         self.surface_of: dict[str, str] = {}
         self.linked: dict[str, bool] = {}
 
@@ -295,28 +308,6 @@ class _CanonicalReader:
         except (AttributeError, TypeError, ValueError) as exc:
             reason = str(exc)
         raise ValueError(f"{self.path}:{lineno}: not a canonical {what}: {reason}")
-
-    def proposition(self, obj: dict) -> Proposition:
-        """The proposition of a record in the form ``proposition_record``
-        writes; ``parse`` compares the two."""
-        args = obj["args"]
-        lemma = obj["predicate"]
-        types = tuple(a["type"] for a in args)
-        roles = [_typed(a["role_index"], int, "role_index") for a in args]
-        case = f".{roles[0]}" if len(args) == 1 else None
-        pred = self.predicate(lemma, types, case)
-        entities = tuple(self.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in args)
-        if not any(e.is_named for e in entities):
-            raise ValueError("no argument is named")
-        date = obj["date"]
-        if date is not None:
-            if date not in self.dates:
-                self.dates[date] = dt.date.fromisoformat(date)
-            date = self.dates[date]
-        return Proposition(
-            pred, entities, str(obj["article_id"]),
-            date, _typed(obj["sentence_idx"], int, "sentence_idx"), _negated(lemma),
-        )
 
     def predicate(self, lemma: str, types: tuple[str, ...], case: str | None) -> TypedPredicate:
         """The predicate with this lemma, types and case marker; the lemma

@@ -39,7 +39,14 @@ from entgraph.model import (
     normalize_surface,
 )
 from entgraph.qaeval import AnswerRecord, PRCurve, PRPoint, _model_id, _untyped_match
-from entgraph.qagen import Partition, Question
+from entgraph.qagen import (
+    EVIDENCE_FORMAT_VERSION,
+    Partition,
+    Question,
+    _evidence_record,
+    _read_qa_file,
+)
+from entgraph.records import _CanonicalReader, _iso_date, _negated, _typed
 from entgraph.store import GraphStore
 
 
@@ -416,3 +423,76 @@ def corpus_jsonl(corpus: Corpus) -> str:
         }
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines)
+
+
+# -- the evidence as JSON lines -------------------------------------------------
+
+
+def evidence_proposition(reader: _CanonicalReader, obj: dict) -> Proposition:
+    """The proposition of an evidence line's record, its predicate and
+    arguments built through ``reader``; ``reader.parse`` compares the
+    record ``_evidence_record`` writes of it with the line."""
+    args = obj["args"]
+    lemma = obj["predicate"]
+    types = tuple(a["type"] for a in args)
+    roles = [_typed(a["role_index"], int, "role_index") for a in args]
+    case = f".{roles[0]}" if len(args) == 1 else None
+    pred = reader.predicate(lemma, types, case)
+    entities = tuple(reader.entity(a["surface"], a.get("kb_id"), a["is_named"]) for a in args)
+    if not any(e.is_named for e in entities):
+        raise ValueError("no argument is named")
+    date = None if obj["date"] is None else _iso_date(obj["date"])
+    return Proposition(
+        pred, entities, str(obj["article_id"]),
+        date, _typed(obj["sentence_idx"], int, "sentence_idx"), _negated(lemma),
+    )
+
+
+def read_evidence_jsonl(path) -> list[Partition]:
+    """The partitions ``write_evidence`` wrote to ``evidence.jsonl``, the
+    reference ``qagen.read_evidence`` of ``evidence.columns`` must agree
+    with, sorted by id. Each header partition's ``id`` and ``size`` must be
+    ints (not floats or bools), no two may share an id, and its
+    ``date_range`` must be two ``YYYY-MM-DD`` strings. A record line is
+    accepted only if ``_evidence_record`` of what it parses to reproduces
+    it and its predicate and arguments pass the checks ``read_corpus``
+    makes of its table entries, and each partition must hold as many as
+    the header declares."""
+    header, lines = _read_qa_file(
+        path, "entgraph-evidence", EVIDENCE_FORMAT_VERSION, "an evidence file"
+    )
+    meta = {}
+    try:
+        for p in header["partitions"]:
+            lo, hi = _typed(p["date_range"], list, "date_range")
+            part_id = _typed(p["id"], int, "partition id")
+            if part_id in meta:
+                raise ValueError(f"partition {part_id} is listed twice")
+            meta[part_id] = (_typed(p["size"], int, "partition size"),
+                             (_iso_date(lo), _iso_date(hi)))
+    except KeyError as exc:
+        raise ValueError(f"{path}:1: evidence header lacks {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:1: bad evidence header: {exc}") from None
+    by_id: dict[int, list[tuple[str, Proposition]]] = {pid: [] for pid in meta}
+    reader = _CanonicalReader(path)
+
+    def build(obj: dict) -> tuple[int, str, Proposition]:
+        return (_typed(obj["partition_id"], int, "partition_id"),
+                _typed(obj["prop_id"], str, "prop_id"), evidence_proposition(reader, obj))
+
+    for lineno, line in enumerate(lines[1:], 2):
+        part_id, prop_id, prop = reader.parse(lineno, line, build, _evidence_record, "record")
+        if part_id not in by_id:
+            raise ValueError(f"{path}:{lineno}: partition {part_id!r} is not in the header")
+        by_id[part_id].append((prop_id, prop))
+    out = []
+    for pid in sorted(by_id):
+        size, date_range = meta[pid]
+        if len(by_id[pid]) != size:
+            raise ValueError(
+                f"{path}: partition {pid} has {len(by_id[pid])} records, "
+                f"the header declares {size}"
+            )
+        out.append(Partition(pid, date_range, by_id[pid]))
+    return out

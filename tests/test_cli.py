@@ -8,16 +8,19 @@ import itertools
 import json
 import random
 import shutil
+from array import array
 from pathlib import Path
 
 import pytest
 
 from entgraph import resources
 from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, build_parser, main
+from entgraph.columns import read_columns, write_columns
 from entgraph.localgraph import BU, EDGE_CODES, UU, build_local_graphs
 from entgraph.model import EntityId, Proposition, TypedPredicate
 from entgraph.qaeval import answer_graph, read_answers
-from entgraph.qagen import Partition, Question
+from entgraph.qagen import EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION, Partition, Question
+from entgraph.records import read_corpus
 from entgraph.store import GraphStore
 
 from conftest import DATA, reseal
@@ -57,7 +60,7 @@ def _tree(out: Path) -> dict[str, bytes]:
 
 class TestStageWiring:
     def test_artifacts_exist(self, pipeline_dir):
-        for name in ("corpus.columns", "questions.jsonl", "evidence.jsonl"):
+        for name in ("corpus.columns", "questions.jsonl", "evidence.jsonl", "evidence.columns"):
             assert (pipeline_dir / name).is_file()
         # one saved corpus: its line form is printed by dump-corpus, not written
         assert not (pipeline_dir / "corpus.jsonl").exists()
@@ -90,7 +93,8 @@ class TestStageWiring:
         # keyed by path relative to --out, each file with its digest
         digest = hashlib.sha256((pipeline_dir / "corpus.columns").read_bytes()).hexdigest()
         assert manifest["inputs"] == {"corpus.columns": digest}
-        assert sorted(manifest["outputs"]) == ["evidence.jsonl", "questions.jsonl"]
+        assert sorted(manifest["outputs"]) == [
+            "evidence.columns", "evidence.jsonl", "questions.jsonl"]
 
     def test_manifests_list_every_file_read(self, pipeline_dir, tmp_path):
         def inputs(out, stage):
@@ -119,7 +123,9 @@ class TestStageWiring:
         assert main(["answer", "--out", str(out), "--model", "external",
                      "--scores", str(scores)]) == EXIT_OK
         assert main(["evaluate", "--out", str(out)]) == EXIT_OK
-        qa = {name: digest(out / name) for name in ("questions.jsonl", "evidence.jsonl")}
+        # answer reads the evidence as rows of the corpus, not evidence.jsonl
+        qa = {name: digest(out / name)
+              for name in ("questions.jsonl", "corpus.columns", "evidence.columns")}
         graphs = {p.relative_to(out).as_posix(): digest(p)
                   for p in sorted((out / "graphs" / "global").glob("*.graph"))}
         assert inputs(out, "answer-graph-bb+bu+uu") == {**qa, **graphs}
@@ -527,13 +533,13 @@ class TestStaleArtifacts:
     def test_evidence_of_another_seed_refused(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
-        seed3 = (out / "evidence.jsonl").read_bytes()
+        seed3 = (out / "evidence.columns").read_bytes()
         assert main(["gen-questions", "--out", str(out), "--seed", "5"]) == EXIT_OK
-        assert (out / "evidence.jsonl").read_bytes() != seed3
-        (out / "evidence.jsonl").write_bytes(seed3)
+        assert (out / "evidence.columns").read_bytes() != seed3
+        (out / "evidence.columns").write_bytes(seed3)
         for model in ("exact", "graph"):
             err = self._refused(out, ["answer", "--model", model], capsys)
-            assert f"{out / 'evidence.jsonl'} is not what `gen-questions` wrote" in err
+            assert f"{out / 'evidence.columns'} is not what `gen-questions` wrote" in err
             assert "rerun the `gen-questions` stage" in err
 
     def test_corpus_of_another_ingest_refused(self, pipeline_dir, tmp_path, capsys):
@@ -732,19 +738,166 @@ class TestIngestDecidesOnce:
     def test_hand_edited_evidence_refused(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
-        path = out / "evidence.jsonl"
-        lines = path.read_text().splitlines()
-        edited = lines[3].replace('"is_named": true', '"is_named": "yes"')
-        assert edited != lines[3]
-        path.write_text("\n".join([*lines[:3], edited, *lines[4:]]) + "\n")
-        reseal(out, "evidence.jsonl")
+        path = out / "evidence.columns"
+        tables, (rows,) = read_columns(path, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION,
+                                       ("corpus_rows", "partitions"), "i")
+        edited = array("i", rows)
+        edited[3] = edited[2]
+        write_columns(path, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION, tables, [edited])
+        reseal(out, "evidence.columns")
         capsys.readouterr()
         assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
-        assert "evidence.jsonl:4:" in capsys.readouterr().err
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        reseal(out, "evidence.jsonl")
+        assert f"evidence.columns: partition 0: row {rows[2]} does not follow row {rows[2]}" in (
+            capsys.readouterr().err)
+        path.write_bytes(path.read_bytes()[:-4])
+        reseal(out, "evidence.columns")
         assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA
-        assert "the header declares" in capsys.readouterr().err
+        assert "evidence.columns: column 0 is short" in capsys.readouterr().err
+
+
+def _part_rows(tables: dict, i: int) -> slice:
+    """Where partition entry ``i``'s rows lie in the column."""
+    start = sum(p["size"] for p in tables["partitions"][:i])
+    return slice(start, start + tables["partitions"][i]["size"])
+
+
+def _add_row(tables: dict, rows: list, i: int, row: int) -> None:
+    """``row`` added to partition entry ``i``, its rows kept in order."""
+    where = _part_rows(tables, i)
+    rows[where] = sorted([*rows[where], row])
+    tables["partitions"][i]["size"] += 1
+
+
+def _entry(i: int, key: str, value):
+    """An edit setting ``key`` of partition entry ``i`` to ``value`` of
+    what it holds."""
+    def edit(tables, rows, corpus):
+        tables["partitions"][i][key] = value(tables["partitions"][i][key])
+    return edit
+
+
+def _row(i: int, value):
+    """An edit setting the ``i``-th row of partition 0 to ``value`` of the
+    rows and the corpus's length."""
+    def edit(tables, rows, corpus):
+        rows[i] = value(rows, len(corpus))
+    return edit
+
+
+def _add_undated(tables, rows, corpus):
+    _add_row(tables, rows, 0, next(
+        i for i, p in enumerate(corpus.propositions) if p.date is None))
+
+
+def _add_from_partition_1(tables, rows, corpus):
+    _add_row(tables, rows, 0, rows[_part_rows(tables, 1)][0])
+
+
+def _swap_first_rows(tables, rows, corpus):
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+# hand edits of the evidence rows of ``TestEvidenceRowsRefused``'s pipeline,
+# where corpus row 202 is undated and partition 0 spans 2021-03-01 to
+# 2021-03-03 and begins with rows 0 and 1, each with what the reader must
+# say after the file's name
+EVIDENCE_ROW_EDITS = {
+    "id-float": (_entry(0, "id", float), "partitions entry 0: id 0.0 is not int"),
+    "id-bool": (_entry(1, "id", bool), "partitions entry 1: id True is not int"),
+    "size-float": (_entry(0, "size", float), "partitions entry 0: size 29.0 is not int"),
+    "size-negative": (_entry(0, "size", lambda s: -1),
+                      "partitions entry 0: size -1 is negative"),
+    "id-repeated": (_entry(1, "id", lambda i: 0),
+                    "partitions entry 1: id 0 repeats an earlier entry"),
+    "extra-key": ((lambda t, r, c: t["partitions"][0].update(note=1)),
+                  "partitions entry 0: is not an object of id, date_range and size"),
+    "date-compact": (_entry(0, "date_range", lambda d: ["20210301", d[1]]),
+                     "partitions entry 0: bad date '20210301'"),
+    "date-impossible": (_entry(0, "date_range", lambda d: [d[0], "2021-02-30"]),
+                        "partitions entry 0: bad date '2021-02-30'"),
+    "range-reversed": (_entry(0, "date_range", lambda d: d[::-1]),
+                       "partitions entry 0: date_range ['2021-03-03', '2021-03-01'] "
+                       "starts after it ends"),
+    "sizes-short": (_entry(3, "size", lambda s: s - 1),
+                    "partition sizes add up to 170, not to the column's 171 rows"),
+    "corpus-rows": ((lambda t, r, c: t.update(corpus_rows=t["corpus_rows"] - 1)),
+                    "corpus_rows 202 is not the corpus's 203 rows"),
+    "row-past-corpus": (_row(0, lambda rows, n: n),
+                        "partition 0: row 203 is outside the corpus of 203 rows"),
+    "row-negative": (_row(0, lambda rows, n: -1),
+                     "partition 0: row -1 is outside the corpus of 203 rows"),
+    "row-repeated": (_row(1, lambda rows, n: rows[0]), "partition 0: row 0 does not follow row 0"),
+    "rows-decreasing": (_swap_first_rows, "partition 0: row 0 does not follow row 1"),
+    "row-undated": (_add_undated, "partition 0: row 202 is undated"),
+    "row-of-partition-1": (_add_from_partition_1, "partition 0: row 38 is dated 2021-03-04, "
+                                                  "outside 2021-03-01 to 2021-03-03"),
+}
+
+
+class TestEvidenceRowsRefused:
+    """`answer` reads ``evidence.columns`` against the corpus and refuses,
+    exit 2 (3 for a version), anything ``save_evidence`` would not write of
+    it, naming the file and the partition entry or the partition and row,
+    before any model runs."""
+
+    @pytest.fixture(scope="class")
+    def undated_dir(self, tmp_path_factory) -> Path:
+        """The sample pipeline to ``gen-questions``, with an undated copy of
+        the sample's first record as corpus row 202."""
+        root = tmp_path_factory.mktemp("undated")
+        lines = resources.sample_corpus_path().read_text().splitlines()
+        raw = _raw_corpus(root / "raw.jsonl", [json.loads(line) for line in lines]
+                          + [{**json.loads(lines[0]), "date": None, "article_id": "undated"}])
+        out = root / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", str(raw)]) == EXIT_OK
+        for stage in (["build-local"], ["globalize"], ["gen-questions", "--seed", "3"]):
+            assert main([*stage, "--out", str(out)]) == EXIT_OK
+        return out
+
+    @staticmethod
+    def _refused(out: Path, code: int, reason: str, capsys) -> None:
+        for model in ("exact", "graph"):
+            before = _tree(out)
+            capsys.readouterr()
+            assert main(["answer", "--model", model, "--out", str(out)]) == code
+            assert _tree(out) == before
+            assert f"{out / 'evidence.columns'}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, reason", EVIDENCE_ROW_EDITS.values(),
+                             ids=EVIDENCE_ROW_EDITS.keys())
+    def test_edited_rows_refused(self, edit, reason, undated_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(undated_dir, out)
+        path = out / "evidence.columns"
+        tables, (column,) = read_columns(path, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION,
+                                         ("corpus_rows", "partitions"), "i")
+        rows = list(column)
+        edit(tables, rows, read_corpus(out / "corpus.columns"))
+        write_columns(path, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION, tables, [array("i", rows)])
+        reseal(out, "evidence.columns")
+        self._refused(out, EXIT_DATA, reason, capsys)
+
+    @pytest.mark.parametrize("edit, code, reason", [
+        (lambda b: b.replace(b"entgraph-evidence-rows", b"entgraph-evidence", 1), EXIT_DATA,
+         "not a entgraph-evidence-rows file"),
+        (lambda b: b.replace(b" v1\n", b" v2\n", 1), EXIT_VERSION,
+         "format v2 unsupported (expected v1)"),
+        (lambda b: b[:-1], EXIT_DATA, "column 0 is short"),
+        (lambda b: b + bytes(4), EXIT_DATA, "trailing bytes after the last column"),
+    ], ids=["magic", "version", "short-column", "trailing-bytes"])
+    def test_edited_file_refused(self, edit, code, reason, undated_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(undated_dir, out)
+        path = out / "evidence.columns"
+        path.write_bytes(edit(path.read_bytes()))
+        reseal(out, "evidence.columns")
+        self._refused(out, code, reason, capsys)
+
+    def test_fixture_reads(self, undated_dir, tmp_path):
+        # the unedited files are read, and the undated row is in no partition
+        out = tmp_path / "out"
+        shutil.copytree(undated_dir, out)
+        assert main(["answer", "--model", "exact", "--out", str(out)]) == EXIT_OK
 
 
 class TestQaArtifactsReadStrictly:
@@ -799,7 +952,7 @@ class TestQaArtifactsReadStrictly:
             assert main(["answer", "--out", str(out), *model]) == EXIT_DATA
             err = capsys.readouterr().err
             assert f"question {record['id']} names partition 9999" in err
-            assert "evidence.jsonl does not hold" in err
+            assert "evidence.columns does not hold" in err
         assert not export.exists() and not list(out.glob("answers-*.csv"))
 
     def test_answer_file_with_other_header_refused(self, pipeline_dir, tmp_path, capsys):
@@ -815,6 +968,26 @@ class TestQaArtifactsReadStrictly:
         assert f"{other}: not an answer file" in capsys.readouterr().err
         assert main(["evaluate", "--out", str(out), "--answers", str(short)]) == EXIT_DATA
         assert f"{short}:2: bad answer row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda f: [*f[:4], "7"], "fields ['backed_off'] differ from the written form"),
+        (lambda f: [*f[:4], " 1"], "fields ['backed_off'] differ from the written form"),
+        (lambda f: [*f, "x"], "6 fields, not 5"),
+        (lambda f: [f[0], "graph-bb", *f[2:]], "model id 'graph-bb' is not the first row's"),
+    ], ids=["backed-off-7", "backed-off-space-1", "sixth-field", "mixed-model-ids"])
+    def test_answer_row_not_as_written_refused(self, edit, reason, pipeline_dir, tmp_path,
+                                               capsys):
+        out, _ = self._copy(pipeline_dir, tmp_path)
+        assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_OK
+        rows = (out / "answers-exact.csv").read_text().splitlines()
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join([*rows[:3], ",".join(edit(rows[3].split(","))), *rows[4:]])
+                          + "\n")
+        before = _tree(out)
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(out), "--answers", str(edited)]) == EXIT_DATA
+        assert f"{edited}:4: bad answer row: {reason}" in capsys.readouterr().err
+        assert _tree(out) == before
 
     def test_incomplete_answer_file_refused(self, pipeline_dir, tmp_path, capsys):
         out, _ = self._copy(pipeline_dir, tmp_path)
@@ -863,18 +1036,22 @@ class TestQaArtifactsReadStrictly:
             assert f"{scores}{reason}" in capsys.readouterr().err
         assert not (out / "answers-external.csv").exists()
 
-    @pytest.mark.parametrize("name, edit, reason", [
-        ("evidence.jsonl", lambda h: json.dumps({k: v for k, v in h.items() if k != "partitions"}),
-         "evidence.jsonl:1: evidence header lacks 'partitions'"),
-        ("questions.jsonl", lambda h: "[1]", "questions.jsonl: not a question file"),
+    # the header is line 0 of questions.jsonl, and the tables line, line 1,
+    # of evidence.columns
+    @pytest.mark.parametrize("name, line, edit, reason", [
+        ("evidence.columns", 1,
+         lambda h: json.dumps({k: v for k, v in h.items() if k != "partitions"}),
+         "evidence.columns: tables have keys ['corpus_rows', 'rows'], "
+         "not ['corpus_rows', 'partitions', 'rows']"),
+        ("questions.jsonl", 0, lambda h: "[1]", "questions.jsonl: not a question file"),
     ], ids=["evidence-without-partitions", "questions-list"])
     def test_malformed_qa_header_refused(
-        self, name, edit, reason, pipeline_dir, tmp_path, capsys
+        self, name, line, edit, reason, pipeline_dir, tmp_path, capsys
     ):
         out, _ = self._copy(pipeline_dir, tmp_path)
-        lines = (out / name).read_text().splitlines()
-        lines[0] = edit(json.loads(lines[0]))
-        (out / name).write_text("\n".join(lines) + "\n")
+        lines = (out / name).read_bytes().split(b"\n", line + 1)
+        lines[line] = edit(json.loads(lines[line])).encode()
+        (out / name).write_bytes(b"\n".join(lines))
         reseal(out, name)
         capsys.readouterr()
         assert main(["answer", "--out", str(out), "--model", "exact"]) == EXIT_DATA

@@ -27,7 +27,7 @@ from entgraph.model import (
     TypedPredicate,
     normalize_surface,
 )
-from entgraph.qagen import Partition, read_evidence, write_evidence
+from entgraph.qagen import Partition, write_evidence
 from entgraph.records import (
     _CORPUS_TABLES as TABLES,
     CORPUS_MAGIC,
@@ -38,7 +38,7 @@ from entgraph.records import (
 )
 
 from conftest import prop, reseal
-from oracles import corpus_jsonl, parse_record_dicts
+from oracles import corpus_jsonl, parse_record_dicts, read_evidence_jsonl
 
 
 class TestEntityId:
@@ -789,8 +789,9 @@ def _evidence_lines(path: Path, props) -> list[dict]:
 
 
 class TestEvidenceRecordLines:
-    """Evidence lines hold propositions in the record form; the reader
-    refuses any line ``write_evidence`` would not write."""
+    """Evidence lines hold propositions in the record form; the reference
+    reader of ``evidence.jsonl`` refuses any line ``write_evidence`` would
+    not write."""
 
     @pytest.mark.parametrize("edit", RECORD_ONLY.values(), ids=RECORD_ONLY.keys())
     def test_refuses_what_write_evidence_would_not_write(self, conformance_file, tmp_path,
@@ -800,7 +801,7 @@ class TestEvidenceRecordLines:
         edit(records[2])
         _write_records(path, records)
         with pytest.raises(ValueError, match=r"evidence\.jsonl:3: "):
-            read_evidence(path)
+            read_evidence_jsonl(path)
 
 
 # values that equal what ``write_evidence`` writes but are of another type,
@@ -815,11 +816,11 @@ LOOKALIKES = {
 
 
 class TestCanonicalValueTypes:
-    """The evidence reader refuses a value that only compares equal to the
-    one ``write_evidence`` writes (``1 == 1.0 == True``), on any line,
-    whether or not an earlier line holds the same entity with the written
-    value. The corpus columns hold ints and bools only where they belong,
-    so of these only ``is_named`` can be mistyped there
+    """The reference evidence reader refuses a value that only compares
+    equal to the one ``write_evidence`` writes (``1 == 1.0 == True``), on
+    any line, whether or not an earlier line holds the same entity with the
+    written value. The corpus columns hold ints and bools only where they
+    belong, so of these only ``is_named`` can be mistyped there
     (``TestCorpusColumns.test_refuses_is_named_one``)."""
 
     @pytest.mark.parametrize("line", [0, 1], ids=["first-line", "second-line"])
@@ -835,7 +836,7 @@ class TestCanonicalValueTypes:
         written[field] = value
         _write_records(path, records)
         with pytest.raises(ValueError, match=rf"evidence\.jsonl:{line + 2}: .*{field}"):
-            read_evidence(path)
+            read_evidence_jsonl(path)
 
 
 def _sings(surface: str, kb_id: str | None = None) -> dict:

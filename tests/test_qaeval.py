@@ -1,5 +1,7 @@
 """Answer models and metric harness tests."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -449,6 +451,22 @@ class TestAnswerFileRoundTrip:
         write_answers(records, path)
         again = read_answers(path)
         assert again == records
+
+    @pytest.mark.parametrize("row, reason", [
+        ("q2,graph-bb,0.0,,7", "fields ['backed_off'] differ from the written form"),
+        ("q2,graph-bb,0.0,, 1", "fields ['backed_off'] differ from the written form"),
+        ("q2,graph-bb,0.50,p1,0", "fields ['confidence'] differ from the written form"),
+        ("q2,graph-bb,0.0,,0,x", "6 fields, not 5"),
+        ("", "0 fields, not 5"),
+        ("q2,graph-uu,0.0,,0", "model id 'graph-uu' is not the first row's 'graph-bb'"),
+    ], ids=["backed-off-7", "backed-off-space-1", "confidence-form", "sixth-field",
+            "blank-line", "mixed-model-ids"])
+    def test_refuses_what_write_answers_would_not_write(self, tmp_path, row, reason):
+        path = tmp_path / "answers.csv"
+        write_answers([AnswerRecord("q1", "graph-bb", 0.5, "p1", True)], path)
+        path.write_text(path.read_text() + row + "\r\n")
+        with pytest.raises(ValueError, match=re.escape(f"answers.csv:3: bad answer row: {reason}")):
+            read_answers(path)
 
 
 class TestEvidenceIndex:

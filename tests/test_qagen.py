@@ -1,14 +1,21 @@
 """Question generation tests: partitioning, selection, negatives, balance."""
 
 import datetime as dt
+import importlib.util
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from entgraph.columns import read_columns, write_columns
+from entgraph.ingest import ingest
 from entgraph.lexicon import LexicalResource
 from entgraph.qagen import (
+    EVIDENCE_MAGIC,
+    EVIDENCE_ROWS_VERSION,
     QaGenConfig,
     Question,
     balance,
@@ -17,12 +24,16 @@ from entgraph.qagen import (
     partition,
     read_evidence,
     read_questions,
+    save_evidence,
     select_positives,
     write_evidence,
     write_questions,
 )
 
+from entgraph.records import proposition_record, read_corpus, save_corpus
+
 from conftest import corpus, ent, pred, prop
+from oracles import read_evidence_jsonl
 
 
 def dated_props(days: list[str], name="sing.1", entity="knowles"):
@@ -333,16 +344,15 @@ class TestEndToEndGeneration:
 
         qpath = tmp_path / "questions.jsonl"
         epath = tmp_path / "evidence.jsonl"
+        rows = tmp_path / "evidence.columns"
         write_questions(qs, qpath)
         write_evidence(qs.evidence, epath)
+        save_evidence(qs.evidence, c, rows)
         questions2, manifest2 = read_questions(qpath)
         assert [q.id for q in questions2] == [q.id for q in qs.questions]
         assert manifest2["seed"] == 5
-        evidence2 = read_evidence(epath)
-        assert [p.id for p in evidence2] == [p.id for p in qs.evidence]
-        assert [len(p.propositions) for p in evidence2] == [
-            len(p.propositions) for p in qs.evidence
-        ]
+        for evidence2 in (read_evidence_jsonl(epath), read_evidence(rows, c)):
+            assert _records(evidence2) == _records(qs.evidence)
 
     def test_byte_identical_under_fixed_seed(self, tmp_path):
         c = self._corpus()
@@ -401,7 +411,7 @@ class TestMalformedHeaders:
         _, epath = self._write(tmp_path)
         self._edit_header(epath, edit)
         with pytest.raises(ValueError, match=reason):
-            read_evidence(epath)
+            read_evidence_jsonl(epath)
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda h: "[1]", r"questions\.jsonl: not a question file"),
@@ -441,7 +451,7 @@ class TestQaRecordValueTypes:
         records[line][field] = cast(records[line][field])
         self._rewrite(epath, records)
         with pytest.raises(ValueError, match=f"evidence.jsonl:{line + 1}: .*{field}"):
-            read_evidence(epath)
+            read_evidence_jsonl(epath)
 
     def test_question_partition_id(self, tmp_path):
         qpath, _ = TestMalformedHeaders()._write(tmp_path)
@@ -483,3 +493,78 @@ class TestQaRecordValueTypes:
         self._rewrite(qpath, records)
         with pytest.raises(ValueError, match=f"questions.jsonl:{line + 1}: .*is_named"):
             read_questions(qpath)
+
+
+def _records(partitions) -> list:
+    """Each partition's id, date range and (id, record) items: records, not
+    propositions, since entities of one kb id are equal whatever their
+    surfaces."""
+    return [(p.id, p.date_range, [(pid, proposition_record(prop)) for pid, prop in p.propositions])
+            for p in partitions]
+
+
+def _perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's corpus generators, as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _perfbench_gen()
+SAMPLE = GEN.SAMPLE.read_text(encoding="utf-8").splitlines()
+
+
+class TestEvidenceRows:
+    """``evidence.columns`` read against the corpus gives the partitions
+    the reference reader of ``evidence.jsonl`` gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        source=st.sampled_from(["dense", "qa-sample"]),
+        size=st.integers(1, 3),
+        corpus_seed=st.integers(0, 99),
+        config=st.builds(QaGenConfig, window_days=st.integers(1, 5),
+                         entity_min=st.integers(1, 6), seed=st.integers(0, 2**16)),
+    )
+    def test_agrees_with_the_jsonl_reference(self, source, size, corpus_seed, config):
+        if source == "dense":
+            records = GEN.dense_records(150 * size, 6 * size, 15 * size, seed=corpus_seed)
+        else:
+            records = GEN.qa_sample_records(SAMPLE, size, corpus_seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "raw.jsonl").write_text("".join(r + "\n" for r in records))
+            save_corpus(ingest(tmp / "raw.jsonl"), tmp / "corpus.columns")
+            c = read_corpus(tmp / "corpus.columns")
+            qs = generate_questions(c, LexicalResource.fixture(), config)
+            write_evidence(qs.evidence, tmp / "evidence.jsonl")
+            save_evidence(qs.evidence, c, tmp / "evidence.columns")
+            expected = _records(read_evidence_jsonl(tmp / "evidence.jsonl"))
+            got = _records(read_evidence(tmp / "evidence.columns", c))
+        assert got == expected
+        assert sum(len(items) for _, _, items in got) > 0
+
+    def test_compact_date_refused_by_both_readers(self, tmp_path):
+        # Python 3.11 reads "20210101" as 2021-01-01 and 3.10 refuses it;
+        # both readers refuse it under every interpreter
+        c = TestEndToEndGeneration()._corpus()
+        qs = generate_questions(c, LexicalResource.fixture(), QaGenConfig(seed=5))
+        jsonl, rows = tmp_path / "evidence.jsonl", tmp_path / "evidence.columns"
+        write_evidence(qs.evidence, jsonl)
+        save_evidence(qs.evidence, c, rows)
+        lo = qs.evidence[0].date_range[0]
+        compact = lo.strftime("%Y%m%d")
+        TestMalformedHeaders._edit_header(jsonl, lambda h: json.dumps(
+            {**h, "partitions": [{**h["partitions"][0], "date_range": [compact, lo.isoformat()]},
+                                 *h["partitions"][1:]]}))
+        with pytest.raises(ValueError, match=rf"evidence\.jsonl:1: .*bad date '{compact}'"):
+            read_evidence_jsonl(jsonl)
+        tables, columns = read_columns(rows, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION,
+                                       ("corpus_rows", "partitions"), "i")
+        tables["partitions"][0]["date_range"][0] = compact
+        write_columns(rows, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION, tables, columns)
+        with pytest.raises(ValueError, match=rf"evidence\.columns: partitions entry 0: "
+                                             rf"bad date '{compact}'"):
+            read_evidence(rows, c)
