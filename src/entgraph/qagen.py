@@ -527,23 +527,22 @@ def read_evidence(path: str | Path, corpus: Corpus) -> list[Partition]:
     entries = tables["partitions"]
     if type(entries) is not list:
         raise ValueError(f"{path}: partitions is not a list")
-    meta, ids = [], set()
+    meta = {}  # id -> (date range, size), in header order
     for i, entry in enumerate(entries):
         try:
             part_id, date_range, size = _partition_entry(entry)
-            if part_id in ids:
+            if part_id in meta:
                 raise ValueError(f"id {part_id} repeats an earlier entry")
         except ValueError as exc:
             raise ValueError(f"{path}: partitions entry {i}: {exc}") from None
-        ids.add(part_id)
-        meta.append((part_id, date_range, size))
-    total = sum(size for _, _, size in meta)
+        meta[part_id] = (date_range, size)
+    total = sum(size for _, size in meta.values())
     if total != len(rows):
         raise ValueError(
             f"{path}: partition sizes add up to {total}, not to the column's {len(rows)} rows")
     props, prop_id = corpus.propositions, corpus.prop_id
     out, start = [], 0
-    for part_id, (lo, hi), size in meta:
+    for part_id, ((lo, hi), size) in meta.items():
         items, prev = [], -1
         for row in rows[start:start + size]:
             if not 0 <= row < n:
