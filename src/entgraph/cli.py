@@ -259,7 +259,7 @@ def cmd_gen_questions(args, run: Artifacts) -> int:
     )
     qs = generate_questions(corpus, lex, config)
     write_questions(qs, run.out / "questions.jsonl")
-    write_evidence(qs.evidence, run.out / "evidence.jsonl")
+    write_evidence(qs.evidence, corpus, run.out / "evidence.jsonl")
     save_evidence(qs.evidence, corpus, run.out / EVIDENCE)
     run.seal("gen-questions", ["questions.jsonl", "evidence.jsonl", EVIDENCE])
     print(

@@ -4,15 +4,19 @@
 extraction stack (parser, NER, entity linker). Each record carries a raw
 predicate string plus voice/modifier annotations and role-indexed typed
 arguments; see docs/formats.md for the exact field contract. It is the
-only place where a predicate is lemmatized and an argument typed. What it
-decides is saved and read back by ``records``, which the later stages load
-instead of this module.
+only place where a predicate is lemmatized and an argument typed, each
+once per distinct raw value of the file. Each record's propositions are
+interned into the corpus's tables and columns as the record is parsed, so
+no ``Proposition`` is built; ``records`` saves the corpus as it is held
+and reads it back, and the later stages load it instead of this module.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+from array import array
+from collections import namedtuple
 from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
@@ -23,12 +27,12 @@ from .model import (
     Corpus,
     EntityId,
     IngestStats,
-    Proposition,
     TypeInventory,
     TypedPredicate,
+    _negated,
     normalize_surface,
 )
-from .records import RecordError, _iso_date, _key_clash, _lemma, _negated, _typed
+from .records import RecordError, _iso_date, _key_clash, _lemma, _typed
 
 
 BE_FORMS = {"be", "is", "are", "was", "were", "am", "been", "being"}
@@ -149,6 +153,8 @@ def normalize_predicate(raw: str, voice: str = "active", modifiers: Iterable[str
 
 
 def _parse_entity(obj: dict, inventory: TypeInventory) -> tuple[EntityId, str, bool]:
+    """An argument's entity, its type and whether the inventory knew the
+    type, or RecordError."""
     surface = normalize_surface(_typed(obj.get("surface", ""), str, "surface"))
     if not surface:
         raise RecordError("entity surface empty after normalization")
@@ -166,8 +172,43 @@ def _parse_date(value) -> dt.date | None:
     return None if value in (None, "") else _iso_date(value)
 
 
-def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> list[Proposition]:
-    """Turn one raw record into propositions, or raise RecordError.
+class _Memo:
+    """What ``parse_record`` decides once per distinct raw value, over the
+    records of one file read with one inventory: the lemma of each
+    (predicate, voice, modifiers), the entity, type and known flag of each
+    raw argument, the date of each date value and the predicate of each
+    (lemma, roles, types). Only what is accepted is kept. No JSON value of
+    another type equals an accepted string or null, but ``1`` and ``1.0``
+    equal ``True``: so a raw argument is keyed by the type of its
+    ``is_named`` too, and ``1`` never finds the entry of ``True``."""
+
+    def __init__(self) -> None:
+        self.lemmas: dict[tuple, str] = {}
+        self.arguments: dict[tuple, tuple[EntityId, str, bool]] = {}
+        self.dates: dict[object, dt.date | None] = {}
+        self.predicates: dict[tuple, TypedPredicate] = {}
+
+
+class ParsedProposition(
+    namedtuple("ParsedProposition", "predicate args article_id date sentence_idx")
+):
+    """One proposition of a raw record, in the fields of a ``Proposition``,
+    which ``ingest`` interns into its corpus's tables and columns."""
+
+    __slots__ = ()
+
+    @property
+    def negated(self) -> bool:
+        return _negated(self.predicate.lemma)
+
+
+def parse_record(
+    obj: dict, inventory: TypeInventory, stats: IngestStats, memo: _Memo | None = None
+) -> list[ParsedProposition]:
+    """Turn one raw record into the propositions it yields, or raise
+    RecordError; a view whose arguments are all unnamed is counted and
+    dropped. ``memo`` carries what was decided for earlier records of the
+    same file (a fresh one if none).
 
     The arguments are taken once as (post-voice role, argument) pairs in
     role order. A record with more than two of them becomes one binary per
@@ -175,17 +216,23 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
     to the lemma, so that every binary stays a distinct view of its source
     predicate (murder -> murder.1.2, murder.1.3, ...).
     """
+    if memo is None:
+        memo = _Memo()
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
     raw_pred = obj.get("predicate")
     args = obj.get("args")
     if not raw_pred or not isinstance(args, list) or not args:
         raise RecordError("record lacks predicate or args")
-    voice = _typed(obj.get("voice", "active"), str, "voice")
-    lemma = normalize_predicate(
-        _typed(raw_pred, str, "predicate"), voice,
-        _typed(obj.get("modifiers", []), list, "modifiers"),
-    )
+    voice = obj.get("voice", "active")
+    modifiers = _typed(obj.get("modifiers", []), list, "modifiers")
+    key = (raw_pred, voice, *modifiers)
+    try:
+        lemma = memo.lemmas[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable value, refused here
+        lemma = normalize_predicate(
+            _typed(raw_pred, str, "predicate"), _typed(voice, str, "voice"), modifiers)
+        memo.lemmas[key] = lemma
 
     # the passive surface subject is the underlying object and vice versa
     swap = {1: 2, 2: 1} if voice == "passive" else {}
@@ -207,14 +254,20 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
     else:
         views = [(lemma, pairs)]
 
-    date = _parse_date(obj.get("date"))
+    raw_date = obj.get("date")
+    try:
+        date = memo.dates[raw_date]
+    except KeyError:
+        date = memo.dates[raw_date] = _parse_date(raw_date)
+    except TypeError:  # an unhashable value, which _parse_date refuses
+        date = _parse_date(raw_date)
     article_id = _typed(obj.get("article_id", ""), str, "article_id")
     sentence_idx = _typed(obj.get("sentence_idx", 0), int, "sentence_idx")
     if sentence_idx > INT32_MAX:
         raise RecordError(f"sentence_idx {sentence_idx} does not fit a saved corpus")
-    negated = _negated(lemma)
 
     props = []
+    arguments = memo.arguments
     for name, view in views:
         roles = [role for role, _ in view]
         if len(roles) == 2 and roles != [1, 2]:
@@ -224,37 +277,72 @@ def parse_record(obj: dict, inventory: TypeInventory, stats: IngestStats) -> lis
 
         entities: list[EntityId] = []
         types: list[str] = []
+        named = False
         for _, a in view:
-            ent, etype, known = _parse_entity(a, inventory)
+            is_named = a.get("is_named", False)
+            key = (a.get("surface", ""), a.get("kb_id"), a.get("type", ""),
+                   is_named, type(is_named))
+            try:
+                entity, etype, known = arguments[key]
+            except KeyError:
+                entity, etype, known = arguments[key] = _parse_entity(a, inventory)
+            except TypeError:  # an unhashable field, which _parse_entity refuses
+                entity, etype, known = _parse_entity(a, inventory)
             if not known:
                 stats.unknown_type_labels += 1
-            entities.append(ent)
+            entities.append(entity)
             types.append(etype)
-        if not any(e.is_named for e in entities):
+            named = named or entity.is_named
+        if not named:
             # extraction filter: relations must anchor to a named entity
             stats.skipped_unnamed += 1
             continue
+        if sentence_idx < 0:
+            raise RecordError("sentence_idx must be >= 0")
 
-        case = f".{roles[0]}" if len(roles) == 1 else None
-        pred = TypedPredicate(name, len(roles), tuple(types), case)
-        props.append(
-            Proposition(pred, tuple(entities), article_id, date, sentence_idx, negated)
-        )
+        # the roles tell a unary (one role, its case marker) from a binary
+        key = (name, *roles, *types)
+        pred = memo.predicates.get(key)
+        if pred is None:
+            case = f".{roles[0]}" if len(roles) == 1 else None
+            pred = memo.predicates[key] = TypedPredicate(name, len(roles), tuple(types), case)
+        props.append(ParsedProposition(pred, tuple(entities), article_id, date, sentence_idx))
     return props
 
 
 def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
-    """Read a proposition file into a Corpus.
+    """Read a proposition file into a Corpus, interning each record's
+    propositions into its tables and columns as the record is parsed.
 
     Malformed records are skipped and counted in the returned corpus stats;
     an unreadable file raises OSError, and an unlinked surface equal to a
-    kb id of the file raises ValueError naming the file and line.
+    kb id of the file raises ValueError naming the file and line. The
+    first surface kept for a kb id is the one every later mention of it
+    gets, so that surfaces written out are consistent.
     """
     inventory = inventory or TypeInventory.default()
     stats = IngestStats()
-    propositions: list[Proposition] = []
-    canonical_surface: dict[str, str] = {}
+    memo = _Memo()
+    predicates: dict[TypedPredicate, int] = {}
+    entities: dict[tuple, int] = {}  # an entry's fields -> its number
+    entry_of: dict[tuple, int] = {}  # the fields of an entity as parsed -> its entry
+    articles: dict[str, int] = {}
+    ordinals: dict[dt.date | None, int] = {None: 0}
+    surface_of: dict[str, str] = {}
     linked: dict[str, bool] = {}
+    columns = [array("i") for _ in range(6)]
+    preds, args1, args2, dates, article_ids, sentences = (c.append for c in columns)
+
+    def entry(entity: EntityId, lineno: int) -> int:
+        """The entry of an entity first kept here: its key checked against
+        the keys before it, and its kb id's first surface."""
+        if (clash := _key_clash(linked, entity)) is not None:
+            raise ValueError(f"{path}:{lineno}: {clash}")
+        surface, kb_id, is_named = fields = tuple(entity)
+        if kb_id is not None:
+            surface = surface_of.setdefault(kb_id, surface)
+        number = entry_of[fields] = entities.setdefault((surface, kb_id, is_named), len(entities))
+        return number
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -263,34 +351,26 @@ def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
                 continue
             stats.records_read += 1
             try:
-                obj = json.loads(line)
-                props = parse_record(obj, inventory, stats)
+                props = parse_record(json.loads(line), inventory, stats, memo)
             except (RecordError, ValueError, TypeError, KeyError):
                 stats.skipped_malformed += 1
                 continue
-            for prop in props:
-                for arg in prop.args:
-                    if (clash := _key_clash(linked, arg)) is not None:
-                        raise ValueError(f"{path}:{lineno}: {clash}")
-                propositions.append(_canonicalize(prop, canonical_surface))
-    stats.propositions = len(propositions)
-    return Corpus(propositions, stats)
-
-
-def _canonicalize(prop: Proposition, canon: dict[str, str]) -> Proposition:
-    """Pin one surface per kb id so hashing stays consistent corpus-wide."""
-    new_args = []
-    changed = False
-    for arg in prop.args:
-        if arg.kb_id is not None:
-            surface = canon.setdefault(arg.kb_id, arg.surface)
-            if surface != arg.surface:
-                arg = EntityId(surface, arg.kb_id, arg.is_named)
-                changed = True
-        new_args.append(arg)
-    if not changed:
-        return prop
-    return Proposition(
-        prop.predicate, tuple(new_args), prop.article_id, prop.date,
-        prop.sentence_idx, prop.negated,
-    )
+            for pred, args, article_id, date, sentence_idx in props:
+                preds(predicates.setdefault(pred, len(predicates)))
+                a = entry_of.get(tuple(args[0]))
+                args1(entry(args[0], lineno) if a is None else a)
+                if len(args) == 2:
+                    b = entry_of.get(tuple(args[1]))
+                    args2(entry(args[1], lineno) if b is None else b)
+                else:
+                    args2(-1)
+                ordinal = ordinals.get(date)
+                if ordinal is None:
+                    ordinal = ordinals[date] = date.toordinal()
+                dates(ordinal)
+                article_ids(articles.setdefault(article_id, len(articles)))
+                sentences(sentence_idx)
+    stats.propositions = len(columns[0])
+    return Corpus.from_columns(
+        list(predicates), [EntityId(*fields) for fields in entities], list(articles),
+        columns, stats)

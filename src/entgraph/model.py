@@ -1,7 +1,9 @@
 """Core corpus data model: entities, typed predicates, propositions, corpora.
 
-A corpus is an immutable list of propositions plus the occurrence count of
-each untyped predicate. Everything downstream (feature vectors, graphs,
+A corpus is held as it is saved: interned tables of predicates, entities
+and article ids beside int32 columns, one row per proposition. Its
+propositions, and the occurrence count of each untyped predicate, are
+built on first use. Everything downstream (feature vectors, graphs,
 question generation) reads from this model and never mutates it.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+from array import array
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from pathlib import Path
@@ -98,6 +101,11 @@ class EntityId(namedtuple("EntityId", "surface kb_id is_named")):
     def __repr__(self) -> str:
         kb = f"={self.kb_id}" if self.kb_id else ""
         return f"EntityId({self.surface!r}{kb})"
+
+
+def _negated(lemma: str) -> bool:
+    """Whether a predicate with this lemma is negated (``not``, ``not.*``)."""
+    return lemma == "not" or lemma.startswith("not.")
 
 
 def _type_label(raw: str) -> str:
@@ -263,25 +271,104 @@ class IngestStats:
 
 
 class Corpus:
-    """Immutable proposition collection with untyped predicate counts."""
+    """An immutable corpus held as it is saved (see ``records``): tables of
+    predicates, entities and article ids, each numbered in order of first
+    use, and six int32 ``array`` columns with one row per proposition
+    (predicate, argument 1, argument 2 or -1 for a unary, date ordinal or
+    0 for none, article, sentence index).
+
+    ``Corpus(propositions)`` interns the propositions into tables and
+    columns; ``ingest`` and ``records.read_corpus`` build the tables and
+    columns themselves (``from_columns``). ``propositions`` are built from
+    the rows on first use, with one shared object per predicate, entity and
+    date, and ``untyped_index`` counts the predicate column.
+    """
 
     def __init__(self, propositions: Iterable[Proposition], stats: IngestStats | None = None):
-        self.propositions: tuple[Proposition, ...] = tuple(propositions)
-        self.stats = stats or IngestStats(
-            records_read=len(self.propositions), propositions=len(self.propositions)
-        )
+        props = tuple(propositions)
+        predicates: dict[TypedPredicate, int] = {}
+        entities: dict[tuple, int] = {}
+        articles: dict[str, int] = {}
+        columns = [array("i") for _ in range(6)]
+        preds, args1, args2, dates, article_ids, sentences = (c.append for c in columns)
+        for prop in props:
+            args = prop.args
+            preds(predicates.setdefault(prop.predicate, len(predicates)))
+            # by fields: entities of one kb id are equal whatever their surfaces
+            args1(entities.setdefault(tuple(args[0]), len(entities)))
+            args2(entities.setdefault(tuple(args[1]), len(entities)) if len(args) == 2 else -1)
+            dates(prop.date.toordinal() if prop.date is not None else 0)
+            article_ids(articles.setdefault(prop.article_id, len(articles)))
+            sentences(prop.sentence_idx)
+        self._hold(list(predicates), [EntityId(*key) for key in entities], list(articles),
+                   columns, stats)
+        self._propositions = props
+
+    @classmethod
+    def from_columns(
+        cls, predicates: list[TypedPredicate], entities: list[EntityId], articles: list[str],
+        columns: list[array], stats: IngestStats | None = None,
+    ) -> "Corpus":
+        """The corpus of these tables and columns, taken as they are: the
+        callers check the tables and each column's id range."""
+        corpus = cls.__new__(cls)
+        corpus._hold(predicates, entities, articles, columns, stats)
+        return corpus
+
+    def _hold(self, predicates, entities, articles, columns, stats) -> None:
+        self.predicates: list[TypedPredicate] = predicates
+        self.entities: list[EntityId] = entities
+        self.articles: list[str] = articles
+        self.columns: list[array] = columns
+        n = len(columns[0])
+        self.stats = stats or IngestStats(records_read=n, propositions=n)
+        self._propositions: tuple[Proposition, ...] | None = None
         self._untyped_index: Counter[tuple[str, int]] | None = None
 
     @property
+    def propositions(self) -> tuple[Proposition, ...]:
+        """One proposition per row, built on first use. A row whose
+        arguments are all unnamed, or whose argument count is not its
+        predicate's valency, raises ValueError naming the row."""
+        if self._propositions is None:
+            self._propositions = self._rows()
+        return self._propositions
+
+    def _rows(self) -> tuple[Proposition, ...]:
+        predicates, entities, articles = self.predicates, self.entities, self.articles
+        dates: dict[int, dt.date | None] = {
+            ordinal: dt.date.fromordinal(ordinal) for ordinal in set(self.columns[3]) - {0}}
+        dates[0] = None
+        negated = [_negated(p.lemma) for p in predicates]
+        unary = [p.valency == 1 for p in predicates]
+        named = [e.is_named for e in entities]
+        # Proposition.__new__'s checks are made here (argument count) and
+        # by whoever filled the columns (no negative sentence index)
+        new = tuple.__new__
+        props = []
+        append = props.append
+        for row, (p, a, b, d, art, s) in enumerate(zip(*self.columns)):
+            if not (named[a] or b >= 0 and named[b]):
+                raise ValueError(f"row {row}: no argument is named")
+            if (b < 0) != unary[p]:
+                raise ValueError(f"row {row}: argument count must equal predicate valency")
+            args = (entities[a],) if b < 0 else (entities[a], entities[b])
+            append(new(Proposition, (predicates[p], args, articles[art], dates[d], s, negated[p])))
+        return tuple(props)
+
+    @property
     def untyped_index(self) -> Counter[tuple[str, int]]:
-        """Occurrences of each untyped predicate, counted on first use:
-        only question screening reads them."""
+        """Occurrences of each untyped predicate, counted from the
+        predicate column on first use: only question screening reads them."""
         if self._untyped_index is None:
-            self._untyped_index = Counter(prop.predicate.untyped for prop in self.propositions)
+            index: Counter[tuple[str, int]] = Counter()
+            for p, count in Counter(self.columns[0]).items():
+                index[self.predicates[p].untyped] += count
+            self._untyped_index = index
         return self._untyped_index
 
     def __len__(self) -> int:
-        return len(self.propositions)
+        return len(self.columns[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .columns import read_columns, write_columns
-from .records import _CanonicalReader, _iso_date, _typed, proposition_record, write_records
+from .records import _CanonicalReader, _PropositionLines, _iso_date, _typed, write_records
 from .model import Corpus, EntityId, Proposition, TypedPredicate
 
 if TYPE_CHECKING:
@@ -450,12 +450,6 @@ def _read_qa_file(path: str | Path, fmt: str, version: int, what: str) -> tuple[
     return header, lines
 
 
-def _evidence_record(item: tuple[int, str, Proposition]) -> dict:
-    """The evidence line of a proposition: its partition, id and record."""
-    part_id, prop_id, prop = item
-    return {"partition_id": part_id, "prop_id": prop_id, **proposition_record(prop)}
-
-
 def _partition_header(p: Partition) -> dict:
     return {
         "id": p.id,
@@ -464,17 +458,18 @@ def _partition_header(p: Partition) -> dict:
     }
 
 
-def write_evidence(partitions: list[Partition], path: str | Path) -> None:
-    """Write ``evidence.jsonl``: a header listing each partition, then one
-    record line per evidence proposition. No stage reads it back."""
+def write_evidence(partitions: list[Partition], corpus: Corpus, path: str | Path) -> None:
+    """Write ``evidence.jsonl`` of ``partitions`` of ``corpus``: a header
+    listing each partition, then one record line per evidence proposition,
+    its partition id and ``prop_id`` beside the proposition's record. No
+    stage reads it back."""
     header = {
         "format": "entgraph-evidence",
         "version": EVIDENCE_FORMAT_VERSION,
         "partitions": list(map(_partition_header, partitions)),
     }
-    write_records(path, chain([header], (
-        _evidence_record((p.id, pid, prop)) for p in partitions for pid, prop in p.propositions
-    )))
+    write_records(path, [header], _PropositionLines(corpus).evidence_lines(
+        (p.id, pid) for p in partitions for pid, _ in p.propositions))
 
 
 def save_evidence(partitions: list[Partition], corpus: Corpus, path: str | Path) -> None:

@@ -1,18 +1,21 @@
 """Artifact records: the saved corpus, and the record lines of the evidence
 and question files.
 
-``save_corpus`` writes the corpus ``ingest`` decided as ``corpus.columns``
-(see ``columns``): interned tables of predicates, entities and article
-ids, then one int32 column per proposition field. ``read_corpus`` reads it
-back without normalizing anything again: re-normalizing a lemma is not
-the identity (``caused`` is saved as ``caus``, which would become
-``cau``). It checks each table entry once and each row once, and refuses
-anything ``save_corpus`` would not write, naming the file and the entry
-or row. ``corpus_lines`` prints the corpus in the line form it was once
-saved in, one ``proposition_record`` per line.
+A ``Corpus`` is held as it is saved: ``save_corpus`` writes its interned
+tables of predicates, entities and article ids, then its int32 columns,
+one per proposition field, as ``corpus.columns`` (see ``columns``).
+``read_corpus`` reads them back without normalizing anything again:
+re-normalizing a lemma is not the identity (``caused`` is saved as
+``caus``, which would become ``cau``). It checks each table entry once
+and each row once, and refuses anything ``save_corpus`` would not write,
+naming the file and the entry or row; the row checks are the corpus's
+row builder's, which builds the propositions.
 
 Evidence and question files are written by ``write_records``, one sorted-
-key JSON line per record. Question lines are checked by
+key JSON line per record. Proposition lines (``corpus_lines``, the form
+``dump-corpus`` prints, and evidence lines) are assembled from JSON
+fragments encoded once per table entry (``_PropositionLines``), byte for
+byte what that encoder writes of the record. Question lines are checked by
 ``_CanonicalReader.parse``; no stage reads an evidence line (``answer``
 reads evidence as corpus rows, see ``qagen.read_evidence``). The entry
 checks the corpus tables pass are that reader's ``predicate`` and
@@ -20,12 +23,12 @@ checks the corpus tables pass are that reader's ``predicate`` and
 date check of every reader. This module imports no other layer, so the
 stages that read a corpus do not load ``ingest``.
 """
-
 from __future__ import annotations
 
 import datetime as dt
 import json
 from array import array
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -33,7 +36,6 @@ from .columns import INT32_MAX, read_columns, write_columns
 from .model import (
     Corpus,
     EntityId,
-    Proposition,
     TypedPredicate,
     _atomic_writer,
     _type_label,
@@ -85,10 +87,6 @@ def _lemma(lemma: str) -> str:
     return lemma
 
 
-def _negated(lemma: str) -> bool:
-    return lemma == "not" or lemma.startswith("not.")
-
-
 def _key_clash(linked: dict[str, bool], entity: EntityId) -> str | None:
     """Why ``entity``'s key cannot be told from an earlier entity's, if it
     cannot: ``linked`` maps each key seen to whether it was a kb id."""
@@ -101,28 +99,14 @@ def _key_clash(linked: dict[str, bool], entity: EntityId) -> str | None:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write ``corpus`` as interned tables plus int32 columns, atomically.
-    Table entries are numbered in order of first use."""
-    predicates: dict[TypedPredicate, int] = {}
-    entities: dict[tuple, int] = {}
-    articles: dict[str, int] = {}
-    columns = [array("i") for _ in _CORPUS_COLUMNS]
-    preds, args1, args2, dates, article_ids, sentences = (c.append for c in columns)
-    for prop in corpus.propositions:
-        args = prop.args
-        preds(predicates.setdefault(prop.predicate, len(predicates)))
-        # by fields: entities of one kb id are equal whatever their surfaces
-        args1(entities.setdefault(tuple(args[0]), len(entities)))
-        args2(entities.setdefault(tuple(args[1]), len(entities)) if len(args) == 2 else -1)
-        dates(prop.date.toordinal() if prop.date is not None else 0)
-        article_ids(articles.setdefault(prop.article_id, len(articles)))
-        sentences(prop.sentence_idx)
+    """Write ``corpus``'s tables and int32 columns as it holds them,
+    atomically."""
     tables = {
-        "articles": list(articles),
-        "entities": [list(entity) for entity in entities],
-        "predicates": [[p.lemma, list(p.slot_types), p.case_marker] for p in predicates],
+        "articles": corpus.articles,
+        "entities": [list(entity) for entity in corpus.entities],
+        "predicates": [[p.lemma, list(p.slot_types), p.case_marker] for p in corpus.predicates],
     }
-    write_columns(path, CORPUS_MAGIC, CORPUS_VERSION, tables, columns)
+    write_columns(path, CORPUS_MAGIC, CORPUS_VERSION, tables, corpus.columns)
 
 
 def _fields(entry, names: tuple[str, ...]) -> list:
@@ -187,8 +171,12 @@ def read_corpus(path: str | Path) -> Corpus:
     reader = _CanonicalReader(path)
     predicates = _table(path, tables, "predicates", _predicate_key, reader.predicate)
     entities = _table(path, tables, "entities", _entity_key, reader.entity)
-    articles = _table(path, tables, "articles",
-                      lambda a: (_typed(a, str, "article id"),), str)
+    articles = tables["articles"]
+    # one pass for the usual table; the entry loop names what it refuses
+    if not (type(articles) is list and all(type(a) is str for a in articles)
+            and len(set(articles)) == len(articles)):
+        articles = _table(path, tables, "articles",
+                          lambda a: (_typed(a, str, "article id"),), str)
     pred_col, args1, args2, date_col, article_col, sentences = columns
     n_ents = len(entities)
     for column, lo, hi, what in (
@@ -201,74 +189,99 @@ def read_corpus(path: str | Path) -> Corpus:
     ):
         if column and not (lo <= min(column) and max(column) < hi):
             _first_row(path, column, lambda v: lo <= v < hi, what)
-    dates = {ordinal: dt.date.fromordinal(ordinal) for ordinal in set(date_col) - {0}}
-    dates[0] = None
-    negated = [_negated(p.lemma) for p in predicates]
-    named = [e.is_named for e in entities]
-
-    props = []
-    append = props.append
-    row = 0
+    corpus = Corpus.from_columns(predicates, entities, articles, columns)
     try:
-        for row, (p, a, b, d, art, s) in enumerate(zip(*columns)):
-            if not (named[a] or b >= 0 and named[b]):
-                raise ValueError("no argument is named")
-            args = (entities[a],) if b < 0 else (entities[a], entities[b])
-            append(Proposition(predicates[p], args, articles[art], dates[d], s, negated[p]))
+        corpus.propositions  # the row checks run as the rows are built
     except ValueError as exc:
-        raise ValueError(f"{path}: row {row}: {exc}") from None
-    return Corpus(props)
+        raise ValueError(f"{path}: {exc}") from None
+    return corpus
 
 
 def corpus_lines(corpus: Corpus) -> Iterator[str]:
     """Each proposition's record as one sorted-key JSON line, the form
     ``entgraph dump-corpus`` prints."""
-    encode = _ENCODER.encode
-    for prop in corpus.propositions:
-        yield encode(proposition_record(prop)) + "\n"
+    line = _PropositionLines(corpus).line
+    for row in zip(*corpus.columns):
+        yield line(*row)
 
 
 # -- record lines -----------------------------------------------------------------
 
-
-def proposition_record(prop: Proposition) -> dict:
-    """Normalized record for one proposition, the form of an evidence line
-    and of a ``dump-corpus`` line."""
-    if prop.predicate.valency == 1:
-        roles = [int(prop.predicate.case_marker[1:])]
-    else:
-        roles = [1, 2]
-    return {
-        "article_id": prop.article_id,
-        "date": prop.date.isoformat() if prop.date else None,
-        "sentence_idx": prop.sentence_idx,
-        "predicate": prop.predicate.lemma,
-        "voice": "active",
-        "modifiers": [],
-        "args": [
-            {
-                "surface": ent.surface,
-                **({"kb_id": ent.kb_id} if ent.kb_id is not None else {}),
-                "type": etype,
-                "is_named": ent.is_named,
-                "role_index": role,
-            }
-            for ent, etype, role in zip(prop.args, prop.predicate.slot_types, roles)
-        ],
-    }
-
-
 # every record file is written through this one encoder, so equal records
-# give equal bytes
+# give equal bytes; proposition lines are written as it would write them
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def write_records(path: str | Path, records: Iterable[dict]) -> None:
-    """Write each record as one sorted-key JSON line, atomically."""
+def write_records(path: str | Path, records: Iterable[dict], lines: Iterable[str] = ()) -> None:
+    """Write each record as one sorted-key JSON line, then ``lines``
+    (proposition lines, see ``_PropositionLines``), atomically."""
     encode = _ENCODER.encode
     with _atomic_writer(path) as fh:
         for record in records:
             fh.write(encode(record) + "\n")
+        fh.writelines(lines)
+
+
+class _PropositionLines:
+    """The record lines of a corpus's rows, each assembled from JSON
+    fragments encoded once per table entry: byte for byte what
+    ``_ENCODER`` writes of the proposition's record (sorted keys; voice
+    active and no modifiers; an argument's ``kb_id`` only if it has one,
+    its ``role_index`` 1 and 2 in a binary and the case marker's in a
+    unary). An evidence line also holds a partition id and a ``prop_id``."""
+
+    def __init__(self, corpus: Corpus):
+        encode = encode_basestring_ascii
+        self.corpus = corpus
+        self.articles = corpus.articles
+        # an argument is its entity's head, the slot's role, the entity's
+        # tail and the slot's type: its keys sort as is_named, kb_id,
+        # role_index, surface, type
+        self.entities = [
+            ('{"is_named": ' + ("true" if e.is_named else "false")
+             + ("" if e.kb_id is None else ', "kb_id": ' + encode(e.kb_id))
+             + ', "role_index": ',
+             ', "surface": ' + encode(e.surface) + ', "type": ')
+            for e in corpus.entities
+        ]
+        self.predicates = [
+            (encode(p.lemma), [(role, encode(label) + "}") for role, label in zip(
+                (p.case_marker[1:],) if p.valency == 1 else ("1", "2"), p.slot_types)])
+            for p in corpus.predicates
+        ]
+        self.dates = {0: "null"}
+
+    def line(self, p: int, a: int, b: int, d: int, art: int, s: int,
+             before: str = "", after: str = "") -> str:
+        """The line of one row's values, with ``before`` written before the
+        ``predicate`` key and ``after`` after its value."""
+        lemma, slots = self.predicates[p]
+        role, label = slots[0]
+        head, tail = self.entities[a]
+        args = head + role + tail + label
+        if b >= 0:
+            role, label = slots[1]
+            head, tail = self.entities[b]
+            args = f"{args}, {head}{role}{tail}{label}"
+        date = self.dates.get(d)
+        if date is None:
+            date = self.dates[d] = f'"{dt.date.fromordinal(d).isoformat()}"'
+        # article ids are about as many as rows: encoded here, not kept
+        return (f'{{"args": [{args}], "article_id": {encode_basestring_ascii(self.articles[art])}, '
+                f'"date": {date}, '
+                f'"modifiers": [], {before}"predicate": {lemma}{after}, "sentence_idx": {s}, '
+                '"voice": "active"}\n')
+
+    def evidence_lines(self, items: Iterable[tuple[int, str]]) -> Iterator[str]:
+        """The evidence line of each (partition id, ``prop_id``): the
+        record of the corpus row the id names, beside the two ids."""
+        preds, args1, args2, dates, articles, sentences = self.corpus.columns
+        line, row_of = self.line, self.corpus.row_of
+        for partition_id, prop_id in items:
+            row = row_of(prop_id)
+            yield line(preds[row], args1[row], args2[row], dates[row], articles[row],
+                       sentences[row], f'"partition_id": {partition_id}, ',
+                       f', "prop_id": {encode_basestring_ascii(prop_id)}')
 
 
 class _CanonicalReader:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+from array import array
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from entgraph.ingest import RecordError, normalize_predicate
+from entgraph.columns import write_columns
+from entgraph.ingest import RecordError, normalize_predicate, parse_record
 
 from entgraph.localgraph import (
     ALL_KINDS,
@@ -36,17 +38,19 @@ from entgraph.model import (
     Proposition,
     TypedPredicate,
     TypeInventory,
+    _negated,
     normalize_surface,
 )
 from entgraph.qaeval import AnswerRecord, PRCurve, PRPoint, _model_id, _untyped_match
-from entgraph.qagen import (
-    EVIDENCE_FORMAT_VERSION,
-    Partition,
-    Question,
-    _evidence_record,
-    _read_qa_file,
+from entgraph.qagen import EVIDENCE_FORMAT_VERSION, Partition, Question, _read_qa_file
+from entgraph.records import (
+    CORPUS_MAGIC,
+    CORPUS_VERSION,
+    _CanonicalReader,
+    _iso_date,
+    _key_clash,
+    _typed,
 )
-from entgraph.records import _CanonicalReader, _iso_date, _negated, _typed
 from entgraph.store import GraphStore
 
 
@@ -356,10 +360,14 @@ def parse_record_dicts(
     if date in (None, ""):
         date = None
     else:
+        # only a date's own isoformat: CPython 3.11+ reads "20210301" too
         try:
-            date = dt.date.fromisoformat(str(date))
-        except ValueError as exc:
-            raise RecordError(f"bad date {date!r}") from exc
+            parsed = dt.date.fromisoformat(date) if isinstance(date, str) else None
+        except ValueError:
+            parsed = None
+        if parsed is None or parsed.isoformat() != date:
+            raise RecordError(f"bad date {date!r}")
+        date = parsed
     article_id = str(obj.get("article_id", ""))
     sentence_idx = int(obj.get("sentence_idx", 0))
 
@@ -394,7 +402,121 @@ def parse_record_dicts(
     return props
 
 
+# -- the corpus through Proposition objects ---------------------------------------
+
+
+def ingest_objects(path, inventory: TypeInventory | None = None) -> Corpus:
+    """``ingest`` through one ``Proposition`` per kept view: each record
+    parsed on its own by ``parse_record`` (no memo across records), each
+    argument of a kept proposition checked for a key clash, then given its
+    kb id's first surface. The reference of the streaming ``ingest``;
+    ``Corpus`` keeps the propositions it is given."""
+    inventory = inventory or TypeInventory.default()
+    stats = IngestStats()
+    propositions: list[Proposition] = []
+    canonical_surface: dict[str, str] = {}
+    linked: dict[str, bool] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            stats.records_read += 1
+            try:
+                views = parse_record(json.loads(line), inventory, stats)
+            except (RecordError, ValueError, TypeError, KeyError):
+                stats.skipped_malformed += 1
+                continue
+            for view in views:
+                prop = Proposition(*view, view.negated)
+                for arg in prop.args:
+                    if (clash := _key_clash(linked, arg)) is not None:
+                        raise ValueError(f"{path}:{lineno}: {clash}")
+                propositions.append(_canonicalize(prop, canonical_surface))
+    stats.propositions = len(propositions)
+    return Corpus(propositions, stats)
+
+
+def _canonicalize(prop: Proposition, canon: dict[str, str]) -> Proposition:
+    """Pin one surface per kb id so hashing stays consistent corpus-wide."""
+    new_args = []
+    changed = False
+    for arg in prop.args:
+        if arg.kb_id is not None:
+            surface = canon.setdefault(arg.kb_id, arg.surface)
+            if surface != arg.surface:
+                arg = EntityId(surface, arg.kb_id, arg.is_named)
+                changed = True
+        new_args.append(arg)
+    if not changed:
+        return prop
+    return Proposition(
+        prop.predicate, tuple(new_args), prop.article_id, prop.date,
+        prop.sentence_idx, prop.negated,
+    )
+
+
+def save_corpus_objects(propositions: Iterable[Proposition], path) -> None:
+    """``save_corpus`` of a corpus of these propositions, interned here one
+    proposition at a time: table entries numbered in order of first use,
+    entities by their fields."""
+    predicates: dict[TypedPredicate, int] = {}
+    entities: dict[tuple, int] = {}
+    articles: dict[str, int] = {}
+    columns = [array("i") for _ in range(6)]
+    preds, args1, args2, dates, article_ids, sentences = (c.append for c in columns)
+    for prop in propositions:
+        args = prop.args
+        preds(predicates.setdefault(prop.predicate, len(predicates)))
+        args1(entities.setdefault(tuple(args[0]), len(entities)))
+        args2(entities.setdefault(tuple(args[1]), len(entities)) if len(args) == 2 else -1)
+        dates(prop.date.toordinal() if prop.date is not None else 0)
+        article_ids(articles.setdefault(prop.article_id, len(articles)))
+        sentences(prop.sentence_idx)
+    tables = {
+        "articles": list(articles),
+        "entities": [list(entity) for entity in entities],
+        "predicates": [[p.lemma, list(p.slot_types), p.case_marker] for p in predicates],
+    }
+    write_columns(path, CORPUS_MAGIC, CORPUS_VERSION, tables, columns)
+
+
 # -- the corpus as JSON lines ---------------------------------------------------
+
+ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def proposition_record(prop: Proposition) -> dict:
+    """Normalized record for one proposition, the form of an evidence line
+    and of a ``dump-corpus`` line."""
+    if prop.predicate.valency == 1:
+        roles = [int(prop.predicate.case_marker[1:])]
+    else:
+        roles = [1, 2]
+    return {
+        "article_id": prop.article_id,
+        "date": prop.date.isoformat() if prop.date else None,
+        "sentence_idx": prop.sentence_idx,
+        "predicate": prop.predicate.lemma,
+        "voice": "active",
+        "modifiers": [],
+        "args": [
+            {
+                "surface": ent.surface,
+                **({"kb_id": ent.kb_id} if ent.kb_id is not None else {}),
+                "type": etype,
+                "is_named": ent.is_named,
+                "role_index": role,
+            }
+            for ent, etype, role in zip(prop.args, prop.predicate.slot_types, roles)
+        ],
+    }
+
+
+def evidence_record(item: tuple[int, str, Proposition]) -> dict:
+    """The evidence line of a proposition: its partition, id and record."""
+    part_id, prop_id, prop = item
+    return {"partition_id": part_id, "prop_id": prop_id, **proposition_record(prop)}
 
 
 def corpus_jsonl(corpus: Corpus) -> str:
@@ -431,7 +553,7 @@ def corpus_jsonl(corpus: Corpus) -> str:
 def evidence_proposition(reader: _CanonicalReader, obj: dict) -> Proposition:
     """The proposition of an evidence line's record, its predicate and
     arguments built through ``reader``; ``reader.parse`` compares the
-    record ``_evidence_record`` writes of it with the line."""
+    record ``evidence_record`` writes of it with the line."""
     args = obj["args"]
     lemma = obj["predicate"]
     types = tuple(a["type"] for a in args)
@@ -454,7 +576,7 @@ def read_evidence_jsonl(path) -> list[Partition]:
     with, sorted by id. Each header partition's ``id`` and ``size`` must be
     ints (not floats or bools), no two may share an id, and its
     ``date_range`` must be two ``YYYY-MM-DD`` strings. A record line is
-    accepted only if ``_evidence_record`` of what it parses to reproduces
+    accepted only if ``evidence_record`` of what it parses to reproduces
     it and its predicate and arguments pass the checks ``read_corpus``
     makes of its table entries, and each partition must hold as many as
     the header declares."""
@@ -482,7 +604,7 @@ def read_evidence_jsonl(path) -> list[Partition]:
                 _typed(obj["prop_id"], str, "prop_id"), evidence_proposition(reader, obj))
 
     for lineno, line in enumerate(lines[1:], 2):
-        part_id, prop_id, prop = reader.parse(lineno, line, build, _evidence_record, "record")
+        part_id, prop_id, prop = reader.parse(lineno, line, build, evidence_record, "record")
         if part_id not in by_id:
             raise ValueError(f"{path}:{lineno}: partition {part_id!r} is not in the header")
         by_id[part_id].append((prop_id, prop))

@@ -2,6 +2,7 @@
 
 import contextlib
 import datetime as dt
+import hashlib
 import importlib.util
 import io
 import json
@@ -30,6 +31,7 @@ from entgraph.model import (
 from entgraph.qagen import Partition, write_evidence
 from entgraph.records import (
     _CORPUS_TABLES as TABLES,
+    _PropositionLines,
     CORPUS_MAGIC,
     CORPUS_VERSION,
     corpus_lines,
@@ -38,7 +40,16 @@ from entgraph.records import (
 )
 
 from conftest import prop, reseal
-from oracles import corpus_jsonl, parse_record_dicts, read_evidence_jsonl
+from oracles import (
+    ENCODER,
+    corpus_jsonl,
+    evidence_record,
+    ingest_objects,
+    parse_record_dicts,
+    proposition_record,
+    read_evidence_jsonl,
+    save_corpus_objects,
+)
 
 
 class TestEntityId:
@@ -379,7 +390,10 @@ def raw_records(draw, loose: bool = False):
         args.append(arg)
     return {
         "article_id": draw(st.sampled_from(["a1", "a2"])),
-        "date": draw(st.sampled_from([None, "2021-03-01", "2021-03-04"])),
+        "date": draw(st.sampled_from([None, "2021-03-01", "2021-03-04"] + (
+            # compact (read by CPython 3.11+ only), impossible, not a string
+            ["", "20210301", "2021-02-30", 20210301, 2021.0, True, ["2021-03-01"]]
+            if loose else []))),
         "sentence_idx": draw(st.integers(0, 9)),
         "predicate": predicate,
         "voice": voice,
@@ -784,7 +798,8 @@ RECORD_ONLY = {
 def _evidence_lines(path: Path, props) -> list[dict]:
     """``props`` written as one evidence partition; the file's records."""
     dates = sorted(p.date for p in props if p.date is not None)
-    write_evidence([Partition(0, (dates[0], dates[-1]), list(Corpus(props).items()))], path)
+    corpus = Corpus(props)
+    write_evidence([Partition(0, (dates[0], dates[-1]), list(corpus.items()))], corpus, path)
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
@@ -892,3 +907,163 @@ def test_sample_corpus_matches_its_generator():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.render().encode() == resources.sample_corpus_path().read_bytes()
+
+
+# -- streaming ingest against the object path -------------------------------------
+
+# a small vocabulary, so that raw predicates and arguments repeat across the
+# records of a file: linked surfaces that change (fb:1), an unlinked surface
+# equal to a kb id, unknown type labels; and, now and then, a value of
+# another type than the format gives, equal to an accepted one (1 == 1.0 ==
+# True) or not, which no memo may take for the accepted one
+STREAM_FIELDS = {
+    "surface": (["Mustard", " mustard", "Col.  Mustard", "boddy", "fb:1"], ["", 1, ["x"]]),
+    "kb_id": ([None, None, "fb:1", "fb:2"], [1, True]),
+    "type": (["person", "Person ", "volcano", "ORGANIZATION"], [1, None]),
+    "is_named": ([True, True, False], [1, 1.0, 0]),
+    "predicate": (["won", "was killed", "kills", "is an author"], [7, ["won"]]),
+    "voice": (["active", "active", "passive", "copular"], [1, None]),
+    "modifiers": ([[], [], ["not"], ["planned to"]], ["not", [1], [True], [["not"]]]),
+    "date": ([None, "", "2021-03-01", "2021-03-04"], ["20210301", "2021-02-30", 1, ["x"]]),
+    "article_id": (["a1", "a2"], [1, None]),
+    "sentence_idx": ([0, 1, 2**31 - 1], [1.0, True, -1, 2**31]),
+}
+STREAM_LINES = ["", "{", "[]", "null", '"won"', '{"predicate": "won"}', '{"args": []}']
+
+
+@st.composite
+def stream_records(draw):
+    """One raw record line of ``STREAM_FIELDS``' vocabulary, each field
+    mistyped one time in ten: passives, and 1 to 4 arguments, their roles
+    a permutation (or, one time in ten, a role repeated or mistyped)."""
+
+    def field(name):
+        valid, mistyped = STREAM_FIELDS[name]
+        return draw(st.sampled_from(mistyped if draw(st.integers(0, 9)) == 0 else valid))
+
+    n = draw(st.integers(1, 4))
+    roles = [draw(st.sampled_from([1, 2]))] if n == 1 else draw(st.permutations(range(1, n + 1)))
+    if draw(st.integers(0, 9)) == 0:
+        roles[0] = draw(st.sampled_from([1.0, True, roles[-1], 3]))
+    args = []
+    for role in roles:
+        arg = {name: field(name) for name in ("surface", "type", "is_named")}
+        arg["role_index"] = role
+        kb_id = field("kb_id")
+        if kb_id is not None:
+            arg["kb_id"] = kb_id
+        args.append(arg)
+    record = {name: field(name) for name in (
+        "predicate", "voice", "modifiers", "date", "article_id", "sentence_idx")}
+    return json.dumps({**record, "args": args})
+
+
+class TestStreamingIngest:
+    """``ingest``, which interns each record's propositions as it parses it
+    and keeps what it decided for a raw value, writes what the object path
+    (``oracles.ingest_objects``, then ``oracles.save_corpus_objects``)
+    writes, counts what it counts and refuses what it refuses, with the
+    same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(stream_records(), stream_records(), stream_records(),
+                              st.sampled_from(STREAM_LINES)), min_size=1, max_size=12))
+    def test_agrees_with_the_object_path(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = Path(tmp) / "raw.jsonl"
+            raw.write_text("".join(line + "\n" for line in lines))
+            try:
+                want = ingest_objects(raw, INVENTORY)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    ingest(raw, INVENTORY)
+                assert str(got.value) == str(exc)
+                return
+            got = ingest(raw, INVENTORY)
+            save_corpus_objects(want.propositions, Path(tmp) / "want.columns")
+            save_corpus(got, Path(tmp) / "got.columns")
+            assert (Path(tmp) / "got.columns").read_bytes() == (
+                Path(tmp) / "want.columns").read_bytes()
+        assert got.stats.as_dict() == want.stats.as_dict()
+        assert [_fields(p) for p in got] == [_fields(p) for p in want]
+
+    def test_clash_of_an_unnamed_view_is_skipped(self, tmp_path):
+        # the unnamed view is dropped before its surface could clash with
+        # the kb id, so only the linked entity is kept
+        unnamed = {"predicate": "won", "args": [
+            {"surface": "fb:1", "type": "person", "is_named": False, "role_index": 1}]}
+        linked = {"predicate": "won", "args": [
+            {"surface": "Mustard", "kb_id": "fb:1", "type": "person", "is_named": True,
+             "role_index": 1}]}
+        raw = tmp_path / "raw.jsonl"
+        _write_records(raw, [linked, unnamed, linked])
+        corpus = ingest(raw)
+        assert len(corpus) == 2 and corpus.stats.skipped_unnamed == 1
+
+    def test_is_named_one_is_not_true(self, tmp_path):
+        record = {"predicate": "won", "args": [
+            {"surface": "Mustard", "type": "person", "is_named": True, "role_index": 1}]}
+        mistyped = json.loads(json.dumps(record))
+        mistyped["args"][0]["is_named"] = 1
+        raw = tmp_path / "raw.jsonl"
+        _write_records(raw, [record, mistyped, record])
+        corpus = ingest(raw)
+        assert len(corpus) == 2 and corpus.stats.skipped_malformed == 1
+
+    def test_ingest_stage_builds_no_proposition(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ingest stage built a proposition")
+
+        monkeypatch.setattr(Proposition, "__new__", staticmethod(refuse))
+        monkeypatch.setattr(Corpus, "_rows", refuse)
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ingest", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "corpus.columns").read_bytes()).hexdigest()
+        assert digest == SAMPLE_CORPUS_COLUMNS
+
+
+# the sha256 of the sample's corpus.columns; the sample's dump is pinned in
+# tests/data/sample_jsonl_digests.sha256
+SAMPLE_CORPUS_COLUMNS = "0585376ec9bb4f13ad06c1d13bd8d925e8e91a34639834c11ddc04f25bc1f4d3"
+
+
+# -- proposition lines against the encoder --------------------------------------
+
+# text that JSON escapes: quotes, backslashes, controls, U+2028, non-ASCII,
+# lone surrogates
+LINE_TEXT = st.text(st.sampled_from(
+    ["a", "Z", " ", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "中",
+     "\U0001f600", "\ud800", "\udfff"]), min_size=1, max_size=6)
+
+
+@st.composite
+def line_propositions(draw):
+    valency = draw(st.integers(1, 2))
+    types = tuple(draw(st.lists(st.sampled_from(["person", "thing", "o\u2028rg"]),
+                                min_size=valency, max_size=valency)))
+    case = draw(st.sampled_from([".1", ".2"])) if valency == 1 else None
+    predicate = TypedPredicate(draw(LINE_TEXT), valency, types, case)
+    args = tuple(EntityId(draw(LINE_TEXT), draw(st.one_of(st.none(), LINE_TEXT)),
+                          draw(st.booleans())) for _ in range(valency))
+    date = draw(st.one_of(st.none(), st.dates()))
+    sentence_idx = draw(st.sampled_from([0, 1, 2**31 - 1]))
+    return Proposition(predicate, args, draw(LINE_TEXT), date, sentence_idx)
+
+
+class TestPropositionLines:
+    """``dump-corpus`` and evidence lines, assembled from fragments encoded
+    once per table entry, are what the encoder writes of each record."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(line_propositions(), min_size=1, max_size=8),
+           st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=8))
+    def test_agree_with_the_encoder(self, props, partition_ids):
+        corpus = Corpus(props)
+        assert list(corpus_lines(corpus)) == [
+            ENCODER.encode(proposition_record(p)) + "\n" for p in props]
+        items = [(partition_ids[i % len(partition_ids)], pid)
+                 for i, (pid, _) in enumerate(corpus.items())]
+        assert list(_PropositionLines(corpus).evidence_lines(items)) == [
+            ENCODER.encode(evidence_record((part, pid, corpus.propositions[corpus.row_of(pid)])))
+            + "\n" for part, pid in items]

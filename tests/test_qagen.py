@@ -30,10 +30,10 @@ from entgraph.qagen import (
     write_questions,
 )
 
-from entgraph.records import proposition_record, read_corpus, save_corpus
+from entgraph.records import read_corpus, save_corpus
 
 from conftest import corpus, ent, pred, prop
-from oracles import read_evidence_jsonl
+from oracles import proposition_record, read_evidence_jsonl
 
 
 def dated_props(days: list[str], name="sing.1", entity="knowles"):
@@ -346,7 +346,7 @@ class TestEndToEndGeneration:
         epath = tmp_path / "evidence.jsonl"
         rows = tmp_path / "evidence.columns"
         write_questions(qs, qpath)
-        write_evidence(qs.evidence, epath)
+        write_evidence(qs.evidence, c, epath)
         save_evidence(qs.evidence, c, rows)
         questions2, manifest2 = read_questions(qpath)
         assert [q.id for q in questions2] == [q.id for q in qs.questions]
@@ -370,13 +370,14 @@ class TestMalformedHeaders:
     raises ValueError naming the file, never KeyError or AttributeError."""
 
     def _write(self, tmp_path):
+        c = TestEndToEndGeneration()._corpus()
         qs = generate_questions(
-            TestEndToEndGeneration()._corpus(), LexicalResource.fixture(),
+            c, LexicalResource.fixture(),
             QaGenConfig(entity_min=6, predicate_min=11, positives_per_partition=4, seed=5),
         )
         qpath, epath = tmp_path / "questions.jsonl", tmp_path / "evidence.jsonl"
         write_questions(qs, qpath)
-        write_evidence(qs.evidence, epath)
+        write_evidence(qs.evidence, c, epath)
         return qpath, epath
 
     @staticmethod
@@ -539,7 +540,7 @@ class TestEvidenceRows:
             save_corpus(ingest(tmp / "raw.jsonl"), tmp / "corpus.columns")
             c = read_corpus(tmp / "corpus.columns")
             qs = generate_questions(c, LexicalResource.fixture(), config)
-            write_evidence(qs.evidence, tmp / "evidence.jsonl")
+            write_evidence(qs.evidence, c, tmp / "evidence.jsonl")
             save_evidence(qs.evidence, c, tmp / "evidence.columns")
             expected = _records(read_evidence_jsonl(tmp / "evidence.jsonl"))
             got = _records(read_evidence(tmp / "evidence.columns", c))
@@ -552,7 +553,7 @@ class TestEvidenceRows:
         c = TestEndToEndGeneration()._corpus()
         qs = generate_questions(c, LexicalResource.fixture(), QaGenConfig(seed=5))
         jsonl, rows = tmp_path / "evidence.jsonl", tmp_path / "evidence.columns"
-        write_evidence(qs.evidence, jsonl)
+        write_evidence(qs.evidence, c, jsonl)
         save_evidence(qs.evidence, c, rows)
         lo = qs.evidence[0].date_range[0]
         compact = lo.strftime("%Y%m%d")
