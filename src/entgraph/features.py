@@ -4,6 +4,8 @@ Binary predicates get an argument-pair vector; every predicate slot
 (the single unary slot, both binary slots) gets a per-slot entity vector.
 Weights are positive PMI under maximum-likelihood probabilities; zero and
 negative weights are dropped so feature support means genuine association.
+Counts are read from the corpus's predicate and argument columns, each
+entity by its key, so counting builds no proposition.
 """
 
 from __future__ import annotations
@@ -31,18 +33,21 @@ class CountStore:
 
 
 def count(corpus: Corpus) -> tuple[CountStore, CountStore]:
-    """The pair store and the slot store of a corpus, counted in one pass.
+    """The pair store and the slot store of a corpus, counted in one pass
+    over its predicate and argument columns, entities by their keys.
 
     pair store:  key = binary predicate,     feature = ordered entity-key pair
     slot store:  key = (predicate, slot),    feature = entity key
     """
     pairs, slots = CountStore(), CountStore()
-    for prop in corpus:
-        args = prop.args
-        if prop.predicate.valency == 2:
-            pairs.add(prop.predicate, (args[0].key, args[1].key))
-        for slot, arg in enumerate(args, start=1):
-            slots.add((prop.predicate, slot), arg.key)
+    predicates, keys = corpus.predicates, corpus.keys
+    preds, args1, args2 = corpus.columns[:3]
+    for p, a, b in zip(preds, args1, args2):
+        predicate, first = predicates[p], keys[a]
+        slots.add((predicate, 1), first)
+        if b >= 0:
+            pairs.add(predicate, (first, keys[b]))
+            slots.add((predicate, 2), keys[b])
     return pairs, slots
 
 

@@ -1,10 +1,11 @@
 """Core corpus data model: entities, typed predicates, propositions, corpora.
 
 A corpus is held as it is saved: interned tables of predicates, entities
-and article ids beside int32 columns, one row per proposition. Its
-propositions, and the occurrence count of each untyped predicate, are
-built on first use. Everything downstream (feature vectors, graphs,
-question generation) reads from this model and never mutates it.
+and article ids beside int32 columns, one row per proposition. A row is
+its proposition's identity, written as ``prop_id(row)``: feature counting
+and question generation read the columns, and only the answer models get
+``Proposition`` objects, built from rows by ``Corpus.proposition``.
+Everything downstream reads from this model and never mutates it.
 """
 
 from __future__ import annotations
@@ -270,28 +271,36 @@ class IngestStats:
         return dict(self.__dict__)
 
 
+def prop_id(row: int) -> str:
+    """The id of a corpus row wherever one is written: ``p`` and at least
+    six digits."""
+    return f"p{row:06d}"
+
+
 class Corpus:
     """An immutable corpus held as it is saved (see ``records``): tables of
     predicates, entities and article ids, each numbered in order of first
     use, and six int32 ``array`` columns with one row per proposition
     (predicate, argument 1, argument 2 or -1 for a unary, date ordinal or
-    0 for none, article, sentence index).
+    0 for none, article, sentence index). ``keys`` holds each entity's
+    ``key``: two entries, a kb id both named and unnamed or two surfaces
+    of one kb id, may share one.
 
     ``Corpus(propositions)`` interns the propositions into tables and
     columns; ``ingest`` and ``records.read_corpus`` build the tables and
-    columns themselves (``from_columns``). ``propositions`` are built from
-    the rows on first use, with one shared object per predicate, entity and
-    date, and ``untyped_index`` counts the predicate column.
+    columns themselves (``from_columns``). A row is the identity of its
+    proposition: the stages read the columns, and ``proposition(row)``
+    builds one where a proposition is scored. ``untyped_index`` counts the
+    predicate column.
     """
 
     def __init__(self, propositions: Iterable[Proposition], stats: IngestStats | None = None):
-        props = tuple(propositions)
         predicates: dict[TypedPredicate, int] = {}
         entities: dict[tuple, int] = {}
         articles: dict[str, int] = {}
         columns = [array("i") for _ in range(6)]
         preds, args1, args2, dates, article_ids, sentences = (c.append for c in columns)
-        for prop in props:
+        for prop in propositions:
             args = prop.args
             preds(predicates.setdefault(prop.predicate, len(predicates)))
             # by fields: entities of one kb id are equal whatever their surfaces
@@ -302,7 +311,6 @@ class Corpus:
             sentences(prop.sentence_idx)
         self._hold(list(predicates), [EntityId(*key) for key in entities], list(articles),
                    columns, stats)
-        self._propositions = props
 
     @classmethod
     def from_columns(
@@ -310,7 +318,7 @@ class Corpus:
         columns: list[array], stats: IngestStats | None = None,
     ) -> "Corpus":
         """The corpus of these tables and columns, taken as they are: the
-        callers check the tables and each column's id range."""
+        callers check the tables and the rows."""
         corpus = cls.__new__(cls)
         corpus._hold(predicates, entities, articles, columns, stats)
         return corpus
@@ -318,43 +326,27 @@ class Corpus:
     def _hold(self, predicates, entities, articles, columns, stats) -> None:
         self.predicates: list[TypedPredicate] = predicates
         self.entities: list[EntityId] = entities
+        self.keys: list[str] = [e.key for e in entities]
         self.articles: list[str] = articles
         self.columns: list[array] = columns
         n = len(columns[0])
         self.stats = stats or IngestStats(records_read=n, propositions=n)
-        self._propositions: tuple[Proposition, ...] | None = None
+        self._dates: dict[int, dt.date | None] = {0: None}
         self._untyped_index: Counter[tuple[str, int]] | None = None
 
-    @property
-    def propositions(self) -> tuple[Proposition, ...]:
-        """One proposition per row, built on first use. A row whose
-        arguments are all unnamed, or whose argument count is not its
-        predicate's valency, raises ValueError naming the row."""
-        if self._propositions is None:
-            self._propositions = self._rows()
-        return self._propositions
-
-    def _rows(self) -> tuple[Proposition, ...]:
-        predicates, entities, articles = self.predicates, self.entities, self.articles
-        dates: dict[int, dt.date | None] = {
-            ordinal: dt.date.fromordinal(ordinal) for ordinal in set(self.columns[3]) - {0}}
-        dates[0] = None
-        negated = [_negated(p.lemma) for p in predicates]
-        unary = [p.valency == 1 for p in predicates]
-        named = [e.is_named for e in entities]
-        # Proposition.__new__'s checks are made here (argument count) and
-        # by whoever filled the columns (no negative sentence index)
-        new = tuple.__new__
-        props = []
-        append = props.append
-        for row, (p, a, b, d, art, s) in enumerate(zip(*self.columns)):
-            if not (named[a] or b >= 0 and named[b]):
-                raise ValueError(f"row {row}: no argument is named")
-            if (b < 0) != unary[p]:
-                raise ValueError(f"row {row}: argument count must equal predicate valency")
-            args = (entities[a],) if b < 0 else (entities[a], entities[b])
-            append(new(Proposition, (predicates[p], args, articles[art], dates[d], s, negated[p])))
-        return tuple(props)
+    def proposition(self, row: int) -> Proposition:
+        """The proposition of one row, sharing one object per predicate,
+        entity and date. ``Proposition.__new__``'s checks are the row
+        checks of whoever filled the columns."""
+        preds, args1, args2, dates, articles, sentences = self.columns
+        predicate, entities = self.predicates[preds[row]], self.entities
+        a, b, d = args1[row], args2[row], dates[row]
+        date = self._dates.get(d)
+        if date is None and d:
+            date = self._dates[d] = dt.date.fromordinal(d)
+        args = (entities[a],) if b < 0 else (entities[a], entities[b])
+        return tuple.__new__(Proposition, (predicate, args, self.articles[articles[row]], date,
+                                           sentences[row], _negated(predicate.lemma)))
 
     @property
     def untyped_index(self) -> Counter[tuple[str, int]]:
@@ -370,21 +362,16 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.columns[0])
 
+    # views over ``proposition``, for tests and scripts: no stage reads them
+
+    @property
+    def propositions(self) -> tuple[Proposition, ...]:
+        return tuple(map(self.proposition, range(len(self))))
+
+    def __iter__(self) -> Iterator[Proposition]:
+        return map(self.proposition, range(len(self)))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
         return self.propositions == other.propositions
-
-    def __iter__(self) -> Iterator[Proposition]:
-        return iter(self.propositions)
-
-    def prop_id(self, index: int) -> str:
-        return f"p{index:06d}"
-
-    def row_of(self, prop_id: str) -> int:
-        """The index a ``prop_id`` names."""
-        return int(prop_id[1:])
-
-    def items(self) -> Iterator[tuple[str, Proposition]]:
-        for i, prop in enumerate(self.propositions):
-            yield self.prop_id(i), prop

@@ -10,6 +10,12 @@ actually true, and one that never occurs anywhere in the corpus is
 discarded as too easy. The surviving pool is downsampled to equal-size
 unary/binary and positive/negative quadrants with a seeded generator.
 
+A proposition is its corpus row throughout: partitions, selection and
+screening read the corpus's date, predicate and argument columns and its
+entity keys, a question's ``source_prop`` is ``prop_id`` of its row, and
+a ``Partition`` holds its evidence as rows. Only ``Partition.holding``,
+which the answer models read, builds ``Proposition`` objects.
+
 The evidence is written twice: ``evidence.jsonl`` holds each evidence
 proposition as a record line, for people and for digests taken of it,
 and ``evidence.columns`` holds its corpus row, which is all ``answer``
@@ -25,11 +31,11 @@ from array import array
 from collections import Counter, namedtuple
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .columns import read_columns, write_columns
 from .records import _CanonicalReader, _PropositionLines, _iso_date, _typed, write_records
-from .model import Corpus, EntityId, Proposition, TypedPredicate
+from .model import Corpus, EntityId, Proposition, TypedPredicate, prop_id
 
 if TYPE_CHECKING:
     from .lexicon import LexicalResource
@@ -42,44 +48,41 @@ EVIDENCE_ROWS_VERSION = 1
 
 
 class Partition:
-    """Propositions of up to window_days consecutive days of articles.
+    """Evidence of up to window_days consecutive days of articles: rows of
+    ``corpus``, in increasing order, held as ``propositions``.
 
-    ``holding`` indexes them by argument key, and ``arg_keys`` lists their
-    keys, when each is first called, so ``propositions`` must not change
-    after that.
+    ``holding`` builds the (``prop_id``, ``Proposition``) item of each row
+    and indexes the items by argument key when it is first called, so
+    ``propositions`` must not change after that.
     """
 
     def __init__(
-        self, id: int, date_range: tuple[dt.date, dt.date],
-        propositions: list[tuple[str, Proposition]],
+        self, id: int, date_range: tuple[dt.date, dt.date], corpus: Corpus,
+        propositions: Sequence[int],
     ):
         self.id = id
         self.date_range = date_range
+        self.corpus = corpus
         self.propositions = propositions
         self._by_key: dict[str, list[tuple[str, Proposition]]] | None = None
-        self._arg_keys: list[tuple[str, ...]] | None = None
 
-    def without(self, prop_ids: set[str]) -> "Partition":
-        return Partition(
-            self.id,
-            self.date_range,
-            [(pid, p) for pid, p in self.propositions if pid not in prop_ids],
-        )
-
-    def arg_keys(self) -> list[tuple[str, ...]]:
-        """The ``arg_keys`` of each proposition, in ``propositions`` order."""
-        if self._arg_keys is None:
-            self._arg_keys = [p.arg_keys for _, p in self.propositions]
-        return self._arg_keys
+    def without(self, rows: set[int]) -> "Partition":
+        return Partition(self.id, self.date_range, self.corpus,
+                         [row for row in self.propositions if row not in rows])
 
     def holding(self, key: str) -> list[tuple[str, Proposition]]:
         """The (id, proposition) items whose arguments include the entity
         key ``key``, in ``propositions`` order."""
         if self._by_key is None:
-            self._by_key = {}
-            for item in self.propositions:
-                for k in dict.fromkeys(item[1].arg_keys):
-                    self._by_key.setdefault(k, []).append(item)
+            corpus, by_key = self.corpus, {}
+            keys, args1, args2 = corpus.keys, corpus.columns[1], corpus.columns[2]
+            for row in self.propositions:
+                item = (prop_id(row), corpus.proposition(row))
+                first, b = keys[args1[row]], args2[row]
+                by_key.setdefault(first, []).append(item)
+                if b >= 0 and keys[b] != first:
+                    by_key.setdefault(keys[b], []).append(item)
+            self._by_key = by_key
         return self._by_key.get(key, [])
 
 
@@ -104,25 +107,24 @@ class Question:
 
 
 def partition(corpus: Corpus, window_days: int = 3) -> tuple[list[Partition], int]:
-    """Cut the corpus into disjoint consecutive date windows.
+    """Cut the corpus's rows into disjoint consecutive date windows.
 
     Windows are anchored at the earliest article date; empty windows are
     dropped. Returns the partitions and the count of undated propositions
     excluded.
     """
-    dated = [(pid, p) for pid, p in corpus.items() if p.date is not None]
-    undated = len(corpus) - len(dated)
-    if not dated:
-        return [], undated
-    start = min(p.date for _, p in dated)
-    buckets: dict[int, list[tuple[str, Proposition]]] = {}
-    for pid, p in dated:
-        buckets.setdefault((p.date - start).days // window_days, []).append((pid, p))
+    dates = corpus.columns[3]
+    start = min(filter(None, dates), default=0)
+    buckets: dict[int, list[int]] = {}
+    for row, d in enumerate(dates):
+        if d:
+            buckets.setdefault((d - start) // window_days, []).append(row)
+    undated = len(dates) - sum(map(len, buckets.values()))
     partitions = []
     for idx in sorted(buckets):
-        lo = start + dt.timedelta(days=idx * window_days)
+        lo = dt.date.fromordinal(start) + dt.timedelta(days=idx * window_days)
         hi = lo + dt.timedelta(days=window_days - 1)
-        partitions.append(Partition(idx, (lo, hi), buckets[idx]))
+        partitions.append(Partition(idx, (lo, hi), corpus, buckets[idx]))
     return partitions, undated
 
 
@@ -164,46 +166,45 @@ def select_positives(
     evidence.
     """
     rng = rng or random.Random(0)
-    pair_counts: Counter = Counter()
-    entity_counts: Counter = Counter()
-    keyed = list(zip(part.propositions, part.arg_keys()))
-    for (_, p), keys in keyed:
-        for k in keys:
-            entity_counts[k] += 1
-        if p.predicate.valency == 2:
-            pair_counts[tuple(sorted(keys))] += 1
-
-    candidates = []
-    for (pid, p), keys in keyed:
-        if corpus.untyped_index[p.predicate.untyped] < predicate_min:
-            continue
-        if p.predicate.valency == 2:
-            starred = pair_counts[tuple(sorted(keys))] >= entity_min
+    predicates, entities, keys = corpus.predicates, corpus.entities, corpus.keys
+    preds, args1, args2 = corpus.columns[:3]
+    # mentions of each entity key and of each binary's sorted key pair
+    counts: Counter = Counter()
+    stars = []  # (row, its star binding: a unary's key, a binary's key pair)
+    for row in part.propositions:
+        first, b = keys[args1[row]], args2[row]
+        counts[first] += 1
+        if b < 0:
+            stars.append((row, first))
         else:
-            starred = entity_counts[keys[0]] >= entity_min
-        if starred:
-            candidates.append((pid, p))
+            second = keys[b]
+            counts[second] += 1
+            star = (first, second) if first <= second else (second, first)
+            counts[star] += 1
+            stars.append((row, star))
+    untyped = corpus.untyped_index
+    # in row order, as the partition holds them
+    candidates = [row for row, star in stars
+                  if untyped[predicates[preds[row]].untyped] >= predicate_min
+                  and counts[star] >= entity_min]
 
-    candidates.sort(key=lambda item: item[0])
     chosen = sorted(rng.sample(candidates, min(n, len(candidates))))
     questions = []
-    for seq, (pid, p) in enumerate(chosen):
+    for seq, row in enumerate(chosen):
+        predicate = predicates[preds[row]]
+        args = tuple(entities[e] for e in (args1[row], args2[row]) if e >= 0)
         questions.append(
             Question(
                 id=f"q{part.id:03d}-pos{seq:04d}",
                 partition_id=part.id,
-                predicate=p.predicate,
-                args=p.args,
+                predicate=predicate,
+                args=args,
                 polarity="positive",
-                provenance={"source_prop": pid},
-                surface=_question_surface(p.predicate, p.args),
+                provenance={"source_prop": prop_id(row)},
+                surface=_question_surface(predicate, args),
             )
         )
-    return PositiveSelection(
-        questions,
-        part.without({pid for pid, _ in chosen}),
-        shortfall=len(chosen) < n,
-    )
+    return PositiveSelection(questions, part.without(set(chosen)), shortfall=len(chosen) < n)
 
 
 class ScreeningStats:
@@ -235,9 +236,12 @@ def generate_negatives(
     false) are screened out.
     """
     stats = ScreeningStats()
+    predicates, keys = corpus.predicates, corpus.keys
+    preds, args1, args2 = corpus.columns[:3]
     in_partition = {
-        (p.predicate.name, p.predicate.valency, keys)
-        for (_, p), keys in zip(part.propositions, part.arg_keys())
+        (predicates[preds[row]].untyped,
+         tuple(keys[e] for e in (args1[row], args2[row]) if e >= 0))
+        for row in part.propositions
     }
     negatives = []
     seq = 0
@@ -254,8 +258,7 @@ def generate_negatives(
                 pos.predicate.slot_types,
                 pos.predicate.case_marker,
             )
-            key = (pred.name, pred.valency, tuple(a.key for a in pos.args))
-            if key in in_partition:
+            if (pred.untyped, tuple(a.key for a in pos.args)) in in_partition:
                 stats.screened_in_partition += 1
                 continue
             if corpus.untyped_index.get(pred.untyped, 0) == 0:
@@ -322,15 +325,12 @@ def generate_questions(
     """Full generation pass: partition, select, derive negatives, balance."""
     rng = random.Random(config.seed)
     partitions, undated = partition(corpus, config.window_days)
-    n_partitions = len(partitions)
     all_pos: list[Question] = []
     all_neg: list[Question] = []
     evidence: list[Partition] = []
     screening = ScreeningStats()
     shortfalls = 0
-    while partitions:
-        # each partition is dropped once done, and its arg_keys with it
-        part = partitions.pop(0)
+    for part in partitions:
         sel = select_positives(
             part, corpus, config.entity_min, config.predicate_min,
             config.positives_per_partition, rng,
@@ -352,7 +352,7 @@ def generate_questions(
         "entity_min": config.entity_min,
         "predicate_min": config.predicate_min,
         "positives_per_partition": config.positives_per_partition,
-        "partitions": n_partitions,
+        "partitions": len(partitions),
         "undated_excluded": undated,
         "partitions_with_shortfall": shortfalls,
         "candidates": {"positives": len(all_pos), "negatives": len(all_neg)},
@@ -469,7 +469,7 @@ def write_evidence(partitions: list[Partition], corpus: Corpus, path: str | Path
         "partitions": list(map(_partition_header, partitions)),
     }
     write_records(path, [header], _PropositionLines(corpus).evidence_lines(
-        (p.id, pid) for p in partitions for pid, _ in p.propositions))
+        (p.id, row) for p in partitions for row in p.propositions))
 
 
 def save_evidence(partitions: list[Partition], corpus: Corpus, path: str | Path) -> None:
@@ -477,7 +477,7 @@ def save_evidence(partitions: list[Partition], corpus: Corpus, path: str | Path)
     corpus's length and the partition list of ``write_evidence``'s header,
     then the corpus row of each evidence proposition, partition by
     partition, in one int32 column."""
-    rows = array("i", (corpus.row_of(pid) for p in partitions for pid, _ in p.propositions))
+    rows = array("i", chain.from_iterable(p.propositions for p in partitions))
     tables = {"corpus_rows": len(corpus), "partitions": list(map(_partition_header, partitions))}
     write_columns(path, EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION, tables, [rows])
 
@@ -501,7 +501,7 @@ def _partition_entry(entry) -> tuple[int, tuple[dt.date, dt.date], int]:
 
 def read_evidence(path: str | Path, corpus: Corpus) -> list[Partition]:
     """The partitions ``save_evidence`` wrote of ``corpus``, in header
-    order, each holding the corpus's own (id, proposition) items.
+    order, each holding its rows of ``corpus``.
 
     The header's ``corpus_rows`` must be the corpus's length; each
     partition an ``int`` id (no float or bool) no earlier one has, a date
@@ -535,24 +535,24 @@ def read_evidence(path: str | Path, corpus: Corpus) -> list[Partition]:
     if total != len(rows):
         raise ValueError(
             f"{path}: partition sizes add up to {total}, not to the column's {len(rows)} rows")
-    props, prop_id = corpus.propositions, corpus.prop_id
+    dates = corpus.columns[3]
     out, start = [], 0
     for part_id, ((lo, hi), size) in meta.items():
-        items, prev = [], -1
-        for row in rows[start:start + size]:
+        part_rows, prev = rows[start:start + size], -1
+        first, last = lo.toordinal(), hi.toordinal()
+        for row in part_rows:
             if not 0 <= row < n:
                 why = f"is outside the corpus of {n} rows"
             elif row <= prev:
                 why = f"does not follow row {prev}"
-            elif (date := props[row].date) is None:
+            elif not dates[row]:
                 why = "is undated"
-            elif not lo <= date <= hi:
-                why = f"is dated {date}, outside {lo} to {hi}"
+            elif not first <= dates[row] <= last:
+                why = f"is dated {dt.date.fromordinal(dates[row])}, outside {lo} to {hi}"
             else:
-                items.append((prop_id(row), props[row]))
                 prev = row
                 continue
             raise ValueError(f"{path}: partition {part_id}: row {row} {why}")
-        out.append(Partition(part_id, (lo, hi), items))
+        out.append(Partition(part_id, (lo, hi), corpus, part_rows))
         start += size
     return out

@@ -7,9 +7,9 @@ one per proposition field, as ``corpus.columns`` (see ``columns``).
 ``read_corpus`` reads them back without normalizing anything again:
 re-normalizing a lemma is not the identity (``caused`` is saved as
 ``caus``, which would become ``cau``). It checks each table entry once
-and each row once, and refuses anything ``save_corpus`` would not write,
-naming the file and the entry or row; the row checks are the corpus's
-row builder's, which builds the propositions.
+and each row once, over the columns, and refuses anything ``save_corpus``
+would not write, naming the file and the entry or row. It builds no
+``Proposition``.
 
 Evidence and question files are written by ``write_records``, one sorted-
 key JSON line per record. Proposition lines (``corpus_lines``, the form
@@ -40,6 +40,7 @@ from .model import (
     _atomic_writer,
     _type_label,
     normalize_surface,
+    prop_id,
 )
 
 CORPUS_MAGIC = "entgraph-corpus"
@@ -189,12 +190,14 @@ def read_corpus(path: str | Path) -> Corpus:
     ):
         if column and not (lo <= min(column) and max(column) < hi):
             _first_row(path, column, lambda v: lo <= v < hi, what)
-    corpus = Corpus.from_columns(predicates, entities, articles, columns)
-    try:
-        corpus.propositions  # the row checks run as the rows are built
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return corpus
+    named = [e.is_named for e in entities]
+    unary = [p.valency == 1 for p in predicates]
+    for row, (p, a, b) in enumerate(zip(pred_col, args1, args2)):
+        if not (named[a] or b >= 0 and named[b]):
+            raise ValueError(f"{path}: row {row}: no argument is named")
+        if (b < 0) != unary[p]:
+            raise ValueError(f"{path}: row {row}: argument count must equal predicate valency")
+    return Corpus.from_columns(predicates, entities, articles, columns)
 
 
 def corpus_lines(corpus: Corpus) -> Iterator[str]:
@@ -228,7 +231,8 @@ class _PropositionLines:
     ``_ENCODER`` writes of the proposition's record (sorted keys; voice
     active and no modifiers; an argument's ``kb_id`` only if it has one,
     its ``role_index`` 1 and 2 in a binary and the case marker's in a
-    unary). An evidence line also holds a partition id and a ``prop_id``."""
+    unary). An evidence line also holds a partition id and the row's
+    ``prop_id``."""
 
     def __init__(self, corpus: Corpus):
         encode = encode_basestring_ascii
@@ -272,16 +276,15 @@ class _PropositionLines:
                 f'"modifiers": [], {before}"predicate": {lemma}{after}, "sentence_idx": {s}, '
                 '"voice": "active"}\n')
 
-    def evidence_lines(self, items: Iterable[tuple[int, str]]) -> Iterator[str]:
-        """The evidence line of each (partition id, ``prop_id``): the
-        record of the corpus row the id names, beside the two ids."""
+    def evidence_lines(self, items: Iterable[tuple[int, int]]) -> Iterator[str]:
+        """The evidence line of each (partition id, corpus row): the row's
+        record beside the partition id and the row's ``prop_id``."""
         preds, args1, args2, dates, articles, sentences = self.corpus.columns
-        line, row_of = self.line, self.corpus.row_of
-        for partition_id, prop_id in items:
-            row = row_of(prop_id)
+        line = self.line
+        for partition_id, row in items:
             yield line(preds[row], args1[row], args2[row], dates[row], articles[row],
                        sentences[row], f'"partition_id": {partition_id}, ',
-                       f', "prop_id": {encode_basestring_ascii(prop_id)}')
+                       f', "prop_id": "{prop_id(row)}"')
 
 
 class _CanonicalReader:

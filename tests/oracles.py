@@ -10,7 +10,9 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import random
 from array import array
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -40,9 +42,18 @@ from entgraph.model import (
     TypeInventory,
     _negated,
     normalize_surface,
+    prop_id,
 )
 from entgraph.qaeval import AnswerRecord, PRCurve, PRPoint, _model_id, _untyped_match
-from entgraph.qagen import EVIDENCE_FORMAT_VERSION, Partition, Question, _read_qa_file
+from entgraph.qagen import (
+    EVIDENCE_FORMAT_VERSION,
+    Partition,
+    PositiveSelection,
+    Question,
+    ScreeningStats,
+    _question_surface,
+    _read_qa_file,
+)
 from entgraph.records import (
     CORPUS_MAGIC,
     CORPUS_VERSION,
@@ -271,9 +282,14 @@ def combine_components(records: Sequence[AnswerRecord]) -> AnswerRecord:
 # -- answer models over every evidence proposition ----------------------------
 
 
+def partition_items(evidence: Partition) -> list[tuple[str, Proposition]]:
+    """The (``prop_id``, proposition) item of each evidence row."""
+    return [(prop_id(row), evidence.corpus.proposition(row)) for row in evidence.propositions]
+
+
 def answer_exact_match_scan(question: Question, evidence: Partition) -> AnswerRecord:
     """``answer_exact_match`` reading every proposition of the partition."""
-    for pid, prop in evidence.propositions:
+    for pid, prop in partition_items(evidence):
         if _untyped_match(question, prop):
             return AnswerRecord(question.id, "exact", 1.0, pid)
     return AnswerRecord(question.id, "exact", 0.0)
@@ -289,7 +305,7 @@ def answer_graph_scan(
     of ``GraphStore.score``, reached first at the best evidence."""
     hyp_args = tuple(a.key for a in question.args)
     best, best_pid, backed_off = 0.0, None, False
-    for pid, prop in evidence.propositions:
+    for pid, prop in partition_items(evidence):
         result = store.score(prop, question.predicate, hyp_args, kinds)
         if result.score > best:
             best, best_pid, backed_off = result.score, pid, result.backed_off
@@ -300,8 +316,112 @@ def compatible_evidence_scan(question: Question, evidence: Partition) -> list[st
     """``compatible_evidence`` testing every proposition of the partition."""
     hyp_args = tuple(a.key for a in question.args)
     return [
-        pid for pid, prop in evidence.propositions if consistent_maps(prop.arg_keys, hyp_args)
+        pid for pid, prop in partition_items(evidence)
+        if consistent_maps(prop.arg_keys, hyp_args)
     ]
+
+
+# -- question generation over Proposition objects --------------------------------
+
+
+class ItemPartition:
+    """A partition holding (``prop_id``, proposition) items, the form
+    question generation took before it read corpus rows."""
+
+    def __init__(self, id: int, date_range: tuple[dt.date, dt.date],
+                 propositions: list[tuple[str, Proposition]]):
+        self.id = id
+        self.date_range = date_range
+        self.propositions = propositions
+
+    def without(self, prop_ids: set[str]) -> "ItemPartition":
+        return ItemPartition(self.id, self.date_range,
+                             [(pid, p) for pid, p in self.propositions if pid not in prop_ids])
+
+
+def partition_objects(corpus: Corpus, window_days: int = 3) -> tuple[list[ItemPartition], int]:
+    """``qagen.partition`` over the corpus's (``prop_id``, proposition) items."""
+    dated = [(prop_id(i), p) for i, p in enumerate(corpus.propositions) if p.date is not None]
+    undated = len(corpus) - len(dated)
+    if not dated:
+        return [], undated
+    start = min(p.date for _, p in dated)
+    buckets: dict[int, list[tuple[str, Proposition]]] = {}
+    for pid, p in dated:
+        buckets.setdefault((p.date - start).days // window_days, []).append((pid, p))
+    partitions = []
+    for idx in sorted(buckets):
+        lo = start + dt.timedelta(days=idx * window_days)
+        hi = lo + dt.timedelta(days=window_days - 1)
+        partitions.append(ItemPartition(idx, (lo, hi), buckets[idx]))
+    return partitions, undated
+
+
+def select_positives_objects(
+    part: ItemPartition, corpus: Corpus, entity_min: int = 6, predicate_min: int = 11,
+    n: int = 8, rng: random.Random | None = None,
+) -> PositiveSelection:
+    """``qagen.select_positives`` over a partition's items: a binary's star
+    binding is its sorted key pair, a unary's its key, and candidates are
+    drawn in ``prop_id`` order."""
+    rng = rng or random.Random(0)
+    pair_counts: Counter = Counter()
+    entity_counts: Counter = Counter()
+    for _, p in part.propositions:
+        for k in p.arg_keys:
+            entity_counts[k] += 1
+        if p.predicate.valency == 2:
+            pair_counts[tuple(sorted(p.arg_keys))] += 1
+    candidates = []
+    for pid, p in part.propositions:
+        if corpus.untyped_index[p.predicate.untyped] < predicate_min:
+            continue
+        if p.predicate.valency == 2:
+            starred = pair_counts[tuple(sorted(p.arg_keys))] >= entity_min
+        else:
+            starred = entity_counts[p.arg_keys[0]] >= entity_min
+        if starred:
+            candidates.append((pid, p))
+    candidates.sort(key=lambda item: item[0])
+    chosen = sorted(rng.sample(candidates, min(n, len(candidates))))
+    questions = [
+        Question(f"q{part.id:03d}-pos{seq:04d}", part.id, p.predicate, p.args, "positive",
+                 {"source_prop": pid}, _question_surface(p.predicate, p.args))
+        for seq, (pid, p) in enumerate(chosen)
+    ]
+    return PositiveSelection(questions, part.without({pid for pid, _ in chosen}),
+                             shortfall=len(chosen) < n)
+
+
+def generate_negatives_objects(
+    positives: list[Question], lex, part: ItemPartition, corpus: Corpus,
+) -> tuple[list[Question], ScreeningStats]:
+    """``qagen.generate_negatives`` screening against a partition's items."""
+    stats = ScreeningStats()
+    in_partition = {(p.predicate.name, p.predicate.valency, p.arg_keys)
+                    for _, p in part.propositions}
+    negatives = []
+    for pos in positives:
+        subs = lex.substitutes_for_predicate(pos.predicate)
+        if not subs:
+            stats.positives_without_substitutes += 1
+            continue
+        for lemma, relation in subs:
+            stats.proposed += 1
+            pred = TypedPredicate(lemma, pos.predicate.valency, pos.predicate.slot_types,
+                                  pos.predicate.case_marker)
+            if (pred.name, pred.valency, tuple(a.key for a in pos.args)) in in_partition:
+                stats.screened_in_partition += 1
+                continue
+            if corpus.untyped_index.get(pred.untyped, 0) == 0:
+                stats.screened_zero_corpus += 1
+                continue
+            negatives.append(Question(
+                f"q{part.id:03d}-neg{len(negatives):04d}", part.id, pred, pos.args, "negative",
+                {"source_positive": pos.id, "relation": relation},
+                _question_surface(pred, pos.args)))
+            stats.emitted += 1
+    return negatives, stats
 
 
 # -- raw record parsing through dict copies -----------------------------------
@@ -570,7 +690,7 @@ def evidence_proposition(reader: _CanonicalReader, obj: dict) -> Proposition:
     )
 
 
-def read_evidence_jsonl(path) -> list[Partition]:
+def read_evidence_jsonl(path) -> list[ItemPartition]:
     """The partitions ``write_evidence`` wrote to ``evidence.jsonl``, the
     reference ``qagen.read_evidence`` of ``evidence.columns`` must agree
     with, sorted by id. Each header partition's ``id`` and ``size`` must be
@@ -616,5 +736,5 @@ def read_evidence_jsonl(path) -> list[Partition]:
                 f"{path}: partition {pid} has {len(by_id[pid])} records, "
                 f"the header declares {size}"
             )
-        out.append(Partition(pid, date_range, by_id[pid]))
+        out.append(ItemPartition(pid, date_range, by_id[pid]))
     return out

@@ -361,7 +361,7 @@ def test_qagen_contract_suite(tmp_path):
 
     full_partition_props = {
         p.id: {(pr.predicate.name, pr.predicate.valency, pr.arg_keys)
-               for _, pr in p.propositions}
+               for pr in map(c.proposition, p.propositions)}
         for p in parts
     }
     negatives = [q for q in qs.questions if q.polarity == "negative"]
@@ -520,12 +520,12 @@ def additivity_setup():
     graphs = build_local_graphs(graph_corpus)
     store = GraphStore(graphs)
 
-    evidence_props = [
-        ("p1", prop("defeat", ("alice", "bob"))),
-        ("p2", prop("be.winner.1", ("carol",))),
-        ("p3", prop("obliterate", ("dan", "eve"))),
-    ]
-    part = Partition(0, (dt.date(2021, 1, 1), dt.date(2021, 1, 3)), evidence_props)
+    evidence = corpus(
+        prop("defeat", ("alice", "bob")),
+        prop("be.winner.1", ("carol",)),
+        prop("obliterate", ("dan", "eve")),
+    )
+    part = Partition(0, (dt.date(2021, 1, 1), dt.date(2021, 1, 3)), evidence, [0, 1, 2])
 
     def q(qid, name, args, polarity, types=None):
         types = types or ("person",) * len(args)

@@ -17,7 +17,7 @@ from entgraph import resources
 from entgraph.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERSION, build_parser, main
 from entgraph.columns import read_columns, write_columns
 from entgraph.localgraph import BU, EDGE_CODES, UU, build_local_graphs
-from entgraph.model import EntityId, Proposition, TypedPredicate
+from entgraph.model import Corpus, EntityId, Proposition, TypedPredicate
 from entgraph.qaeval import answer_graph, read_answers
 from entgraph.qagen import EVIDENCE_MAGIC, EVIDENCE_ROWS_VERSION, Partition, Question
 from entgraph.records import read_corpus
@@ -253,8 +253,8 @@ class TestStageWiring:
             best = None
             for amap in valency_maps(premise.valency, hypothesis.valency):
                 question = Question("q", 0, hypothesis, bound_args(amap, prop.args), "positive", {})
-                record = answer_graph(question, Partition(0, (dt.date.min,) * 2, [("p", prop)]),
-                                      store)
+                record = answer_graph(
+                    question, Partition(0, (dt.date.min,) * 2, Corpus([prop]), [0]), store)
                 if record.confidence > 0 and (best is None or record.confidence > best.confidence):
                     best = record
             if best is None:
@@ -424,6 +424,11 @@ class TestGraphDirRefused:
                      "--out", str(pipeline_dir), "--graphs", graphs]) == EXIT_OK
 
 
+# the sha256 of the sample's corpus.columns; the sample's dump is pinned in
+# tests/data/sample_jsonl_digests.sha256
+SAMPLE_CORPUS_COLUMNS = "0585376ec9bb4f13ad06c1d13bd8d925e8e91a34639834c11ddc04f25bc1f4d3"
+
+
 class TestGoldenGraphs:
     """The shipped sample pipeline writes the graphs recorded in
     ``tests/data/sample_graph_digests.sha256`` and the JSONL files recorded
@@ -460,6 +465,26 @@ class TestGoldenGraphs:
             "the sample's JSONL artifacts changed; if that is intended, regenerate "
             "the digests with python3 scripts/make_sample_graph_digests.py"
         )
+
+    def test_stages_before_answer_build_no_proposition(self, tmp_path, monkeypatch):
+        # ingest, build-local, globalize, gen-questions and dump-corpus read
+        # the corpus's tables and columns; only answer builds propositions
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stage before answer built a proposition")
+
+        monkeypatch.setattr(Proposition, "__new__", staticmethod(refuse))
+        monkeypatch.setattr(Corpus, "proposition", refuse)
+        script, out = _digest_script(), tmp_path / "out"
+        for stage in (["ingest"], ["build-local"], ["globalize"],
+                      ["gen-questions", "--seed", script.QUESTION_SEED]):
+            script._run(*stage, "--out", str(out))
+        digest = hashlib.sha256((out / "corpus.columns").read_bytes()).hexdigest()
+        assert digest == SAMPLE_CORPUS_COLUMNS
+        assert "".join(line + "\n" for line in script.digest_lines(out / "graphs")) == (
+            DATA / "sample_graph_digests.sha256").read_text()
+        # the corpus's digest is its dump's, which dump-corpus prints here
+        assert "".join(line + "\n" for line in script.jsonl_digest_lines(out)) == (
+            DATA / "sample_jsonl_digests.sha256").read_text()
 
     def test_synthetic_local_graphs_match_recorded_digests(self, tmp_path):
         # a seeded corpus that yields every edge kind and map, pinned in
@@ -785,8 +810,7 @@ def _row(i: int, value):
 
 
 def _add_undated(tables, rows, corpus):
-    _add_row(tables, rows, 0, next(
-        i for i, p in enumerate(corpus.propositions) if p.date is None))
+    _add_row(tables, rows, 0, corpus.columns[3].index(0))
 
 
 def _add_from_partition_1(tables, rows, corpus):

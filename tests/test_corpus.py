@@ -2,7 +2,6 @@
 
 import contextlib
 import datetime as dt
-import hashlib
 import importlib.util
 import io
 import json
@@ -27,6 +26,7 @@ from entgraph.model import (
     TypeInventory,
     TypedPredicate,
     normalize_surface,
+    prop_id,
 )
 from entgraph.qagen import Partition, write_evidence
 from entgraph.records import (
@@ -799,7 +799,7 @@ def _evidence_lines(path: Path, props) -> list[dict]:
     """``props`` written as one evidence partition; the file's records."""
     dates = sorted(p.date for p in props if p.date is not None)
     corpus = Corpus(props)
-    write_evidence([Partition(0, (dates[0], dates[-1]), list(corpus.items()))], corpus, path)
+    write_evidence([Partition(0, (dates[0], dates[-1]), corpus, range(len(corpus)))], corpus, path)
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
@@ -1010,23 +1010,6 @@ class TestStreamingIngest:
         corpus = ingest(raw)
         assert len(corpus) == 2 and corpus.stats.skipped_malformed == 1
 
-    def test_ingest_stage_builds_no_proposition(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the ingest stage built a proposition")
-
-        monkeypatch.setattr(Proposition, "__new__", staticmethod(refuse))
-        monkeypatch.setattr(Corpus, "_rows", refuse)
-        out = tmp_path / "out"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["ingest", "--out", str(out)]) == 0
-        digest = hashlib.sha256((out / "corpus.columns").read_bytes()).hexdigest()
-        assert digest == SAMPLE_CORPUS_COLUMNS
-
-
-# the sha256 of the sample's corpus.columns; the sample's dump is pinned in
-# tests/data/sample_jsonl_digests.sha256
-SAMPLE_CORPUS_COLUMNS = "0585376ec9bb4f13ad06c1d13bd8d925e8e91a34639834c11ddc04f25bc1f4d3"
-
 
 # -- proposition lines against the encoder --------------------------------------
 
@@ -1062,8 +1045,7 @@ class TestPropositionLines:
         corpus = Corpus(props)
         assert list(corpus_lines(corpus)) == [
             ENCODER.encode(proposition_record(p)) + "\n" for p in props]
-        items = [(partition_ids[i % len(partition_ids)], pid)
-                 for i, (pid, _) in enumerate(corpus.items())]
+        items = [(partition_ids[row % len(partition_ids)], row) for row in range(len(props))]
         assert list(_PropositionLines(corpus).evidence_lines(items)) == [
-            ENCODER.encode(evidence_record((part, pid, corpus.propositions[corpus.row_of(pid)])))
-            + "\n" for part, pid in items]
+            ENCODER.encode(evidence_record((part, prop_id(row), props[row]))) + "\n"
+            for part, row in items]

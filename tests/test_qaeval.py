@@ -1,5 +1,6 @@
 """Answer models and metric harness tests."""
 
+import datetime as dt
 import re
 
 import pytest
@@ -30,7 +31,7 @@ from entgraph.qaeval import (
     read_external_scores,
     write_answers,
 )
-from entgraph.model import EntityId, Proposition
+from entgraph.model import Corpus, EntityId, Proposition
 from entgraph.store import GraphStore
 
 from conftest import ent, pred, prop
@@ -61,10 +62,11 @@ def question(qid, name, args, polarity="positive", types=None):
     )
 
 
-def evidence_partition(*props_with_ids) -> Partition:
-    import datetime as dt
-
-    return Partition(0, (dt.date(2021, 1, 1), dt.date(2021, 1, 3)), list(props_with_ids))
+def evidence_partition(*props) -> Partition:
+    """One partition holding every row of ``Corpus(props)``: the first
+    proposition's id is ``p000000``."""
+    return Partition(0, (dt.date(2021, 1, 1), dt.date(2021, 1, 3)), Corpus(props),
+                     list(range(len(props))))
 
 
 def kill_die_store() -> GraphStore:
@@ -81,21 +83,21 @@ def kill_die_store() -> GraphStore:
 class TestExactMatch:
     def test_verbatim_repeat(self):
         q = question("q1", "kill", ("mustard", "boddy"))
-        part = evidence_partition(("p1", prop("kill", ("mustard", "boddy"))))
+        part = evidence_partition(prop("kill", ("mustard", "boddy")))
         rec = answer_exact_match(q, part)
-        assert rec.confidence == 1.0 and rec.best_evidence == "p1"
+        assert rec.confidence == 1.0 and rec.best_evidence == "p000000"
 
     def test_paraphrase_only_misses(self):
         q = question("q1", "kill", ("mustard", "boddy"))
-        part = evidence_partition(("p1", prop("slay", ("mustard", "boddy"))))
+        part = evidence_partition(prop("slay", ("mustard", "boddy")))
         assert answer_exact_match(q, part).confidence == 0.0
 
     def test_repeat_rate_recovered(self):
         # 30% of positives repeat verbatim in the evidence
         questions = [question(f"q{i}", "sing.1", (f"e{i}",)) for i in range(10)]
         part = evidence_partition(
-            *[(f"p{i}", prop("sing.1", (f"e{i}",))) for i in range(3)],
-            *[(f"x{i}", prop("hum.1", (f"e{i}",))) for i in range(3, 10)],
+            *[prop("sing.1", (f"e{i}",)) for i in range(3)],
+            *[prop("hum.1", (f"e{i}",)) for i in range(3, 10)],
         )
         records = [answer_exact_match(q, part) for q in questions]
         gold = {q.id: True for q in questions}
@@ -106,10 +108,10 @@ class TestExactMatch:
 class TestAnswerGraph:
     def test_bu_answers_unary_from_binary_evidence(self):
         q = question("q1", "die.1", ("boddy",))
-        part = evidence_partition(("p1", prop("kill", ("mustard", "boddy"))))
+        part = evidence_partition(prop("kill", ("mustard", "boddy")))
         rec = answer_graph(q, part, kill_die_store(), frozenset({BU}))
         assert rec.confidence == pytest.approx(0.8)
-        assert rec.best_evidence == "p1"
+        assert rec.best_evidence == "p000000"
 
     def test_max_over_evidence(self):
         weak = pred("wound", "person", "person")
@@ -126,22 +128,22 @@ class TestAnswerGraph:
         store = GraphStore.from_subgraphs(bivalent, {})
         q = question("q1", "die.1", ("boddy",))
         part = evidence_partition(
-            ("p1", prop("wound", ("plum", "boddy"))),
-            ("p2", prop("kill", ("mustard", "boddy"))),
+            prop("wound", ("plum", "boddy")),
+            prop("kill", ("mustard", "boddy")),
         )
         rec = answer_graph(q, part, store)
         assert rec.confidence == pytest.approx(0.7)
-        assert rec.best_evidence == "p2"
+        assert rec.best_evidence == "p000001"
 
     def test_no_compatible_evidence_zero(self):
         q = question("q1", "die.1", ("scarlett",))
-        part = evidence_partition(("p1", prop("kill", ("mustard", "boddy"))))
+        part = evidence_partition(prop("kill", ("mustard", "boddy")))
         rec = answer_graph(q, part, kill_die_store())
         assert rec.confidence == 0.0 and rec.best_evidence is None
 
     def test_components_answer_one_valency(self):
         q_binary = question("qb", "kill", ("mustard", "boddy"))
-        part = evidence_partition(("p1", prop("kill", ("mustard", "boddy"))))
+        part = evidence_partition(prop("kill", ("mustard", "boddy")))
         store = kill_die_store()
         # UU-only model abstains on binary questions even with identity evidence
         assert answer_graph(q_binary, part, store, frozenset({UU})).confidence == 0.0
@@ -149,7 +151,7 @@ class TestAnswerGraph:
 
     def test_identity_without_vertex_still_answers(self):
         q = question("q1", "hum.1", ("knowles",))
-        part = evidence_partition(("p1", prop("hum.1", ("knowles",))))
+        part = evidence_partition(prop("hum.1", ("knowles",)))
         rec = answer_graph(q, part, kill_die_store(), frozenset({UU}))
         assert rec.confidence == 1.0
 
@@ -158,7 +160,7 @@ class TestAnswerGraph:
         # untyped pair is averaged over the graphs that do contain it
         q = question("q1", "die.1", ("boddy",))
         part = evidence_partition(
-            ("p1", prop("kill", ("mustard", "boddy"), types=("person", "thing")))
+            prop("kill", ("mustard", "boddy"), types=("person", "thing"))
         )
         rec = answer_graph(q, part, kill_die_store(), frozenset({BU}))
         assert rec.confidence == pytest.approx(0.8)
@@ -166,11 +168,11 @@ class TestAnswerGraph:
 
     def test_monotone_in_evidence(self):
         q = question("q1", "die.1", ("boddy",))
-        small = evidence_partition(("p1", prop("wound", ("plum", "boddy"))))
+        small = evidence_partition(prop("wound", ("plum", "boddy")))
         rec_small = answer_graph(q, small, kill_die_store())
         bigger = evidence_partition(
-            ("p1", prop("wound", ("plum", "boddy"))),
-            ("p2", prop("kill", ("mustard", "boddy"))),
+            prop("wound", ("plum", "boddy")),
+            prop("kill", ("mustard", "boddy")),
         )
         rec_big = answer_graph(q, bigger, kill_die_store())
         assert rec_big.confidence >= rec_small.confidence
@@ -246,15 +248,15 @@ class TestExternalScores:
     def test_export_lists_same_argument_evidence(self, tmp_path):
         q = question("q1", "die.1", ("boddy",))
         part = evidence_partition(
-            ("p1", prop("kill", ("mustard", "boddy"))),
-            ("p2", prop("kill", ("mustard", "plum"))),
-            ("p3", prop("die.1", ("boddy",))),
+            prop("kill", ("mustard", "boddy")),
+            prop("kill", ("mustard", "plum")),
+            prop("die.1", ("boddy",)),
         )
-        assert compatible_evidence(q, part) == ["p1", "p3"]
+        assert compatible_evidence(q, part) == ["p000000", "p000002"]
         path = tmp_path / "export.tsv"
         export_evidence([q], {0: part}, path)
         lines = path.read_text().splitlines()
-        assert lines == ["question_id\tprop_id", "q1\tp1", "q1\tp3"]
+        assert lines == ["question_id\tprop_id", "q1\tp000000", "q1\tp000002"]
 
 
 class TestPRCurve:
@@ -426,7 +428,7 @@ class TestExactSubsumption:
             args = tuple(
                 data.draw(st.sampled_from(["a", "b", "c"])) for _ in range(arity)
             )
-            evidence.append((f"p{i}", prop(name, args)))
+            evidence.append(prop(name, args))
         part = evidence_partition(*evidence)
         qname = data.draw(st.sampled_from(names))
         arity = 2 if qname in ("kill", "wound") else 1
@@ -478,9 +480,10 @@ class TestEvidenceIndex:
     # the same names under other types: no typed vertex, so the back-off answers
     ELSEWHERE = [pred("kill", "location", "location"), pred("die.1", "location"),
                  pred("wound", "person", "location")]
-    # "q" and "r" are one linked entity with two surfaces
-    ENTITIES = [ent("a"), ent("b"), ent("c"), EntityId("q", "Q1", True),
-                EntityId("r", "Q1", True)]
+    # "q" and "r" are one linked entity with two surfaces: two entries of
+    # one key
+    Q, R = EntityId("q", "Q1", True), EntityId("r", "Q1", True)
+    ENTITIES = [ent("a"), ent("b"), ent("c"), Q, R]
 
     def store(self, data) -> GraphStore:
         def edges(pairs, kind, maps):
@@ -507,7 +510,12 @@ class TestEvidenceIndex:
     def test_models_match_a_scan_of_all_evidence(self, data):
         store = self.store(data)
         n = data.draw(st.integers(0, 12))
-        part = evidence_partition(*[(f"p{i}", self.draw_proposition(data)) for i in range(n)])
+        props = [self.draw_proposition(data) for _ in range(n)]
+        # a row whose two argument entries share a key
+        props.insert(data.draw(st.integers(0, n)), Proposition(
+            data.draw(st.sampled_from(self.BINARIES)),
+            tuple(data.draw(st.permutations([self.Q, self.R])))))
+        part = evidence_partition(*props)
         for j in range(4):
             q = data.draw(st.sampled_from(self.BINARIES + self.UNARIES))
             args = tuple(data.draw(st.sampled_from(self.ENTITIES)) for _ in range(q.valency))
@@ -519,9 +527,11 @@ class TestEvidenceIndex:
             assert compatible_evidence(question, part) == compatible_evidence_scan(question, part)
 
     def test_holding_lists_each_proposition_once_in_evidence_order(self):
-        items = [("p0", prop("kill", ("a", "a"))), ("p1", prop("die.1", ("b",))),
-                 ("p2", prop("kill", ("b", "a"))), ("p3", prop("kill", ("c", "b")))]
-        part = evidence_partition(*items)
+        props = [prop("kill", ("a", "a")), prop("die.1", ("b",)), prop("kill", ("b", "a")),
+                 prop("kill", ("c", "b")), Proposition(KILL, (self.Q, self.R))]
+        part = evidence_partition(*props)
+        items = [(f"p{i:06d}", p) for i, p in enumerate(props)]
         assert part.holding("a") == [items[0], items[2]]
-        assert part.holding("b") == items[1:]
+        assert part.holding("b") == items[1:4]
+        assert part.holding("Q1") == items[4:]
         assert part.holding("z") == []

@@ -5,23 +5,29 @@ import importlib.util
 import json
 import random
 import tempfile
+from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entgraph import qagen
 from entgraph.columns import read_columns, write_columns
 from entgraph.ingest import ingest
 from entgraph.lexicon import LexicalResource
+from entgraph.model import Corpus, EntityId, Proposition, TypedPredicate, prop_id
 from entgraph.qagen import (
     EVIDENCE_MAGIC,
     EVIDENCE_ROWS_VERSION,
+    Partition,
     QaGenConfig,
     Question,
     balance,
     generate_negatives,
     generate_questions,
     partition,
+    question_record,
     read_evidence,
     read_questions,
     save_evidence,
@@ -33,7 +39,14 @@ from entgraph.qagen import (
 from entgraph.records import read_corpus, save_corpus
 
 from conftest import corpus, ent, pred, prop
-from oracles import proposition_record, read_evidence_jsonl
+from oracles import (
+    generate_negatives_objects,
+    partition_items,
+    partition_objects,
+    proposition_record,
+    read_evidence_jsonl,
+    select_positives_objects,
+)
 
 
 def dated_props(days: list[str], name="sing.1", entity="knowles"):
@@ -85,14 +98,15 @@ class TestPartition:
         props = [
             prop("sing.1", (f"e{i}",), date=d.isoformat()) for i, d in enumerate(dates)
         ]
-        parts, undated = partition(corpus(*props))
+        c = corpus(*props)
+        parts, undated = partition(c)
         assert undated == 0
         assert sum(len(p.propositions) for p in parts) == len(dates)
         for p in parts:
             lo, hi = p.date_range
             assert (hi - lo).days == 2
-            for _, pr in p.propositions:
-                assert lo <= pr.date <= hi
+            for row in p.propositions:
+                assert lo <= c.proposition(row).date <= hi
         ranges = sorted(p.date_range for p in parts)
         for (l1, h1), (l2, h2) in zip(ranges, ranges[1:]):
             assert h1 < l2
@@ -147,7 +161,7 @@ class TestSelectPositives:
         c = selection_corpus()
         part = self._first_partition(c)
         sel = select_positives(part, c, n=3, rng=random.Random(7))
-        evidence_ids = {pid for pid, _ in sel.evidence.propositions}
+        evidence_ids = {prop_id(row) for row in sel.evidence.propositions}
         for q in sel.questions:
             assert q.provenance["source_prop"] not in evidence_ids
         assert len(sel.evidence.propositions) == len(part.propositions) - 3
@@ -335,7 +349,7 @@ class TestEndToEndGeneration:
             if q.polarity != "negative":
                 continue
             part = next(p for p in qs.evidence if p.id == q.partition_id)
-            for _, pr in part.propositions:
+            for _, pr in partition_items(part):
                 assert not (
                     pr.predicate.name == q.predicate.name
                     and pr.arg_keys == tuple(a.key for a in q.args)
@@ -499,9 +513,11 @@ class TestQaRecordValueTypes:
 def _records(partitions) -> list:
     """Each partition's id, date range and (id, record) items: records, not
     propositions, since entities of one kb id are equal whatever their
-    surfaces."""
-    return [(p.id, p.date_range, [(pid, proposition_record(prop)) for pid, prop in p.propositions])
-            for p in partitions]
+    surfaces. A partition of rows or of the reference's items."""
+    return [(p.id, p.date_range, [
+        (pid, proposition_record(prop))
+        for pid, prop in (partition_items(p) if isinstance(p, Partition) else p.propositions)])
+        for p in partitions]
 
 
 def _perfbench_gen():
@@ -569,3 +585,60 @@ class TestEvidenceRows:
         with pytest.raises(ValueError, match=rf"evidence\.columns: partitions entry 0: "
                                              rf"bad date '{compact}'"):
             read_evidence(rows, c)
+
+
+# lemmas of the fixture lexicon: "hurt" and "die" have substitutes, which
+# are listed too, so negatives are screened out both in their partition and
+# as absent from the corpus; "kill"'s substitute is not listed
+ROW_LEMMAS = ["hurt", "die", "kill", "burn", "drown", "sing"]
+# "k" is one kb id, named and unnamed, and "m" a second surface of it:
+# three entity entries that share one key
+ROW_ENTITIES = [ent("a"), ent("b"), EntityId("k", "K1", True), EntityId("k", "K1", False),
+                EntityId("m", "K1", True)]
+
+
+@st.composite
+def row_propositions(draw):
+    valency = draw(st.integers(1, 2))
+    types = tuple(draw(st.sampled_from(["person", "location"])) for _ in range(valency))
+    case = draw(st.sampled_from([".1", ".2"])) if valency == 1 else None
+    predicate = TypedPredicate(draw(st.sampled_from(ROW_LEMMAS)), valency, types, case)
+    args = tuple(draw(st.sampled_from(ROW_ENTITIES)) for _ in range(valency))
+    day = draw(st.integers(-1, 7))  # -1: undated
+    return Proposition(predicate, args, "a1", dt.date(2021, 1, 1 + day) if day >= 0 else None)
+
+
+class TestRowPath:
+    """Question generation over corpus rows writes what the object path
+    (``oracles.partition_objects``, ``select_positives_objects`` and
+    ``generate_negatives_objects`` over (``prop_id``, proposition) items)
+    writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(row_propositions(), min_size=10, max_size=80),
+           st.builds(QaGenConfig, window_days=st.integers(1, 5), entity_min=st.integers(1, 4),
+                     predicate_min=st.integers(1, 6), positives_per_partition=st.integers(1, 8),
+                     seed=st.integers(0, 2**16)))
+    def test_agrees_with_the_object_path(self, props, config):
+        c, lex = Corpus(props), LexicalResource.fixture()
+        got = generate_questions(c, lex, config)
+        with mock.patch.multiple(qagen, partition=partition_objects,
+                                 select_positives=select_positives_objects,
+                                 generate_negatives=generate_negatives_objects):
+            want = generate_questions(c, lex, config)
+        assert list(map(question_record, got.questions)) == list(
+            map(question_record, want.questions))
+        assert [(p.id, p.date_range, list(p.propositions)) for p in got.evidence] == [
+            (p.id, p.date_range, [int(pid[1:]) for pid, _ in p.propositions])
+            for p in want.evidence]
+        assert got.manifest == want.manifest
+
+    def test_question_ids_follow_rows_past_999999(self):
+        # "p1000000" sorts before "p999999" as a string; rows sort as numbers
+        n, day = 1_000_001, dt.date(2021, 1, 1)
+        columns = [array("i", [value]) * n for value in (0, 0, -1, day.toordinal(), 0, 0)]
+        c = Corpus.from_columns([pred("sing.1", "person")], [ent("a")], ["a1"], columns)
+        part = Partition(0, (day, day), c, [999_999, 1_000_000])
+        sel = select_positives(part, c, entity_min=1, predicate_min=1, n=2)
+        assert [(q.id, q.provenance["source_prop"]) for q in sel.questions] == [
+            ("q000-pos0000", "p999999"), ("q000-pos0001", "p1000000")]
