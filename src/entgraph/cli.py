@@ -220,7 +220,7 @@ def cmd_build_local(args, run: Artifacts) -> int:
 
 def cmd_globalize(args, run: Artifacts) -> int:
     from . import graphio
-    from .globalgraph import GlobalConfig, globalize
+    from .globalgraph import GlobalConfig, apply_to_all
 
     local_dir = run.read("graphs/local")
     config = GlobalConfig(
@@ -228,8 +228,11 @@ def cmd_globalize(args, run: Artifacts) -> int:
         lambda_cross=args.lambda_cross,
         paraphrase_tau=args.tau,
     )
-    # one solve for both families: no clique crosses them (see apply_to_all)
-    refined = globalize(graphio.read_graph_dir(local_dir), config).subgraphs
+    local = graphio.read_graph_dir(local_dir)
+    bivalent, univalent = apply_to_all(
+        {sig: sub for sig, sub in local.items() if len(sig) == 2},
+        {sig: sub for sig, sub in local.items() if len(sig) == 1}, config)
+    refined = {**bivalent.subgraphs, **univalent.subgraphs}
     global_dir = run.out / "graphs" / "global"
     graphio.write_graph_dir(refined, global_dir)
     run.seal("globalize", ["graphs/global"])

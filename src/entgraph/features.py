@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 
-from .model import Corpus, TypedPredicate
+from .model import Corpus
 
 
 class CountStore:
@@ -78,31 +78,22 @@ def build_vectors(store: CountStore, config: FeatureConfig = FeatureConfig()):
 
     Returns {predicate: {entity-key pair: weight}} from a pair store and
     {(predicate, slot): {entity key: weight}} from a slot store; a slot vector's
-    type is its key's ``predicate.slot_types[slot - 1]``. Iteration is over
-    sorted keys so float accumulation downstream is reproducible.
+    type is its key's ``predicate.slot_types[slot - 1]``. Keys and features
+    come in the store's order: ``localgraph`` orders predicates by token and
+    each vector's features before it adds anything.
     """
     grouped: dict = {}
     for (pred_key, feat_key), _ in store.joint.items():
         grouped.setdefault(pred_key, []).append(feat_key)
 
     out: dict = {}
-    for pred_key in sorted(grouped, key=_pred_sort_key):
+    for pred_key, feat_keys in grouped.items():
         if store.pred_marginal[pred_key] < config.min_count:
             continue
         feats = {}
-        for feat_key in sorted(grouped[pred_key]):
+        for feat_key in feat_keys:
             w = pmi(store, pred_key, feat_key)
             if w > 0.0:
                 feats[feat_key] = w
         out[pred_key] = feats
     return out
-
-
-def _pred_sort_key(pred_key):
-    """Sort key of a pair store's key (a predicate) or a slot store's key
-    (a (predicate, slot) pair); a predicate is a tuple too, so the test is
-    on its type."""
-    if isinstance(pred_key, TypedPredicate):
-        return (pred_key.token(), 0)
-    pred, slot = pred_key
-    return (pred.token(), slot)

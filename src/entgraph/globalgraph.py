@@ -228,5 +228,6 @@ def apply_to_all(
     """Globalize the bivalent family and the univalent family separately, as
     ``globalize`` of both at once does, since no clique crosses them: UU
     codes live only in univalent graphs, and paraphrases within one
-    subgraph. The benchmark's tests import it."""
+    subgraph. ``cli globalize`` solves the families this way, so that the
+    cliques of only one family are held at a time."""
     return globalize(bivalent, config), globalize(univalent, config)

@@ -29,7 +29,6 @@ from .model import (
     IngestStats,
     TypeInventory,
     TypedPredicate,
-    _negated,
     normalize_surface,
 )
 from .records import RecordError, _iso_date, _key_clash, _lemma, _typed
@@ -197,10 +196,6 @@ class ParsedProposition(
 
     __slots__ = ()
 
-    @property
-    def negated(self) -> bool:
-        return _negated(self.predicate.lemma)
-
 
 def parse_record(
     obj: dict, inventory: TypeInventory, stats: IngestStats, memo: _Memo | None = None
@@ -324,8 +319,8 @@ def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
     stats = IngestStats()
     memo = _Memo()
     predicates: dict[TypedPredicate, int] = {}
-    entities: dict[tuple, int] = {}  # an entry's fields -> its number
-    entry_of: dict[tuple, int] = {}  # the fields of an entity as parsed -> its entry
+    entities: dict[EntityId, int] = {}  # an entry -> its number
+    entry_of: dict[EntityId, int] = {}  # an entity as parsed -> its entry
     articles: dict[str, int] = {}
     ordinals: dict[dt.date | None, int] = {None: 0}
     surface_of: dict[str, str] = {}
@@ -338,10 +333,10 @@ def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
         the keys before it, and its kb id's first surface."""
         if (clash := _key_clash(linked, entity)) is not None:
             raise ValueError(f"{path}:{lineno}: {clash}")
-        surface, kb_id, is_named = fields = tuple(entity)
-        if kb_id is not None:
-            surface = surface_of.setdefault(kb_id, surface)
-        number = entry_of[fields] = entities.setdefault((surface, kb_id, is_named), len(entities))
+        surface, kb_id, is_named = kept = entity
+        if kb_id is not None and surface_of.setdefault(kb_id, surface) != surface:
+            kept = EntityId(surface_of[kb_id], kb_id, is_named)
+        number = entry_of[entity] = entities.setdefault(kept, len(entities))
         return number
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -357,10 +352,10 @@ def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
                 continue
             for pred, args, article_id, date, sentence_idx in props:
                 preds(predicates.setdefault(pred, len(predicates)))
-                a = entry_of.get(tuple(args[0]))
+                a = entry_of.get(args[0])
                 args1(entry(args[0], lineno) if a is None else a)
                 if len(args) == 2:
-                    b = entry_of.get(tuple(args[1]))
+                    b = entry_of.get(args[1])
                     args2(entry(args[1], lineno) if b is None else b)
                 else:
                     args2(-1)
@@ -371,6 +366,4 @@ def ingest(path: str | Path, inventory: TypeInventory | None = None) -> Corpus:
                 article_ids(articles.setdefault(article_id, len(articles)))
                 sentences(sentence_idx)
     stats.propositions = len(columns[0])
-    return Corpus.from_columns(
-        list(predicates), [EntityId(*fields) for fields in entities], list(articles),
-        columns, stats)
+    return Corpus.from_columns(list(predicates), list(entities), list(articles), columns, stats)

@@ -65,13 +65,13 @@ def normalize_surface(text: str) -> str:
 class EntityId(namedtuple("EntityId", "surface kb_id is_named")):
     """One argument entity: a normalized surface form, optionally linked.
 
-    Two entities are equal iff their ``key``s are: the kb id when linked,
-    the surface otherwise. So mentions of one linked entity are equal
-    whatever their surfaces. A linked entity never equals an unlinked one
-    of the same file: ``ingest`` and the canonical readers refuse an
-    unlinked surface equal to a kb id of the file. Ingestion still pins
-    one canonical surface per kb id (the first seen wins), so that
-    surfaces written out are consistent.
+    Entities compare, order and hash as the tuple of their fields. ``key``
+    is the identity the stages read: the kb id when linked, the surface
+    otherwise, so mentions of one linked entity share it whatever their
+    surfaces. A kb id is never the key of an unlinked entity of the same
+    file: ``ingest`` and the canonical readers refuse an unlinked surface
+    equal to a kb id of the file. Ingestion pins one surface per kb id (the
+    first seen wins), so that surfaces written out are consistent.
     """
 
     __slots__ = ()
@@ -81,19 +81,6 @@ class EntityId(namedtuple("EntityId", "surface kb_id is_named")):
             raise ValueError("entity surface must be non-empty")
         return tuple.__new__(cls, (surface, kb_id, is_named))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EntityId):
-            return NotImplemented
-        return self.key == other.key
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, EntityId):
-            return NotImplemented
-        return self.key != other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
     @property
     def key(self) -> str:
         """Stable feature key: the kb id when linked, else the surface."""
@@ -102,11 +89,6 @@ class EntityId(namedtuple("EntityId", "surface kb_id is_named")):
     def __repr__(self) -> str:
         kb = f"={self.kb_id}" if self.kb_id else ""
         return f"EntityId({self.surface!r}{kb})"
-
-
-def _negated(lemma: str) -> bool:
-    """Whether a predicate with this lemma is negated (``not``, ``not.*``)."""
-    return lemma == "not" or lemma.startswith("not.")
 
 
 def _type_label(raw: str) -> str:
@@ -229,9 +211,7 @@ class TypedPredicate(namedtuple("TypedPredicate", "lemma valency slot_types case
         return self.token()
 
 
-class Proposition(
-    namedtuple("Proposition", "predicate args article_id date sentence_idx negated")
-):
+class Proposition(namedtuple("Proposition", "predicate args article_id date sentence_idx")):
     """One extracted predicate instance with its bound, typed arguments."""
 
     __slots__ = ()
@@ -243,13 +223,12 @@ class Proposition(
         article_id: str = "",
         date: dt.date | None = None,
         sentence_idx: int = 0,
-        negated: bool = False,
     ):
         if len(args) != predicate.valency:
             raise ValueError("argument count must equal predicate valency")
         if sentence_idx < 0:
             raise ValueError("sentence_idx must be >= 0")
-        return tuple.__new__(cls, (predicate, args, article_id, date, sentence_idx, negated))
+        return tuple.__new__(cls, (predicate, args, article_id, date, sentence_idx))
 
     @property
     def arg_keys(self) -> tuple[str, ...]:
@@ -259,9 +238,9 @@ class Proposition(
 class IngestStats:
     """Bookkeeping from one ingestion run; malformed input is never fatal."""
 
-    def __init__(self, records_read: int = 0, propositions: int = 0) -> None:
-        self.records_read = records_read
-        self.propositions = propositions
+    def __init__(self) -> None:
+        self.records_read = 0
+        self.propositions = 0
         self.skipped_malformed = 0
         self.skipped_unnamed = 0
         self.unknown_type_labels = 0
@@ -291,26 +270,25 @@ class Corpus:
     columns themselves (``from_columns``). A row is the identity of its
     proposition: the stages read the columns, and ``proposition(row)``
     builds one where a proposition is scored. ``untyped_index`` counts the
-    predicate column.
+    predicate column. ``stats`` is the ``IngestStats`` it was built with:
+    ``ingest``'s, or None.
     """
 
     def __init__(self, propositions: Iterable[Proposition], stats: IngestStats | None = None):
         predicates: dict[TypedPredicate, int] = {}
-        entities: dict[tuple, int] = {}
+        entities: dict[EntityId, int] = {}
         articles: dict[str, int] = {}
         columns = [array("i") for _ in range(6)]
         preds, args1, args2, dates, article_ids, sentences = (c.append for c in columns)
         for prop in propositions:
             args = prop.args
             preds(predicates.setdefault(prop.predicate, len(predicates)))
-            # by fields: entities of one kb id are equal whatever their surfaces
-            args1(entities.setdefault(tuple(args[0]), len(entities)))
-            args2(entities.setdefault(tuple(args[1]), len(entities)) if len(args) == 2 else -1)
+            args1(entities.setdefault(args[0], len(entities)))
+            args2(entities.setdefault(args[1], len(entities)) if len(args) == 2 else -1)
             dates(prop.date.toordinal() if prop.date is not None else 0)
             article_ids(articles.setdefault(prop.article_id, len(articles)))
             sentences(prop.sentence_idx)
-        self._hold(list(predicates), [EntityId(*key) for key in entities], list(articles),
-                   columns, stats)
+        self._hold(list(predicates), list(entities), list(articles), columns, stats)
 
     @classmethod
     def from_columns(
@@ -329,8 +307,7 @@ class Corpus:
         self.keys: list[str] = [e.key for e in entities]
         self.articles: list[str] = articles
         self.columns: list[array] = columns
-        n = len(columns[0])
-        self.stats = stats or IngestStats(records_read=n, propositions=n)
+        self.stats: IngestStats | None = stats
         self._dates: dict[int, dt.date | None] = {0: None}
         self._untyped_index: Counter[tuple[str, int]] | None = None
 
@@ -346,7 +323,7 @@ class Corpus:
             date = self._dates[d] = dt.date.fromordinal(d)
         args = (entities[a],) if b < 0 else (entities[a], entities[b])
         return tuple.__new__(Proposition, (predicate, args, self.articles[articles[row]], date,
-                                           sentences[row], _negated(predicate.lemma)))
+                                           sentences[row]))
 
     @property
     def untyped_index(self) -> Counter[tuple[str, int]]:

@@ -14,7 +14,9 @@ A proposition is its corpus row throughout: partitions, selection and
 screening read the corpus's date, predicate and argument columns and its
 entity keys, a question's ``source_prop`` is ``prop_id`` of its row, and
 a ``Partition`` holds its evidence as rows. Only ``Partition.holding``,
-which the answer models read, builds ``Proposition`` objects.
+which the answer models read, builds ``Proposition`` objects, and only
+for the entity keys they ask for. A ``Question`` holds its fields;
+``question_record`` renders its human-readable ``surface`` from them.
 
 The evidence is written twice: ``evidence.jsonl`` holds each evidence
 proposition as a record line, for people and for digests taken of it,
@@ -51,9 +53,11 @@ class Partition:
     """Evidence of up to window_days consecutive days of articles: rows of
     ``corpus``, in increasing order, held as ``propositions``.
 
-    ``holding`` builds the (``prop_id``, ``Proposition``) item of each row
-    and indexes the items by argument key when it is first called, so
-    ``propositions`` must not change after that.
+    ``holding`` indexes the rows by argument key when it is first called,
+    so ``propositions`` must not change after that, and builds the
+    (``prop_id``, ``Proposition``) items of a key the first time that key
+    is asked for: the answer models ask only for a question's first
+    argument.
     """
 
     def __init__(
@@ -64,7 +68,8 @@ class Partition:
         self.date_range = date_range
         self.corpus = corpus
         self.propositions = propositions
-        self._by_key: dict[str, list[tuple[str, Proposition]]] | None = None
+        self._rows: dict[str, list[int]] | None = None
+        self._items: dict[str, list[tuple[str, Proposition]]] = {}
 
     def without(self, rows: set[int]) -> "Partition":
         return Partition(self.id, self.date_range, self.corpus,
@@ -73,17 +78,21 @@ class Partition:
     def holding(self, key: str) -> list[tuple[str, Proposition]]:
         """The (id, proposition) items whose arguments include the entity
         key ``key``, in ``propositions`` order."""
-        if self._by_key is None:
-            corpus, by_key = self.corpus, {}
-            keys, args1, args2 = corpus.keys, corpus.columns[1], corpus.columns[2]
+        if self._rows is None:
+            rows: dict[str, list[int]] = {}
+            keys, args1, args2 = self.corpus.keys, self.corpus.columns[1], self.corpus.columns[2]
             for row in self.propositions:
-                item = (prop_id(row), corpus.proposition(row))
                 first, b = keys[args1[row]], args2[row]
-                by_key.setdefault(first, []).append(item)
+                rows.setdefault(first, []).append(row)
                 if b >= 0 and keys[b] != first:
-                    by_key.setdefault(keys[b], []).append(item)
-            self._by_key = by_key
-        return self._by_key.get(key, [])
+                    rows.setdefault(keys[b], []).append(row)
+            self._rows = rows
+        items = self._items.get(key)
+        if items is None:
+            proposition = self.corpus.proposition
+            items = self._items[key] = [
+                (prop_id(row), proposition(row)) for row in self._rows.get(key, ())]
+        return items
 
 
 class Question:
@@ -95,7 +104,6 @@ class Question:
         args: tuple[EntityId, ...],
         polarity: str,  # "positive" | "negative"
         provenance: dict,
-        surface: str = "",
     ):
         self.id = id
         self.partition_id = partition_id
@@ -103,7 +111,6 @@ class Question:
         self.args = args
         self.polarity = polarity
         self.provenance = provenance
-        self.surface = surface
 
 
 def partition(corpus: Corpus, window_days: int = 3) -> tuple[list[Partition], int]:
@@ -201,7 +208,6 @@ def select_positives(
                 args=args,
                 polarity="positive",
                 provenance={"source_prop": prop_id(row)},
-                surface=_question_surface(predicate, args),
             )
         )
     return PositiveSelection(questions, part.without(set(chosen)), shortfall=len(chosen) < n)
@@ -272,7 +278,6 @@ def generate_negatives(
                     args=pos.args,
                     polarity="negative",
                     provenance={"source_positive": pos.id, "relation": relation},
-                    surface=_question_surface(pred, pos.args),
                 )
             )
             seq += 1
@@ -381,7 +386,7 @@ def question_record(q: Question) -> dict:
         ],
         "polarity": q.polarity,
         "provenance": q.provenance,
-        "surface": q.surface,
+        "surface": _question_surface(q.predicate, q.args),
     }
 
 
@@ -389,7 +394,8 @@ def question_from_record(obj: dict, reader: _CanonicalReader) -> Question:
     """The question a record holds, its predicate and arguments built
     through the reader, which checks them as it checks corpus records and
     shares them across one file. ``id`` and ``surface`` must be strings
-    and ``provenance`` an object of strings."""
+    and ``provenance`` an object of strings; the surface is not kept,
+    since ``question_record`` renders it."""
     if obj["polarity"] not in ("positive", "negative"):
         raise ValueError(f"polarity {obj['polarity']!r} is neither positive nor negative")
     token = TypedPredicate.parse_token(obj["predicate"])
@@ -398,10 +404,12 @@ def question_from_record(obj: dict, reader: _CanonicalReader) -> Question:
     provenance = _typed(obj["provenance"], dict, "provenance")
     for value in provenance.values():
         _typed(value, str, "provenance value")
-    return Question(
+    question = Question(
         _typed(obj["id"], str, "id"), _typed(obj["partition_id"], int, "partition_id"), pred,
-        args, obj["polarity"], provenance, _typed(obj["surface"], str, "surface"),
+        args, obj["polarity"], provenance,
     )
+    _typed(obj["surface"], str, "surface")
+    return question
 
 
 def write_questions(qs: QuestionSet, path: str | Path) -> None:

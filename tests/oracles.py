@@ -40,7 +40,6 @@ from entgraph.model import (
     Proposition,
     TypedPredicate,
     TypeInventory,
-    _negated,
     normalize_surface,
     prop_id,
 )
@@ -51,7 +50,6 @@ from entgraph.qagen import (
     PositiveSelection,
     Question,
     ScreeningStats,
-    _question_surface,
     _read_qa_file,
 )
 from entgraph.records import (
@@ -386,7 +384,7 @@ def select_positives_objects(
     chosen = sorted(rng.sample(candidates, min(n, len(candidates))))
     questions = [
         Question(f"q{part.id:03d}-pos{seq:04d}", part.id, p.predicate, p.args, "positive",
-                 {"source_prop": pid}, _question_surface(p.predicate, p.args))
+                 {"source_prop": pid})
         for seq, (pid, p) in enumerate(chosen)
     ]
     return PositiveSelection(questions, part.without({pid for pid, _ in chosen}),
@@ -418,8 +416,7 @@ def generate_negatives_objects(
                 continue
             negatives.append(Question(
                 f"q{part.id:03d}-neg{len(negatives):04d}", part.id, pred, pos.args, "negative",
-                {"source_positive": pos.id, "relation": relation},
-                _question_surface(pred, pos.args)))
+                {"source_positive": pos.id, "relation": relation}))
             stats.emitted += 1
     return negatives, stats
 
@@ -517,8 +514,7 @@ def parse_record_dicts(
             continue
         case = f".{roles[0]}" if valency == 1 else None
         pred = TypedPredicate(rec["predicate"], valency, tuple(types), case)
-        negated = lemma == "not" or lemma.startswith("not.")
-        props.append(Proposition(pred, tuple(entities), article_id, date, sentence_idx, negated))
+        props.append(Proposition(pred, tuple(entities), article_id, date, sentence_idx))
     return props
 
 
@@ -548,7 +544,7 @@ def ingest_objects(path, inventory: TypeInventory | None = None) -> Corpus:
                 stats.skipped_malformed += 1
                 continue
             for view in views:
-                prop = Proposition(*view, view.negated)
+                prop = Proposition(*view)
                 for arg in prop.args:
                     if (clash := _key_clash(linked, arg)) is not None:
                         raise ValueError(f"{path}:{lineno}: {clash}")
@@ -558,7 +554,7 @@ def ingest_objects(path, inventory: TypeInventory | None = None) -> Corpus:
 
 
 def _canonicalize(prop: Proposition, canon: dict[str, str]) -> Proposition:
-    """Pin one surface per kb id so hashing stays consistent corpus-wide."""
+    """Give every mention of a kb id the first surface seen for it."""
     new_args = []
     changed = False
     for arg in prop.args:
@@ -571,8 +567,7 @@ def _canonicalize(prop: Proposition, canon: dict[str, str]) -> Proposition:
     if not changed:
         return prop
     return Proposition(
-        prop.predicate, tuple(new_args), prop.article_id, prop.date,
-        prop.sentence_idx, prop.negated,
+        prop.predicate, tuple(new_args), prop.article_id, prop.date, prop.sentence_idx,
     )
 
 
@@ -686,7 +681,7 @@ def evidence_proposition(reader: _CanonicalReader, obj: dict) -> Proposition:
     date = None if obj["date"] is None else _iso_date(obj["date"])
     return Proposition(
         pred, entities, str(obj["article_id"]),
-        date, _typed(obj["sentence_idx"], int, "sentence_idx"), _negated(lemma),
+        date, _typed(obj["sentence_idx"], int, "sentence_idx"),
     )
 
 

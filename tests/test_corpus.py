@@ -53,33 +53,40 @@ from oracles import (
 
 
 class TestEntityId:
-    def test_equality_prefers_kb_id(self):
+    def test_two_surfaces_of_one_kb_id_share_a_key(self):
         a = EntityId("obama", "fb:1")
         b = EntityId("barack obama", "fb:1")
         c = EntityId("obama", "fb:2")
-        assert a == b
-        assert a != c
+        assert a != b and a.key == b.key == "fb:1"
+        assert a != c and a.key != c.key
 
-    def test_surface_equality_when_unlinked(self):
-        assert EntityId("obama") == EntityId("obama", None, True)
+    def test_unlinked_entities_compare_surface_and_named_flag(self):
+        assert EntityId("obama") == EntityId("obama", None, False)
+        assert EntityId("obama") != EntityId("obama", None, True)
         assert EntityId("obama") != EntityId("biden")
 
     def test_mixed_linkage_compares_surface(self):
         assert EntityId("obama", "fb:1") != EntityId("obama")
+
+    def test_kb_id_never_equals_an_unlinked_surface_of_its_text(self):
+        linked, unlinked = EntityId("x", "fb:1"), EntityId("fb:1")
+        assert linked != unlinked and not linked == unlinked
+        assert linked.key == unlinked.key == "fb:1"
 
     @given(st.lists(
         st.builds(EntityId, st.sampled_from(["obama", "biden", "fb:1"]),
                   st.sampled_from([None, "fb:1", "fb:2", "obama"]), st.booleans()),
         min_size=3, max_size=3,
     ))
-    def test_equality_is_key_equality(self, entities):
-        a, b, c = entities
-        assert a == a
-        assert (a == b) == (b == a) == (a.key == b.key)
-        if a == b and b == c:
-            assert a == c
-        if a == b:
-            assert hash(a) == hash(b)
+    def test_equality_is_field_equality(self, entities):
+        for a in entities:
+            fields = (a.surface, a.kb_id, a.is_named)
+            assert a == fields and hash(a) == hash(fields)
+            assert a.key == (a.kb_id if a.kb_id is not None else a.surface)
+            for b in entities:
+                same = fields == (b.surface, b.kb_id, b.is_named)
+                assert (a == b) == (b == a) == same
+                assert (a != b) == (not same)
 
     def test_empty_surface_rejected(self):
         with pytest.raises(ValueError):
@@ -407,15 +414,6 @@ def raw_records(draw, loose: bool = False):
     }
 
 
-def _fields(prop: Proposition) -> tuple:
-    # EntityId.__eq__ ignores the surfaces of linked entities, so compare them here
-    return (
-        prop.predicate,
-        tuple((a.surface, a.kb_id, a.is_named) for a in prop.args),
-        prop.date, prop.article_id, prop.sentence_idx, prop.negated,
-    )
-
-
 def _write_records(path: Path, records: list[dict]) -> None:
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
@@ -436,7 +434,8 @@ class TestParseRecordOracle:
                 parse_record(record, INVENTORY, got_stats)
         else:
             got = parse_record(record, INVENTORY, got_stats)
-            assert [_fields(p) for p in got] == [_fields(p) for p in want]
+            # a ParsedProposition equals the Proposition of its fields
+            assert got == want
         assert got_stats.as_dict() == want_stats.as_dict()
 
 
@@ -605,7 +604,9 @@ class TestReadCorpus:
             dump = io.StringIO()
             with contextlib.redirect_stdout(dump):
                 assert main(["dump-corpus", "--out", tmp]) == 0
-        assert [_fields(p) for p in got] == [_fields(p) for p in expected]
+        assert got.propositions == expected.propositions
+        # the ingest run's counts stay with ingest: a read corpus has none
+        assert expected.stats is not None and got.stats is None
         _assert_shared(got.propositions)
         assert dump.getvalue() == corpus_jsonl(expected)
 
@@ -985,7 +986,7 @@ class TestStreamingIngest:
             assert (Path(tmp) / "got.columns").read_bytes() == (
                 Path(tmp) / "want.columns").read_bytes()
         assert got.stats.as_dict() == want.stats.as_dict()
-        assert [_fields(p) for p in got] == [_fields(p) for p in want]
+        assert got.propositions == want.propositions
 
     def test_clash_of_an_unnamed_view_is_skipped(self, tmp_path):
         # the unnamed view is dropped before its surface could clash with

@@ -736,6 +736,21 @@ class TestSparseJoin:
             assert_same_subgraph(
                 graphs[(t,)], build_univalent_pairwise(t, unaries, slot_vectors, threshold))
 
+    @settings(max_examples=100, deadline=None)
+    @given(typed_vectors(), st.sampled_from((0.0, 0.01)))
+    def test_vectors_in_reverse_order_give_identical_columns(self, case, threshold):
+        # build_vectors keeps the count store's order: _subgraphs orders
+        # predicates by token, and _vector each vector's features before any sum
+        def reverse(vectors):
+            return {k: dict(reversed(v.items())) for k, v in reversed(vectors.items())}
+
+        pair_vectors, slot_vectors = case
+        graphs = _subgraphs(pair_vectors, slot_vectors, threshold)
+        reversed_graphs = _subgraphs(reverse(pair_vectors), reverse(slot_vectors), threshold)
+        assert list(reversed_graphs) == list(graphs)
+        for signature, sub in graphs.items():
+            assert_same_subgraph(reversed_graphs[signature], sub)
+
     def test_scores_add_left_to_right(self):
         # ten shared 0.1s: compensated sums would move the score's last bit
         shared = {f"f{i}": 0.1 for i in range(10)}

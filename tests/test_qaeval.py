@@ -535,3 +535,17 @@ class TestEvidenceIndex:
         assert part.holding("b") == items[1:4]
         assert part.holding("Q1") == items[4:]
         assert part.holding("z") == []
+
+    def test_answering_builds_the_propositions_of_the_asked_keys_only(self, monkeypatch):
+        props = [prop("kill", ("a", "b")), prop("die.1", ("b",)), prop("kill", ("b", "a")),
+                 prop("kill", ("c", "c")), Proposition(KILL, (self.Q, self.R)),
+                 prop("die.1", ("c",))]
+        part, store = evidence_partition(*props), kill_die_store()
+        built, proposition = [], Corpus.proposition
+        monkeypatch.setattr(
+            Corpus, "proposition", lambda corpus, row: built.append(row) or proposition(corpus, row))
+        for j, (q, args) in enumerate([(DIE, (ent("b"),)), (KILL, (ent("b"), ent("a"))),
+                                       (DIE, (self.R,)), (KILL, (ent("z"), ent("a")))]):
+            answer_graph(Question(f"q{j}", 0, q, args, "positive", {}), part, store)
+        # each row holding "b" or "Q1" once, asked twice; no row of "c" alone
+        assert built == [0, 1, 2, 4]

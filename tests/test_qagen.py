@@ -446,7 +446,8 @@ class TestMalformedHeaders:
 class TestQaRecordValueTypes:
     """Evidence and question lines whose value only compares equal to the
     one the writer writes (``1 == 1.0 == True``) are refused, on the first
-    line that holds an entity as on a later one."""
+    line that holds an entity as on a later one; so is a question line whose
+    surface is not the one its predicate and arguments render to."""
 
     @staticmethod
     def _lines(path) -> list[dict]:
@@ -486,6 +487,15 @@ class TestQaRecordValueTypes:
         self._rewrite(qpath, records)
         with pytest.raises(ValueError,
                            match=f"questions.jsonl:2: not a canonical question record: {field}"):
+            read_questions(qpath)
+
+    def test_question_surface_edited(self, tmp_path):
+        qpath, _ = TestMalformedHeaders()._write(tmp_path)
+        records = self._lines(qpath)
+        records[2]["surface"] = records[2]["surface"].replace("?", "!")
+        self._rewrite(qpath, records)
+        with pytest.raises(ValueError, match=r"questions.jsonl:3: not a canonical question "
+                                             r"record: fields \['surface'\] differ"):
             read_questions(qpath)
 
     def test_question_id_repeated(self, tmp_path):

@@ -2,7 +2,7 @@
 
 Entities, predicates, propositions, argument maps, edges, query results,
 answer records, metric points and configs are tuples of their fields. These
-tests pin what callers rely on: equality and hashing (by key for entities),
+tests pin what callers rely on: equality and hashing (by fields, entities too),
 the messages of the checks made on construction, ``repr``, the ordering
 that ``sorted`` calls use, and that no field can be assigned.
 """
@@ -12,7 +12,7 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
-from entgraph.features import FeatureConfig, _pred_sort_key, build_vectors, count
+from entgraph.features import FeatureConfig
 from entgraph.globalgraph import GlobalConfig
 from entgraph.localgraph import (
     BB,
@@ -28,7 +28,7 @@ from entgraph.qaeval import AccuracyAtK, AnswerRecord, PRPoint
 from entgraph.qagen import QaGenConfig
 from entgraph.store import QueryResult
 
-from conftest import corpus, pred, prop
+from conftest import pred, prop
 
 KILL = pred("kill", "person", "person")
 DIE = pred("die.1", "person")
@@ -36,23 +36,28 @@ ID1, ID2, SWAP = ArgMap.identity(1), ArgMap.identity(2), ArgMap.swap()
 
 
 class TestEntityKeyEquality:
+    """Entities compare and hash by their fields; ``key`` is the identity
+    the stages read, which several entities may share."""
+
     def test_linked_never_equals_unlinked(self):
         linked, unlinked = EntityId("obama", "fb:1", True), EntityId("obama", None, True)
         assert linked != unlinked
         assert not linked == unlinked
         assert len({linked, unlinked}) == 2
 
-    def test_one_kb_id_with_two_surfaces_is_one_entity(self):
+    def test_one_kb_id_with_two_surfaces_is_two_entities_of_one_key(self):
         a, b = EntityId("obama", "fb:1"), EntityId("barack obama", "fb:1", True)
-        assert a == b
-        assert not a != b
-        assert hash(a) == hash(b)
-        assert {a: 1}[b] == 1
+        assert a != b
+        assert not a == b
+        assert len({a, b}) == 2
+        assert a.key == b.key == "fb:1"
 
-    def test_propositions_compare_their_entities_by_key(self):
+    def test_propositions_compare_their_entities_by_fields(self):
         a = Proposition(KILL, (EntityId("obama", "fb:1"), EntityId("b")))
         b = Proposition(KILL, (EntityId("barack obama", "fb:1"), EntityId("b")))
-        assert a == b and hash(a) == hash(b)
+        assert a != b and a.arg_keys == b.arg_keys
+        assert a == Proposition(KILL, (EntityId("obama", "fb:1"), EntityId("b")))
+        assert hash(a) == hash(tuple(a))
 
     @given(st.lists(
         st.builds(EntityId, st.sampled_from(["a", "b", "fb:1"]),
@@ -61,7 +66,7 @@ class TestEntityKeyEquality:
     ))
     def test_not_equal_is_the_negation_of_equal(self, pair):
         a, b = pair
-        assert (a != b) == (not a == b) == (a.key != b.key)
+        assert (a != b) == (not a == b) == (tuple(a) != tuple(b))
 
 
 class TestCheckMessages:
@@ -114,10 +119,10 @@ class TestRepr:
             f"EntailmentEdge(premise={KILL!r}, hypothesis={DIE!r}, kind='BU', "
             "arg_map=ArgMap(pairs=((2, 1),)), score=0.5)"
         )
-        p = Proposition(DIE, (EntityId("b", "Q2", True),), "a1", dt.date(2021, 1, 2), 3, True)
+        p = Proposition(DIE, (EntityId("b", "Q2", True),), "a1", dt.date(2021, 1, 2), 3)
         assert repr(p) == (
             f"Proposition(predicate={DIE!r}, args=(EntityId('b'=Q2),), article_id='a1', "
-            "date=datetime.date(2021, 1, 2), sentence_idx=3, negated=True)"
+            "date=datetime.date(2021, 1, 2), sentence_idx=3)"
         )
         assert repr(QueryResult(0.25)) == "QueryResult(score=0.25, path=(), backed_off=False)"
         assert repr(AnswerRecord("q1", "exact", 1.0, "p1")) == (
@@ -183,19 +188,3 @@ class TestImmutable:
             setattr(value, value._fields[0], value[0])
         with pytest.raises(AttributeError):
             value.extra = 1
-
-
-class TestPredSortKey:
-    def test_predicate_and_slot_keys(self):
-        assert _pred_sort_key(KILL) == ("kill#person#person", 0)
-        assert _pred_sort_key((KILL, 2)) == ("kill#person#person", 2)
-        assert _pred_sort_key((DIE, 1)) == ("die.1#person", 1)
-
-    def test_vectors_come_in_token_then_slot_order(self):
-        c = corpus(*[prop(name, args) for name, args in (
-            ("kill", ("a", "b")), ("hire", ("b", "a")), ("die.1", ("a",)))] * 3)
-        assert list(build_vectors(count(c)[0], FeatureConfig(1))) == [
-            pred("hire", "person", "person"), KILL]
-        assert list(build_vectors(count(c)[1], FeatureConfig(1))) == [
-            (DIE, 1), (pred("hire", "person", "person"), 1),
-            (pred("hire", "person", "person"), 2), (KILL, 1), (KILL, 2)]
